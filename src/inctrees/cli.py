@@ -36,27 +36,15 @@ from .trees import (
 )
 from .weights import DegreeWeights
 
-_BILABELLED_IDS = (
-    "bilabelled/unordered",
-    "bilabelled/ordered",
-    "bilabelled/2-bundled",
-    "bilabelled/3-bundled",
-    "bilabelled/strict-binary",
-    "bilabelled/even-degree",
-    "bilabelled/binary",
-)
-
-
-def _fmt_value(v: Fraction) -> str:
-    return str(v)
+_BILABELLED_IDS = tuple(i for i in families.REGISTRY if i.startswith("bilabelled/"))
 
 
 def _print_sequence(identifier: str, seq, fmt: str, out) -> None:
     if fmt == "plain":
-        print(" ".join(_fmt_value(v) for v in seq), file=out)
+        print(" ".join(str(v) for v in seq), file=out)
     elif fmt == "bfile":
         for n, v in enumerate(seq, start=1):
-            print(f"{n} {_fmt_value(v)}", file=out)
+            print(f"{n} {v}", file=out)
     elif fmt == "json":
         payload = {
             "family": identifier,
@@ -74,68 +62,74 @@ def _print_sequence(identifier: str, seq, fmt: str, out) -> None:
 Check = Tuple[str, bool, str]
 
 
+def _first_failure(name: str, var: str, sizes, report) -> Check:
+    """One check over a size range.  ``report(size)`` returns None when the
+    identity holds and a note (possibly empty) when it fails; the check stops
+    at the first failing size."""
+    for size in sizes:
+        note = report(size)
+        if note is not None:
+            detail = f"first failure at {var}={size}" + (f": {note}" if note else "")
+            return (name, False, detail)
+    return (name, True, "")
+
+
+def _hook_note(rep: hooks.HookIdentityReport, full: bool = False) -> Optional[str]:
+    if rep.equal:
+        return None
+    return rep.to_text() if full else ""
+
+
+def _rho_binary_note(n: int) -> Optional[str]:
+    lhs = hooks.generic_hook_weight_sum("binary", [1, 1], [0, 1], n)
+    rhs = Fraction(2**n * (n + 1) ** (n - 1), factorial(n))
+    return None if lhs == rhs else f"{lhs} != {rhs}"
+
+
 def _suite_hook(max_n: int, max_m: int) -> List[Check]:
     checks: List[Check] = []
+    ns = range(1, max_n + 1)
+    ms = range(1, max_m + 1)
     for identifier in _BILABELLED_IDS:
-        spec = families.get_family(identifier)
-        bad = ""
-        for n in range(1, max_n + 1):
-            rep = hooks.hook_sum_k_labelled(spec.weights, 2, n)
-            if not rep.equal:
-                bad = f"first failure at n={n}: {rep.to_text()}"
-                break
-        checks.append((f"hook k=2 {identifier} n<={max_n}", not bad, bad))
-    tri = families.get_family("trilabelled/unordered")
-    n_tri = min(max_n, 6)
-    bad = ""
-    for n in range(1, n_tri + 1):
-        rep = hooks.hook_sum_k_labelled(tri.weights, 3, n)
-        if not rep.equal:
-            bad = f"first failure at n={n}"
-            break
-    checks.append((f"hook k=3 trilabelled/unordered n<={n_tri}", not bad, bad))
+        w = families.get_family(identifier).weights
+        checks.append(_first_failure(
+            f"hook k=2 {identifier} n<={max_n}", "n", ns,
+            lambda n, w=w: _hook_note(hooks.hook_sum_k_labelled(w, 2, n), full=True),
+        ))
+    tri = families.get_family("trilabelled/unordered").weights
+    n_small = min(max_n, 6)
+    checks.append(_first_failure(
+        f"hook k=3 trilabelled/unordered n<={n_small}", "n", range(1, n_small + 1),
+        lambda n: _hook_note(hooks.hook_sum_k_labelled(tri, 3, n)),
+    ))
     for k in (1, 2, 3):
-        for variant in ("ordered", "unordered"):
-            w = (
-                DegreeWeights.bundled(1)
-                if variant == "ordered"
-                else DegreeWeights.exponential()
-            )
-            bad = ""
-            for n in range(1, min(max_n, 6) + 1):
-                rep = hooks.hook_sum_k_tuple(w, k, n)
-                if not rep.equal:
-                    bad = f"first failure at n={n}"
-                    break
-            checks.append((f"hook k-tuple(k={k}) {variant}", not bad, bad))
+        for variant, w in (
+            ("ordered", DegreeWeights.bundled(1)),
+            ("unordered", DegreeWeights.exponential()),
+        ):
+            checks.append(_first_failure(
+                f"hook k-tuple(k={k}) {variant}", "n", range(1, n_small + 1),
+                lambda n, w=w, k=k: _hook_note(hooks.hook_sum_k_tuple(w, k, n)),
+            ))
     bucket_weights = {
         "ordered": DegreeWeights.bundled(1),
         "unordered": DegreeWeights.exponential(),
         "strict-binary": DegreeWeights.polynomial([1, 0, 1], name="strict-binary"),
     }
     for name, w in bucket_weights.items():
-        bad = ""
-        for m in range(1, max_m + 1):
-            rep = hooks.hook_sum_bucket(w, m)
-            if not rep.equal:
-                bad = f"first failure at m={m}"
-                break
-        checks.append((f"hook bucket-free {name} m<={max_m}", not bad, bad))
-    bad = ""
-    for m in range(1, max_m + 1):
-        rep = hooks.hook_sum_bucket(DegreeWeights.exponential(), m, max_bucket=2)
-        if not rep.equal:
-            bad = f"first failure at m={m}"
-            break
-    checks.append((f"hook bucket-uni-bi unordered m<={max_m}", not bad, bad))
-    bad = ""
-    for n in range(1, max_n + 1):
-        lhs = hooks.generic_hook_weight_sum("binary", [1, 1], [0, 1], n)
-        rhs = Fraction(2**n * (n + 1) ** (n - 1), factorial(n))
-        if lhs != rhs:
-            bad = f"first failure at n={n}: {lhs} != {rhs}"
-            break
-    checks.append((f"hook rho=1+1/h binary vs 2^n(n+1)^(n-1)/n! n<={max_n}", not bad, bad))
+        checks.append(_first_failure(
+            f"hook bucket-free {name} m<={max_m}", "m", ms,
+            lambda m, w=w: _hook_note(hooks.hook_sum_bucket(w, m)),
+        ))
+    unordered = DegreeWeights.exponential()
+    checks.append(_first_failure(
+        f"hook bucket-uni-bi unordered m<={max_m}", "m", ms,
+        lambda m: _hook_note(hooks.hook_sum_bucket(unordered, m, max_bucket=2)),
+    ))
+    checks.append(_first_failure(
+        f"hook rho=1+1/h binary vs 2^n(n+1)^(n-1)/n! n<={max_n}", "n", ns,
+        _rho_binary_note,
+    ))
     return checks
 
 
@@ -239,24 +233,11 @@ def _suite_invariants(max_n: int, max_m: int) -> List[Check]:
         uni_seq = tuple(solvers.solve_k_labelled(shifted, 1, max_m))
         bad = _compare_prefix(free_seq, uni_seq)
         checks.append((f"free = single-label with phi+t {identifier}", not bad, bad))
-    bad = ""
-    for n in range(1, min(max_n, 4) + 1):
-        for tree in enumerate_ordered_trees(n):
-            for k in (1, 2, 3):
-                if count_k_labellings_formula(tree, k) != count_k_labellings_bruteforce(tree, k):
-                    bad = f"mismatch at tree {tree.to_text()} k={k}"
-                    break
-            for m in range(n, max_m + 1):
-                for buckets in enumerate_bucket_functions(tree, m):
-                    if count_bucket_labellings_formula(
-                        tree, buckets
-                    ) != count_bucket_labellings_bruteforce(tree, buckets):
-                        bad = f"mismatch at tree {tree.to_text()} buckets={buckets}"
-                        break
-    checks.append((f"label-count formulas vs brute force n<=4", not bad, bad))
+    bad = _label_count_mismatch(min(max_n, 4), max_m)
+    checks.append(("label-count formulas vs brute force n<=4", not bad, bad))
     w = DegreeWeights.exponential()
-    bad = ""
-    for n in range(1, min(max_n, 6) + 1):
+
+    def tree_sum_note(n: int) -> Optional[str]:
         total = sum(
             (
                 tree_weight(tree, w) * count_k_labellings_formula(tree, 1)
@@ -264,29 +245,45 @@ def _suite_invariants(max_n: int, max_m: int) -> List[Check]:
             ),
             Fraction(0),
         )
-        if total != solvers.solve_k_labelled(w, 1, n)[n]:
-            bad = f"first failure at n={n}"
-            break
-    checks.append(("tree-sum oracle vs single-label solver", not bad, bad))
+        return None if total == solvers.solve_k_labelled(w, 1, n)[n] else ""
+
+    checks.append(_first_failure(
+        "tree-sum oracle vs single-label solver", "n", range(1, min(max_n, 6) + 1),
+        tree_sum_note,
+    ))
     return checks
 
 
+def _label_count_mismatch(max_n: int, max_m: int) -> str:
+    """The first tree (sizes 1..max_n) whose closed-form labelling count
+    differs from brute force, or "" when all agree."""
+    for n in range(1, max_n + 1):
+        for tree in enumerate_ordered_trees(n):
+            for k in (1, 2, 3):
+                if count_k_labellings_formula(tree, k) != count_k_labellings_bruteforce(tree, k):
+                    return f"mismatch at tree {tree.to_text()} k={k}"
+            for m in range(n, max_m + 1):
+                for buckets in enumerate_bucket_functions(tree, m):
+                    if count_bucket_labellings_formula(
+                        tree, buckets
+                    ) != count_bucket_labellings_bruteforce(tree, buckets):
+                        return f"mismatch at tree {tree.to_text()} buckets={buckets}"
+    return ""
+
+
+_SUITES = {
+    "hook": lambda args: _suite_hook(args.max_n, args.max_m),
+    "bijection": lambda args: _suite_bijection(args.max_m),
+    "closed-forms": lambda args: _suite_closed_forms(args.max_n, args.cutoff),
+    "invariants": lambda args: _suite_invariants(args.max_n, args.max_m),
+}
+
+
 def _run_verify(args, out) -> int:
-    suites = (
-        ["hook", "bijection", "closed-forms", "invariants"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     checks: List[Check] = []
     for suite in suites:
-        if suite == "hook":
-            checks.extend(_suite_hook(args.max_n, args.max_m))
-        elif suite == "bijection":
-            checks.extend(_suite_bijection(args.max_m))
-        elif suite == "closed-forms":
-            checks.extend(_suite_closed_forms(args.max_n, args.cutoff))
-        elif suite == "invariants":
-            checks.extend(_suite_invariants(args.max_n, args.max_m))
+        checks.extend(_SUITES[suite](args))
     ok = all(c[1] for c in checks)
     if args.format == "json":
         print(
@@ -436,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run exhaustive verification suites")
     p_verify.add_argument(
-        "suite", choices=("hook", "bijection", "closed-forms", "invariants", "all")
+        "suite", choices=(*_SUITES, "all")
     )
     p_verify.add_argument("--max-n", type=int, default=6)
     p_verify.add_argument("--max-m", type=int, default=5)

@@ -41,6 +41,13 @@ class RelationReport:
         return not self.failures
 
 
+def _integer(value: Fraction) -> int:
+    """value as an int; ArithmeticError if it is not integral."""
+    if value.denominator != 1:
+        raise ArithmeticError(f"expected an integer, got {value}")
+    return int(value)
+
+
 # -- inverse error function / ordered family ------------------------------
 
 
@@ -66,9 +73,7 @@ def ordered_bilabelled_closed_form(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     value = Fraction(factorial(2 * n - 2), 2 ** (n - 1)) * inverse_erf_coefficients(n)[n - 1]
-    if value.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {value}")
-    return int(value)
+    return _integer(value)
 
 
 def ordered_bilabelled_recurrence(terms: int) -> Tuple[int, ...]:
@@ -151,9 +156,7 @@ def two_bundled_closed_form(n: int) -> int:
             * partial_bell(k, m, xs[: k - m + 1])
         )
     value = Fraction(factorial(2 * n), n * 2**n) * total
-    if value.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {value}")
-    return int(value)
+    return _integer(value)
 
 
 def two_bundled_recurrence(terms: int) -> Tuple[int, ...]:
@@ -222,8 +225,10 @@ def even_degree_recurrence(terms: int) -> Tuple[int, ...]:
                     factorial(2 * j + 1) * factorial(2 * k + 1) * factorial(2 * l + 1)
                 )
                 total += mult * ts[j + 1] * ts[k + 1] * ts[l + 1]
-        assert total % 2 == 0
-        ts[n + 2] = total // 2
+        half, rem = divmod(total, 2)
+        if rem:
+            raise ArithmeticError(f"expected an even sum, got {total}")
+        ts[n + 2] = half
     return tuple(ts[i] for i in range(1, terms + 1))
 
 
@@ -232,37 +237,15 @@ def lemniscate_sine_coefficients(count: int) -> Tuple[int, ...]:
     from the series solution of sl'' = -2 sl^3, sl(0) = 0, sl'(0) = 1."""
     if count < 1:
         raise ValueError("count must be positive")
-    order = count
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[1] = Fraction(1)
-    for _ in range(order + 1):
-        cube = _truncated_power(coeffs, 3, order)
-        new = [Fraction(0)] * (order + 1)
-        new[1] = Fraction(1)
-        for i in range(order - 1):
-            new[i + 2] = -2 * cube[i] / ((i + 1) * (i + 2))
-        coeffs = new
-    out = []
-    for i in range(1, count + 1):
-        v = coeffs[i] * factorial(i)
-        assert v.denominator == 1
-        out.append(int(v))
-    return tuple(out)
-
-
-def _truncated_power(coeffs, power: int, order: int):
-    result = [Fraction(0)] * (order + 1)
-    result[0] = Fraction(1)
-    for _ in range(power):
-        nxt = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            if result[i] == 0:
-                continue
-            for j in range(order + 1 - i):
-                if coeffs[j] != 0:
-                    nxt[i + j] += result[i] * coeffs[j]
-        result = nxt
-    return result
+    # s_{i+2} = -2 [z^i] s^3 / ((i+1)(i+2)); s^2 and s^3 grow one
+    # coefficient per step, each needing only s_0..s_i.
+    s = [Fraction(0), Fraction(1)]
+    sq = []
+    for i in range(count - 1):
+        sq.append(sum(s[j] * s[i - j] for j in range(i + 1)))
+        cube = sum(sq[j] * s[i - j] for j in range(i + 1))
+        s.append(-2 * cube / ((i + 1) * (i + 2)))
+    return tuple(_integer(s[i] * factorial(i)) for i in range(1, count + 1))
 
 
 def even_degree_lemniscate_relation_check(max_n: int) -> RelationReport:
@@ -383,9 +366,7 @@ def strict_binary_free_multi_explicit(m: int) -> int:
         irr += coef_irr * inner
     if irr != 0:
         raise ArithmeticError(f"sqrt(3) component failed to cancel: {irr}")
-    if rat.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {rat}")
-    return int(rat)
+    return _integer(rat)
 
 
 def binary_free_multi_numeric(m: int, cutoff: int) -> float:
@@ -405,21 +386,11 @@ def binary_free_multi_numeric(m: int, cutoff: int) -> float:
 def reduced_tangent_numbers(terms: int) -> Tuple[int, ...]:
     """Coefficients E_n with sum E_n z^(2n-1)/(2n-1)! = sqrt(2) tan(z/sqrt 2),
     from the series solution of h' = 1 + h^2/2, h(0) = 0."""
-    order = 2 * terms - 1
-    h = [Fraction(0)] * (order + 1)
-    for _ in range(order + 1):
-        sq = _truncated_power(h, 2, order)
-        new = [Fraction(0)] * (order + 1)
-        new[1] = Fraction(1)
-        for i in range(1, order):
-            new[i + 1] = (sq[i] / 2) / (i + 1)
-        h = new
-    out = []
-    for n in range(1, terms + 1):
-        v = h[2 * n - 1] * factorial(2 * n - 1)
-        assert v.denominator == 1
-        out.append(int(v))
-    return tuple(out)
+    # h_1 = 1 and h_{i+1} = [z^i] h^2 / (2 (i+1)) for i >= 1.
+    h = [Fraction(0), Fraction(1)]
+    for i in range(1, 2 * terms - 1):
+        h.append(sum(h[j] * h[i - j] for j in range(i + 1)) / (2 * (i + 1)))
+    return tuple(_integer(h[2 * n - 1] * factorial(2 * n - 1)) for n in range(1, terms + 1))
 
 
 def reduced_tangent_check(max_n: int) -> RelationReport:

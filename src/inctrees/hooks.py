@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .solvers import (
     solve_free_multilabelled,
@@ -42,6 +42,26 @@ def _check_hookcapacity_limit(value: int, cap: int, what: str):
             f"{what} = {value} exceeds the hook-sum capacity {limit}; "
             "set INCTREE_CAPACITY to override"
         )
+
+
+def _tree_sum(weights: DegreeWeights, n: int, factor) -> Tuple[Fraction, int]:
+    """Sum over the plane trees of size n of prod phi_odeg * factor[hook] over
+    the nodes, and the number of trees visited.  ``factor`` maps each
+    hook-length 1..n to its per-node factor."""
+    # The size-n star has out-degree n-1, so every phi_0..phi_{n-1} is used.
+    phi = [weights.coefficient(d) for d in range(n)]
+    total = Fraction(0)
+    visited = 0
+    for tree in enumerate_ordered_trees(n):
+        visited += 1
+        term = Fraction(1)
+        for d, h in zip(tree.out_degrees(), tree.hook_lengths()):
+            if not phi[d]:
+                break
+            term *= phi[d] * factor[h]
+        else:
+            total += term
+    return total, visited
 
 
 @dataclass(frozen=True)
@@ -83,18 +103,8 @@ def hook_sum_k_labelled(weights: DegreeWeights, k: int, n: int) -> HookIdentityR
     """Sum over plane trees of size n of prod phi_odeg / (k h)(kh-1)...(kh-k+1),
     against T_n / (kn)! from the k-labelled solver."""
     _check_hookcapacity_limit(n, MAX_HOOK_TREE_SIZE, "tree size n")
-    lhs = Fraction(0)
-    visited = 0
-    for tree in enumerate_ordered_trees(n):
-        visited += 1
-        term = Fraction(1)
-        for d, h in zip(tree.out_degrees(), tree.hook_lengths()):
-            w = weights.coefficient(d)
-            if w == 0:
-                term = Fraction(0)
-                break
-            term *= w / falling_factorial(k * h, k)
-        lhs += term
+    factor = {h: Fraction(1, falling_factorial(k * h, k)) for h in range(1, n + 1)}
+    lhs, visited = _tree_sum(weights, n, factor)
     rhs = solve_k_labelled(weights, k, n)[n] / factorial(k * n)
     return HookIdentityReport(f"k-labelled(k={k})", n, lhs, rhs, visited)
 
@@ -139,18 +149,8 @@ def hook_sum_k_tuple(weights: DegreeWeights, k: int, n: int) -> HookIdentityRepo
     """Sum over plane trees of size n of prod phi_odeg / h^k, against
     T_n / (n!)^k from the k-tuple solver."""
     _check_hookcapacity_limit(n, MAX_HOOK_TREE_SIZE, "tree size n")
-    lhs = Fraction(0)
-    visited = 0
-    for tree in enumerate_ordered_trees(n):
-        visited += 1
-        term = Fraction(1)
-        for d, h in zip(tree.out_degrees(), tree.hook_lengths()):
-            w = weights.coefficient(d)
-            if w == 0:
-                term = Fraction(0)
-                break
-            term *= w / Fraction(h) ** k
-        lhs += term
+    factor = {h: Fraction(h) ** -k for h in range(1, n + 1)}
+    lhs, visited = _tree_sum(weights, n, factor)
     rhs = solve_k_tuple(weights, k, n)[n] / Fraction(factorial(n)) ** k
     return HookIdentityReport(f"k-tuple(k={k})", n, lhs, rhs, visited)
 
@@ -194,14 +194,4 @@ def generic_hook_weight_sum(
         h: _eval_poly(rho_numerator, h) / _eval_poly(rho_denominator, h)
         for h in range(1, n + 1)
     }
-    total = Fraction(0)
-    for tree in enumerate_ordered_trees(n):
-        term = Fraction(1)
-        for d, h in zip(tree.out_degrees(), tree.hook_lengths()):
-            w = weights.coefficient(d)
-            if w == 0:
-                term = Fraction(0)
-                break
-            term *= w * rho[h]
-        total += term
-    return total
+    return _tree_sum(weights, n, rho)[0]

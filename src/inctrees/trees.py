@@ -12,10 +12,11 @@ is always aligned with the preorder traversal of the tree.
 Trees have a text form of balanced parentheses: ``()`` is a single node and
 ``(()())`` is a root with two leaf children.
 
-The environment variable ``INCTREE_CAPACITY``, when set to an integer,
-replaces all three built-in capacity bounds (tree size, total label count
-for the k-labelled brute force, total bucket size).  Raising it can make
-enumerations take minutes and gigabytes; that risk is the caller's.
+The environment variable ``INCTREE_CAPACITY``, when set to a positive
+integer, replaces all three built-in capacity bounds (tree size, total
+label count for the k-labelled brute force, total bucket size); any other
+value is a ``ValueError``.  Raising it can make enumerations take minutes
+and gigabytes; that risk is the caller's.
 """
 from __future__ import annotations
 
@@ -41,7 +42,15 @@ class CapacityError(ValueError):
 def capacity_limit(default: int) -> int:
     """Effective capacity bound: INCTREE_CAPACITY when set, else the default."""
     override = os.environ.get("INCTREE_CAPACITY")
-    return int(override) if override else default
+    if not override:
+        return default
+    try:
+        value = int(override)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"INCTREE_CAPACITY must be a positive integer, got {override!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -231,7 +240,8 @@ def count_k_labellings_formula(tree: OrderedTree, k: int) -> int:
     for h in tree.hook_lengths():
         denom *= falling_factorial(k * h, k)
     count, rem = divmod(factorial(k * tree.size), denom)
-    assert rem == 0, "labelling count is always integral"
+    if rem:
+        raise ArithmeticError(f"labelling count of {tree.to_text()} with k={k} is not integral")
     return count
 
 
@@ -305,7 +315,11 @@ def count_bucket_labellings_formula(tree: OrderedTree, buckets: Sequence[int]) -
     for hb, b in zip(bucket_hook_lengths(tree, buckets), buckets):
         denom *= falling_factorial(hb, b)
     count, rem = divmod(factorial(m), denom)
-    assert rem == 0, "bucket labelling count is always integral"
+    if rem:
+        raise ArithmeticError(
+            f"bucket labelling count of {tree.to_text()} with buckets {tuple(buckets)} "
+            "is not integral"
+        )
     return count
 
 

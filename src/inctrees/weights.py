@@ -32,13 +32,11 @@ from .series import Series, as_fraction
 class DegreeWeights:
     """Immutable degree-weight sequence with exact coefficient access."""
 
-    __slots__ = ("kind", "name", "_coeffs", "_param", "_fn", "_cache")
+    __slots__ = ("kind", "name", "_fn", "_cache")
 
-    def __init__(self, kind: str, name: str, *, coeffs=None, param=None, fn=None):
+    def __init__(self, kind: str, name: str, fn: Callable[[int], object]):
         self.kind = kind
         self.name = name
-        self._coeffs = coeffs
-        self._param = param
         self._fn = fn
         self._cache: dict = {}
         phi0 = self.coefficient(0)
@@ -54,33 +52,33 @@ class DegreeWeights:
             bad = next(i for i, c in enumerate(coeffs) if c < 0)
             raise ValueError(f"negative degree weight phi_{bad} = {coeffs[bad]}")
         label = name or "poly:" + ",".join(str(c) for c in coeffs)
-        return cls("poly", label, coeffs=coeffs)
+        return cls("poly", label, lambda j: coeffs[j] if j < len(coeffs) else 0)
 
     @classmethod
     def bundled(cls, d: int) -> "DegreeWeights":
         if d < 1:
             raise ValueError("bundled weights need d >= 1")
-        return cls("bundled", f"bundled:{d}", param=d)
+        return cls("bundled", f"bundled:{d}", lambda j: comb(j + d - 1, j))
 
     @classmethod
     def exponential(cls) -> "DegreeWeights":
-        return cls("exp", "exp")
+        return cls("exp", "exp", lambda j: Fraction(1, factorial(j)))
 
     @classmethod
     def cosh(cls) -> "DegreeWeights":
-        return cls("cosh", "cosh")
+        return cls("cosh", "cosh", lambda j: 0 if j % 2 else Fraction(1, factorial(j)))
 
     @classmethod
     def exp_minus_t(cls) -> "DegreeWeights":
-        return cls("exp-t", "exp-t")
+        return cls("exp-t", "exp-t", lambda j: 0 if j == 1 else Fraction(1, factorial(j)))
 
     @classmethod
     def ordered_minus_t(cls) -> "DegreeWeights":
-        return cls("ordered-t", "ordered-t")
+        return cls("ordered-t", "ordered-t", lambda j: 0 if j == 1 else 1)
 
     @classmethod
     def custom(cls, fn: Callable[[int], object], name: str = "custom") -> "DegreeWeights":
-        return cls("custom", name, fn=fn)
+        return cls("custom", name, fn)
 
     @classmethod
     def parse(cls, text: str) -> "DegreeWeights":
@@ -107,19 +105,6 @@ class DegreeWeights:
         """The weight phi_j, exactly."""
         if j < 0:
             raise ValueError("degree index must be non-negative")
-        kind = self.kind
-        if kind == "poly":
-            return self._coeffs[j] if j < len(self._coeffs) else Fraction(0)
-        if kind == "bundled":
-            return Fraction(comb(j + self._param - 1, j))
-        if kind == "exp":
-            return Fraction(1, factorial(j))
-        if kind == "cosh":
-            return Fraction(1, factorial(j)) if j % 2 == 0 else Fraction(0)
-        if kind == "exp-t":
-            return Fraction(0) if j == 1 else Fraction(1, factorial(j))
-        if kind == "ordered-t":
-            return Fraction(0) if j == 1 else Fraction(1)
         if j not in self._cache:
             value = as_fraction(self._fn(j))
             if value < 0:

@@ -1,6 +1,12 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from inctrees import cli
 from inctrees.cli import main
+
+GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all_max_n4_max_m4.txt"
 
 
 def run(capsys, *argv):
@@ -52,6 +58,14 @@ def test_seq_capacity_error_is_reported(capsys, monkeypatch):
     code, _, err = run(capsys, "hook", "klabelled", "--weights", "exp", "--max-n", "5")
     assert code != 0
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_bad_capacity_value_is_reported(capsys, monkeypatch, value):
+    monkeypatch.setenv("INCTREE_CAPACITY", value)
+    code, _, err = run(capsys, "hook", "klabelled", "--weights", "exp", "--max-n", "2")
+    assert code == 2
+    assert "INCTREE_CAPACITY" in err and repr(value) in err
 
 
 def test_reverse_values(capsys):
@@ -172,3 +186,22 @@ def test_verify_closed_forms_json(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_verify_all_output_is_pinned(capsys):
+    # Every check name, its order and the summary line of a small verify run.
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "4", "--max-m", "4")
+    assert code == 0
+    assert out == GOLDEN_VERIFY_ALL.read_text()
+
+
+def test_label_count_check_reports_first_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_bucket_labellings_formula", lambda tree, buckets: -1)
+    code, out, _ = run(
+        capsys, "verify", "invariants", "--max-n", "4", "--max-m", "4", "--format", "json"
+    )
+    assert code == 1
+    (check,) = [
+        c for c in json.loads(out)["checks"] if c["name"].startswith("label-count")
+    ]
+    assert check["detail"] == "mismatch at tree () buckets=(1,)"

@@ -1,5 +1,8 @@
+from math import factorial
+
 import pytest
 
+from inctrees import trees
 from inctrees.trees import (
     CapacityError,
     OrderedTree,
@@ -122,6 +125,15 @@ def test_formula_matches_bruteforce_all_small_trees():
             for k in (1, 2, 3):
                 assert count_k_labellings_formula(tree, k) == \
                     count_k_labellings_bruteforce(tree, k)
+
+
+def test_non_integral_label_counts_raise(monkeypatch):
+    # An explicit check, not an assert, so it also holds under python -O.
+    monkeypatch.setattr(trees, "factorial", lambda n: factorial(n) + 1)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        count_k_labellings_formula(PATH2, 2)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        count_bucket_labellings_formula(PATH2, (1, 1))
 
 
 def test_bucket_formula_examples():
