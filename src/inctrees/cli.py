@@ -24,6 +24,7 @@ from math import factorial
 from typing import List, Optional, Tuple
 
 from . import bijections, families, hooks, reverse, solvers
+from .series import _parse_fraction
 from .trees import (
     CapacityError,
     count_bucket_labellings_bruteforce,
@@ -387,8 +388,8 @@ def _run_bijection(args, out) -> int:
 def _run_hook(args, out) -> int:
     fmt = args.format
     if args.kind == "rho":
-        num = [Fraction(x) for x in args.rho_num.split(",")]
-        den = [Fraction(x) for x in args.rho_den.split(",")]
+        num = [_parse_fraction(x) for x in args.rho_num.split(",")]
+        den = [_parse_fraction(x) for x in args.rho_den.split(",")]
         for n in range(1, args.max_n + 1):
             value = hooks.generic_hook_weight_sum(args.tree_family, num, den, n)
             print(f"n={n} sum={value}", file=out)
@@ -419,6 +420,17 @@ def _run_hook(args, out) -> int:
     return 0 if all(r.equal for r in reports) else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the --max-n and --max-m size flags."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inctree",
@@ -435,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", choices=(*_SUITES, "all")
     )
-    p_verify.add_argument("--max-n", type=int, default=6)
-    p_verify.add_argument("--max-m", type=int, default=5)
+    p_verify.add_argument("--max-n", type=_positive_int, default=6)
+    p_verify.add_argument("--max-m", type=_positive_int, default=5)
     p_verify.add_argument("--cutoff", type=int, default=50)
     p_verify.add_argument("--format", choices=("plain", "json"), default="plain")
 
@@ -449,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bij = sub.add_parser("bijection", help="verify a bijection exhaustively")
     p_bij.add_argument("scheme", choices=("free", "unibi"))
-    p_bij.add_argument("--max-m", type=int, default=5)
+    p_bij.add_argument("--max-m", type=_positive_int, default=5)
     p_bij.add_argument("--show", action="store_true", help="print each object pair")
 
     p_hook = sub.add_parser("hook", help="evaluate hook-length identities")
@@ -457,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hook.add_argument("--weights", help="degree weights, e.g. exp or poly:1,0,1")
     p_hook.add_argument("--family", help="take weights from a registered family")
     p_hook.add_argument("-k", type=int, default=2)
-    p_hook.add_argument("--max-n", type=int, default=5)
-    p_hook.add_argument("--max-m", type=int, default=5)
+    p_hook.add_argument("--max-n", type=_positive_int, default=5)
+    p_hook.add_argument("--max-m", type=_positive_int, default=5)
     p_hook.add_argument("--max-bucket", type=int, default=None)
     p_hook.add_argument("--rho-num", default="1")
     p_hook.add_argument("--rho-den", default="1")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf, isfinite
 from typing import Callable, Optional, Tuple
 
 from .solvers import (
@@ -111,21 +111,25 @@ def partial_bell(k: int, m: int, xs) -> Fraction:
     """Partial exponential Bell polynomial B_{k,m}(x_1, ..., x_{k-m+1})."""
     if not 1 <= m <= k:
         raise ValueError("partial Bell polynomial needs 1 <= m <= k")
-    xs = [Fraction(x) for x in xs]
+    xs = list(xs)
     if len(xs) < k - m + 1:
         raise ValueError(f"need x_1..x_{k - m + 1}, got {len(xs)} values")
+    # B_{k,m} never reads the x_i past x_{k-m+1} that the zeros stand in for
+    return _bell_table(k, xs[: k - m + 1] + [0] * (m - 1))[k][m]
 
-    def bell(kk: int, mm: int) -> Fraction:
-        if kk == 0 and mm == 0:
-            return Fraction(1)
-        if kk == 0 or mm == 0:
-            return Fraction(0)
-        total = Fraction(0)
-        for i in range(1, kk - mm + 2):
-            total += comb(kk - 1, i - 1) * xs[i - 1] * bell(kk - i, mm - 1)
-        return total
 
-    return bell(k, m)
+def _bell_table(k: int, xs) -> list:
+    """B[kk][mm] = B_{kk,mm}(x_1, ..., x_{kk-mm+1}) for 0 <= mm <= kk <= k,
+    from B_{kk,mm} = sum_i C(kk-1, i-1) x_i B_{kk-i,mm-1}; xs = x_1 .. x_k."""
+    xs = [Fraction(x) for x in xs]
+    table = [[Fraction(int(kk == 0))] * (kk + 1) for kk in range(k + 1)]
+    for kk in range(1, k + 1):
+        for mm in range(1, kk + 1):
+            table[kk][mm] = sum(
+                comb(kk - 1, i - 1) * xs[i - 1] * table[kk - i][mm - 1]
+                for i in range(1, kk - mm + 2)
+            )
+    return table
 
 
 def _arc_chord_coefficients(count: int) -> Tuple[Fraction, ...]:
@@ -148,12 +152,13 @@ def two_bundled_closed_form(n: int) -> int:
     thetas = _arc_chord_coefficients(n - 1)
     xs = [factorial(j) * thetas[j - 1] for j in range(1, n)]
     k = n - 1
+    bell = _bell_table(k, xs)
     total = Fraction(0)
     for m in range(1, n):
         total += (
             comb(2 * n - 1 + m, m)
             * Fraction(factorial(m), factorial(k))
-            * partial_bell(k, m, xs[: k - m + 1])
+            * bell[k][m]
         )
     value = Fraction(factorial(2 * n), n * 2**n) * total
     return _integer(value)
@@ -306,20 +311,32 @@ class LatticeSumResult:
 
 def strict_binary_lattice_sum(n: int, cutoff: int) -> LatticeSumResult:
     """Approximate T_n of the strict-binary two-label family via the lattice
-    sum over (1 + n1 + n2 + i(n1 - n2))^(-(2n+2)), |n1|, |n2| <= cutoff."""
+    sum over (1 + n1 + n2 + i(n1 - n2))^(-(2n+2)), |n1|, |n2| <= cutoff.
+
+    Domain: 1 <= n <= 63 for every cutoff >= 1.  From n = 64 on the float
+    prefactor (2n+1)! 2^(3n+4) pi^(n+1) / ... overflows, and the call raises
+    a ValueError naming n instead of returning an infinite value.
+    """
     if n < 1 or cutoff < 1:
         raise ValueError("need n >= 1 and cutoff >= 1")
+    try:
+        prefactor = (
+            factorial(2 * n + 1)
+            * 2.0 ** (3 * n + 4)
+            * _PI ** (n + 1)
+            / (3.0 ** ((n - 1) / 2) * _GAMMA_QUARTER ** (4 * n + 4))
+        )
+    except OverflowError:  # (2n+1)! itself is past the float range
+        prefactor = inf
+    if not isfinite(prefactor):
+        raise ValueError(
+            f"lattice sum for n = {n} leaves the float range (domain 1 <= n <= 63)"
+        )
     total = 0.0 + 0.0j
     exponent = -(2 * n + 2)
     for n1 in range(-cutoff, cutoff + 1):
         for n2 in range(-cutoff, cutoff + 1):
             total += complex(1 + n1 + n2, n1 - n2) ** exponent
-    prefactor = (
-        factorial(2 * n + 1)
-        * 2.0 ** (3 * n + 4)
-        * _PI ** (n + 1)
-        / (3.0 ** ((n - 1) / 2) * _GAMMA_QUARTER ** (4 * n + 4))
-    )
     value = prefactor * total
     return LatticeSumResult(value=value.real, imaginary_residual=abs(value.imag))
 

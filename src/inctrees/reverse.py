@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Tuple
 
-from .series import Series, as_fraction
+from .series import Series, _parse_fraction, as_fraction
 from .solvers import solve_k_labelled
 from .weights import DegreeWeights
 
@@ -193,7 +193,7 @@ def parse_values(text: str) -> Tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("no values given")
-    return tuple(Fraction(p) for p in parts)
+    return tuple(_parse_fraction(p) for p in parts)
 
 
 def values_from_file(path: str) -> Tuple[Fraction, ...]:
@@ -203,7 +203,7 @@ def values_from_file(path: str) -> Tuple[Fraction, ...]:
         for line in handle:
             line = line.strip()
             if line and not line.startswith("#"):
-                out.append(Fraction(line))
+                out.append(_parse_fraction(line))
     if not out:
         raise ValueError(f"no values found in {path}")
     return tuple(out)

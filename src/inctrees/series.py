@@ -9,6 +9,10 @@ guaranteed to be valid to:
 * composition ``outer(inner)`` (``inner`` with zero constant term) and
   reversion keep the minimum order of the operands.
 
+Reversion runs on a table of powers ``[z^m] g^j`` that grows by one column
+per new coefficient of ``g`` (Knuth, TAOCP Vol. 2, 4.7); the coefficient
+solvers use the same table (:func:`_power_sum`).
+
 All coefficients are :class:`fractions.Fraction` values, so arithmetic is
 exact; floats are rejected at construction.  Series are immutable and every
 operation returns a fresh instance, which makes them safe to share between
@@ -16,6 +20,7 @@ threads.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Union
@@ -30,6 +35,15 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """An exact rational written like "3" or "-3/2"; a zero denominator is a
+    ValueError that names the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def is_rational_square(value: Fraction) -> bool:
@@ -232,13 +246,42 @@ class Series:
             raise ValueError("reversion needs a series with zero constant term")
         if self.order < 1 or self._coeffs[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
-        n = self.order
-        a1 = self._coeffs[1]
-        g = [Fraction(0)] * (n + 1)
-        g[1] = 1 / a1
-        for m in range(2, n + 1):
-            # after fixing g[1..m-1], the z^m coefficient of self(g) is
-            # off by a1 * g[m]
-            err = self.truncate(m).compose(Series(g[: m + 1]))._coeffs[m]
-            g[m] = -err / a1
+        f = _trim(self._coeffs)
+        g = [Fraction(0), 1 / f[1]]
+        rows: list = []
+        # [z^m] f(g) = f_1 g_m + sum_{j>=2} f_j [z^m] g^j must vanish for m >= 2
+        for m in range(2, self.order + 1):
+            g.append(-_power_sum(g, rows, f, m) / f[1])
         return Series(g)
+
+
+def _trim(coeffs) -> tuple:
+    """coeffs without trailing zeros, keeping at least two entries."""
+    end = len(coeffs)
+    while end > 2 and coeffs[end - 1] == 0:
+        end -= 1
+    return tuple(coeffs[:end])
+
+
+def _power_sum(a, rows: list, weights, m: int) -> Fraction:
+    """sum_{j=2}^{m} weights[j] [z^m] A^j for A = sum a_i z^i with a_0 = 0.
+
+    Only a_1 .. a_{m-1} are read.  ``rows[j-2]`` holds [z^0..z^{m-1}] A^j
+    and gains its column m here, so call this for m = 1, 2, ... in turn
+    with the same ``rows``.  Powers past ``len(weights) - 1`` are never
+    formed: pass weights without trailing zeros.
+    """
+    if 2 <= m < len(weights):
+        rows.append([0] * m)  # A^m starts at z^m
+    support = [i for i in range(1, m) if a[i]]
+    total = Fraction(0)
+    prev = a
+    for j, row in enumerate(rows, start=2):
+        # [z^m] A^j = sum_i a_i [z^(m-i)] A^(j-1), where A^(j-1) starts at z^(j-1)
+        cut = bisect_right(support, m - j + 1)
+        c = sum(a[i] * prev[m - i] for i in support[:cut])
+        row.append(c)
+        if c:
+            total += weights[j] * c
+        prev = row
+    return total

@@ -1,31 +1,33 @@
 """Counting sequences of multilabelled increasing tree families.
 
 Each labelling scheme turns into a functional/differential equation for an
-exponential generating function, which is solved here purely at the level of
-exact coefficient recurrences:
+exponential generating function:
 
 * k-labelled:  T has coefficients at z^(kn)/(kn)! and satisfies
   d^k/dz^k T = phi(T) with vanishing initial conditions,
 * free multilabelled:  T' = phi(T) + T,  T(0) = 0,
 * one-or-two labels per node ("uni-bi"):  T'' = phi(T) + T' phi'(T),
   T(0) = 0, T'(0) = phi_0,
-* k-tuple labelled:  a direct convolution recurrence with the multinomial
-  coefficient raised to the k-th power.
+* k-tuple labelled:  T_n = ((n-1)!)^k [x^(n-1)] phi(A) with
+  A = sum T_s x^s / (s!)^k, the root decomposition with the label
+  multinomial raised to the k-th power.
 
-The series solvers work by fixed-point iteration: substituting a prefix of
-the solution into the right-hand side and integrating extends the valid
-order on every pass, so ``terms + 2`` passes pin down all requested
-coefficients exactly.
+One online engine solves all four (Bergeron-Flajolet-Salvy, "Varieties of
+increasing trees", CAAP '92).  Each equation fixes the next coefficient a_n
+of a series A = sum a_n w^n from the coefficients u_0 .. u_{n-1} of
+U = phi(A), and those come from a table of the powers A^j that grows by one
+column per new a_n (Knuth, TAOCP Vol. 2, 4.7): O(N^3) exact operations for
+N terms, O(N^2 d) for weights of degree d.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .series import Series
-from .trees import compositions
+from .series import Series, _power_sum, _trim
+from .trees import falling_factorial
 from .weights import DegreeWeights
 
 
@@ -59,6 +61,45 @@ class CountingSequence:
         return tuple(out)
 
 
+# -- the online engine ----------------------------------------------------
+
+
+def _online(
+    weights: DegreeWeights,
+    terms: int,
+    step: Callable[[int, List[Fraction], List[Fraction]], Fraction],
+) -> List[Fraction]:
+    """a_0 = 0, a_1 .. a_terms of the series A fixed by ``step``:
+    step(n, a, u) gives a_n from a_0 .. a_{n-1} and u_0 .. u_{n-1}, the
+    coefficients of u = phi(A).  Reads phi_0 .. phi_{terms-1} once."""
+    phi = _trim([weights.coefficient(j) for j in range(terms)])
+    a = [Fraction(0)]
+    u: List[Fraction] = []
+    rows: list = []
+    for n in range(1, terms + 1):
+        m = n - 1
+        u.append(phi[0] if m == 0 else phi[1] * a[m] + _power_sum(a, rows, phi, m))
+        a.append(step(n, a, u))
+    return a
+
+
+def _k_labelled(weights: DegreeWeights, k: int, terms: int) -> List[Fraction]:
+    # w = z^k; [z^(kn-k)] of T^(k) = phi(T) gives a_n (kn)_k = u_{n-1}
+    return _online(weights, terms, lambda n, a, u: u[n - 1] / falling_factorial(k * n, k))
+
+
+def _free(weights: DegreeWeights, terms: int) -> List[Fraction]:
+    return _online(weights, terms, lambda n, a, u: (u[n - 1] + a[n - 1]) / n)
+
+
+def _unibi(weights: DegreeWeights, terms: int) -> List[Fraction]:
+    # T' phi'(T) = (phi(T))', so T' = phi(T) + integral of phi(T)
+    return _online(
+        weights, terms,
+        lambda n, a, u: (u[n - 1] + (u[n - 2] / (n - 1) if n > 1 else 0)) / n,
+    )
+
+
 # -- series solutions ---------------------------------------------------
 
 
@@ -66,102 +107,65 @@ def k_labelled_series(weights: DegreeWeights, k: int, order: int) -> Series:
     """EGF of the k-labelled family, truncated at the given order in z."""
     if k < 1:
         raise ValueError("k must be positive")
-    phi = weights.as_series(order)
-    t = Series.zero(order)
-    for _ in range(order // k + 2):
-        rhs = phi.compose(t)
-        for _ in range(k):
-            rhs = rhs.integrate()
-        t = rhs.truncate(order)
-    return t
+    coeffs = [Fraction(0)] * (order + 1)
+    for n, value in enumerate(_k_labelled(weights, k, order // k)):
+        coeffs[k * n] = value
+    return Series(coeffs)
 
 
 def free_multilabelled_series(weights: DegreeWeights, order: int) -> Series:
-    phi = weights.as_series(order)
-    t = Series.zero(order)
-    for _ in range(order + 1):
-        t = (phi.compose(t) + t).integrate().truncate(order)
-    return t
+    return Series(_free(weights, order))
 
 
 def unilabelled_bilabelled_series(weights: DegreeWeights, order: int) -> Series:
-    phi = weights.as_series(order)
-    phi_prime = weights.derivative_series(order)
-    linear = Series.identity(order).scale(weights.coefficient(0))
-    t = linear
-    for _ in range(order + 1):
-        rhs = phi.compose(t) + t.differentiate() * phi_prime.compose(t)
-        t = (rhs.integrate().integrate() + linear).truncate(order)
-    return t
+    return Series(_unibi(weights, order))
 
 
-def _extract(series: Series, weights, scheme, k, terms, stride) -> CountingSequence:
-    values = tuple(
-        series.coefficient(stride * n) * factorial(stride * n)
-        for n in range(1, terms + 1)
-    )
+def _sequence(a, scale, weights, scheme, k) -> CountingSequence:
+    values = tuple(scale(n) * a[n] for n in range(1, len(a)))
     return CountingSequence(values=values, scheme=scheme, weights=weights, k=k)
+
+
+def _check(terms: int, k: int = 1) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if terms < 1:
+        raise ValueError("terms must be positive")
 
 
 def solve_k_labelled(weights: DegreeWeights, k: int, terms: int) -> CountingSequence:
     """T_n for 1 <= n <= terms, where T_n counts (total weight of) the
     family's increasing k-labelled trees with kn labels."""
-    if terms < 1:
-        raise ValueError("terms must be positive")
-    series = k_labelled_series(weights, k, k * terms)
-    return _extract(series, weights, "k-labelled", k, terms, k)
+    _check(terms, k)
+    a = _k_labelled(weights, k, terms)
+    return _sequence(a, lambda n: factorial(k * n), weights, "k-labelled", k)
 
 
 def solve_free_multilabelled(weights: DegreeWeights, terms: int) -> CountingSequence:
     """T_m for 1 <= m <= terms: free multilabelled increasing trees with m
     labels."""
-    if terms < 1:
-        raise ValueError("terms must be positive")
-    series = free_multilabelled_series(weights, terms)
-    return _extract(series, weights, "free-multilabelled", None, terms, 1)
+    _check(terms)
+    return _sequence(_free(weights, terms), factorial, weights, "free-multilabelled", None)
 
 
 def solve_unilabelled_bilabelled(weights: DegreeWeights, terms: int) -> CountingSequence:
     """T_m for 1 <= m <= terms: increasing trees whose nodes hold one or two
     labels, m labels in total."""
-    if terms < 1:
-        raise ValueError("terms must be positive")
-    series = unilabelled_bilabelled_series(weights, terms)
-    return _extract(series, weights, "uni-bi", None, terms, 1)
+    _check(terms)
+    return _sequence(_unibi(weights, terms), factorial, weights, "uni-bi", None)
 
 
 def solve_k_tuple(weights: DegreeWeights, k: int, terms: int) -> CountingSequence:
     """T_n for 1 <= n <= terms: increasing k-tuple labelled trees of size n.
 
-    Seeds T_1 = phi_0 (the weight of the single-node tree); every size-n
-    value follows from the root decomposition, with the label multinomial
-    raised to the k-th power.
+    T_1 = phi_0 (the weight of the single-node tree); every size-n value
+    follows from the root decomposition, with the label multinomial raised
+    to the k-th power.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if terms < 1:
-        raise ValueError("terms must be positive")
-    values = [weights.coefficient(0)]
-    for n in range(2, terms + 1):
-        total = Fraction(0)
-        for r in range(1, n):
-            phi_r = weights.coefficient(r)
-            if phi_r == 0:
-                continue
-            acc = Fraction(0)
-            for parts in compositions(n - 1, r):
-                mult = factorial(n - 1)
-                for s in parts:
-                    mult //= factorial(s)
-                prod = Fraction(mult) ** k
-                for s in parts:
-                    prod *= values[s - 1]
-                acc += prod
-            total += phi_r * acc
-        values.append(total)
-    return CountingSequence(
-        values=tuple(values), scheme="k-tuple", weights=weights, k=k
-    )
+    _check(terms, k)
+    # a_n = T_n / (n!)^k
+    a = _online(weights, terms, lambda n, a, u: u[n - 1] / n**k)
+    return _sequence(a, lambda n: factorial(n) ** k, weights, "k-tuple", k)
 
 
 # -- first integral of the second-order equation -------------------------
@@ -188,8 +192,15 @@ def first_order_invariant_check(weights: DegreeWeights, t: Series) -> InvariantR
     """
     lhs = t.differentiate()
     lhs = lhs * lhs
-    big_phi = weights.antiderivative_series(t.order)
-    rhs = big_phi.compose(t).scale(2)
+    if t.coefficient(0) != 0:
+        raise ValueError("the solution series needs a zero constant term")
+    # 2 Phi(T) = sum_j 2 Phi_j T^j, by plain products of t, apart from the
+    # power table that produced t
+    rhs = Series.zero(t.order)
+    power = Series.one(t.order)
+    for c in weights.antiderivative_series(t.order).coefficients:
+        rhs = rhs + power.scale(2 * c)
+        power = power * t
     order = min(lhs.order, rhs.order)
     matches = tuple(
         lhs.coefficient(i) == rhs.coefficient(i) for i in range(order + 1)

@@ -136,29 +136,6 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def compositions(total: int, parts: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-    """Ordered compositions of ``total`` into positive parts, lexicographic.
-
-    With ``parts`` set, only compositions of exactly that many parts.
-    ``total == 0`` yields the empty composition (when parts is 0 or None).
-    """
-    if parts is not None:
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-        return
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
-
-
 _tree_memo: dict = {}
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Optional
 
-from .series import Series, as_fraction
+from .series import Series, _parse_fraction, as_fraction
 
 
 class DegreeWeights:
@@ -96,7 +96,7 @@ class DegreeWeights:
             return cls.bundled(int(text.split(":", 1)[1]))
         if text.startswith("poly:"):
             parts = text.split(":", 1)[1].split(",")
-            return cls.polynomial([Fraction(p.strip()) for p in parts])
+            return cls.polynomial([_parse_fraction(p.strip()) for p in parts])
         raise ValueError(f"unknown degree-weight spec {text!r}")
 
     # -- coefficient access --------------------------------------------

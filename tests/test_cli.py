@@ -205,3 +205,45 @@ def test_label_count_check_reports_first_mismatch(capsys, monkeypatch):
         c for c in json.loads(out)["checks"] if c["name"].startswith("label-count")
     ]
     assert check["detail"] == "mismatch at tree () buckets=(1,)"
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["hook", "rho", "--rho-num", "1/0"], "1/0"),
+        (["hook", "klabelled", "--weights", "poly:1,1/0"], "1/0"),
+        (["reverse", "--values", "1/0,2"], "1/0"),
+        (["reverse", "--values-file", "VALUES"], "3/0"),
+    ],
+    ids=["rho-num", "poly-weights", "reverse-values", "values-file"],
+)
+def test_zero_denominator_is_reported(capsys, tmp_path, argv, bad):
+    values = tmp_path / "values.txt"
+    values.write_text("1\n3/0\n")
+    argv = [str(values) if a == "VALUES" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert bad in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "hook", "--max-n", "0"],
+        ["verify", "hook", "--max-m", "0"],
+        ["verify", "all", "--max-n", "-3"],
+        ["bijection", "free", "--max-m", "0"],
+        ["hook", "klabelled", "--weights", "exp", "--max-n", "0"],
+        ["hook", "bucket", "--weights", "exp", "--max-m", "0"],
+        ["hook", "bucket", "--weights", "exp", "--max-m", "two"],
+    ],
+    ids=lambda argv: "-".join(argv[:2] + argv[-2:]),
+)
+def test_size_flags_must_be_positive(capsys, argv):
+    flag = next(a for a in argv if a.startswith("--max-"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "positive integer" in err

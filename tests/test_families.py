@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -76,6 +77,25 @@ def test_partial_bell_validates_indices():
         partial_bell(4, 1, [1])
 
 
+def _bell_by_recursion(k, m, xs):
+    # the defining recurrence, unmemoized
+    if k == 0 or m == 0:
+        return F(int(k == m))
+    return sum(
+        comb(k - 1, i - 1) * xs[i - 1] * _bell_by_recursion(k - i, m - 1, xs)
+        for i in range(1, k - m + 2)
+    )
+
+
+def test_partial_bell_table_matches_recursion():
+    xs = [F(j * j - 3, j + 1) for j in range(1, 9)]
+    for k in range(1, 9):
+        for m in range(1, k + 1):
+            assert partial_bell(k, m, xs[: k - m + 1]) == _bell_by_recursion(k, m, xs)
+    # B_{k,m}(1, 1, ...) are Stirling numbers of the second kind: Bell number B_8
+    assert sum(partial_bell(8, m, [1] * 8) for m in range(1, 9)) == 4140
+
+
 def test_two_bundled_closed_form():
     values = [two_bundled_closed_form(n) for n in range(1, 7)]
     assert values == [1, 2, 22, 584, 28384, 2190128]
@@ -84,6 +104,12 @@ def test_two_bundled_closed_form():
 def test_two_bundled_recurrence_matches_closed_form():
     assert two_bundled_recurrence(9) == \
         tuple(two_bundled_closed_form(n) for n in range(1, 10))
+
+
+def test_two_bundled_closed_form_to_twenty():
+    # one Bell table per n keeps this to a fraction of a second
+    assert two_bundled_recurrence(20) == \
+        tuple(two_bundled_closed_form(n) for n in range(1, 21))
 
 
 def test_strict_binary_recurrence():
@@ -172,6 +198,15 @@ def test_lattice_sum_matches_exact_values():
     for n in (2, 4):
         approx = strict_binary_lattice_sum(n, 50)
         assert abs(approx.value) < 1e-6
+
+
+def test_lattice_sum_domain_ends():
+    assert abs(strict_binary_lattice_sum(1, 50).value - 1) < 1e-4
+    exact = strict_binary_recurrence(63)[62]
+    assert abs(strict_binary_lattice_sum(63, 2).value - exact) / exact < 1e-6
+    for n in (64, 70, 85, 200):
+        with pytest.raises(ValueError, match=f"n = {n} "):
+            strict_binary_lattice_sum(n, 2)
 
 
 def test_strict_binary_free_explicit():
