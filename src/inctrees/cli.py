@@ -318,8 +318,7 @@ def _run_reverse(args, out) -> int:
         source = args.values_file
     elif args.family:
         spec = families.get_family(args.family)
-        terms = args.terms or 8
-        target = tuple(spec.sequence(terms))
+        target = tuple(spec.sequence(args.terms))
         source = args.family
     else:
         raise ValueError("need --values, --values-file or --family")
@@ -421,7 +420,7 @@ def _run_hook(args, out) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the --max-n and --max-m size flags."""
+    """argparse type of the size flags (--max-n, --max-m, reverse --terms)."""
     try:
         value = int(text)
     except ValueError:
@@ -456,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rev.add_argument("--values", help="comma-separated target values T_1,T_2,...")
     p_rev.add_argument("--values-file", help="file with one target value per line")
     p_rev.add_argument("--family", help="take the target from a registered family")
-    p_rev.add_argument("--terms", "-t", type=int, default=None)
+    p_rev.add_argument("--terms", "-t", type=_positive_int, default=8)
     p_rev.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p_bij = sub.add_parser("bijection", help="verify a bijection exhaustively")

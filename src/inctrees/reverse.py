@@ -1,18 +1,16 @@
 """Recover degree weights from a target counting sequence.
 
 Given target values T_1..T_N for a family of trees with two labels per node,
-form f(w) = sum T_n w^n / (2n)! (so the generating function is T(z) = f(z^2)),
-revert f, and read off the degree-weight generating function
+form f(w) = sum T_n w^n / (2n)! (so the generating function is T(z) = f(z^2))
+and revert it to g = f^(-1).  The equation T'' = phi(T) reads
+2 f'(w) + 4 w f''(w) = phi(f(w)) in w = z^2, and the left side is
 
-    phi(T) = 4 g(T) f''(g(T)) + 2 f'(g(T)),        g = compositional inverse of f,
+    h(w) = sum_{n>=0} T_{n+1} w^n / (2n)!,
 
-as a series in T.  The family is combinatorially admissible when phi_0 > 0
-and every computed phi_j is non-negative; in that case re-solving the
-second-order equation with these weights reproduces the input sequence.
-
-Two derivatives eat one order of the input: from N target values the weights
-are guaranteed through phi_{N-1} (the leading factor g has valuation one,
-which hands one order back).
+so phi = h(g) is one composition, a series in T through phi_{N-1}.  The
+family is combinatorially admissible when phi_0 > 0 and every computed phi_j
+is non-negative; in that case re-solving the second-order equation with these
+weights reproduces the input sequence.
 """
 from __future__ import annotations
 
@@ -60,23 +58,8 @@ def reverse_engineer(
         [Fraction(0)]
         + [values[n - 1] / factorial(2 * n) for n in range(1, n_terms + 1)]
     )
-    g = f.reversion()
-    f_prime = f.differentiate()
-    f_second = f_prime.differentiate()
-    # f'' o g is valid to order N-2; multiplying by g (valuation 1) gives
-    # the product to order N-1, one past what blind min-order tracking sees
-    inner = f_second.compose(g.truncate(n_terms - 2))
-    product = [Fraction(0)] * n_terms
-    for i in range(1, n_terms):
-        gi = g.coefficient(i)
-        if gi == 0:
-            continue
-        for j in range(n_terms - i):
-            product[i + j] += gi * inner.coefficient(j)
-    tail = f_prime.compose(g.truncate(n_terms - 1))
-    phi = tuple(
-        4 * product[j] + 2 * tail.coefficient(j) for j in range(n_terms)
-    )
+    h = Series([values[n] / factorial(2 * n) for n in range(n_terms)])
+    phi = h.compose(f.reversion()).coefficients
     first_violation = None
     for j, value in enumerate(phi):
         if value < 0 or (j == 0 and value == 0):

@@ -9,9 +9,10 @@ guaranteed to be valid to:
 * composition ``outer(inner)`` (``inner`` with zero constant term) and
   reversion keep the minimum order of the operands.
 
-Reversion runs on a table of powers ``[z^m] g^j`` that grows by one column
-per new coefficient of ``g`` (Knuth, TAOCP Vol. 2, 4.7); the coefficient
-solvers use the same table (:func:`_power_sum`).
+Composition and reversion run on a table of powers ``[z^m] g^j`` of the
+inner series that grows by one column per new coefficient (Knuth, TAOCP
+Vol. 2, 4.7); the coefficient solvers use the same table
+(:func:`_compose_column`, :func:`_power_sum`).
 
 All coefficients are :class:`fractions.Fraction` values, so arithmetic is
 exact; floats are rejected at construction.  Series are immutable and every
@@ -107,13 +108,6 @@ class Series:
 
     __getitem__ = coefficient
 
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient (order+1 for the zero series)."""
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
-                return i
-        return self.order + 1
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError(
@@ -203,11 +197,8 @@ class Series:
         if inner._coeffs[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
-        inner_t = inner.truncate(n) if inner.order > n else inner
-        result = Series.constant(self._coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner_t + Series.constant(self._coeffs[k], n)
-        return result
+        outer, rows = _trim(self._coeffs[: n + 1]), []
+        return Series([_compose_column(outer, inner._coeffs, rows, m) for m in range(n + 1)])
 
     def reciprocal(self) -> "Series":
         a0 = self._coeffs[0]
@@ -261,6 +252,15 @@ def _trim(coeffs) -> tuple:
     while end > 2 and coeffs[end - 1] == 0:
         end -= 1
     return tuple(coeffs[:end])
+
+
+def _compose_column(outer, inner, rows: list, m: int) -> Fraction:
+    """[z^m] outer(inner) for inner with inner_0 = 0, from inner_1 .. inner_m;
+    call it for m = 0, 1, ... in turn with the same ``rows`` (see
+    :func:`_power_sum`) and ``outer`` without trailing zeros."""
+    if m == 0:
+        return outer[0]
+    return outer[1] * inner[m] + _power_sum(inner, rows, outer, m)
 
 
 def _power_sum(a, rows: list, weights, m: int) -> Fraction:

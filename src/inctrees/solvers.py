@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, List, Optional, Tuple
 
-from .series import Series, _power_sum, _trim
+from .series import Series, _compose_column, _trim
 from .trees import falling_factorial
 from .weights import DegreeWeights
 
@@ -77,8 +77,7 @@ def _online(
     u: List[Fraction] = []
     rows: list = []
     for n in range(1, terms + 1):
-        m = n - 1
-        u.append(phi[0] if m == 0 else phi[1] * a[m] + _power_sum(a, rows, phi, m))
+        u.append(_compose_column(phi, a, rows, n - 1))
         a.append(step(n, a, u))
     return a
 

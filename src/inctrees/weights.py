@@ -92,11 +92,14 @@ class DegreeWeights:
             return cls.exp_minus_t()
         if text == "ordered-t":
             return cls.ordered_minus_t()
-        if text.startswith("bundled:"):
-            return cls.bundled(int(text.split(":", 1)[1]))
-        if text.startswith("poly:"):
-            parts = text.split(":", 1)[1].split(",")
-            return cls.polynomial([_parse_fraction(p.strip()) for p in parts])
+        try:
+            if text.startswith("bundled:"):
+                return cls.bundled(int(text.split(":", 1)[1]))
+            if text.startswith("poly:"):
+                parts = text.split(":", 1)[1].split(",")
+                return cls.polynomial([_parse_fraction(p.strip()) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"bad degree-weight spec {text!r}: {exc}") from None
         raise ValueError(f"unknown degree-weight spec {text!r}")
 
     # -- coefficient access --------------------------------------------

@@ -1,10 +1,15 @@
-"""Slow reference routes for the coefficient engine and the series reversion.
+"""Slow reference routes for the coefficient engine, composition, reversion
+and reverse engineering.
 
 These are the fixed-point solvers, the composition recurrence for k-tuple
-trees and the compose-per-order reversion that the package used before its
-online power-table engine.  They stay here, outside the package, as a second
-independent route: the tests compare the engine against them exactly.  They
-are polynomial of high degree (k-tuple: exponential), so keep N small.
+trees, the compose-per-order reversion and the two-derivative reverse
+engineering 4 g f''(g) + 2 f'(g) that the package used before its online
+power-table engine.  The Horner composition they all run on is kept here
+too (:func:`compose`), so no function in this module touches the package's
+power table (``Series.compose``, ``Series.reversion``, ``_power_sum``).
+They stay here, outside the package, as a second independent route: the
+tests compare the engine against them exactly.  They are polynomial of high
+degree (k-tuple: exponential), so keep N small.
 """
 from __future__ import annotations
 
@@ -39,6 +44,19 @@ def compositions(total: int, parts: Optional[int] = None) -> Iterator[Tuple[int,
             yield (first,) + rest
 
 
+def compose(outer: Series, inner: Series) -> Series:
+    """outer(inner(z)) by Horner's rule in Series products; inner must have
+    zero constant term.  Valid to the minimum order of the two."""
+    if inner.coefficient(0) != 0:
+        raise ValueError("composition needs an inner series with zero constant term")
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    result = Series.constant(outer.coefficient(n), n)
+    for k in range(n - 1, -1, -1):
+        result = result * inner + Series.constant(outer.coefficient(k), n)
+    return result
+
+
 # -- fixed-point solvers: substitute the prefix, integrate, repeat ----------
 
 
@@ -47,7 +65,7 @@ def k_labelled_series(weights: DegreeWeights, k: int, order: int) -> Series:
     phi = weights.as_series(order)
     t = Series.zero(order)
     for _ in range(order // k + 2):
-        rhs = phi.compose(t)
+        rhs = compose(phi, t)
         for _ in range(k):
             rhs = rhs.integrate()
         t = rhs.truncate(order)
@@ -58,7 +76,7 @@ def free_multilabelled_series(weights: DegreeWeights, order: int) -> Series:
     phi = weights.as_series(order)
     t = Series.zero(order)
     for _ in range(order + 1):
-        t = (phi.compose(t) + t).integrate().truncate(order)
+        t = (compose(phi, t) + t).integrate().truncate(order)
     return t
 
 
@@ -68,7 +86,7 @@ def unilabelled_bilabelled_series(weights: DegreeWeights, order: int) -> Series:
     linear = Series.identity(order).scale(weights.coefficient(0))
     t = linear
     for _ in range(order + 1):
-        rhs = phi.compose(t) + t.differentiate() * phi_prime.compose(t)
+        rhs = compose(phi, t) + t.differentiate() * compose(phi_prime, t)
         t = (rhs.integrate().integrate() + linear).truncate(order)
     return t
 
@@ -128,6 +146,31 @@ def reversion(series: Series) -> Series:
     g = [Fraction(0)] * (n + 1)
     g[1] = 1 / a1
     for m in range(2, n + 1):
-        err = series.truncate(m).compose(Series(g[: m + 1])).coefficient(m)
+        err = compose(series.truncate(m), Series(g[: m + 1])).coefficient(m)
         g[m] = -err / a1
     return Series(g)
+
+
+# -- reverse engineering through two derivatives ----------------------------
+
+
+def reverse_phi(values) -> Tuple[Fraction, ...]:
+    """phi_0 .. phi_{N-1} from T_1 .. T_N (T_1 != 0) as 4 g f''(g) + 2 f'(g),
+    with f(w) = sum T_n w^n / (2n)! and g its compositional inverse."""
+    n_terms = len(values)
+    f = Series(
+        [Fraction(0)]
+        + [Fraction(values[n - 1]) / factorial(2 * n) for n in range(1, n_terms + 1)]
+    )
+    g = reversion(f)
+    f_prime = f.differentiate()
+    f_second = f_prime.differentiate()
+    # f'' o g is valid to order N-2; multiplying by g (valuation 1) gives
+    # the product to order N-1, one past what blind min-order tracking sees
+    inner = compose(f_second, g.truncate(n_terms - 2))
+    product = [Fraction(0)] * n_terms
+    for i in range(1, n_terms):
+        for j in range(n_terms - i):
+            product[i + j] += g.coefficient(i) * inner.coefficient(j)
+    tail = compose(f_prime, g.truncate(n_terms - 1))
+    return tuple(4 * product[j] + 2 * tail.coefficient(j) for j in range(n_terms))

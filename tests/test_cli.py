@@ -1,12 +1,15 @@
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from inctrees import cli
+from inctrees import cli, families
 from inctrees.cli import main
 
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all_max_n4_max_m4.txt"
+GOLDEN_REVERSE = Path(__file__).parent / "data" / "reverse_families.txt"
 
 
 def run(capsys, *argv):
@@ -195,6 +198,29 @@ def test_verify_all_output_is_pinned(capsys):
     assert out == GOLDEN_VERIFY_ALL.read_text()
 
 
+def reverse_transcript() -> str:
+    """stdout of ``reverse --family ID --terms 12`` (plain and JSON) for every
+    registry family and of one non-admissible ``--values`` target, each run
+    under a ``$ inctree ...`` header line."""
+    runs = [
+        ["reverse", "--family", identifier, "--terms", "12", *fmt]
+        for identifier in families.family_identifiers()
+        for fmt in ([], ["--format", "json"])
+    ]
+    runs.append(["reverse", "--values", "1,5,3,-7,11,2"])
+    out = io.StringIO()
+    for argv in runs:
+        out.write("$ inctree " + " ".join(argv) + "\n")
+        with redirect_stdout(out):
+            assert main(argv) == 0
+    return out.getvalue()
+
+
+def test_reverse_output_is_pinned():
+    # Every weight, admissibility verdict and round trip of the reverse command.
+    assert reverse_transcript() == GOLDEN_REVERSE.read_text()
+
+
 def test_label_count_check_reports_first_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_bucket_labellings_formula", lambda tree, buckets: -1)
     code, out, _ = run(
@@ -227,6 +253,23 @@ def test_zero_denominator_is_reported(capsys, tmp_path, argv, bad):
 
 
 @pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["seq", "ktuple/ordered:k=abc", "4"], "ktuple/ordered:k=abc"),
+        (["seq", "ktuple/ordered:k=0", "4"], "ktuple/ordered:k=0"),
+        (["hook", "klabelled", "--weights", "bundled:x"], "bundled:x"),
+        (["hook", "klabelled", "--weights", "poly:"], "poly:"),
+        (["hook", "ktuple", "--weights", "poly:1,,2"], "poly:1,,2"),
+    ],
+    ids=["ktuple-k-word", "ktuple-k-zero", "bundled-word", "poly-empty", "poly-hole"],
+)
+def test_bad_parameter_names_the_input(capsys, argv, bad):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert repr(bad) in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "hook", "--max-n", "0"],
@@ -236,11 +279,13 @@ def test_zero_denominator_is_reported(capsys, tmp_path, argv, bad):
         ["hook", "klabelled", "--weights", "exp", "--max-n", "0"],
         ["hook", "bucket", "--weights", "exp", "--max-m", "0"],
         ["hook", "bucket", "--weights", "exp", "--max-m", "two"],
+        ["reverse", "--family", "bilabelled/ordered", "--terms", "0"],
+        ["reverse", "--family", "bilabelled/ordered", "--terms", "-2"],
     ],
     ids=lambda argv: "-".join(argv[:2] + argv[-2:]),
 )
 def test_size_flags_must_be_positive(capsys, argv):
-    flag = next(a for a in argv if a.startswith("--max-"))
+    flag = next(a for a in argv if a.startswith(("--max-", "--terms")))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

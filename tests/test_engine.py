@@ -1,14 +1,16 @@
 """The online power-table engine against the slow routes in ``oracle.py``.
 
-The engine (``solvers._online``) and ``Series.reversion`` replaced
-fixed-point iteration, the composition recurrence and one full composition
-per order.  These properties pin them to those routes on random small
-rational weights and series, with a fixed Hypothesis seed.
+The engine (``solvers._online``), ``Series.compose``, ``Series.reversion``
+and ``reverse_engineer`` replaced fixed-point iteration, the composition
+recurrence, Horner composition, one full composition per order and the
+two-derivative reverse engineering.  These properties pin them to those
+routes on random small rational weights and series, with a fixed Hypothesis
+seed.
 """
 from fractions import Fraction as F
 
 import oracle
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from inctrees.reverse import reverse_engineer
 from inctrees.series import Series
@@ -24,6 +26,7 @@ from inctrees.solvers import (
 from inctrees.weights import DegreeWeights
 
 small_fraction = st.fractions(min_value=0, max_value=4, max_denominator=4)
+signed_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 def rational_weights(max_degree=4):
@@ -63,8 +66,7 @@ def test_series_views_equal_fixed_point_oracle(weights, k, order):
             oracle.unilabelled_bilabelled_series(weights, order)
 
 
-@given(st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(lambda x: x != 0),
-       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=10))
+@given(signed_fraction.filter(lambda x: x != 0), st.lists(signed_fraction, max_size=10))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_reversion_equals_compose_per_order_oracle(linear, tail):
     f = Series([F(0), linear] + tail)
@@ -79,3 +81,25 @@ def test_reverse_engineer_inverts_two_label_solver(coeffs, terms):
     report = reverse_engineer(solve_k_labelled(weights, 2, terms))
     assert report.phi == tuple(weights.coefficient(j) for j in range(terms))
     assert report.admissible
+
+
+@given(st.lists(signed_fraction, min_size=1, max_size=10),
+       st.lists(signed_fraction, max_size=10))
+@example(outer=[F(1), F(2), F(-1, 3), F(5)], inner_tail=[F(0), F(3), F(1, 2)])  # zero linear term
+@example(outer=[F(2), F(1), F(1)], inner_tail=[F(1), F(1), F(1), F(1), F(1), F(1)])  # outer shorter
+@example(outer=[F(2), F(1), F(1), F(4), F(-1)], inner_tail=[F(1, 2)])  # inner shorter
+@example(outer=[F(7), F(1)], inner_tail=[])  # inner of order 0
+@example(outer=[F(3)], inner_tail=[F(1), F(2)])  # outer of order 0
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_compose_equals_horner_oracle(outer, inner_tail):
+    outer, inner = Series(outer), Series([F(0)] + inner_tail)
+    assert outer.compose(inner) == oracle.compose(outer, inner)
+
+
+@given(signed_fraction.filter(lambda x: x != 0), st.lists(signed_fraction, min_size=1, max_size=9))
+@example(first=F(1), rest=[F(2), F(22), F(584)])  # admissible: phi = 1 + 2t + 3t^2 + 4t^3
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_reverse_engineer_equals_two_derivative_oracle(first, rest):
+    # any target with T_1 != 0, admissible or not
+    values = [first] + rest
+    assert reverse_engineer(values).phi == oracle.reverse_phi(values)

@@ -209,6 +209,18 @@ def test_lattice_sum_domain_ends():
             strict_binary_lattice_sum(n, 2)
 
 
+def test_binary_free_numeric_domain_ends():
+    exact = get_family("free/binary").sequence(57)
+    assert abs(binary_free_multi_numeric(1, 60) - 1) < 1e-9
+    assert abs(F(binary_free_multi_numeric(57, 60)) - exact[57]) < F(1, 10**9) * exact[57]
+    assert binary_free_multi_numeric(144, 60) < float("inf")
+    for m, cutoff in ((145, 60), (200, 60), (117, 200)):
+        with pytest.raises(ValueError, match=f"m = {m}, cutoff = {cutoff} "):
+            binary_free_multi_numeric(m, cutoff)
+    with pytest.raises(ValueError):
+        binary_free_multi_numeric(0, 60)
+
+
 def test_strict_binary_free_explicit():
     values = [strict_binary_free_multi_explicit(m) for m in range(1, 8)]
     assert values == [1, 1, 3, 9, 39, 189, 1107]
