@@ -9,10 +9,17 @@ Subcommands::
     bijection {free,unibi} [--max-m M] [--show]
     hook {klabelled,bucket,ktuple,rho} [options]
 
-Exit status is 0 exactly when every executed check passes.  The b-file
-format prints ``n a(n)`` lines with offset 1 for every family.  The
-environment variable INCTREE_CAPACITY raises the enumeration capacity
-bounds (at the cost of potentially very long runtimes).
+Exit status is 0 exactly when every executed check passes.  Every size
+argument (TERMS, --max-n, --max-m, --cutoff, -k, --terms) must be a positive
+integer; anything else exits 2 naming it.  The b-file format prints
+``n a(n)`` lines with offset 1 for every family.  The environment variable
+INCTREE_CAPACITY raises the enumeration capacity bounds (at the cost of
+potentially very long runtimes).
+
+``_SUITES`` is the one check registry: each suite maps the sizes
+``(max_n, max_m, cutoff)`` to ``(name, ok, detail)`` checks, each comparing
+two independent routes.  ``verify`` prints them, and
+``tests/test_acceptance.py`` runs the same suites at its own sizes.
 """
 from __future__ import annotations
 
@@ -87,7 +94,7 @@ def _rho_binary_note(n: int) -> Optional[str]:
     return None if lhs == rhs else f"{lhs} != {rhs}"
 
 
-def _suite_hook(max_n: int, max_m: int) -> List[Check]:
+def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
     checks: List[Check] = []
     ns = range(1, max_n + 1)
     ms = range(1, max_m + 1)
@@ -134,7 +141,7 @@ def _suite_hook(max_n: int, max_m: int) -> List[Check]:
     return checks
 
 
-def _suite_bijection(max_m: int) -> List[Check]:
+def _suite_bijection(max_n: int, max_m: int, cutoff: int) -> List[Check]:
     chain = bijections.verify_chain_bijection(max_m)
     split = bijections.verify_split_bijection(max_m)
     return [
@@ -158,11 +165,24 @@ def _compare_prefix(solved, expected) -> str:
     return ""
 
 
-def _suite_closed_forms(max_n: int, cutoff: int) -> List[Check]:
+def _lemniscate_failures(max_n: int) -> Tuple[int, ...]:
+    """The n <= max_n where the even-degree recurrence's T_n breaks
+    T_n = (-1)^((n-1)/2) S_{2n-1} / 2^(n-1) (odd n) or T_n = S_{2n-1} = 0
+    (even n), S being the lemniscate sine coefficients."""
+    ts = families.even_degree_recurrence(max_n)
+    ss = families.lemniscate_sine_coefficients(2 * max_n - 1)
+    return tuple(
+        n for n, t, s in zip(range(1, max_n + 1), ts, ss[::2])
+        if (t != Fraction((-1) ** (n // 2) * s, 2 ** (n - 1)) if n % 2 else t != 0 or s != 0)
+    )
+
+
+def _suite_closed_forms(max_n: int, max_m: int, cutoff: int) -> List[Check]:
     checks: List[Check] = []
+    solved = {}
     for identifier, spec in sorted(families.REGISTRY.items()):
         terms = max(len(spec.reference_prefix), max_n)
-        seq = spec.sequence(terms)
+        seq = solved[identifier] = spec.sequence(terms)
         if spec.reference_prefix:
             bad = _compare_prefix(seq, spec.reference_prefix)
             checks.append((f"reference prefix {identifier}", not bad, bad))
@@ -174,14 +194,12 @@ def _suite_closed_forms(max_n: int, cutoff: int) -> List[Check]:
             rec = spec.special_recurrence(terms)
             bad = _compare_prefix(seq, rec)
             checks.append((f"recurrence {identifier} n<={terms}", not bad, bad))
-    tangent = families.reduced_tangent_check(max_n)
-    checks.append(
-        ("reduced tangent numbers vs solver", tangent.ok, str(tangent.failures))
-    )
-    lem = families.even_degree_lemniscate_relation_check(max_n)
-    checks.append(
-        ("even-degree vs lemniscate sine", lem.ok, str(lem.failures))
-    )
+    unordered = solved["bilabelled/unordered"]
+    tangent = families.reduced_tangent_numbers(max_n)
+    bad = tuple(n for n in range(1, max_n + 1) if unordered[n] != tangent[n - 1])
+    checks.append(("reduced tangent numbers vs solver", not bad, str(bad)))
+    bad = _lemniscate_failures(max_n)
+    checks.append(("even-degree vs lemniscate sine", not bad, str(bad)))
     for n in (2, 3, 5, 7):
         exact = families.strict_binary_recurrence(n)[n - 1]
         approx = families.strict_binary_lattice_sum(n, cutoff)
@@ -197,14 +215,14 @@ def _suite_closed_forms(max_n: int, cutoff: int) -> List[Check]:
             )
         )
     for m in range(1, 7):
-        exact = families.get_family("free/binary").sequence(m)[m]
+        exact = solved["free/binary"][m]
         approx = families.binary_free_multi_numeric(m, 60)
         ok = abs(approx - exact) / int(exact) < 1e-6
         checks.append((f"binary free series m={m}", ok, f"value={approx!r}"))
     return checks
 
 
-def _suite_invariants(max_n: int, max_m: int) -> List[Check]:
+def _suite_invariants(max_n: int, max_m: int, cutoff: int) -> List[Check]:
     checks: List[Check] = []
     for identifier in _BILABELLED_IDS:
         spec = families.get_family(identifier)
@@ -273,10 +291,10 @@ def _label_count_mismatch(max_n: int, max_m: int) -> str:
 
 
 _SUITES = {
-    "hook": lambda args: _suite_hook(args.max_n, args.max_m),
-    "bijection": lambda args: _suite_bijection(args.max_m),
-    "closed-forms": lambda args: _suite_closed_forms(args.max_n, args.cutoff),
-    "invariants": lambda args: _suite_invariants(args.max_n, args.max_m),
+    "hook": _suite_hook,
+    "bijection": _suite_bijection,
+    "closed-forms": _suite_closed_forms,
+    "invariants": _suite_invariants,
 }
 
 
@@ -284,7 +302,7 @@ def _run_verify(args, out) -> int:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     checks: List[Check] = []
     for suite in suites:
-        checks.extend(_SUITES[suite](args))
+        checks.extend(_SUITES[suite](args.max_n, args.max_m, args.cutoff))
     ok = all(c[1] for c in checks)
     if args.format == "json":
         print(
@@ -420,7 +438,8 @@ def _run_hook(args, out) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the size flags (--max-n, --max-m, reverse --terms)."""
+    """argparse type of the size arguments (--max-n, --max-m, --cutoff, -k,
+    seq TERMS, reverse --terms)."""
     try:
         value = int(text)
     except ValueError:
@@ -439,16 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="print a family's counting sequence")
     p_seq.add_argument("family", help="family identifier, e.g. bilabelled/unordered")
-    p_seq.add_argument("terms", type=int)
+    p_seq.add_argument("terms", type=_positive_int)
     p_seq.add_argument("--format", choices=("plain", "bfile", "json"), default="plain")
 
     p_verify = sub.add_parser("verify", help="run exhaustive verification suites")
-    p_verify.add_argument(
-        "suite", choices=(*_SUITES, "all")
-    )
+    p_verify.add_argument("suite", choices=(*_SUITES, "all"))
     p_verify.add_argument("--max-n", type=_positive_int, default=6)
     p_verify.add_argument("--max-m", type=_positive_int, default=5)
-    p_verify.add_argument("--cutoff", type=int, default=50)
+    p_verify.add_argument("--cutoff", type=_positive_int, default=50)
     p_verify.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p_rev = sub.add_parser("reverse", help="recover degree weights from a target sequence")
@@ -467,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hook.add_argument("kind", choices=("klabelled", "bucket", "ktuple", "rho"))
     p_hook.add_argument("--weights", help="degree weights, e.g. exp or poly:1,0,1")
     p_hook.add_argument("--family", help="take weights from a registered family")
-    p_hook.add_argument("-k", type=int, default=2)
+    p_hook.add_argument("-k", type=_positive_int, default=2)
     p_hook.add_argument("--max-n", type=_positive_int, default=5)
     p_hook.add_argument("--max-m", type=_positive_int, default=5)
     p_hook.add_argument("--max-bucket", type=int, default=None)

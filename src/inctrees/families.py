@@ -2,8 +2,8 @@
 
 Every family here has (at least) two independent computation paths — the
 generic coefficient solver on one side and a closed form or a family-specific
-recurrence on the other — and the test suite compares them exactly.  The
-OEIS identifiers are documentation only; nothing is fetched.
+recurrence on the other — and ``inctree verify closed-forms`` compares them
+exactly.  The OEIS identifiers are documentation only; nothing is fetched.
 
 Registry identifiers look like ``bilabelled/unordered`` or
 ``free/strict-binary``; k-tuple families are parametrized as
@@ -24,21 +24,6 @@ from .solvers import (
     solve_unilabelled_bilabelled,
 )
 from .weights import DegreeWeights
-
-# -- small report type ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    """Outcome of cross-checking a family relation over a range of indices."""
-
-    name: str
-    checked: Tuple[int, ...]
-    failures: Tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _integer(value: Fraction) -> int:
@@ -253,28 +238,6 @@ def lemniscate_sine_coefficients(count: int) -> Tuple[int, ...]:
     return tuple(_integer(s[i] * factorial(i)) for i in range(1, count + 1))
 
 
-def even_degree_lemniscate_relation_check(max_n: int) -> RelationReport:
-    """Check T_n = (-1)^((n-1)/2) S_{2n-1} / 2^(n-1) for odd n (both sides
-    zero for even n), with T from the even-degree recurrence and S the
-    lemniscate sine coefficients."""
-    ts = even_degree_recurrence(max_n)
-    ss = lemniscate_sine_coefficients(2 * max_n - 1)
-    failures = []
-    for n in range(1, max_n + 1):
-        t_n = ts[n - 1]
-        s = ss[2 * n - 2]
-        if n % 2 == 1:
-            expected = Fraction((-1) ** ((n - 1) // 2) * s, 2 ** (n - 1))
-            if expected != t_n:
-                failures.append(n)
-        else:
-            if t_n != 0 or s != 0:
-                failures.append(n)
-    return RelationReport(
-        "even-degree vs lemniscate sine", tuple(range(1, max_n + 1)), tuple(failures)
-    )
-
-
 def weierstrass_invariants(phi0, phi1, phi2) -> Tuple[Fraction, Fraction, Fraction]:
     """Invariants (g2, g3) and the Weierstrass-p value at the shift constant
     for a quadratic degree-weight generating function phi(t) =
@@ -419,19 +382,6 @@ def reduced_tangent_numbers(terms: int) -> Tuple[int, ...]:
     for i in range(1, 2 * terms - 1):
         h.append(sum(h[j] * h[i - j] for j in range(i + 1)) / (2 * (i + 1)))
     return tuple(_integer(h[2 * n - 1] * factorial(2 * n - 1)) for n in range(1, terms + 1))
-
-
-def reduced_tangent_check(max_n: int) -> RelationReport:
-    """Compare the scaled tangent coefficients with the two-labels-per-node
-    solver for unordered trees."""
-    expected = reduced_tangent_numbers(max_n)
-    solved = solve_k_labelled(DegreeWeights.exponential(), 2, max_n)
-    failures = tuple(
-        n for n in range(1, max_n + 1) if solved[n] != expected[n - 1]
-    )
-    return RelationReport(
-        "unordered two-label vs reduced tangent", tuple(range(1, max_n + 1)), failures
-    )
 
 
 def blasius_numbers(terms: int) -> Tuple[int, ...]:

@@ -8,7 +8,6 @@ solvers — two fully independent computation paths, compared exactly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -95,9 +94,6 @@ class HookIdentityReport:
             "verdict": "equal" if self.equal else "unequal",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def hook_sum_k_labelled(weights: DegreeWeights, k: int, n: int) -> HookIdentityReport:
     """Sum over plane trees of size n of prod phi_odeg / (k h)(kh-1)...(kh-k+1),
@@ -119,6 +115,8 @@ def hook_sum_bucket(
     checks the one-or-two-labels count.
     """
     _check_hookcapacity_limit(m, MAX_HOOK_BUCKET_TOTAL, "label count m")
+    if max_bucket not in (None, 2):
+        raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
     lhs = Fraction(0)
     visited = 0
     min_size = 1 if max_bucket is None else (m + max_bucket - 1) // max_bucket
@@ -136,11 +134,9 @@ def hook_sum_bucket(
     if max_bucket is None:
         rhs_seq = solve_free_multilabelled(weights, m)
         scheme = "bucket-free"
-    elif max_bucket == 2:
+    else:
         rhs_seq = solve_unilabelled_bilabelled(weights, m)
         scheme = "bucket-uni-bi"
-    else:
-        raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
     rhs = rhs_seq[m] / factorial(m)
     return HookIdentityReport(scheme, m, lhs, rhs, visited)
 

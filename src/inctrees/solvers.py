@@ -175,7 +175,6 @@ class InvariantReport:
     """Coefficientwise comparison of (T')^2 against 2 Phi(T)."""
 
     checked_order: int
-    matches: Tuple[bool, ...]
     mismatches: Tuple[int, ...]
 
     @property
@@ -201,8 +200,7 @@ def first_order_invariant_check(weights: DegreeWeights, t: Series) -> InvariantR
         rhs = rhs + power.scale(2 * c)
         power = power * t
     order = min(lhs.order, rhs.order)
-    matches = tuple(
-        lhs.coefficient(i) == rhs.coefficient(i) for i in range(order + 1)
+    mismatches = tuple(
+        i for i in range(order + 1) if lhs.coefficient(i) != rhs.coefficient(i)
     )
-    mismatches = tuple(i for i, good in enumerate(matches) if not good)
-    return InvariantReport(checked_order=order, matches=matches, mismatches=mismatches)
+    return InvariantReport(checked_order=order, mismatches=mismatches)

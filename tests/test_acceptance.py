@@ -1,23 +1,38 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  All comparisons are exact except the two numeric series checks,
-which carry a 1e-6 tolerance.
+lines.  The cross-checks come from the ``verify`` check registry
+(``cli._SUITES``), run here at each criterion's own sizes; this file adds
+the hard-coded reference prefixes, the reverse-engineering targets and the
+checks at sizes the registry does not reach.  All comparisons are exact
+except the two numeric series checks, which carry a 1e-6 tolerance.
 """
 import time
 from fractions import Fraction as F
 from math import comb, factorial
 
-from inctrees import bijections, families, hooks, reverse, solvers, trees
+from inctrees import cli, families, hooks, reverse, solvers
 from inctrees.weights import DegreeWeights
 
 EXP = DegreeWeights.exponential()
 ORDERED = DegreeWeights.bundled(1)
-STRICT_BINARY = DegreeWeights.polynomial([1, 0, 1], name="strict-binary")
+# closed-forms checks that rest on floats, and so belong to criterion 09
+NUMERIC = ("lattice sum ", "binary free series ")
 
 
 def _report(num: int, ok: bool, detail: str):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}", flush=True)
+
+
+def _registry(suite: str, max_n: int = 1, max_m: int = 1, cutoff: int = 50):
+    """The checks of one registry suite and the seconds they took."""
+    start = time.monotonic()
+    checks = cli._SUITES[suite](max_n, max_m, cutoff)
+    return checks, time.monotonic() - start
+
+
+def _failures(checks):
+    return [f"{name}: {detail}" for name, ok, detail in checks if not ok]
 
 
 def test_criterion_01_sequence_regression():
@@ -55,18 +70,7 @@ def test_criterion_02_free_multilabelled_regression():
         got = families.get_family(identifier).sequence(len(prefix)).as_integers()
         if got != prefix:
             failures.append(f"{identifier}: {got}")
-    closed = {
-        "free/unary-binary": lambda m: factorial(m),
-        "free/ordered-no-unary": lambda m: families.double_factorial_odd(m - 1),
-        "free/unordered-no-unary": lambda m: factorial(m - 1),
-        "free/strict-binary": families.strict_binary_free_multi_explicit,
-    }
-    for identifier, form in closed.items():
-        seq = families.get_family(identifier).sequence(10)
-        for m in range(1, 11):
-            if seq[m] != form(m):
-                failures.append(f"{identifier} m={m}: {seq[m]} != {form(m)}")
-    _report(2, not failures, "free multilabelled regression m<=10")
+    _report(2, not failures, "free multilabelled regression m<=7")
     assert not failures, failures
 
 
@@ -78,120 +82,79 @@ def test_criterion_03_unibi_regression():
     ts = solvers.solve_unilabelled_bilabelled(EXP, 7).as_integers()
     if ts != (1, 2, 4, 14, 66, 392, 2806):
         failures.append(f"T: {ts}")
-    for m in range(2, 8):
-        if ts[m - 1] != qs[m - 1] + qs[m - 2]:
-            failures.append(f"T_{m} != Q_{m} + Q_{m-1}")
-    if ts[0] != qs[0]:
-        failures.append("T_1 != Q_1")
-    _report(3, not failures, "uni-bi regression m<=7 and T = Q + shifted Q")
+    _report(3, not failures, "uni-bi regression m<=7")
     assert not failures, failures
 
 
+# closed-forms checks at max_n=10 that criteria 02-04 rely on, by identity
+CLOSED_FORM_CHECKS = (
+    "closed form bilabelled/ordered n<=10",  # inverse error function
+    "closed form bilabelled/3-bundled n<=10",  # double factorials
+    "closed form bilabelled/2-bundled n<=10",  # Bell polynomials
+    "recurrence bilabelled/even-degree n<=10",
+    "even-degree vs lemniscate sine",
+    "recurrence trilabelled/unordered n<=10",  # Blasius numbers
+    "closed form free/unary-binary n<=10",  # m!
+    "closed form free/ordered-no-unary n<=10",  # (2m-3)!!
+    "closed form free/unordered-no-unary n<=10",  # (m-1)!
+    "closed form free/strict-binary n<=10",
+    "closed form unibi/unordered n<=10",  # T_m = Q_m + Q_{m-1}
+)
+
+
 def test_criterion_04_closed_form_cross_validation():
-    failures = []
-    solved_ordered = solvers.solve_k_labelled(ORDERED, 2, 10)
-    for n in range(1, 11):
-        if solved_ordered[n] != families.ordered_bilabelled_closed_form(n):
-            failures.append(f"inverse-erf closed form at n={n}")
-    solved_3b = solvers.solve_k_labelled(DegreeWeights.bundled(3), 2, 10)
-    for n in range(1, 11):
-        if solved_3b[n] != families.three_bundled_closed_form(n):
-            failures.append(f"double-factorial closed form at n={n}")
-    solved_2b = solvers.solve_k_labelled(DegreeWeights.bundled(2), 2, 10)
-    for n in range(1, 11):
-        if solved_2b[n] != families.two_bundled_closed_form(n):
-            failures.append(f"Bell-polynomial closed form at n={n}")
-    solved_even = solvers.solve_k_labelled(DegreeWeights.cosh(), 2, 9)
-    ss = families.lemniscate_sine_coefficients(17)
-    for n in range(1, 10, 2):
-        expected = F((-1) ** ((n - 1) // 2) * ss[2 * n - 2], 2 ** (n - 1))
-        if solved_even[n] != expected:
-            failures.append(f"lemniscate relation at n={n}")
-    solved_tri = solvers.solve_k_labelled(EXP, 3, 8)
-    if families.blasius_numbers(8) != solved_tri.as_integers():
-        failures.append("Blasius recurrence vs third-order solver")
-    _report(4, not failures, "closed forms agree with coefficient solvers")
+    checks, _ = _registry("closed-forms", max_n=10)
+    exact = [c for c in checks if not c[0].startswith(NUMERIC)]
+    names = {name for name, _, _ in exact}
+    failures = _failures(exact) + [
+        f"{name}: not run" for name in CLOSED_FORM_CHECKS if name not in names
+    ]
+    _report(4, not failures, f"closed forms agree with coefficient solvers ({len(exact)} checks)")
     assert not failures, failures
 
 
 def test_criterion_05_hook_identities():
-    failures = []
-    for identifier in (
-        "bilabelled/unordered",
-        "bilabelled/ordered",
-        "bilabelled/2-bundled",
-        "bilabelled/3-bundled",
-        "bilabelled/strict-binary",
-        "bilabelled/even-degree",
-        "bilabelled/binary",
-    ):
-        weights = families.get_family(identifier).weights
-        for n in range(1, 9):
-            if not hooks.hook_sum_k_labelled(weights, 2, n).equal:
-                failures.append(f"k=2 {identifier} n={n}")
-    for weights_name, weights in (("unordered", EXP), ("ordered", ORDERED)):
-        for n in range(1, 8):
-            if not hooks.hook_sum_k_labelled(weights, 3, n).equal:
-                failures.append(f"k=3 {weights_name} n={n}")
+    # verify hook at n<=8, m<=7; then k=3, k-tuple, ordered bucket-uni-bi and
+    # rho past the registry's sizes (k=3 and k-tuple stop at n=6 there)
+    checks, _ = _registry("hook", max_n=8, max_m=7)
+    ns = range(1, 8)
+    for name, weights in (("unordered", EXP), ("ordered", ORDERED)):
+        checks.append(cli._first_failure(
+            f"hook k=3 {name} n<=7", "n", ns,
+            lambda n, w=weights: cli._hook_note(hooks.hook_sum_k_labelled(w, 3, n)),
+        ))
         for k in (1, 2, 3):
-            for n in range(1, 8):
-                if not hooks.hook_sum_k_tuple(weights, k, n).equal:
-                    failures.append(f"k-tuple k={k} {weights_name} n={n}")
-        for m in range(1, 8):
-            if not hooks.hook_sum_bucket(weights, m).equal:
-                failures.append(f"bucket-free {weights_name} m={m}")
-            if not hooks.hook_sum_bucket(weights, m, max_bucket=2).equal:
-                failures.append(f"bucket-uni-bi {weights_name} m={m}")
-    for m in range(1, 8):
-        if not hooks.hook_sum_bucket(STRICT_BINARY, m).equal:
-            failures.append(f"bucket-free strict-binary m={m}")
-    for n in range(1, 11):
-        lhs = hooks.generic_hook_weight_sum("binary", [1, 1], [0, 1], n)
-        if lhs != F(2**n * (n + 1) ** (n - 1), factorial(n)):
-            failures.append(f"Postnikov n={n}")
-    _report(5, not failures, "hook-length identities (k-labelled, k-tuple, bucket, rho)")
+            checks.append(cli._first_failure(
+                f"hook k-tuple(k={k}) {name} n<=7", "n", ns,
+                lambda n, w=weights, k=k: cli._hook_note(hooks.hook_sum_k_tuple(w, k, n)),
+            ))
+    checks.append(cli._first_failure(
+        "hook bucket-uni-bi ordered m<=7", "m", range(1, 8),
+        lambda m: cli._hook_note(hooks.hook_sum_bucket(ORDERED, m, max_bucket=2)),
+    ))
+    checks.append(cli._first_failure(
+        "hook rho=1+1/h binary n<=10", "n", range(1, 11), cli._rho_binary_note
+    ))
+    failures = _failures(checks)
+    _report(5, not failures, f"hook-length identities ({len(checks)} checks)")
     assert not failures, failures
 
 
 def test_criterion_06_labelling_count_oracles():
-    start = time.monotonic()
-    failures = []
-    for n in range(1, 5):
-        for tree in trees.enumerate_ordered_trees(n):
-            for k in (1, 2, 3):
-                formula = trees.count_k_labellings_formula(tree, k)
-                brute = trees.count_k_labellings_bruteforce(tree, k)
-                if formula != brute:
-                    failures.append(f"{tree.to_text()} k={k}: {formula} != {brute}")
-            for m in range(n, 9):
-                for buckets in trees.enumerate_bucket_functions(tree, m):
-                    formula = trees.count_bucket_labellings_formula(tree, buckets)
-                    brute = trees.count_bucket_labellings_bruteforce(tree, buckets)
-                    if formula != brute:
-                        failures.append(
-                            f"{tree.to_text()} buckets={buckets}: {formula} != {brute}"
-                        )
-    elapsed = time.monotonic() - start
+    checks, elapsed = _registry("invariants", max_n=4, max_m=8)
+    failures = _failures(checks)
     if elapsed > 10.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 10s")
-    _report(6, not failures, f"formula vs brute force label counts ({elapsed:.1f}s)")
+    _report(6, not failures, f"invariants n<=4 m<=8 with label counts ({elapsed:.1f}s)")
     assert not failures, failures
 
 
 def test_criterion_07_bijection_verification():
-    start = time.monotonic()
-    chain = bijections.verify_chain_bijection(6)
-    split = bijections.verify_split_bijection(6)
-    elapsed = time.monotonic() - start
-    failures = list(chain.failures) + list(split.failures)
+    checks, elapsed = _registry("bijection", max_m=6)
+    failures = _failures(checks)
     if elapsed > 5.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 5s")
-    _report(
-        7,
-        not failures,
-        f"bijections m<=6: chain {chain.domain_sizes}, split {split.domain_sizes} "
-        f"({elapsed:.1f}s)",
-    )
+    _report(7, not failures, f"{'; '.join(c[0] for c in checks)} ({elapsed:.1f}s)")
     assert not failures, failures
 
 
@@ -223,23 +186,11 @@ def test_criterion_08_reverse_engineering_round_trips():
 
 
 def test_criterion_09_numeric_elliptic_checks():
-    start = time.monotonic()
-    failures = []
-    exact = families.strict_binary_recurrence(7)
-    for n in (2, 3, 5, 7):
-        approx = families.strict_binary_lattice_sum(n, 50)
-        target = exact[n - 1]
-        if target == 0:
-            if abs(approx.value) >= 1e-6:
-                failures.append(f"lattice n={n}: {approx.value}")
-        elif abs(approx.value - target) / target >= 1e-6:
-            failures.append(f"lattice n={n}: {approx.value} vs {target}")
-    free_binary = families.get_family("free/binary").sequence(6)
-    for m in range(1, 7):
-        approx = families.binary_free_multi_numeric(m, 60)
-        if abs(approx - free_binary[m]) / int(free_binary[m]) >= 1e-6:
-            failures.append(f"binary free m={m}: {approx}")
-    elapsed = time.monotonic() - start
+    checks, elapsed = _registry("closed-forms", cutoff=50)
+    numeric = [c for c in checks if c[0].startswith(NUMERIC)]
+    failures = _failures(numeric)
+    if len(numeric) != 10:
+        failures.append(f"{len(numeric)} numeric checks, expected 10")
     if elapsed > 5.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 5s")
     _report(9, not failures, f"numeric elliptic checks within 1e-6 ({elapsed:.1f}s)")

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -8,8 +11,12 @@ import pytest
 from inctrees import cli, families
 from inctrees.cli import main
 
-GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all_max_n4_max_m4.txt"
-GOLDEN_REVERSE = Path(__file__).parent / "data" / "reverse_families.txt"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_VERIFY_ALL = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.txt"
+GOLDEN_VERIFY_ALL_JSON = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.json"
+GOLDEN_REVERSE = ROOT / "tests" / "data" / "reverse_families.txt"
+# checks whose detail is a float that depends on the platform's libm
+FLOAT_ROUTES = ("lattice sum ", "binary free series ")
 
 
 def run(capsys, *argv):
@@ -192,10 +199,55 @@ def test_verify_closed_forms_json(capsys):
 
 
 def test_verify_all_output_is_pinned(capsys):
-    # Every check name, its order and the summary line of a small verify run.
-    code, out, _ = run(capsys, "verify", "all", "--max-n", "4", "--max-m", "4")
+    # Every check name, its order and the summary line of a small verify run,
+    # and in the JSON form every name, verdict and detail (of the float
+    # routes only the name and verdict).
+    argv = ["verify", "all", "--max-n", "4", "--max-m", "4"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == GOLDEN_VERIFY_ALL.read_text()
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+
+    def pinned(check):
+        if check["name"].startswith(FLOAT_ROUTES):
+            return check["name"], check["ok"]
+        return check["name"], check["ok"], check["detail"]
+
+    got = json.loads(out)
+    want = json.loads(GOLDEN_VERIFY_ALL_JSON.read_text())
+    assert got["ok"] is want["ok"] is True
+    assert [pinned(c) for c in got["checks"]] == [pinned(c) for c in want["checks"]]
+
+
+def test_verify_all_under_python_O():
+    # With assert statements stripped every check still runs and passes.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "inctrees.cli",
+         "verify", "all", "--max-n", "4", "--max-m", "4"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == GOLDEN_VERIFY_ALL.read_text()
+
+
+def test_relation_checks_report_failing_indices(capsys, monkeypatch):
+    tangent = families.reduced_tangent_numbers
+    lemniscate = families.lemniscate_sine_coefficients
+    # T_3 off in the tangent numbers; S_3 nonzero (n = 2) and S_5 negated (n = 3)
+    monkeypatch.setattr(
+        families, "reduced_tangent_numbers", lambda t: (1, 1, 5) + tangent(t)[3:]
+    )
+    monkeypatch.setattr(
+        families, "lemniscate_sine_coefficients", lambda c: (1, 0, 1, 0, 12) + lemniscate(c)[5:]
+    )
+    code, out, _ = run(capsys, "verify", "closed-forms", "--max-n", "6", "--format", "json")
+    assert code == 1
+    details = {c["name"]: (c["ok"], c["detail"]) for c in json.loads(out)["checks"]}
+    assert details["reduced tangent numbers vs solver"] == (False, "(3,)")
+    assert details["even-degree vs lemniscate sine"] == (False, "(2, 3)")
+    assert details["recurrence bilabelled/unordered n<=6"] == (True, "")
 
 
 def reverse_transcript() -> str:
@@ -281,14 +333,18 @@ def test_bad_parameter_names_the_input(capsys, argv, bad):
         ["hook", "bucket", "--weights", "exp", "--max-m", "two"],
         ["reverse", "--family", "bilabelled/ordered", "--terms", "0"],
         ["reverse", "--family", "bilabelled/ordered", "--terms", "-2"],
+        ["verify", "closed-forms", "--cutoff", "0"],
+        ["seq", "bilabelled/unordered", "0"],
+        ["hook", "klabelled", "--weights", "exp", "-k", "0"],
     ],
     ids=lambda argv: "-".join(argv[:2] + argv[-2:]),
 )
 def test_size_flags_must_be_positive(capsys, argv):
-    flag = next(a for a in argv if a.startswith(("--max-", "--terms")))
+    # the bad value comes last, after its flag or as seq's positional TERMS
+    flag = argv[-2] if argv[-2].startswith("-") else "terms"
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert flag in err
+    assert f"argument {flag}" in err
     assert "positive integer" in err

@@ -3,13 +3,12 @@ from math import comb
 
 import pytest
 
-from inctrees import families
+from inctrees import cli, families
 from inctrees.families import (
     REGISTRY,
     binary_bilabelled_recurrence,
     binary_free_multi_numeric,
     blasius_numbers,
-    even_degree_lemniscate_relation_check,
     even_degree_recurrence,
     get_family,
     inverse_erf_coefficients,
@@ -17,7 +16,6 @@ from inctrees.families import (
     ordered_bilabelled_closed_form,
     ordered_bilabelled_recurrence,
     partial_bell,
-    reduced_tangent_check,
     reduced_tangent_numbers,
     strict_binary_free_multi_explicit,
     strict_binary_lattice_sum,
@@ -133,8 +131,7 @@ def test_lemniscate_sine_coefficients():
 
 
 def test_even_degree_lemniscate_relation():
-    report = even_degree_lemniscate_relation_check(9)
-    assert report.ok
+    assert cli._lemniscate_failures(9) == ()
     # spot check the n=3 step: T_3 = -S_5 / 4
     assert even_degree_recurrence(3)[2] == 3
     assert lemniscate_sine_coefficients(5)[4] == -12
@@ -151,7 +148,8 @@ def test_blasius_matches_three_label_solver():
 
 def test_reduced_tangent_numbers():
     assert reduced_tangent_numbers(6) == (1, 1, 4, 34, 496, 11056)
-    assert reduced_tangent_check(8).ok
+    assert reduced_tangent_numbers(8) == \
+        solve_k_labelled(DegreeWeights.exponential(), 2, 8).as_integers()
 
 
 def test_unibi_q_sequence():

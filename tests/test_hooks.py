@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from inctrees import hooks
 from inctrees.hooks import (
     generic_hook_weight_sum,
     hook_sum_bucket,
@@ -62,9 +63,14 @@ def test_bucket_single_label():
     assert report.equal
 
 
-def test_bucket_rejects_other_bucket_caps():
-    with pytest.raises(ValueError):
-        hook_sum_bucket(EXP, 3, max_bucket=3)
+def test_bucket_rejects_other_bucket_caps(monkeypatch):
+    def no_trees(n):
+        raise AssertionError("trees enumerated before max_bucket was checked")
+
+    monkeypatch.setattr(hooks, "enumerate_ordered_trees", no_trees)
+    for cap in (0, 1, 3):
+        with pytest.raises(ValueError, match="max_bucket"):
+            hook_sum_bucket(EXP, 8, max_bucket=cap)
 
 
 def test_k_tuple_n2():
