@@ -105,9 +105,8 @@ def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
             lambda n, w=w: _hook_note(hooks.hook_sum_k_labelled(w, 2, n), full=True),
         ))
     tri = families.get_family("trilabelled/unordered").weights
-    n_small = min(max_n, 6)
     checks.append(_first_failure(
-        f"hook k=3 trilabelled/unordered n<={n_small}", "n", range(1, n_small + 1),
+        f"hook k=3 trilabelled/unordered n<={max_n}", "n", ns,
         lambda n: _hook_note(hooks.hook_sum_k_labelled(tri, 3, n)),
     ))
     for k in (1, 2, 3):
@@ -116,7 +115,7 @@ def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
             ("unordered", DegreeWeights.exponential()),
         ):
             checks.append(_first_failure(
-                f"hook k-tuple(k={k}) {variant}", "n", range(1, n_small + 1),
+                f"hook k-tuple(k={k}) {variant}", "n", ns,
                 lambda n, w=w, k=k: _hook_note(hooks.hook_sum_k_tuple(w, k, n)),
             ))
     bucket_weights = {

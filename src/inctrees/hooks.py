@@ -5,12 +5,19 @@ Each identity equates a sum over trees of a product of per-node factors
 sequence value divided by a factorial.  The left-hand side is computed here
 by brute-force enumeration; the right-hand side comes from the coefficient
 solvers — two fully independent computation paths, compared exactly.
+
+The sums walk degree words: a per-node sum reads the size's census of tree
+counts per (sorted out-degrees, sorted hook-lengths), cached per process, and
+a bucket sum adds each word's integer labelling counts.  Both apply phi once
+per degree multiset; ``trees_visited`` is the number of words behind a sum.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm, prod
 from typing import Optional, Sequence, Tuple
 
 from .solvers import (
@@ -21,12 +28,12 @@ from .solvers import (
 )
 from .trees import (
     CapacityError,
+    _bucket_count,
+    _bucket_functions,
     capacity_limit,
-    bucket_hook_lengths,
-    enumerate_bucket_functions,
-    enumerate_ordered_trees,
+    enumerate_degree_words,
     falling_factorial,
-    tree_weight,
+    word_hook_lengths,
 )
 from .weights import DegreeWeights
 
@@ -43,23 +50,37 @@ def _check_hookcapacity_limit(value: int, cap: int, what: str):
         )
 
 
+@cache
+def _census(n: int):
+    """The size-n plane trees as (sorted out-degrees, ((sorted hook-lengths,
+    tree count), ...)) groups, and the number of trees."""
+    groups = defaultdict(Counter)
+    for word in enumerate_degree_words(n):
+        groups[tuple(sorted(word))][tuple(sorted(word_hook_lengths(word)))] += 1
+    visited = sum(sum(hooks.values()) for hooks in groups.values())
+    return tuple((d, tuple(h.items())) for d, h in groups.items()), visited
+
+
 def _tree_sum(weights: DegreeWeights, n: int, factor) -> Tuple[Fraction, int]:
     """Sum over the plane trees of size n of prod phi_odeg * factor[hook] over
     the nodes, and the number of trees visited.  ``factor`` maps each
-    hook-length 1..n to its per-node factor."""
+    hook-length 1..n to its per-node Fraction; a degree multiset's hook
+    products are summed as integers over one common denominator."""
     # The size-n star has out-degree n-1, so every phi_0..phi_{n-1} is used.
     phi = [weights.coefficient(d) for d in range(n)]
+    groups, visited = _census(n)
     total = Fraction(0)
-    visited = 0
-    for tree in enumerate_ordered_trees(n):
-        visited += 1
-        term = Fraction(1)
-        for d, h in zip(tree.out_degrees(), tree.hook_lengths()):
-            if not phi[d]:
-                break
-            term *= phi[d] * factor[h]
-        else:
-            total += term
+    for degrees, hook_counts in groups:
+        weight = prod(phi[d] for d in degrees)
+        if not weight:
+            continue
+        dens = [prod(factor[h].denominator for h in hooks) for hooks, _ in hook_counts]
+        common = lcm(*dens)
+        numerator = sum(
+            count * prod(factor[h].numerator for h in hooks) * (common // den)
+            for (hooks, count), den in zip(hook_counts, dens)
+        )
+        total += weight * Fraction(numerator, common)
     return total, visited
 
 
@@ -117,20 +138,23 @@ def hook_sum_bucket(
     _check_hookcapacity_limit(m, MAX_HOOK_BUCKET_TOTAL, "label count m")
     if max_bucket not in (None, 2):
         raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
-    lhs = Fraction(0)
+    phi = [weights.coefficient(d) for d in range(m)]
+    counts = Counter()   # sorted out-degrees -> sum of labelling counts
     visited = 0
     min_size = 1 if max_bucket is None else (m + max_bucket - 1) // max_bucket
     for size in range(min_size, m + 1):
-        for tree in enumerate_ordered_trees(size):
+        for word in enumerate_degree_words(size):
             visited += 1
-            weight = tree_weight(tree, weights)
-            if weight == 0:
+            if not all(phi[d] for d in word):
                 continue
-            for buckets in enumerate_bucket_functions(tree, m, max_bucket):
-                term = weight
-                for hb, b in zip(bucket_hook_lengths(tree, buckets), buckets):
-                    term /= falling_factorial(hb, b)
-                lhs += term
+            hooks = word_hook_lengths(word)
+            counts[tuple(sorted(word))] += sum(
+                _bucket_count(word, hooks, buckets)
+                for buckets in _bucket_functions(size, m, max_bucket or m)
+            )
+    lhs = sum(
+        (prod(phi[d] for d in degrees) * c for degrees, c in counts.items()), Fraction(0)
+    ) / factorial(m)
     if max_bucket is None:
         rhs_seq = solve_free_multilabelled(weights, m)
         scheme = "bucket-free"

@@ -6,6 +6,11 @@ functions, and both closed-form and explicit-enumeration counts of
 increasing labellings.  Everything here is exact and deliberately naive;
 capacity limits keep runtimes at desk scale.
 
+One enumerator yields the trees as preorder out-degree (Łukasiewicz)
+words, cached up to size ``_MEMO_SIZE_LIMIT`` and streamed beyond it.  Hook
+sums read the words; :class:`OrderedTree` objects are built from them only
+for bijections, text and label-count checks.
+
 Node-indexed data (hook-lengths, out-degrees, bucket sizes, label blocks)
 is always aligned with the preorder traversal of the tree.
 
@@ -21,6 +26,7 @@ and gigabytes; that risk is the caller's.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -32,7 +38,7 @@ from .weights import DegreeWeights
 MAX_TREE_SIZE = 14
 MAX_LABEL_TOTAL = 12   # brute-force k-labellings: k * n
 MAX_BUCKET_TOTAL = 10  # brute-force bucket labellings: m
-_MEMO_SIZE_LIMIT = 10  # tree lists cached up to this size
+_MEMO_SIZE_LIMIT = 10  # degree words cached up to this size
 
 
 class CapacityError(ValueError):
@@ -136,45 +142,42 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-_tree_memo: dict = {}
+_word_memo: dict = {}
 
 
-def _forests(total: int) -> Iterator[Tuple[OrderedTree, ...]]:
-    """Forests with the given total size, ordered lexicographically by the
-    (size, canonical rank) sequence of their trees."""
-    if total == 0:
-        yield ()
-        return
-    for first_size in range(1, total + 1):
-        for first in _iter_trees(first_size):
-            for rest in _forests(total - first_size):
-                yield (first,) + rest
+def _words(n: int) -> Iterator[Tuple[int, ...]]:
+    """Preorder out-degree words of the size-n plane trees, in canonical
+    order; cached up to _MEMO_SIZE_LIMIT, streamed beyond it."""
+    if n > _MEMO_SIZE_LIMIT:
+        return _build_words(n)
+    if n not in _word_memo:
+        _word_memo[n] = tuple(_build_words(n))
+    return iter(_word_memo[n])
 
 
-def _iter_trees(n: int) -> Iterator[OrderedTree]:
-    if n <= _MEMO_SIZE_LIMIT:
-        if n not in _tree_memo:
-            _tree_memo[n] = tuple(_build_trees(n))
-        yield from _tree_memo[n]
-    else:
-        yield from _build_trees(n)
-
-
-def _build_trees(n: int) -> Iterator[OrderedTree]:
+def _build_words(n: int) -> Iterator[Tuple[int, ...]]:
+    # A tree is its root's first child (size s, then rank) grafted as the
+    # new first child onto the root of a size n-s tree, which holds the rest
+    # of the children in canonical order.
     if n == 1:
-        yield OrderedTree(())
+        yield (0,)
         return
-    for kids in _forests(n - 1):
-        yield OrderedTree(kids)
+    for s in range(1, n):
+        for first in _words(s):
+            for rest in _words(n - s):
+                yield (rest[0] + 1,) + first + rest[1:]
 
 
-def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
-    """All Catalan(n-1) plane trees with n nodes, in canonical order.
+def _tree_from_word(word: Sequence[int]) -> OrderedTree:
+    stack = []
+    for d in reversed(word):
+        stack[len(stack) - d :] = [OrderedTree(tuple(reversed(stack[len(stack) - d :])))]
+    return stack[0]
 
-    Canonical order sorts same-size trees by their child sequences
-    lexicographically, where a child of smaller size precedes any larger
-    child and same-size children compare by their own canonical rank.
-    """
+
+def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
+    """The preorder out-degree words of all Catalan(n-1) plane trees with n
+    nodes, in canonical order (see :func:`enumerate_ordered_trees`)."""
     if n < 1:
         raise ValueError("tree size must be positive")
     cap = capacity_limit(MAX_TREE_SIZE)
@@ -184,7 +187,28 @@ def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
             f"(Catalan({n - 1}) = {catalan(n - 1)} trees); "
             "set INCTREE_CAPACITY to override"
         )
-    return _iter_trees(n)
+    return _words(n)
+
+
+def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
+    """All Catalan(n-1) plane trees with n nodes, in canonical order.
+
+    Canonical order sorts same-size trees by their child sequences
+    lexicographically, where a child of smaller size precedes any larger
+    child and same-size children compare by their own canonical rank.
+    Each tree is built from its word of :func:`enumerate_degree_words`.
+    """
+    return (_tree_from_word(word) for word in enumerate_degree_words(n))
+
+
+def word_hook_lengths(word: Sequence[int]) -> Tuple[int, ...]:
+    """Hook-lengths, in preorder, of the tree with this preorder out-degree
+    word, from one right-to-left stack pass."""
+    stack, hooks = [], []
+    for d in reversed(word):
+        stack[len(stack) - d :] = [1 + sum(stack[len(stack) - d :])]
+        hooks.append(stack[-1])
+    return tuple(reversed(hooks))
 
 
 def falling_factorial(x: int, s: int) -> int:
@@ -235,20 +259,18 @@ def iter_increasing_labellings(
     if len(block_sizes) != n:
         raise ValueError("one block size per node required")
     parents = tree.parent_indices()
-    total = sum(block_sizes)
 
-    def assign(i: int, avail: frozenset, blocks: tuple):
+    def assign(i: int, free: tuple, blocks: tuple):
         if i == n:
             yield blocks
             return
         lower = max(blocks[parents[i]]) if i > 0 else 0
-        candidates = sorted(x for x in avail if x > lower)
-        if len(candidates) < block_sizes[i]:
-            return
+        candidates = free[bisect_right(free, lower) :]
         for chosen in combinations(candidates, block_sizes[i]):
-            yield from assign(i + 1, avail.difference(chosen), blocks + (frozenset(chosen),))
+            rest = tuple(x for x in free if x not in chosen)
+            yield from assign(i + 1, rest, blocks + (frozenset(chosen),))
 
-    return assign(0, frozenset(range(1, total + 1)), ())
+    return assign(0, tuple(range(1, sum(block_sizes) + 1)), ())
 
 
 def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
@@ -268,18 +290,28 @@ def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
 # -- bucket labellings -------------------------------------------------
 
 
-def bucket_hook_lengths(tree: OrderedTree, buckets: Sequence[int]) -> Tuple[int, ...]:
-    """Bucket hook-length of each node (preorder): total bucket size of its
-    subtree."""
-    nodes = list(tree.preorder())
-    if len(buckets) != len(nodes):
+def bucket_hook_lengths(hooks: Sequence[int], buckets: Sequence[int]) -> Tuple[int, ...]:
+    """Bucket hook-length of each node (preorder) of the tree with these
+    hook-lengths: the total bucket size of its subtree, which is the hooks[i]
+    nodes from node i on."""
+    if len(buckets) != len(hooks):
         raise ValueError("one bucket size per node required")
-    out = []
-    offset = 0
-    for sub in nodes:
-        out.append(sum(buckets[offset : offset + sub.size]))
-        offset += 1
-    return tuple(out)
+    return tuple(sum(buckets[i : i + h]) for i, h in enumerate(hooks))
+
+
+def _bucket_count(word: Sequence[int], hooks: Sequence[int], buckets: Sequence[int]) -> int:
+    """m! / prod over nodes of (bucket hook-length) falling (bucket size) for
+    the tree with this degree word and these hook-lengths."""
+    denom = 1
+    for hb, b in zip(bucket_hook_lengths(hooks, buckets), buckets):
+        denom *= falling_factorial(hb, b)
+    count, rem = divmod(factorial(sum(buckets)), denom)
+    if rem:
+        raise ArithmeticError(
+            f"bucket labelling count of {_tree_from_word(word).to_text()} "
+            f"with buckets {tuple(buckets)} is not integral"
+        )
+    return count
 
 
 def count_bucket_labellings_formula(tree: OrderedTree, buckets: Sequence[int]) -> int:
@@ -287,17 +319,7 @@ def count_bucket_labellings_formula(tree: OrderedTree, buckets: Sequence[int]) -
     m! / prod over nodes of (bucket hook-length) falling (bucket size)."""
     if any(b < 1 for b in buckets):
         raise ValueError("bucket sizes must be positive")
-    m = sum(buckets)
-    denom = 1
-    for hb, b in zip(bucket_hook_lengths(tree, buckets), buckets):
-        denom *= falling_factorial(hb, b)
-    count, rem = divmod(factorial(m), denom)
-    if rem:
-        raise ArithmeticError(
-            f"bucket labelling count of {tree.to_text()} with buckets {tuple(buckets)} "
-            "is not integral"
-        )
-    return count
+    return _bucket_count(tree.out_degrees(), tree.hook_lengths(), buckets)
 
 
 def count_bucket_labellings_bruteforce(tree: OrderedTree, buckets: Sequence[int]) -> int:
@@ -328,19 +350,14 @@ def enumerate_bucket_functions(
     one-or-two-labels scheme); None leaves it unbounded.  m below the tree
     size yields nothing.
     """
-    n = tree.size
-    if m < n:
+    return _bucket_functions(tree.size, m, m if max_bucket is None else max_bucket)
+
+
+def _bucket_functions(n: int, total: int, cap: int, acc: tuple = ()) -> Iterator[tuple]:
+    """enumerate_bucket_functions for any tree with n nodes, after ``acc``."""
+    if n == 0:
+        if total == 0:
+            yield acc
         return
-    cap = max_bucket if max_bucket is not None else m
-
-    def rec(remaining_nodes: int, remaining_total: int, acc: tuple):
-        if remaining_nodes == 0:
-            if remaining_total == 0:
-                yield acc
-            return
-        low = max(1, remaining_total - cap * (remaining_nodes - 1))
-        high = min(cap, remaining_total - (remaining_nodes - 1))
-        for b in range(low, high + 1):
-            yield from rec(remaining_nodes - 1, remaining_total - b, acc + (b,))
-
-    yield from rec(n, m, ())
+    for b in range(max(1, total - cap * (n - 1)), min(cap, total - (n - 1)) + 1):
+        yield from _bucket_functions(n - 1, total - b, cap, acc + (b,))

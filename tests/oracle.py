@@ -1,10 +1,12 @@
-"""Slow reference routes for the coefficient engine, composition, reversion
-and reverse engineering.
+"""Slow reference routes for the coefficient engine, composition, reversion,
+reverse engineering, hook sums and labelling enumeration.
 
 These are the fixed-point solvers, the composition recurrence for k-tuple
 trees, the compose-per-order reversion and the two-derivative reverse
 engineering 4 g f''(g) + 2 f'(g) that the package used before its online
-power-table engine.  The Horner composition they all run on is kept here
+power-table engine; and the per-tree ``Fraction`` loops over ``OrderedTree``
+objects that the hook sums used before degree words and the census, with the
+labelling generator that kept its free labels in a frozenset.  The Horner composition they all run on is kept here
 too (:func:`compose`), so no function in this module touches the package's
 power table (``Series.compose``, ``Series.reversion``, ``_power_sum``).
 They stay here, outside the package, as a second independent route: the
@@ -14,10 +16,18 @@ degree (k-tuple: exponential), so keep N small.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from inctrees.series import Series
+from inctrees.trees import (
+    OrderedTree,
+    enumerate_bucket_functions,
+    enumerate_ordered_trees,
+    falling_factorial,
+    tree_weight,
+)
 from inctrees.weights import DegreeWeights
 
 
@@ -174,3 +184,73 @@ def reverse_phi(values) -> Tuple[Fraction, ...]:
             product[i + j] += g.coefficient(i) * inner.coefficient(j)
     tail = compose(f_prime, g.truncate(n_terms - 1))
     return tuple(4 * product[j] + 2 * tail.coefficient(j) for j in range(n_terms))
+
+
+# -- hook sums by one Fraction product per tree -----------------------------
+
+
+def tree_hook_sum(weights: DegreeWeights, n: int, factor) -> Tuple[Fraction, int]:
+    """Sum over the size-n plane trees of prod phi_odeg * factor[hook] over
+    the nodes, and the number of trees visited."""
+    phi = [weights.coefficient(d) for d in range(n)]
+    total = Fraction(0)
+    visited = 0
+    for tree in enumerate_ordered_trees(n):
+        visited += 1
+        term = Fraction(1)
+        for d, h in zip(tree.out_degrees(), tree.hook_lengths()):
+            if not phi[d]:
+                break
+            term *= phi[d] * factor[h]
+        else:
+            total += term
+    return total, visited
+
+
+def bucket_hook_sum(
+    weights: DegreeWeights, m: int, max_bucket: Optional[int] = None
+) -> Tuple[Fraction, int]:
+    """Sum over trees of all sizes and bucket-size functions with m labels of
+    prod phi_odeg / (bucket hook-length falling bucket size), the bucket
+    hook-length of a node being the bucket total over its subtree object;
+    and the number of trees visited."""
+    lhs = Fraction(0)
+    visited = 0
+    min_size = 1 if max_bucket is None else (m + max_bucket - 1) // max_bucket
+    for size in range(min_size, m + 1):
+        for tree in enumerate_ordered_trees(size):
+            visited += 1
+            weight = tree_weight(tree, weights)
+            if weight == 0:
+                continue
+            nodes = list(tree.preorder())
+            for buckets in enumerate_bucket_functions(tree, m, max_bucket):
+                term = weight
+                for i, (node, b) in enumerate(zip(nodes, buckets)):
+                    term /= falling_factorial(sum(buckets[i : i + node.size]), b)
+                lhs += term
+    return lhs, visited
+
+
+# -- labellings with the free labels in a frozenset --------------------------
+
+
+def increasing_labellings(
+    tree: OrderedTree, block_sizes: Sequence[int]
+) -> Iterator[Tuple[frozenset, ...]]:
+    """The blocks of ``trees.iter_increasing_labellings``, in its order."""
+    n = tree.size
+    parents = tree.parent_indices()
+
+    def assign(i: int, avail: frozenset, blocks: tuple):
+        if i == n:
+            yield blocks
+            return
+        lower = max(blocks[parents[i]]) if i > 0 else 0
+        candidates = sorted(x for x in avail if x > lower)
+        if len(candidates) < block_sizes[i]:
+            return
+        for chosen in combinations(candidates, block_sizes[i]):
+            yield from assign(i + 1, avail.difference(chosen), blocks + (frozenset(chosen),))
+
+    return assign(0, frozenset(range(1, sum(block_sizes) + 1)), ())

@@ -114,8 +114,9 @@ def test_criterion_04_closed_form_cross_validation():
 
 
 def test_criterion_05_hook_identities():
-    # verify hook at n<=8, m<=7; then k=3, k-tuple, ordered bucket-uni-bi and
-    # rho past the registry's sizes (k=3 and k-tuple stop at n=6 there)
+    # verify hook at n<=8, m<=7; then k=3 ordered and ordered bucket-uni-bi,
+    # which the registry does not run, rho to n=10, and the registry's k=3
+    # unordered and k-tuple sums once more to n=7
     checks, _ = _registry("hook", max_n=8, max_m=7)
     ns = range(1, 8)
     for name, weights in (("unordered", EXP), ("ordered", ORDERED)):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from inctrees import cli, families
+from inctrees import cli, families, hooks
 from inctrees.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -230,6 +230,41 @@ def test_verify_all_under_python_O():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == GOLDEN_VERIFY_ALL.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("hook", "bucket", "--weights", "exp", "--max-m", "6"),
+    ("hook", "klabelled", "--family", "bilabelled/unordered", "--max-n", "8"),
+])
+def test_hook_sums_under_python_O(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "inctrees.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert code == 0
+    assert (result.returncode, result.stdout) == (0, out)
+
+
+def test_verify_hook_runs_k3_and_k_tuple_to_max_n(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "hook", "--max-n", "7", "--max-m", "3")
+    assert code == 0
+    assert "PASS hook k=3 trilabelled/unordered n<=7\n" in out
+    solve = hooks.solve_k_tuple
+
+    def off_at_seven(weights, k, terms):
+        values = dict(enumerate(solve(weights, k, terms), start=1))
+        if terms == 7:
+            values[7] += 1
+        return values
+
+    monkeypatch.setattr(hooks, "solve_k_tuple", off_at_seven)
+    code, out, _ = run(capsys, "verify", "hook", "--max-n", "7", "--max-m", "3")
+    assert code == 1
+    for k in (1, 2, 3):
+        for variant in ("ordered", "unordered"):
+            assert f"FAIL hook k-tuple(k={k}) {variant} [first failure at n=7]\n" in out
 
 
 def test_relation_checks_report_failing_indices(capsys, monkeypatch):

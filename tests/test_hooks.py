@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from inctrees import hooks
+from inctrees import hooks, trees
 from inctrees.hooks import (
     generic_hook_weight_sum,
     hook_sum_bucket,
@@ -64,13 +64,23 @@ def test_bucket_single_label():
 
 
 def test_bucket_rejects_other_bucket_caps(monkeypatch):
-    def no_trees(n):
+    def no_words(n):
         raise AssertionError("trees enumerated before max_bucket was checked")
 
-    monkeypatch.setattr(hooks, "enumerate_ordered_trees", no_trees)
+    monkeypatch.setattr(hooks, "enumerate_degree_words", no_words)
     for cap in (0, 1, 3):
         with pytest.raises(ValueError, match="max_bucket"):
             hook_sum_bucket(EXP, 8, max_bucket=cap)
+
+
+def test_non_integral_bucket_count_names_tree_and_buckets(monkeypatch):
+    # An explicit check, not an assert, so it also holds under python -O.
+    monkeypatch.setattr(trees, "factorial", lambda n: factorial(n) + 1)
+    with pytest.raises(
+        ArithmeticError,
+        match=r"bucket labelling count of \(\(\)\) with buckets \(2, 2\) is not integral",
+    ):
+        hook_sum_bucket(EXP, 4, max_bucket=2)
 
 
 def test_k_tuple_n2():

@@ -13,9 +13,11 @@ from inctrees.trees import (
     count_k_labellings_formula,
     count_k_tuple_labellings,
     enumerate_bucket_functions,
+    enumerate_degree_words,
     enumerate_ordered_trees,
     falling_factorial,
     tree_weight,
+    word_hook_lengths,
 )
 from inctrees.weights import DegreeWeights
 
@@ -50,16 +52,34 @@ def test_enumeration_order_is_child_sequence_lexicographic():
         assert trees == sorted(trees, key=key)
 
 
+def test_degree_words_are_the_trees_in_order():
+    for n in range(1, 10):
+        trees = list(enumerate_ordered_trees(n))
+        words = list(enumerate_degree_words(n))
+        assert words == [t.out_degrees() for t in trees]
+        assert [word_hook_lengths(w) for w in words] == [t.hook_lengths() for t in trees]
+
+
+def test_degree_words_stream_past_the_memo():
+    assert sum(1 for _ in enumerate_degree_words(12)) == catalan(11)
+    assert max(trees._word_memo) <= trees._MEMO_SIZE_LIMIT
+
+
 def test_capacity_error(monkeypatch):
     monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
     with pytest.raises(CapacityError):
         enumerate_ordered_trees(15)
+    with pytest.raises(CapacityError):
+        enumerate_degree_words(15)
 
 
 def test_capacity_env_override(monkeypatch):
     monkeypatch.setenv("INCTREE_CAPACITY", "3")
     with pytest.raises(CapacityError):
         enumerate_ordered_trees(4)
+    with pytest.raises(CapacityError):
+        enumerate_degree_words(4)
+    assert len(list(enumerate_degree_words(3))) == 2
 
 
 def test_text_round_trip():
