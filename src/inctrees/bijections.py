@@ -13,7 +13,8 @@ Two maps, each with its inverse and an exhaustive verifier:
   into two siblings and its parent is marked black.
 
 Unordered trees are represented as ordered trees in canonical form: the
-children of every node sorted by their smallest label, ascending.
+children of every node sorted by their smallest label, ascending, which the
+labelling generator of ``trees`` keeps as it goes; colorings share subtrees.
 
 Text encodings (parse/format below)::
 
@@ -30,12 +31,12 @@ from itertools import product
 from typing import Iterator, List, Tuple
 
 from .trees import (
+    MAX_TEXT_DEPTH,
     CapacityError,
-    OrderedTree,
+    _label_blocks,
     capacity_limit,
     enumerate_bucket_functions,
     enumerate_ordered_trees,
-    iter_increasing_labellings,
 )
 
 MAX_OBJECT_LABELS = 7
@@ -100,6 +101,8 @@ def validate_multilabelled(t: MultiTree, max_block: int = 0) -> int:
                 f"node holds {len(node.labels)} labels, allowed at most {max_block}"
             )
         for child in node.children:
+            if not child.labels:
+                raise ValueError(f"a child of the node with labels {node.labels} has no labels")
             if min(child.labels) <= max(node.labels):
                 raise ValueError(
                     f"increasing condition violated between label sets "
@@ -162,7 +165,7 @@ def multi_to_colored(t: MultiTree) -> ColoredTree:
 
 
 def _expand(node: MultiTree) -> ColoredTree:
-    children = tuple(_expand(c) for c in node.children)
+    children = tuple(map(_expand, node.children))
     tip = ColoredTree(node.labels[-1], WHITE, children)
     for label in reversed(node.labels[:-1]):
         tip = ColoredTree(label, BLACK, (tip,))
@@ -180,7 +183,7 @@ def _collapse(node: ColoredTree) -> MultiTree:
     while node.color == BLACK:
         node = node.children[0]
         labels.append(node.label)
-    return MultiTree(tuple(labels), tuple(_collapse(c) for c in node.children))
+    return MultiTree(tuple(labels), tuple(map(_collapse, node.children)))
 
 
 # -- split map: one-or-two labels <-> colored with black branching nodes --
@@ -193,7 +196,7 @@ def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
     case label 1 is removed from the root and all labels shift down by one,
     so the image has size m-1.
     """
-    m = validate_multilabelled(t, max_block=2)
+    validate_multilabelled(t, max_block=2)
     if not is_canonical_unordered(t):
         raise ValueError("children must be sorted ascending by smallest label")
     shifted = False
@@ -203,7 +206,6 @@ def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
             (t.labels[1] - 1,),
             tuple(_shift_multi(c, -1) for c in t.children),
         )
-        m -= 1
     return _split(t), shifted
 
 
@@ -269,83 +271,68 @@ def _check_objectcapacity_limit(m: int):
         )
 
 
-def _multi_from_blocks(tree: OrderedTree, blocks, cursor=0) -> MultiTree:
-    children = []
-    offset = cursor + 1
-    for child in tree.children:
-        children.append(_multi_from_blocks(child, blocks, offset))
-        offset += child.size
-    return MultiTree(tuple(sorted(blocks[cursor])), tuple(children))
+def _labelled_shapes(sizes, m: int, max_bucket, sibling_sorted: bool = False):
+    """(preorder out-degree word, label blocks) of every increasing labelling
+    with m labels of every plane tree of the given sizes."""
+    for size in sizes:
+        for tree in enumerate_ordered_trees(size):
+            word, parents = tree.out_degrees(), tree.parent_indices()
+            for buckets in enumerate_bucket_functions(tree, m, max_bucket):
+                for blocks in _label_blocks(parents, buckets, sibling_sorted):
+                    yield word, blocks
+
+
+def _fold(word, blocks, make):
+    """Build bottom-up along a preorder out-degree word: make(block, kids)
+    per node, kids being its children's results in order."""
+    stack = []
+    for d, block in zip(reversed(word), reversed(blocks)):
+        cut = len(stack) - d
+        stack[cut:] = [make(block, tuple(reversed(stack[cut:])))]
+    return stack[0]
 
 
 def enumerate_free_multilabelled(m: int) -> Iterator[MultiTree]:
     """All ordered free multilabelled increasing trees with m labels."""
     _check_objectcapacity_limit(m)
-    for size in range(1, m + 1):
-        for tree in enumerate_ordered_trees(size):
-            for buckets in enumerate_bucket_functions(tree, m):
-                for blocks in iter_increasing_labellings(tree, list(buckets)):
-                    yield _multi_from_blocks(tree, blocks)
+    for word, blocks in _labelled_shapes(range(1, m + 1), m, None):
+        yield _fold(word, blocks, MultiTree)
 
 
 def enumerate_unibi_unordered(m: int) -> Iterator[MultiTree]:
     """All canonical unordered trees with one or two labels per node and m
     labels in total."""
     _check_objectcapacity_limit(m)
-    for size in range((m + 1) // 2, m + 1):
-        for tree in enumerate_ordered_trees(size):
-            for buckets in enumerate_bucket_functions(tree, m, max_bucket=2):
-                for blocks in iter_increasing_labellings(tree, list(buckets)):
-                    obj = _multi_from_blocks(tree, blocks)
-                    if is_canonical_unordered(obj):
-                        yield obj
+    for word, blocks in _labelled_shapes(range((m + 1) // 2, m + 1), m, 2, True):
+        yield _fold(word, blocks, MultiTree)
 
 
-def _colored_from_blocks(tree: OrderedTree, blocks, colors, cursor=0):
-    children = []
-    offset = cursor + 1
-    for child in tree.children:
-        children.append(_colored_from_blocks(child, blocks, colors, offset))
-        offset += child.size
-    (label,) = blocks[cursor]
-    return ColoredTree(label, colors[cursor], tuple(children))
-
-
-def _colorable_positions(tree: OrderedTree, mode: str) -> List[int]:
-    out = []
-    for i, node in enumerate(tree.preorder()):
-        if mode == "unary" and node.out_degree == 1:
-            out.append(i)
-        if mode == "branching" and node.out_degree >= 2:
-            out.append(i)
-    return out
-
-
-def _enumerate_colored(m: int, mode: str, canonical_only: bool) -> Iterator[ColoredTree]:
+def _enumerate_colored(m: int, branching: bool) -> Iterator[ColoredTree]:
+    """Colorings per labelled tree as a product of each node's colors, white
+    first, and its children's colorings: the first in preorder varies slowest."""
     _check_objectcapacity_limit(m)
-    for tree in enumerate_ordered_trees(m):
-        free = _colorable_positions(tree, mode)
-        for blocks in iter_increasing_labellings(tree, [1] * m):
-            if canonical_only:
-                mins = _multi_from_blocks(tree, blocks)
-                if not is_canonical_unordered(mins):
-                    continue
-            for flips in product((WHITE, BLACK), repeat=len(free)):
-                colors = [WHITE] * m
-                for pos, color in zip(free, flips):
-                    colors[pos] = color
-                yield _colored_from_blocks(tree, blocks, colors)
+
+    def colorings(block, kids) -> List[ColoredTree]:
+        colorable = len(kids) >= 2 if branching else len(kids) == 1
+        return [
+            ColoredTree(block[0], color, sub)
+            for color in ((WHITE, BLACK) if colorable else (WHITE,))
+            for sub in product(*kids)
+        ]
+
+    for word, blocks in _labelled_shapes((m,), m, 1, sibling_sorted=branching):
+        yield from _fold(word, blocks, colorings)
 
 
 def enumerate_colored_unary(m: int) -> Iterator[ColoredTree]:
     """Ordered increasing trees of size m, out-degree-1 nodes black or white."""
-    return _enumerate_colored(m, "unary", canonical_only=False)
+    return _enumerate_colored(m, branching=False)
 
 
 def enumerate_colored_branching(m: int) -> Iterator[ColoredTree]:
     """Canonical unordered increasing trees of size m, out-degree >= 2 nodes
     black or white."""
-    return _enumerate_colored(m, "branching", canonical_only=True)
+    return _enumerate_colored(m, branching=True)
 
 
 _OBJECT_SCHEMES = {
@@ -419,10 +406,10 @@ def verify_split_bijection(max_m: int) -> BijectionReport:
     """Round trip, injectivity and count equality of the split map."""
     failures = []
     domain, image = [], []
+    targets_m = set()
     for m in range(1, max_m + 1):
         objects = list(enumerate_unibi_unordered(m))
-        targets_m = set(enumerate_colored_branching(m))
-        targets_prev = set(enumerate_colored_branching(m - 1)) if m >= 2 else set()
+        targets_prev, targets_m = targets_m, set(enumerate_colored_branching(m))
         images = set()
         for obj in objects:
             col, shifted = unibi_to_q(obj)
@@ -464,16 +451,18 @@ def format_object(obj) -> str:
 _TOKEN = re.compile(r"\(\{(\d+(?:,\d+)*)\}([bw]?)")
 
 
-def _parse_node(text: str, pos: int):
+def _parse_node(text: str, pos: int, depth: int = 1):
     match = _TOKEN.match(text, pos)
     if not match:
         raise ValueError(f"expected a node at position {pos}")
+    if depth > MAX_TEXT_DEPTH:
+        raise ValueError(f"tree nested deeper than {MAX_TEXT_DEPTH} at position {pos}")
     labels = tuple(int(x) for x in match.group(1).split(","))
     color = match.group(2)
     pos = match.end()
     children = []
     while pos < len(text) and text[pos] == " ":
-        child, pos = _parse_node(text, pos + 1)
+        child, pos = _parse_node(text, pos + 1, depth + 1)
         children.append(child)
     if pos >= len(text) or text[pos] != ")":
         raise ValueError(f"expected ')' at position {pos}")

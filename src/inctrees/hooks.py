@@ -7,9 +7,10 @@ by brute-force enumeration; the right-hand side comes from the coefficient
 solvers — two fully independent computation paths, compared exactly.
 
 The sums walk degree words: a per-node sum reads the size's census of tree
-counts per (sorted out-degrees, sorted hook-lengths), cached per process, and
-a bucket sum adds each word's integer labelling counts.  Both apply phi once
-per degree multiset; ``trees_visited`` is the number of words behind a sum.
+counts per (sorted out-degrees, sorted hook-lengths), and a bucket sum the
+label count's census of integer labelling counts per sorted out-degrees;
+both are cached per process.  Both apply phi once per degree multiset and
+skip a zero weight; ``trees_visited`` is the number of words behind a sum.
 """
 from __future__ import annotations
 
@@ -59,6 +60,25 @@ def _census(n: int):
         groups[tuple(sorted(word))][tuple(sorted(word_hook_lengths(word)))] += 1
     visited = sum(sum(hooks.values()) for hooks in groups.values())
     return tuple((d, tuple(h.items())) for d, h in groups.items()), visited
+
+
+@cache
+def _bucket_census(m: int, max_bucket: Optional[int]):
+    """The plane trees with m labels in buckets of at most max_bucket (None:
+    unbounded) as (sorted out-degrees, summed integer labelling counts)
+    pairs, and the number of degree words visited."""
+    counts = Counter()
+    visited = 0
+    min_size = 1 if max_bucket is None else (m + max_bucket - 1) // max_bucket
+    for size in range(min_size, m + 1):
+        for word in enumerate_degree_words(size):
+            visited += 1
+            hooks = word_hook_lengths(word)
+            counts[tuple(sorted(word))] += sum(
+                _bucket_count(word, hooks, buckets)
+                for buckets in _bucket_functions(size, m, max_bucket or m)
+            )
+    return tuple(counts.items()), visited
 
 
 def _tree_sum(weights: DegreeWeights, n: int, factor) -> Tuple[Fraction, int]:
@@ -139,22 +159,9 @@ def hook_sum_bucket(
     if max_bucket not in (None, 2):
         raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
     phi = [weights.coefficient(d) for d in range(m)]
-    counts = Counter()   # sorted out-degrees -> sum of labelling counts
-    visited = 0
-    min_size = 1 if max_bucket is None else (m + max_bucket - 1) // max_bucket
-    for size in range(min_size, m + 1):
-        for word in enumerate_degree_words(size):
-            visited += 1
-            if not all(phi[d] for d in word):
-                continue
-            hooks = word_hook_lengths(word)
-            counts[tuple(sorted(word))] += sum(
-                _bucket_count(word, hooks, buckets)
-                for buckets in _bucket_functions(size, m, max_bucket or m)
-            )
-    lhs = sum(
-        (prod(phi[d] for d in degrees) * c for degrees, c in counts.items()), Fraction(0)
-    ) / factorial(m)
+    counts, visited = _bucket_census(m, max_bucket)
+    terms = ((prod(phi[d] for d in degrees), count) for degrees, count in counts)
+    lhs = sum((w * count for w, count in terms if w), Fraction(0)) / factorial(m)
     if max_bucket is None:
         rhs_seq = solve_free_multilabelled(weights, m)
         scheme = "bucket-free"

@@ -9,13 +9,15 @@ capacity limits keep runtimes at desk scale.
 One enumerator yields the trees as preorder out-degree (Łukasiewicz)
 words, cached up to size ``_MEMO_SIZE_LIMIT`` and streamed beyond it.  Hook
 sums read the words; :class:`OrderedTree` objects are built from them only
-for bijections, text and label-count checks.
+for bijections, text and label-count checks.  Labellings come from one flat
+backtracking generator that skips every branch that cannot be completed.
 
 Node-indexed data (hook-lengths, out-degrees, bucket sizes, label blocks)
 is always aligned with the preorder traversal of the tree.
 
 Trees have a text form of balanced parentheses: ``()`` is a single node and
-``(()())`` is a root with two leaf children.
+``(()())`` is a root with two leaf children; parsers reject text nested
+deeper than ``MAX_TEXT_DEPTH`` with a ``ValueError`` naming the position.
 
 The environment variable ``INCTREE_CAPACITY``, when set to a positive
 integer, replaces all three built-in capacity bounds (tree size, total
@@ -26,7 +28,6 @@ and gigabytes; that risk is the caller's.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -38,6 +39,7 @@ from .weights import DegreeWeights
 MAX_TREE_SIZE = 14
 MAX_LABEL_TOTAL = 12   # brute-force k-labellings: k * n
 MAX_BUCKET_TOTAL = 10  # brute-force bucket labellings: m
+MAX_TEXT_DEPTH = 200   # nesting of parsed tree and labelled-object text
 _MEMO_SIZE_LIMIT = 10  # degree words cached up to this size
 
 
@@ -122,13 +124,15 @@ class OrderedTree:
         return tree
 
     @classmethod
-    def _parse_at(cls, text: str, pos: int):
+    def _parse_at(cls, text: str, pos: int, depth: int = 1):
         if pos >= len(text) or text[pos] != "(":
             raise ValueError(f"expected '(' at position {pos}")
+        if depth > MAX_TEXT_DEPTH:
+            raise ValueError(f"tree nested deeper than {MAX_TEXT_DEPTH} at position {pos}")
         pos += 1
         children = []
         while pos < len(text) and text[pos] == "(":
-            child, pos = cls._parse_at(text, pos)
+            child, pos = cls._parse_at(text, pos, depth + 1)
             children.append(child)
         if pos >= len(text) or text[pos] != ")":
             raise ValueError(f"expected ')' at position {pos}")
@@ -246,6 +250,46 @@ def count_k_labellings_formula(tree: OrderedTree, k: int) -> int:
     return count
 
 
+def _label_blocks(
+    parents: Sequence[int], block_sizes: Sequence[int], sibling_sorted: bool = False
+) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Increasing labellings as preorder tuples of sorted label blocks, by
+    flat backtracking: node i takes each combination, in lexicographic order,
+    of the free labels above its parent's largest label but for the last ones
+    its subtree needs, so no branch dead-ends.  ``sibling_sorted`` instead
+    starts above the previous sibling's smallest label: siblings come sorted."""
+    n, total = len(block_sizes), sum(block_sizes)
+    anchors, last_child, need = [], {}, list(block_sizes)
+    for i, p in enumerate(parents):
+        j = last_child.get(p, -1) if sibling_sorted else -1
+        anchors.append((j, 0) if j >= 0 else (p, -1))
+        last_child[p] = i
+    for i in range(n - 1, 0, -1):
+        need[parents[i]] += need[i]
+    used = [False] * (total + 1)
+    blocks = [()] * n
+    choices = [combinations(range(1, block_sizes[0] + 1), block_sizes[0])]
+    while choices:
+        i = len(choices) - 1
+        for x in blocks[i]:
+            used[x] = False
+        chosen = next(choices[i], None)
+        if chosen is None:
+            blocks[i] = ()
+            choices.pop()
+            continue
+        blocks[i] = chosen
+        for x in chosen:
+            used[x] = True
+        if i + 1 == n:
+            yield tuple(blocks)
+            continue
+        anchor, end = anchors[i + 1]
+        free = [x for x in range(blocks[anchor][end] + 1, total + 1) if not used[x]]
+        free = free[: len(free) - need[i + 1] + block_sizes[i + 1]]
+        choices.append(combinations(free, block_sizes[i + 1]))
+
+
 def iter_increasing_labellings(
     tree: OrderedTree, block_sizes: Sequence[int]
 ) -> Iterator[Tuple[frozenset, ...]]:
@@ -255,22 +299,9 @@ def iter_increasing_labellings(
     Labels are 1..sum(block_sizes); blocks are yielded as preorder-aligned
     tuples of frozensets.
     """
-    n = tree.size
-    if len(block_sizes) != n:
+    if len(block_sizes) != tree.size:
         raise ValueError("one block size per node required")
-    parents = tree.parent_indices()
-
-    def assign(i: int, free: tuple, blocks: tuple):
-        if i == n:
-            yield blocks
-            return
-        lower = max(blocks[parents[i]]) if i > 0 else 0
-        candidates = free[bisect_right(free, lower) :]
-        for chosen in combinations(candidates, block_sizes[i]):
-            rest = tuple(x for x in free if x not in chosen)
-            yield from assign(i + 1, rest, blocks + (frozenset(chosen),))
-
-    return assign(0, tuple(range(1, sum(block_sizes) + 1)), ())
+    return (tuple(map(frozenset, b)) for b in _label_blocks(tree.parent_indices(), block_sizes))
 
 
 def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:

@@ -6,7 +6,10 @@ trees, the compose-per-order reversion and the two-derivative reverse
 engineering 4 g f''(g) + 2 f'(g) that the package used before its online
 power-table engine; and the per-tree ``Fraction`` loops over ``OrderedTree``
 objects that the hook sums used before degree words and the census, with the
-labelling generator that kept its free labels in a frozenset.  The Horner composition they all run on is kept here
+labelling generator that kept its free labels in a frozenset; and the
+bijection objects built per labelling from ``OrderedTree`` recursion, with
+unordered trees filtered after generation and colorings as one product over
+the colorable positions.  The Horner composition they all run on is kept here
 too (:func:`compose`), so no function in this module touches the package's
 power table (``Series.compose``, ``Series.reversion``, ``_power_sum``).
 They stay here, outside the package, as a second independent route: the
@@ -16,10 +19,11 @@ degree (k-tuple: exponential), so keep N small.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 from typing import Iterator, Optional, Sequence, Tuple
 
+from inctrees.bijections import BLACK, WHITE, ColoredTree, MultiTree, is_canonical_unordered
 from inctrees.series import Series
 from inctrees.trees import (
     OrderedTree,
@@ -254,3 +258,66 @@ def increasing_labellings(
             yield from assign(i + 1, avail.difference(chosen), blocks + (frozenset(chosen),))
 
     return assign(0, frozenset(range(1, sum(block_sizes) + 1)), ())
+
+
+# -- bijection objects by generate-then-filter -------------------------------
+
+
+def multi_from_blocks(tree: OrderedTree, blocks, cursor: int = 0) -> MultiTree:
+    """The multilabelled tree of a labelling's preorder blocks."""
+    children = []
+    offset = cursor + 1
+    for child in tree.children:
+        children.append(multi_from_blocks(child, blocks, offset))
+        offset += child.size
+    return MultiTree(tuple(sorted(blocks[cursor])), tuple(children))
+
+
+def sibling_sorted_labellings(
+    tree: OrderedTree, block_sizes: Sequence[int]
+) -> Iterator[Tuple[frozenset, ...]]:
+    """The labellings whose object has every node's children sorted by
+    smallest label, in the order of :func:`increasing_labellings`."""
+    for blocks in increasing_labellings(tree, block_sizes):
+        if is_canonical_unordered(multi_from_blocks(tree, blocks)):
+            yield blocks
+
+
+def unibi_unordered(m: int) -> Iterator[MultiTree]:
+    """``bijections.enumerate_unibi_unordered``, in its order."""
+    for size in range((m + 1) // 2, m + 1):
+        for tree in enumerate_ordered_trees(size):
+            for buckets in enumerate_bucket_functions(tree, m, max_bucket=2):
+                for blocks in sibling_sorted_labellings(tree, buckets):
+                    yield multi_from_blocks(tree, blocks)
+
+
+def colored_trees(m: int, black_degrees: str) -> Iterator[ColoredTree]:
+    """``bijections.enumerate_colored_unary`` ("unary") or
+    ``enumerate_colored_branching`` ("branching"), in its order: per
+    labelling, every white/black choice at the colorable nodes, the first of
+    them in preorder varying slowest."""
+    labellings = sibling_sorted_labellings if black_degrees == "branching" else \
+        increasing_labellings
+    for tree in enumerate_ordered_trees(m):
+        nodes = list(tree.preorder())
+        free = [
+            i for i, node in enumerate(nodes)
+            if (node.out_degree == 1 if black_degrees == "unary" else node.out_degree >= 2)
+        ]
+        for blocks in labellings(tree, [1] * m):
+            for flips in product((WHITE, BLACK), repeat=len(free)):
+                colors = [WHITE] * m
+                for pos, color in zip(free, flips):
+                    colors[pos] = color
+                yield _colored(tree, blocks, colors)
+
+
+def _colored(tree: OrderedTree, blocks, colors, cursor: int = 0) -> ColoredTree:
+    children = []
+    offset = cursor + 1
+    for child in tree.children:
+        children.append(_colored(child, blocks, colors, offset))
+        offset += child.size
+    (label,) = blocks[cursor]
+    return ColoredTree(label, colors[cursor], tuple(children))

@@ -114,21 +114,14 @@ def test_criterion_04_closed_form_cross_validation():
 
 
 def test_criterion_05_hook_identities():
-    # verify hook at n<=8, m<=7; then k=3 ordered and ordered bucket-uni-bi,
-    # which the registry does not run, rho to n=10, and the registry's k=3
-    # unordered and k-tuple sums once more to n=7
+    # verify hook at n<=8, m<=7, which covers k=3 unordered and the k-tuple
+    # sums; then k=3 ordered and ordered bucket-uni-bi, which the registry
+    # does not run, and rho to n=10
     checks, _ = _registry("hook", max_n=8, max_m=7)
-    ns = range(1, 8)
-    for name, weights in (("unordered", EXP), ("ordered", ORDERED)):
-        checks.append(cli._first_failure(
-            f"hook k=3 {name} n<=7", "n", ns,
-            lambda n, w=weights: cli._hook_note(hooks.hook_sum_k_labelled(w, 3, n)),
-        ))
-        for k in (1, 2, 3):
-            checks.append(cli._first_failure(
-                f"hook k-tuple(k={k}) {name} n<=7", "n", ns,
-                lambda n, w=weights, k=k: cli._hook_note(hooks.hook_sum_k_tuple(w, k, n)),
-            ))
+    checks.append(cli._first_failure(
+        "hook k=3 ordered n<=7", "n", range(1, 8),
+        lambda n: cli._hook_note(hooks.hook_sum_k_labelled(ORDERED, 3, n)),
+    ))
     checks.append(cli._first_failure(
         "hook bucket-uni-bi ordered m<=7", "m", range(1, 8),
         lambda m: cli._hook_note(hooks.hook_sum_bucket(ORDERED, m, max_bucket=2)),

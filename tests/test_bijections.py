@@ -1,4 +1,6 @@
+import oracle
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inctrees.bijections import (
     BLACK,
@@ -178,3 +180,42 @@ def test_text_encoding_rejects_malformed():
         parse_colored("({1,2}b)")
     with pytest.raises(ValueError):
         parse_colored("({1}x)")
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_enumeration_order_equals_generate_then_filter(m):
+    assert list(enumerate_unibi_unordered(m)) == list(oracle.unibi_unordered(m))
+    assert list(enumerate_colored_unary(m)) == list(oracle.colored_trees(m, "unary"))
+    assert list(enumerate_colored_branching(m)) == list(oracle.colored_trees(m, "branching"))
+
+
+ENUMERATED = [
+    obj
+    for m in range(1, 6)
+    for scheme in ("free-multi", "unibi", "colored-unary", "colored-branching")
+    for obj in enumerate_objects(scheme, m)
+]
+
+
+@given(st.sampled_from(ENUMERATED))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_text_round_trip_of_enumerated_objects(obj):
+    parse = parse_multilabelled if isinstance(obj, MultiTree) else parse_colored
+    assert parse(format_object(obj)) == obj
+
+
+def _nested(depth):
+    return "".join(f"({{{i}}} " for i in range(1, depth)) + f"({{{depth}}}" + ")" * depth
+
+
+def test_deep_text_fails_with_position():
+    assert parse_multilabelled(_nested(200)).node_count() == 200
+    for parse in (parse_multilabelled, parse_colored):
+        with pytest.raises(ValueError, match=r"nested deeper than 200 at position 1292"):
+            parse(_nested(3000))
+
+
+def test_empty_child_label_set_names_the_node():
+    tree = MultiTree((1,), (MultiTree((2,)), MultiTree(())))
+    with pytest.raises(ValueError, match=r"a child of the node with labels \(1,\) has no labels"):
+        multi_to_colored(tree)

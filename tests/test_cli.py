@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_VERIFY_ALL = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.txt"
 GOLDEN_VERIFY_ALL_JSON = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.json"
 GOLDEN_REVERSE = ROOT / "tests" / "data" / "reverse_families.txt"
+GOLDEN_BIJECTION_SHOW = ROOT / "tests" / "data" / "bijection_show_m5.txt"
 # checks whose detail is a float that depends on the platform's libm
 FLOAT_ROUTES = ("lattice sum ", "binary free series ")
 
@@ -306,6 +307,16 @@ def reverse_transcript() -> str:
 def test_reverse_output_is_pinned():
     # Every weight, admissibility verdict and round trip of the reverse command.
     assert reverse_transcript() == GOLDEN_REVERSE.read_text()
+
+
+def test_bijection_show_output_is_pinned(capsys):
+    # Every object and its image, in enumeration order, for both maps at m <= 5.
+    out = ""
+    for scheme in ("free", "unibi"):
+        code, text, _ = run(capsys, "bijection", scheme, "--max-m", "5", "--show")
+        assert code == 0
+        out += text
+    assert out == GOLDEN_BIJECTION_SHOW.read_text()
 
 
 def test_label_count_check_reports_first_mismatch(capsys, monkeypatch):

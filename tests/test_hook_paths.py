@@ -2,15 +2,18 @@
 
 ``hooks._tree_sum`` sums over a census of (sorted out-degrees, sorted
 hook-lengths) with integer hook products over one common denominator per
-degree multiset, and ``hook_sum_bucket`` adds integer labelling counts per
-degree word; ``iter_increasing_labellings`` keeps its free labels as a sorted
-tuple.  These tests pin each to the route it replaced: one ``Fraction``
+degree multiset, and ``hook_sum_bucket`` reads a census of integer labelling
+counts per degree multiset; ``iter_increasing_labellings`` wraps a flat
+backtracking generator of sorted label blocks.  These tests pin each to the route it replaced: one ``Fraction``
 product per ``OrderedTree``, bucket hook-lengths from the subtree objects, and
-the frozenset labelling generator.  Hypothesis runs with a fixed seed.
+the frozenset labelling generator, with the sibling-sorted labellings pinned
+to that generator's output filtered after generation.  Hypothesis runs with a
+fixed seed.
 """
 from fractions import Fraction as F
 
 import oracle
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from inctrees.hooks import (
@@ -20,6 +23,7 @@ from inctrees.hooks import (
     hook_sum_k_tuple,
 )
 from inctrees.trees import (
+    _label_blocks,
     enumerate_bucket_functions,
     enumerate_ordered_trees,
     falling_factorial,
@@ -81,6 +85,17 @@ def test_bucket_sum_equals_per_tree_loop(weights, m, max_bucket):
     assert (report.lhs, report.trees_visited) == oracle.bucket_hook_sum(weights, m, max_bucket)
 
 
+@pytest.mark.parametrize("max_bucket", [None, 2])
+def test_bucket_sums_at_one_label_count_share_the_census(max_bucket):
+    # the census is built by the first weight and read by the others
+    for spec in ("exp", "poly:1,0,1", "poly:2,0,0,1/3", "bundled:1", "poly:1,1,0,0,0,1"):
+        weights = DegreeWeights.parse(spec)
+        report = hook_sum_bucket(weights, 6, max_bucket)
+        assert (report.lhs, report.trees_visited) == \
+            oracle.bucket_hook_sum(weights, 6, max_bucket)
+        assert report.equal
+
+
 def test_labellings_equal_frozenset_generator():
     for n in range(1, 7):
         for tree in enumerate_ordered_trees(n):
@@ -88,3 +103,14 @@ def test_labellings_equal_frozenset_generator():
                 for buckets in enumerate_bucket_functions(tree, m):
                     assert list(iter_increasing_labellings(tree, buckets)) == \
                         list(oracle.increasing_labellings(tree, buckets))
+
+
+def test_sibling_sorted_labellings_equal_filtered_generator():
+    # pruning at each node skips exactly what the filter after generation drops
+    for n in range(1, 7):
+        for tree in enumerate_ordered_trees(n):
+            parents = tree.parent_indices()
+            for m in range(n, 8):
+                for buckets in enumerate_bucket_functions(tree, m):
+                    got = [tuple(map(frozenset, b)) for b in _label_blocks(parents, buckets, True)]
+                    assert got == list(oracle.sibling_sorted_labellings(tree, buckets))

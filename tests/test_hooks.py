@@ -73,7 +73,15 @@ def test_bucket_rejects_other_bucket_caps(monkeypatch):
             hook_sum_bucket(EXP, 8, max_bucket=cap)
 
 
-def test_non_integral_bucket_count_names_tree_and_buckets(monkeypatch):
+@pytest.fixture
+def fresh_bucket_census():
+    # hook_sum_bucket reads a census cached per process; earlier tests fill it
+    hooks._bucket_census.cache_clear()
+    yield
+    hooks._bucket_census.cache_clear()
+
+
+def test_non_integral_bucket_count_names_tree_and_buckets(monkeypatch, fresh_bucket_census):
     # An explicit check, not an assert, so it also holds under python -O.
     monkeypatch.setattr(trees, "factorial", lambda n: factorial(n) + 1)
     with pytest.raises(

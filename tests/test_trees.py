@@ -1,6 +1,7 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inctrees import trees
 from inctrees.trees import (
@@ -92,6 +93,26 @@ def test_text_round_trip():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         OrderedTree.parse(bad)
+
+
+plane_trees = st.recursive(
+    st.just(LEAF),
+    lambda kids: st.lists(kids, max_size=4).map(lambda cs: OrderedTree(tuple(cs))),
+    max_leaves=40,
+)
+
+
+@given(st.one_of(plane_trees, st.sampled_from(list(enumerate_ordered_trees(8)))))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_text_round_trip_of_random_plane_trees(tree):
+    assert OrderedTree.parse(tree.to_text()) == tree
+
+
+def test_deep_text_fails_with_position():
+    path = OrderedTree.parse("(" * 200 + ")" * 200)
+    assert path.size == 200 and OrderedTree.parse(path.to_text()) == path
+    with pytest.raises(ValueError, match=r"nested deeper than 200 at position 200"):
+        OrderedTree.parse("(" * 3000 + ")" * 3000)
 
 
 def test_hook_length_recursion_invariant():
