@@ -32,6 +32,7 @@ from .solvers import (
     solve_free_multilabelled,
     solve_k_labelled,
     solve_k_tuple,
+    solve_scheme,
     solve_unilabelled_bilabelled,
     unilabelled_bilabelled_series,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "solve_free_multilabelled",
     "solve_k_labelled",
     "solve_k_tuple",
+    "solve_scheme",
     "solve_unilabelled_bilabelled",
     "tree_weight",
     "unibi_to_q",

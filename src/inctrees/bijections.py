@@ -32,9 +32,8 @@ from typing import Iterator, List, Tuple
 
 from .trees import (
     MAX_TEXT_DEPTH,
-    CapacityError,
     _label_blocks,
-    capacity_limit,
+    check_capacity,
     enumerate_bucket_functions,
     enumerate_ordered_trees,
 )
@@ -263,14 +262,6 @@ def _merge(node: ColoredTree) -> MultiTree:
 # -- exhaustive enumeration of objects ------------------------------------
 
 
-def _check_objectcapacity_limit(m: int):
-    cap = capacity_limit(MAX_OBJECT_LABELS)
-    if m > cap:
-        raise CapacityError(
-            f"object enumeration needs m <= {cap}; set INCTREE_CAPACITY to override"
-        )
-
-
 def _labelled_shapes(sizes, m: int, max_bucket, sibling_sorted: bool = False):
     """(preorder out-degree word, label blocks) of every increasing labelling
     with m labels of every plane tree of the given sizes."""
@@ -294,7 +285,7 @@ def _fold(word, blocks, make):
 
 def enumerate_free_multilabelled(m: int) -> Iterator[MultiTree]:
     """All ordered free multilabelled increasing trees with m labels."""
-    _check_objectcapacity_limit(m)
+    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
     for word, blocks in _labelled_shapes(range(1, m + 1), m, None):
         yield _fold(word, blocks, MultiTree)
 
@@ -302,7 +293,7 @@ def enumerate_free_multilabelled(m: int) -> Iterator[MultiTree]:
 def enumerate_unibi_unordered(m: int) -> Iterator[MultiTree]:
     """All canonical unordered trees with one or two labels per node and m
     labels in total."""
-    _check_objectcapacity_limit(m)
+    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
     for word, blocks in _labelled_shapes(range((m + 1) // 2, m + 1), m, 2, True):
         yield _fold(word, blocks, MultiTree)
 
@@ -310,7 +301,7 @@ def enumerate_unibi_unordered(m: int) -> Iterator[MultiTree]:
 def _enumerate_colored(m: int, branching: bool) -> Iterator[ColoredTree]:
     """Colorings per labelled tree as a product of each node's colors, white
     first, and its children's colorings: the first in preorder varies slowest."""
-    _check_objectcapacity_limit(m)
+    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
 
     def colorings(block, kids) -> List[ColoredTree]:
         colorable = len(kids) >= 2 if branching else len(kids) == 1

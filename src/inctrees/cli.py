@@ -42,7 +42,7 @@ from .trees import (
     enumerate_ordered_trees,
     tree_weight,
 )
-from .weights import DegreeWeights
+from .weights import SHAPES, DegreeWeights
 
 _BILABELLED_IDS = tuple(i for i in families.REGISTRY if i.startswith("bilabelled/"))
 
@@ -110,28 +110,19 @@ def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
         lambda n: _hook_note(hooks.hook_sum_k_labelled(tri, 3, n)),
     ))
     for k in (1, 2, 3):
-        for variant, w in (
-            ("ordered", DegreeWeights.bundled(1)),
-            ("unordered", DegreeWeights.exponential()),
-        ):
+        for variant in ("ordered", "unordered"):
             checks.append(_first_failure(
                 f"hook k-tuple(k={k}) {variant}", "n", ns,
-                lambda n, w=w, k=k: _hook_note(hooks.hook_sum_k_tuple(w, k, n)),
+                lambda n, w=SHAPES[variant], k=k: _hook_note(hooks.hook_sum_k_tuple(w, k, n)),
             ))
-    bucket_weights = {
-        "ordered": DegreeWeights.bundled(1),
-        "unordered": DegreeWeights.exponential(),
-        "strict-binary": DegreeWeights.polynomial([1, 0, 1], name="strict-binary"),
-    }
-    for name, w in bucket_weights.items():
+    for name in ("ordered", "unordered", "strict-binary"):
         checks.append(_first_failure(
             f"hook bucket-free {name} m<={max_m}", "m", ms,
-            lambda m, w=w: _hook_note(hooks.hook_sum_bucket(w, m)),
+            lambda m, w=SHAPES[name]: _hook_note(hooks.hook_sum_bucket(w, m)),
         ))
-    unordered = DegreeWeights.exponential()
     checks.append(_first_failure(
         f"hook bucket-uni-bi unordered m<={max_m}", "m", ms,
-        lambda m: _hook_note(hooks.hook_sum_bucket(unordered, m, max_bucket=2)),
+        lambda m: _hook_note(hooks.hook_sum_bucket(SHAPES["unordered"], m, max_bucket=2)),
     ))
     checks.append(_first_failure(
         f"hook rho=1+1/h binary vs 2^n(n+1)^(n-1)/n! n<={max_n}", "n", ns,
@@ -253,7 +244,7 @@ def _suite_invariants(max_n: int, max_m: int, cutoff: int) -> List[Check]:
         checks.append((f"free = single-label with phi+t {identifier}", not bad, bad))
     bad = _label_count_mismatch(min(max_n, 4), max_m)
     checks.append(("label-count formulas vs brute force n<=4", not bad, bad))
-    w = DegreeWeights.exponential()
+    w = SHAPES["unordered"]
 
     def tree_sum_note(n: int) -> Optional[str]:
         total = sum(
@@ -498,6 +489,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
+    # every exact value prints in full: lift Python's int-to-str digit limit
+    # while the command runs (the parsers bound their own input)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.command == "seq":
             spec = families.get_family(args.family)
@@ -516,6 +511,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -16,14 +16,8 @@ from fractions import Fraction
 from math import comb, factorial, inf, isfinite
 from typing import Callable, Optional, Tuple
 
-from .solvers import (
-    CountingSequence,
-    solve_free_multilabelled,
-    solve_k_labelled,
-    solve_k_tuple,
-    solve_unilabelled_bilabelled,
-)
-from .weights import DegreeWeights
+from .solvers import CountingSequence, solve_scheme
+from .weights import SHAPES, DegreeWeights
 
 
 def _integer(value: Fraction) -> int:
@@ -441,7 +435,7 @@ class FamilySpec:
     """A named family: labelling scheme, weights, reference data, closed forms."""
 
     identifier: str
-    scheme: str  # "k-labelled" | "free-multilabelled" | "uni-bi" | "k-tuple"
+    scheme: str  # a key of solvers.SCHEMES
     weights: DegreeWeights
     k: Optional[int] = None
     oeis: Optional[str] = None
@@ -451,15 +445,7 @@ class FamilySpec:
     description: str = ""
 
     def sequence(self, terms: int) -> CountingSequence:
-        if self.scheme == "k-labelled":
-            return solve_k_labelled(self.weights, self.k, terms)
-        if self.scheme == "free-multilabelled":
-            return solve_free_multilabelled(self.weights, terms)
-        if self.scheme == "uni-bi":
-            return solve_unilabelled_bilabelled(self.weights, terms)
-        if self.scheme == "k-tuple":
-            return solve_k_tuple(self.weights, self.k, terms)
-        raise ValueError(f"unknown scheme {self.scheme!r}")
+        return solve_scheme(self.scheme, self.weights, terms, self.k)
 
 
 def _build_registry() -> dict:
@@ -467,7 +453,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "bilabelled/unordered",
             "k-labelled",
-            DegreeWeights.exponential(),
+            SHAPES["unordered"],
             k=2,
             oeis="A002105",
             reference_prefix=(1, 1, 4, 34, 496, 11056),
@@ -477,7 +463,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "bilabelled/ordered",
             "k-labelled",
-            DegreeWeights.bundled(1),
+            SHAPES["ordered"],
             k=2,
             oeis="A002067",
             reference_prefix=(1, 1, 7, 127, 4369, 243649),
@@ -488,7 +474,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "bilabelled/2-bundled",
             "k-labelled",
-            DegreeWeights.bundled(2),
+            SHAPES["2-bundled"],
             k=2,
             oeis="A120419",
             reference_prefix=(1, 2, 22, 584, 28384, 2190128),
@@ -499,7 +485,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "bilabelled/3-bundled",
             "k-labelled",
-            DegreeWeights.bundled(3),
+            SHAPES["3-bundled"],
             k=2,
             oeis="A079484",
             reference_prefix=(1, 3, 45, 1575, 99225),
@@ -509,7 +495,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "bilabelled/strict-binary",
             "k-labelled",
-            DegreeWeights.polynomial([1, 0, 1], name="strict-binary"),
+            SHAPES["strict-binary"],
             k=2,
             oeis="A144849",
             reference_prefix=(1, 0, 6, 0, 336, 0, 77616, 0, 50916096),
@@ -519,7 +505,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "bilabelled/even-degree",
             "k-labelled",
-            DegreeWeights.cosh(),
+            SHAPES["even-degree"],
             k=2,
             oeis=None,
             reference_prefix=(1, 0, 3, 0, 189, 0, 68607),
@@ -529,7 +515,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "bilabelled/binary",
             "k-labelled",
-            DegreeWeights.polynomial([1, 2, 1], name="binary"),
+            SHAPES["binary"],
             k=2,
             oeis="A063902",
             reference_prefix=(1, 2, 10, 80, 1000, 17600, 418000),
@@ -539,7 +525,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "trilabelled/unordered",
             "k-labelled",
-            DegreeWeights.exponential(),
+            SHAPES["unordered"],
             k=3,
             oeis="A018893",
             reference_prefix=(1, 1, 11, 375, 27897, 3817137),
@@ -549,7 +535,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "free/strict-binary",
             "free-multilabelled",
-            DegreeWeights.polynomial([1, 0, 1], name="strict-binary"),
+            SHAPES["strict-binary"],
             oeis="A080635",
             reference_prefix=(1, 1, 3, 9, 39, 189, 1107),
             closed_form=strict_binary_free_multi_explicit,
@@ -558,7 +544,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "free/binary",
             "free-multilabelled",
-            DegreeWeights.polynomial([1, 2, 1], name="binary"),
+            SHAPES["binary"],
             oeis="A230008",
             reference_prefix=(1, 3, 11, 51, 295, 2055, 16715),
             description="binary trees, free multilabelling",
@@ -566,7 +552,7 @@ def _build_registry() -> dict:
         FamilySpec(
             "free/unary-binary",
             "free-multilabelled",
-            DegreeWeights.polynomial([1, 1, 1], name="unary-binary"),
+            SHAPES["unary-binary"],
             oeis="A000142",
             reference_prefix=(1, 2, 6, 24, 120, 720, 5040),
             closed_form=factorial,
@@ -593,14 +579,14 @@ def _build_registry() -> dict:
         FamilySpec(
             "free/ordered",
             "free-multilabelled",
-            DegreeWeights.bundled(1),
+            SHAPES["ordered"],
             reference_prefix=(1, 2, 6, 30, 228, 2316),
             description="ordered trees, free multilabelling",
         ),
         FamilySpec(
             "unibi/unordered",
             "uni-bi",
-            DegreeWeights.exponential(),
+            SHAPES["unordered"],
             reference_prefix=(1, 2, 4, 14, 66, 392, 2806),
             closed_form=unibi_unordered_closed_form,
             description="unordered trees, one or two labels per node",
@@ -620,18 +606,6 @@ def _build_registry() -> dict:
 
 REGISTRY = _build_registry()
 
-_VARIANT_WEIGHTS = {
-    "ordered": lambda: DegreeWeights.bundled(1),
-    "unordered": DegreeWeights.exponential,
-    "binary": lambda: DegreeWeights.polynomial([1, 2, 1], name="binary"),
-    "strict-binary": lambda: DegreeWeights.polynomial([1, 0, 1], name="strict-binary"),
-    "unary-binary": lambda: DegreeWeights.polynomial([1, 1, 1], name="unary-binary"),
-    "2-bundled": lambda: DegreeWeights.bundled(2),
-    "3-bundled": lambda: DegreeWeights.bundled(3),
-    "even-degree": DegreeWeights.cosh,
-}
-
-
 def get_family(identifier: str) -> FamilySpec:
     """Look up a registered family; ktuple/<variant>:k=K is parsed on the fly."""
     if identifier in REGISTRY:
@@ -648,12 +622,12 @@ def get_family(identifier: str) -> FamilySpec:
                 raise ValueError(f"bad k-tuple parameter in {identifier!r}: need k=K, K >= 1")
         else:
             variant, k = rest, 1
-        if variant not in _VARIANT_WEIGHTS:
+        if variant not in SHAPES:
             raise ValueError(f"unknown k-tuple variant {variant!r}")
         return FamilySpec(
             identifier,
             "k-tuple",
-            _VARIANT_WEIGHTS[variant](),
+            SHAPES[variant],
             k=k,
             description=f"{variant} trees, {k}-tuple labelling",
         )

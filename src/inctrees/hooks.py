@@ -28,27 +28,17 @@ from .solvers import (
     solve_unilabelled_bilabelled,
 )
 from .trees import (
-    CapacityError,
     _bucket_count,
     _bucket_functions,
-    capacity_limit,
+    check_capacity,
     enumerate_degree_words,
     falling_factorial,
     word_hook_lengths,
 )
-from .weights import DegreeWeights
+from .weights import SHAPES, DegreeWeights
 
 MAX_HOOK_TREE_SIZE = 12   # Catalan(11) = 58786 trees per sum
 MAX_HOOK_BUCKET_TOTAL = 8
-
-
-def _check_hookcapacity_limit(value: int, cap: int, what: str):
-    limit = capacity_limit(cap)
-    if value > limit:
-        raise CapacityError(
-            f"{what} = {value} exceeds the hook-sum capacity {limit}; "
-            "set INCTREE_CAPACITY to override"
-        )
 
 
 @cache
@@ -139,7 +129,7 @@ class HookIdentityReport:
 def hook_sum_k_labelled(weights: DegreeWeights, k: int, n: int) -> HookIdentityReport:
     """Sum over plane trees of size n of prod phi_odeg / (k h)(kh-1)...(kh-k+1),
     against T_n / (kn)! from the k-labelled solver."""
-    _check_hookcapacity_limit(n, MAX_HOOK_TREE_SIZE, "tree size n")
+    check_capacity(n, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
     factor = {h: Fraction(1, falling_factorial(k * h, k)) for h in range(1, n + 1)}
     lhs, visited = _tree_sum(weights, n, factor)
     rhs = solve_k_labelled(weights, k, n)[n] / factorial(k * n)
@@ -155,38 +145,30 @@ def hook_sum_bucket(
     Unbounded buckets check the free multilabelled count; max_bucket=2
     checks the one-or-two-labels count.
     """
-    _check_hookcapacity_limit(m, MAX_HOOK_BUCKET_TOTAL, "label count m")
+    check_capacity(m, MAX_HOOK_BUCKET_TOTAL, "hook-sum label count m")
     if max_bucket not in (None, 2):
         raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
     phi = [weights.coefficient(d) for d in range(m)]
     counts, visited = _bucket_census(m, max_bucket)
     terms = ((prod(phi[d] for d in degrees), count) for degrees, count in counts)
     lhs = sum((w * count for w, count in terms if w), Fraction(0)) / factorial(m)
-    if max_bucket is None:
-        rhs_seq = solve_free_multilabelled(weights, m)
-        scheme = "bucket-free"
-    else:
-        rhs_seq = solve_unilabelled_bilabelled(weights, m)
-        scheme = "bucket-uni-bi"
-    rhs = rhs_seq[m] / factorial(m)
-    return HookIdentityReport(scheme, m, lhs, rhs, visited)
+    free = max_bucket is None
+    solve = solve_free_multilabelled if free else solve_unilabelled_bilabelled
+    rhs = solve(weights, m)[m] / factorial(m)
+    return HookIdentityReport("bucket-free" if free else "bucket-uni-bi", m, lhs, rhs, visited)
 
 
 def hook_sum_k_tuple(weights: DegreeWeights, k: int, n: int) -> HookIdentityReport:
     """Sum over plane trees of size n of prod phi_odeg / h^k, against
     T_n / (n!)^k from the k-tuple solver."""
-    _check_hookcapacity_limit(n, MAX_HOOK_TREE_SIZE, "tree size n")
+    check_capacity(n, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
     factor = {h: Fraction(h) ** -k for h in range(1, n + 1)}
     lhs, visited = _tree_sum(weights, n, factor)
     rhs = solve_k_tuple(weights, k, n)[n] / Fraction(factorial(n)) ** k
     return HookIdentityReport(f"k-tuple(k={k})", n, lhs, rhs, visited)
 
 
-_GENERIC_FAMILIES = {
-    "ordered": DegreeWeights.bundled(1),
-    "binary": DegreeWeights.polynomial([1, 2, 1], name="binary"),
-    "strict-binary": DegreeWeights.polynomial([1, 0, 1], name="strict-binary"),
-}
+_GENERIC_FAMILIES = {name: SHAPES[name] for name in ("ordered", "binary", "strict-binary")}
 
 
 def _eval_poly(coeffs: Sequence, x: int) -> Fraction:
@@ -213,7 +195,7 @@ def generic_hook_weight_sum(
             f"unknown tree family {tree_family!r}; "
             f"choose from {sorted(_GENERIC_FAMILIES)}"
         ) from None
-    _check_hookcapacity_limit(n, MAX_HOOK_TREE_SIZE, "tree size n")
+    check_capacity(n, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
     for h in range(1, n + 1):
         if _eval_poly(rho_denominator, h) == 0:
             raise ValueError(f"hook-weight denominator vanishes at h = {h}")

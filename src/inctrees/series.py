@@ -38,9 +38,21 @@ def as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
+# Longest rational literal accepted, in digits: Python's default int-string
+# limit, kept by the parser even where the CLI lifts it for its output.
+MAX_LITERAL_DIGITS = 4300
+
+
 def _parse_fraction(text: str) -> Fraction:
-    """An exact rational written like "3" or "-3/2"; a zero denominator is a
-    ValueError that names the text."""
+    """An exact rational written like "3", "-3/2" or "1.5e3".  A zero
+    denominator, or a literal whose length plus decimal exponent exceeds
+    MAX_LITERAL_DIGITS, is a ValueError that names the text."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if len(text) > MAX_LITERAL_DIGITS or (
+        exponent.isdecimal() and len(text) + int(exponent) > MAX_LITERAL_DIGITS
+    ):
+        shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+        raise ValueError(f"literal {shown!r} has more than {MAX_LITERAL_DIGITS} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -18,13 +18,17 @@ of a series A = sum a_n w^n from the coefficients u_0 .. u_{n-1} of
 U = phi(A), and those come from a table of the powers A^j that grows by one
 column per new a_n (Knuth, TAOCP Vol. 2, 4.7): O(N^3) exact operations for
 N terms, O(N^2 d) for weights of degree d.
+
+``SCHEMES`` is the one place that states a scheme: its engine step and the
+scale that turns a_n into T_n.  The named ``solve_*`` functions and
+:func:`solve_scheme` all run it through the same engine.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .series import Series, _compose_column, _trim
 from .trees import falling_factorial
@@ -33,12 +37,9 @@ from .weights import DegreeWeights
 
 @dataclass(frozen=True)
 class CountingSequence:
-    """Exact values T_1, T_2, ... for one family and labelling scheme."""
+    """Exact values T_1, T_2, ... of one family."""
 
     values: Tuple[Fraction, ...]
-    scheme: str
-    weights: DegreeWeights
-    k: Optional[int] = None
 
     def __getitem__(self, n: int) -> Fraction:
         if not 1 <= n <= len(self.values):
@@ -61,42 +62,46 @@ class CountingSequence:
         return tuple(out)
 
 
-# -- the online engine ----------------------------------------------------
+# -- the scheme table and the online engine --------------------------------
+
+# scheme -> (step, scale): step(n, k, a, u) gives a_n from a_0 .. a_{n-1} and
+# the coefficients u_0 .. u_{n-1} of u = phi(A); T_n = scale(n, k) * a_n.
+SCHEMES = {
+    # w = z^k; [z^(kn-k)] of T^(k) = phi(T) gives a_n (kn)_k = u_{n-1}
+    "k-labelled": (lambda n, k, a, u: u[n - 1] / falling_factorial(k * n, k),
+                   lambda n, k: factorial(k * n)),
+    "free-multilabelled": (lambda n, k, a, u: (u[n - 1] + a[n - 1]) / n,
+                           lambda n, k: factorial(n)),
+    # T' phi'(T) = (phi(T))', so T' = phi(T) + integral of phi(T)
+    "uni-bi": (lambda n, k, a, u: (u[n - 1] + (u[n - 2] / (n - 1) if n > 1 else 0)) / n,
+               lambda n, k: factorial(n)),
+    # a_n = T_n / (n!)^k
+    "k-tuple": (lambda n, k, a, u: u[n - 1] / n**k, lambda n, k: factorial(n) ** k),
+}
 
 
-def _online(
-    weights: DegreeWeights,
-    terms: int,
-    step: Callable[[int, List[Fraction], List[Fraction]], Fraction],
-) -> List[Fraction]:
-    """a_0 = 0, a_1 .. a_terms of the series A fixed by ``step``:
-    step(n, a, u) gives a_n from a_0 .. a_{n-1} and u_0 .. u_{n-1}, the
-    coefficients of u = phi(A).  Reads phi_0 .. phi_{terms-1} once."""
+def _online(scheme: str, weights: DegreeWeights, terms: int, k: int) -> List[Fraction]:
+    """a_0 = 0, a_1 .. a_terms of the scheme's series A.  Reads phi_0 ..
+    phi_{terms-1} once."""
+    step = SCHEMES[scheme][0]
     phi = _trim([weights.coefficient(j) for j in range(terms)])
     a = [Fraction(0)]
     u: List[Fraction] = []
     rows: list = []
     for n in range(1, terms + 1):
         u.append(_compose_column(phi, a, rows, n - 1))
-        a.append(step(n, a, u))
+        a.append(step(n, k, a, u))
     return a
 
 
-def _k_labelled(weights: DegreeWeights, k: int, terms: int) -> List[Fraction]:
-    # w = z^k; [z^(kn-k)] of T^(k) = phi(T) gives a_n (kn)_k = u_{n-1}
-    return _online(weights, terms, lambda n, a, u: u[n - 1] / falling_factorial(k * n, k))
-
-
-def _free(weights: DegreeWeights, terms: int) -> List[Fraction]:
-    return _online(weights, terms, lambda n, a, u: (u[n - 1] + a[n - 1]) / n)
-
-
-def _unibi(weights: DegreeWeights, terms: int) -> List[Fraction]:
-    # T' phi'(T) = (phi(T))', so T' = phi(T) + integral of phi(T)
-    return _online(
-        weights, terms,
-        lambda n, a, u: (u[n - 1] + (u[n - 2] / (n - 1) if n > 1 else 0)) / n,
-    )
+def _solve(scheme: str, weights: DegreeWeights, terms: int, k: int) -> CountingSequence:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if terms < 1:
+        raise ValueError("terms must be positive")
+    a = _online(scheme, weights, terms, k)
+    scale = SCHEMES[scheme][1]
+    return CountingSequence(tuple(scale(n, k) * a[n] for n in range(1, terms + 1)))
 
 
 # -- series solutions ---------------------------------------------------
@@ -107,51 +112,45 @@ def k_labelled_series(weights: DegreeWeights, k: int, order: int) -> Series:
     if k < 1:
         raise ValueError("k must be positive")
     coeffs = [Fraction(0)] * (order + 1)
-    for n, value in enumerate(_k_labelled(weights, k, order // k)):
+    for n, value in enumerate(_online("k-labelled", weights, order // k, k)):
         coeffs[k * n] = value
     return Series(coeffs)
 
 
 def free_multilabelled_series(weights: DegreeWeights, order: int) -> Series:
-    return Series(_free(weights, order))
+    return Series(_online("free-multilabelled", weights, order, 1))
 
 
 def unilabelled_bilabelled_series(weights: DegreeWeights, order: int) -> Series:
-    return Series(_unibi(weights, order))
+    return Series(_online("uni-bi", weights, order, 1))
 
 
-def _sequence(a, scale, weights, scheme, k) -> CountingSequence:
-    values = tuple(scale(n) * a[n] for n in range(1, len(a)))
-    return CountingSequence(values=values, scheme=scheme, weights=weights, k=k)
-
-
-def _check(terms: int, k: int = 1) -> None:
-    if k < 1:
-        raise ValueError("k must be positive")
-    if terms < 1:
-        raise ValueError("terms must be positive")
+def solve_scheme(
+    scheme: str, weights: DegreeWeights, terms: int, k: Optional[int] = None
+) -> CountingSequence:
+    """T_1 .. T_terms of the family with these weights under a scheme of
+    ``SCHEMES``; k (None: 1) is the labels per node or the tuple length."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(SCHEMES)}")
+    return _solve(scheme, weights, terms, 1 if k is None else k)
 
 
 def solve_k_labelled(weights: DegreeWeights, k: int, terms: int) -> CountingSequence:
     """T_n for 1 <= n <= terms, where T_n counts (total weight of) the
     family's increasing k-labelled trees with kn labels."""
-    _check(terms, k)
-    a = _k_labelled(weights, k, terms)
-    return _sequence(a, lambda n: factorial(k * n), weights, "k-labelled", k)
+    return _solve("k-labelled", weights, terms, k)
 
 
 def solve_free_multilabelled(weights: DegreeWeights, terms: int) -> CountingSequence:
     """T_m for 1 <= m <= terms: free multilabelled increasing trees with m
     labels."""
-    _check(terms)
-    return _sequence(_free(weights, terms), factorial, weights, "free-multilabelled", None)
+    return _solve("free-multilabelled", weights, terms, 1)
 
 
 def solve_unilabelled_bilabelled(weights: DegreeWeights, terms: int) -> CountingSequence:
     """T_m for 1 <= m <= terms: increasing trees whose nodes hold one or two
     labels, m labels in total."""
-    _check(terms)
-    return _sequence(_unibi(weights, terms), factorial, weights, "uni-bi", None)
+    return _solve("uni-bi", weights, terms, 1)
 
 
 def solve_k_tuple(weights: DegreeWeights, k: int, terms: int) -> CountingSequence:
@@ -161,10 +160,7 @@ def solve_k_tuple(weights: DegreeWeights, k: int, terms: int) -> CountingSequenc
     follows from the root decomposition, with the label multinomial raised
     to the k-th power.
     """
-    _check(terms, k)
-    # a_n = T_n / (n!)^k
-    a = _online(weights, terms, lambda n, a, u: u[n - 1] / n**k)
-    return _sequence(a, lambda n: factorial(n) ** k, weights, "k-tuple", k)
+    return _solve("k-tuple", weights, terms, k)
 
 
 # -- first integral of the second-order equation -------------------------

@@ -19,11 +19,13 @@ Trees have a text form of balanced parentheses: ``()`` is a single node and
 ``(()())`` is a root with two leaf children; parsers reject text nested
 deeper than ``MAX_TEXT_DEPTH`` with a ``ValueError`` naming the position.
 
+The package's six capacity bounds (``MAX_TREE_SIZE``, ``MAX_LABEL_TOTAL``
+and ``MAX_BUCKET_TOTAL`` here, two in ``hooks``, one in ``bijections``) are
+all enforced by :func:`check_capacity`.
 The environment variable ``INCTREE_CAPACITY``, when set to a positive
-integer, replaces all three built-in capacity bounds (tree size, total
-label count for the k-labelled brute force, total bucket size); any other
-value is a ``ValueError``.  Raising it can make enumerations take minutes
-and gigabytes; that risk is the caller's.
+integer, replaces all of them; any other value is a ``ValueError``.
+Raising it can make enumerations take minutes and gigabytes; that risk is
+the caller's.
 """
 from __future__ import annotations
 
@@ -47,18 +49,21 @@ class CapacityError(ValueError):
     """An enumeration was asked to exceed its documented capacity."""
 
 
-def capacity_limit(default: int) -> int:
-    """Effective capacity bound: INCTREE_CAPACITY when set, else the default."""
+def check_capacity(value: int, default: int, what: str) -> None:
+    """CapacityError naming the quantity when value exceeds its bound:
+    INCTREE_CAPACITY when set, else the default."""
     override = os.environ.get("INCTREE_CAPACITY")
-    if not override:
-        return default
     try:
-        value = int(override)
+        limit = int(override) if override else default
     except ValueError:
-        value = 0
-    if value < 1:
+        limit = 0
+    if limit < 1:
         raise ValueError(f"INCTREE_CAPACITY must be a positive integer, got {override!r}")
-    return value
+    if value > limit:
+        raise CapacityError(
+            f"{what} = {value} exceeds the capacity {limit}; "
+            "set INCTREE_CAPACITY to override"
+        )
 
 
 @dataclass(frozen=True)
@@ -184,13 +189,7 @@ def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
     nodes, in canonical order (see :func:`enumerate_ordered_trees`)."""
     if n < 1:
         raise ValueError("tree size must be positive")
-    cap = capacity_limit(MAX_TREE_SIZE)
-    if n > cap:
-        raise CapacityError(
-            f"tree size {n} exceeds capacity {cap} "
-            f"(Catalan({n - 1}) = {catalan(n - 1)} trees); "
-            "set INCTREE_CAPACITY to override"
-        )
+    check_capacity(n, MAX_TREE_SIZE, "tree size n")
     return _words(n)
 
 
@@ -308,13 +307,7 @@ def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
     """Count increasing k-labellings by explicit construction."""
     if k < 1:
         raise ValueError("k must be positive")
-    total = k * tree.size
-    cap = capacity_limit(MAX_LABEL_TOTAL)
-    if total > cap:
-        raise CapacityError(
-            f"brute-force labelling needs k*n = {total} <= {cap}; "
-            "set INCTREE_CAPACITY to override"
-        )
+    check_capacity(k * tree.size, MAX_LABEL_TOTAL, "brute-force label total k*n")
     return sum(1 for _ in iter_increasing_labellings(tree, [k] * tree.size))
 
 
@@ -354,13 +347,7 @@ def count_bucket_labellings_formula(tree: OrderedTree, buckets: Sequence[int]) -
 
 
 def count_bucket_labellings_bruteforce(tree: OrderedTree, buckets: Sequence[int]) -> int:
-    m = sum(buckets)
-    cap = capacity_limit(MAX_BUCKET_TOTAL)
-    if m > cap:
-        raise CapacityError(
-            f"brute-force bucket labelling needs m = {m} <= {cap}; "
-            "set INCTREE_CAPACITY to override"
-        )
+    check_capacity(sum(buckets), MAX_BUCKET_TOTAL, "brute-force bucket total m")
     return sum(1 for _ in iter_increasing_labellings(tree, list(buckets)))
 
 

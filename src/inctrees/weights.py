@@ -19,6 +19,10 @@ Built-in kinds::
 The one-line text grammar used on the command line is parsed by
 :meth:`DegreeWeights.parse`:  ``exp``, ``cosh``, ``exp-t``, ``ordered-t``,
 ``bundled:d`` and ``poly:c0,c1,...`` (entries may be fractions like 3/2).
+
+``SHAPES`` is the one place that builds the named tree shapes (ordered,
+unordered, binary, strict-binary, unary-binary, 2- and 3-bundled,
+even-degree); every module that needs one of them reads it there.
 """
 from __future__ import annotations
 
@@ -137,3 +141,15 @@ class DegreeWeights:
 
     def __repr__(self) -> str:
         return f"DegreeWeights({self.name!r})"
+
+
+SHAPES = {
+    "ordered": DegreeWeights.bundled(1),
+    "unordered": DegreeWeights.exponential(),
+    "binary": DegreeWeights.polynomial([1, 2, 1], name="binary"),
+    "strict-binary": DegreeWeights.polynomial([1, 0, 1], name="strict-binary"),
+    "unary-binary": DegreeWeights.polynomial([1, 1, 1], name="unary-binary"),
+    "2-bundled": DegreeWeights.bundled(2),
+    "3-bundled": DegreeWeights.bundled(3),
+    "even-degree": DegreeWeights.cosh(),
+}

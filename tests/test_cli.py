@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -394,3 +395,38 @@ def test_size_flags_must_be_positive(capsys, argv):
     err = capsys.readouterr().err
     assert f"argument {flag}" in err
     assert "positive integer" in err
+
+
+# Values past Python's 4300-digit int-string limit print in full, and the
+# limit is back in place once the command returns.
+def test_seq_prints_values_past_the_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    big = 1 + 2**15000  # T_3 of ordered 15000-tuple trees: 4516 digits
+    code, out, _ = run(capsys, "seq", "ktuple/ordered:k=15000", "3")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"1 1 {big}\n"
+        code, out, _ = run(capsys, "seq", "ktuple/ordered:k=15000", "3", "--format", "json")
+        assert code == 0 and json.loads(out)["values"] == [1, 1, big]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_reverse_and_hook_print_values_past_the_int_string_limit(capsys):
+    sevens = "7" * 3000
+    code, out, _ = run(capsys, "reverse", "--values", f"1,{sevens},1")
+    lines = out.splitlines()
+    assert code == 0 and lines[1] == f"phi_1 = {sevens}"
+    assert len(lines[2]) > 6000 and lines[-1].startswith("admissible: no")
+    code, out, _ = run(capsys, "hook", "ktuple", "--weights", "exp", "-k", "15000", "--max-n", "3")
+    assert code == 0 and len(out) > 3 * 4300 and out.count(" equal") == 3
+
+
+@pytest.mark.parametrize("literal", ["7" * 5000, "1e10000000", "1.5e-10000000"])
+def test_reverse_rejects_oversized_literal_by_name(capsys, literal):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reverse", "--values", f"1,{literal},1")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert literal[:10] in err and "4300 digits" in err

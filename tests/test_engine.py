@@ -15,11 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 from inctrees.reverse import reverse_engineer
 from inctrees.series import Series
 from inctrees.solvers import (
+    SCHEMES,
     free_multilabelled_series,
     k_labelled_series,
     solve_free_multilabelled,
     solve_k_labelled,
     solve_k_tuple,
+    solve_scheme,
     solve_unilabelled_bilabelled,
     unilabelled_bilabelled_series,
 )
@@ -41,10 +43,22 @@ def rational_weights(max_degree=4):
     return st.one_of(polynomials, named)
 
 
+# the fixed-point oracle of each scheme of solvers.SCHEMES, as (weights, k, terms)
+ORACLE_VALUES = {
+    "k-labelled": oracle.k_labelled_values,
+    "free-multilabelled": lambda w, k, terms: oracle.free_multilabelled_values(w, terms),
+    "uni-bi": lambda w, k, terms: oracle.unilabelled_bilabelled_values(w, terms),
+    "k-tuple": oracle.k_tuple_values,
+}
+
+
 @given(rational_weights(), st.integers(min_value=1, max_value=3),
        st.integers(min_value=1, max_value=10))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_engine_equals_fixed_point_oracle(weights, k, terms):
+    assert set(ORACLE_VALUES) == set(SCHEMES)
+    for scheme, values in ORACLE_VALUES.items():
+        assert tuple(solve_scheme(scheme, weights, terms, k)) == values(weights, k, terms)
     assert tuple(solve_k_tuple(weights, k, terms)) == oracle.k_tuple_values(weights, k, terms)
     assert tuple(solve_free_multilabelled(weights, terms)) == \
         oracle.free_multilabelled_values(weights, terms)

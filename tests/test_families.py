@@ -269,3 +269,9 @@ def test_get_family_rejects_unknown():
         get_family("ktuple/nosuch:k=2")
     with pytest.raises(ValueError):
         get_family("ktuple/ordered:q=2")
+
+
+def test_unknown_scheme_is_named():
+    spec = families.FamilySpec("odd/one", "no-such-scheme", DegreeWeights.exponential())
+    with pytest.raises(ValueError, match="'no-such-scheme'"):
+        spec.sequence(3)

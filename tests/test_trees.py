@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inctrees import trees
+from inctrees import bijections, hooks, trees
 from inctrees.trees import (
     CapacityError,
     OrderedTree,
@@ -72,6 +72,36 @@ def test_capacity_error(monkeypatch):
         enumerate_ordered_trees(15)
     with pytest.raises(CapacityError):
         enumerate_degree_words(15)
+
+
+# each capacity bound: (module, name of the bound, what the message calls
+# the quantity, a call one past the bound)
+CAPACITY_BOUNDS = [
+    (trees, "MAX_TREE_SIZE", "tree size n", lambda v: enumerate_degree_words(v)),
+    (trees, "MAX_LABEL_TOTAL", "brute-force label total k*n",
+     lambda v: count_k_labellings_bruteforce(LEAF, v)),
+    (trees, "MAX_BUCKET_TOTAL", "brute-force bucket total m",
+     lambda v: count_bucket_labellings_bruteforce(LEAF, [v])),
+    (hooks, "MAX_HOOK_TREE_SIZE", "hook-sum tree size n",
+     lambda v: hooks.hook_sum_k_tuple(DegreeWeights.exponential(), 1, v)),
+    (hooks, "MAX_HOOK_BUCKET_TOTAL", "hook-sum label count m",
+     lambda v: hooks.hook_sum_bucket(DegreeWeights.exponential(), v)),
+    (bijections, "MAX_OBJECT_LABELS", "object label count m",
+     lambda v: next(bijections.enumerate_free_multilabelled(v))),
+]
+
+
+@pytest.mark.parametrize(
+    "module,bound,what,call", CAPACITY_BOUNDS, ids=[b[1] for b in CAPACITY_BOUNDS]
+)
+def test_capacity_message_names_quantity_value_and_bound(monkeypatch, module, bound, what, call):
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    limit = getattr(module, bound)
+    with pytest.raises(CapacityError) as info:
+        call(limit + 1)
+    message = str(info.value)
+    assert f"{what} = {limit + 1}" in message
+    assert f"capacity {limit};" in message and "INCTREE_CAPACITY" in message
 
 
 def test_capacity_env_override(monkeypatch):

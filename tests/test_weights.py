@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inctrees.weights import DegreeWeights
 
@@ -118,3 +119,42 @@ def test_parse_grammar(text, j, expected):
 def test_parse_rejects_unknown():
     with pytest.raises(ValueError):
         DegreeWeights.parse("nosuch:1")
+
+
+def phis(weights, count=11):
+    return [weights.coefficient(j) for j in range(count)]
+
+
+weight = st.fractions(min_value=0, max_value=50, max_denominator=12)
+
+
+@given(st.lists(weight, min_size=1, max_size=8).filter(lambda cs: cs[0] > 0),
+       st.sampled_from([",", ", ", " ,"]))
+@settings(max_examples=60, derandomize=True)
+def test_parse_poly_equals_constructor(coeffs, sep):
+    text = "poly:" + sep.join(str(c) for c in coeffs)
+    assert phis(DegreeWeights.parse(text)) == phis(DegreeWeights.polynomial(coeffs))
+
+
+@given(st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, derandomize=True)
+def test_parse_bundled_equals_constructor(d):
+    assert phis(DegreeWeights.parse(f"bundled:{d}")) == phis(DegreeWeights.bundled(d))
+
+
+grammar_like = st.builds(
+    str.__add__,
+    st.sampled_from(["", " ", "exp", "cosh", "exp-t", "ordered-t", "bundled:", "poly:", "x:"]),
+    st.text(alphabet="0123456789,/-+.eE_: ", max_size=12),
+)
+
+
+@given(st.one_of(grammar_like, st.text(max_size=20)))
+@settings(max_examples=300, derandomize=True)
+def test_parse_succeeds_or_names_the_spec(text):
+    try:
+        weights = DegreeWeights.parse(text)
+    except ValueError as exc:  # any other exception fails the test
+        assert repr(text.strip()) in str(exc)
+    else:
+        assert weights.coefficient(0) > 0
