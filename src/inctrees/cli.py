@@ -13,8 +13,8 @@ Exit status is 0 exactly when every executed check passes.  Every size
 argument (TERMS, --max-n, --max-m, --cutoff, -k, --terms) must be a positive
 integer; anything else exits 2 naming it.  The b-file format prints
 ``n a(n)`` lines with offset 1 for every family.  The environment variable
-INCTREE_CAPACITY raises the enumeration capacity bounds (at the cost of
-potentially very long runtimes).
+INCTREE_CAPACITY raises the capacity bounds of the enumerations and of the
+k-tuple length k (at the cost of potentially very long runtimes).
 
 ``_SUITES`` is the one check registry: each suite maps the sizes
 ``(max_n, max_m, cutoff)`` to ``(name, ok, detail)`` checks, each comparing
@@ -24,6 +24,7 @@ two independent routes.  ``verify`` prints them, and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -485,9 +486,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built at the first call of :func:`main`
+    (not at import) and reused by every later call: parsing reads it and
+    leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = sys.stdout
     # every exact value prints in full: lift Python's int-to-str digit limit
     # while the command runs (the parsers bound their own input)

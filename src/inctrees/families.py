@@ -7,17 +7,25 @@ exactly.  The OEIS identifiers are documentation only; nothing is fetched.
 
 Registry identifiers look like ``bilabelled/unordered`` or
 ``free/strict-binary``; k-tuple families are parametrized as
-``ktuple/<variant>:k=K``.
+``ktuple/<variant>:k=K`` with K at most ``MAX_KTUPLE_EXPONENT``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import comb, factorial, inf, isfinite
 from typing import Callable, Optional, Tuple
 
 from .solvers import CountingSequence, solve_scheme
+from .trees import check_capacity
 from .weights import SHAPES, DegreeWeights
+
+# tuple length k of a k-tuple family (ktuple/<variant>:k=K, hook ktuple -k).
+# T_n has about k log2(n!) bits; at the default sizes the slowest accepted
+# request, ``hook ktuple --weights exp -k 30000`` (n <= 5), takes about a
+# second on a 2-vCPU Xeon, and ``seq ktuple/unordered:k=30000 5`` 0.2 s
+MAX_KTUPLE_EXPONENT = 30000
 
 
 def _integer(value: Fraction) -> int:
@@ -35,15 +43,17 @@ def inverse_erf_coefficients(count: int) -> Tuple[Fraction, ...]:
     expansion: c_0 = 1, c_k = sum c_m c_{k-1-m} / ((m+1)(2m+1))."""
     if count < 1:
         raise ValueError("count must be positive")
-    cs = [Fraction(1)]
-    for k in range(1, count):
-        cs.append(
-            sum(
-                cs[m] * cs[k - 1 - m] / ((m + 1) * (2 * m + 1))
-                for m in range(k)
-            )
-        )
-    return tuple(cs)
+    return tuple(_inverse_erf_coefficient(k) for k in range(count))
+
+
+@cache
+def _inverse_erf_coefficient(k: int) -> Fraction:
+    """c_k, once per process: c_k does not depend on the count asked for.
+    Ask for c_0 .. c_{k-1} first, as inverse_erf_coefficients does."""
+    if k == 0:
+        return Fraction(1)
+    c = _inverse_erf_coefficient
+    return sum(c(m) * c(k - 1 - m) / ((m + 1) * (2 * m + 1)) for m in range(k))
 
 
 def ordered_bilabelled_closed_form(n: int) -> int:
@@ -98,17 +108,25 @@ def partial_bell(k: int, m: int, xs) -> Fraction:
 
 
 def _bell_table(k: int, xs) -> list:
-    """B[kk][mm] = B_{kk,mm}(x_1, ..., x_{kk-mm+1}) for 0 <= mm <= kk <= k,
-    from B_{kk,mm} = sum_i C(kk-1, i-1) x_i B_{kk-i,mm-1}; xs = x_1 .. x_k."""
+    """B[kk][mm] = B_{kk,mm}(x_1, ..., x_{kk-mm+1}) for 0 <= mm <= kk <= k;
+    xs = x_1 .. x_k."""
     xs = [Fraction(x) for x in xs]
-    table = [[Fraction(int(kk == 0))] * (kk + 1) for kk in range(k + 1)]
-    for kk in range(1, k + 1):
-        for mm in range(1, kk + 1):
-            table[kk][mm] = sum(
-                comb(kk - 1, i - 1) * xs[i - 1] * table[kk - i][mm - 1]
-                for i in range(1, kk - mm + 2)
-            )
+    table: list = []
+    for kk in range(k + 1):
+        table.append(_bell_row(kk, xs, table))
     return table
+
+
+def _bell_row(kk: int, xs, table) -> tuple:
+    """Row kk of the Bell table from its rows 0 .. kk-1, by
+    B_{kk,mm} = sum_i C(kk-1, i-1) x_i B_{kk-i,mm-1}."""
+    row = [Fraction(int(kk == 0))] * (kk + 1)
+    for mm in range(1, kk + 1):
+        row[mm] = sum(
+            comb(kk - 1, i - 1) * xs[i - 1] * table[kk - i][mm - 1]
+            for i in range(1, kk - mm + 2)
+        )
+    return tuple(row)
 
 
 def _arc_chord_coefficients(count: int) -> Tuple[Fraction, ...]:
@@ -121,6 +139,16 @@ def _arc_chord_coefficients(count: int) -> Tuple[Fraction, ...]:
     )
 
 
+@cache
+def _two_bundled_bell_row(kk: int) -> tuple:
+    """Row kk of the Bell table of x_j = j! theta_j, once per process: the
+    x_j do not depend on n, so one table serves every n.  Ask for rows
+    0 .. kk-1 first, as two_bundled_closed_form does."""
+    thetas = _arc_chord_coefficients(kk)
+    xs = [factorial(j) * thetas[j - 1] for j in range(1, kk + 1)]
+    return _bell_row(kk, xs, [_two_bundled_bell_row(j) for j in range(kk)])
+
+
 def two_bundled_closed_form(n: int) -> int:
     """T_n for the 2-bundled family via Lagrange inversion of the implicit
     arcsine equation, expressed with partial Bell polynomials."""
@@ -128,10 +156,8 @@ def two_bundled_closed_form(n: int) -> int:
         raise ValueError("n must be positive")
     if n == 1:
         return 1
-    thetas = _arc_chord_coefficients(n - 1)
-    xs = [factorial(j) * thetas[j - 1] for j in range(1, n)]
     k = n - 1
-    bell = _bell_table(k, xs)
+    bell = [_two_bundled_bell_row(kk) for kk in range(n)]
     total = Fraction(0)
     for m in range(1, n):
         total += (
@@ -620,6 +646,7 @@ def get_family(identifier: str) -> FamilySpec:
                 k = 0
             if k < 1:
                 raise ValueError(f"bad k-tuple parameter in {identifier!r}: need k=K, K >= 1")
+            check_capacity(k, MAX_KTUPLE_EXPONENT, "k-tuple exponent k")
         else:
             variant, k = rest, 1
         if variant not in SHAPES:

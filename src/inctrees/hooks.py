@@ -21,6 +21,7 @@ from functools import cache
 from math import factorial, lcm, prod
 from typing import Optional, Sequence, Tuple
 
+from .families import MAX_KTUPLE_EXPONENT
 from .solvers import (
     solve_free_multilabelled,
     solve_k_labelled,
@@ -162,6 +163,7 @@ def hook_sum_k_tuple(weights: DegreeWeights, k: int, n: int) -> HookIdentityRepo
     """Sum over plane trees of size n of prod phi_odeg / h^k, against
     T_n / (n!)^k from the k-tuple solver."""
     check_capacity(n, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
+    check_capacity(k, MAX_KTUPLE_EXPONENT, "k-tuple exponent k")
     factor = {h: Fraction(h) ** -k for h in range(1, n + 1)}
     lhs, visited = _tree_sum(weights, n, factor)
     rhs = solve_k_tuple(weights, k, n)[n] / Fraction(factorial(n)) ** k

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Tuple
 
-from .series import Series, _parse_fraction, as_fraction
+from .series import _parse_fraction, _revert_compose, _trim, as_fraction
 from .solvers import solve_k_labelled
 from .weights import DegreeWeights
 
@@ -54,12 +54,9 @@ def reverse_engineer(
         raise ValueError(
             "T_1 = 0: the target has no invertible square-root substitution"
         )
-    f = Series(
-        [Fraction(0)]
-        + [values[n - 1] / factorial(2 * n) for n in range(1, n_terms + 1)]
-    )
-    h = Series([values[n] / factorial(2 * n) for n in range(n_terms)])
-    phi = h.compose(f.reversion()).coefficients
+    f = [Fraction(0)] + [values[n - 1] / factorial(2 * n) for n in range(1, n_terms + 1)]
+    h = [values[n] / factorial(2 * n) for n in range(n_terms)]
+    phi = tuple(_revert_compose(_trim(f), _trim(h), n_terms - 1))
     first_violation = None
     for j, value in enumerate(phi):
         if value < 0 or (j == 0 and value == 0):

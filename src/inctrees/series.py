@@ -12,7 +12,9 @@ guaranteed to be valid to:
 Composition and reversion run on a table of powers ``[z^m] g^j`` of the
 inner series that grows by one column per new coefficient (Knuth, TAOCP
 Vol. 2, 4.7); the coefficient solvers use the same table
-(:func:`_compose_column`, :func:`_power_sum`).
+(:func:`_compose_column`, :func:`_power_sum`).  Reversion fills g = f^(-1)
+and, for reverse engineering, a composition h(g) from one table
+(:func:`_revert_compose`).
 
 All coefficients are :class:`fractions.Fraction` values, so arithmetic is
 exact; floats are rejected at construction.  Series are immutable and every
@@ -249,13 +251,8 @@ class Series:
             raise ValueError("reversion needs a series with zero constant term")
         if self.order < 1 or self._coeffs[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
-        f = _trim(self._coeffs)
-        g = [Fraction(0), 1 / f[1]]
-        rows: list = []
-        # [z^m] f(g) = f_1 g_m + sum_{j>=2} f_j [z^m] g^j must vanish for m >= 2
-        for m in range(2, self.order + 1):
-            g.append(-_power_sum(g, rows, f, m) / f[1])
-        return Series(g)
+        # g is h(g) for h(t) = t
+        return Series(_revert_compose(_trim(self._coeffs), (Fraction(0), Fraction(1)), self.order))
 
 
 def _trim(coeffs) -> tuple:
@@ -278,22 +275,55 @@ def _compose_column(outer, inner, rows: list, m: int) -> Fraction:
 def _power_sum(a, rows: list, weights, m: int) -> Fraction:
     """sum_{j=2}^{m} weights[j] [z^m] A^j for A = sum a_i z^i with a_0 = 0.
 
-    Only a_1 .. a_{m-1} are read.  ``rows[j-2]`` holds [z^0..z^{m-1}] A^j
-    and gains its column m here, so call this for m = 1, 2, ... in turn
-    with the same ``rows``.  Powers past ``len(weights) - 1`` are never
-    formed: pass weights without trailing zeros.
+    Only a_1 .. a_{m-1} are read.  ``rows`` is the power table of
+    :func:`_power_column`, so call this for m = 1, 2, ... in turn with the
+    same ``rows``.  Powers past ``len(weights) - 1`` are never formed: pass
+    weights without trailing zeros.
     """
-    if 2 <= m < len(weights):
+    return _dot(weights, _power_column(a, rows, len(weights) - 1, m))
+
+
+def _power_column(a, rows: list, top: int, m: int) -> list:
+    """Column m of the power table of A = sum a_i z^i (a_0 = 0): the list of
+    [z^m] A^j for j = 2, 3, ..., also appended to ``rows[j-2]``, which holds
+    [z^0..z^{m-1}] A^j.  A^m joins the table when m <= top.  Only a_1 ..
+    a_{m-1} are read; call this for m = 1, 2, ... in turn with the same
+    ``rows``."""
+    if 2 <= m <= top:
         rows.append([0] * m)  # A^m starts at z^m
     support = [i for i in range(1, m) if a[i]]
-    total = Fraction(0)
+    column = []
     prev = a
     for j, row in enumerate(rows, start=2):
         # [z^m] A^j = sum_i a_i [z^(m-i)] A^(j-1), where A^(j-1) starts at z^(j-1)
         cut = bisect_right(support, m - j + 1)
         c = sum(a[i] * prev[m - i] for i in support[:cut])
         row.append(c)
-        if c:
-            total += weights[j] * c
+        column.append(c)
         prev = row
+    return column
+
+
+def _dot(weights, column: list) -> Fraction:
+    """sum_j weights[j] column[j-2]: a weighted column of the power table."""
+    total = Fraction(0)
+    for w, c in zip(weights[2:], column):
+        if c:
+            total += w * c
     return total
+
+
+def _revert_compose(f, h, n: int) -> list:
+    """[z^0..z^n] h(g) for g = f^(-1), where f_0 = 0 != f_1 and f, h have no
+    trailing zeros.  Each column of one power table of g gives g_m, since
+    [z^m] f(g) = f_1 g_m + sum_{j>=2} f_j [z^m] g^j vanishes for m >= 2, and
+    then [z^m] h(g) as in :meth:`Series.compose`."""
+    g = [Fraction(0), 1 / f[1]]
+    out = [h[0], h[1] * g[1]][: n + 1]
+    rows: list = []
+    top = max(len(f), len(h)) - 1
+    for m in range(2, n + 1):
+        column = _power_column(g, rows, top, m)
+        g.append(-_dot(f, column) / f[1])
+        out.append(h[1] * g[m] + _dot(h, column))
+    return out

@@ -15,9 +15,19 @@ exponential generating function:
 One online engine solves all four (Bergeron-Flajolet-Salvy, "Varieties of
 increasing trees", CAAP '92).  Each equation fixes the next coefficient a_n
 of a series A = sum a_n w^n from the coefficients u_0 .. u_{n-1} of
-U = phi(A), and those come from a table of the powers A^j that grows by one
-column per new a_n (Knuth, TAOCP Vol. 2, 4.7): O(N^3) exact operations for
-N terms, O(N^2 d) for weights of degree d.
+U = phi(A).  How u_m is produced depends on the kind of the weights, and
+costs, for N terms, in exact operations:
+
+* ``exp``, ``bundled``, ``cosh``, ``exp-t``, ``ordered-t``: O(N^2).  U
+  satisfies a linear first-order equation in A (Stanley, "Differentiably
+  finite power series", 1980), so each u_m is one O(m) convolution:
+  U' = U A' (exp), (1 - A) U' = d U A' (bundled(d)), the pair
+  U' = V A', V' = U A' with V = sinh A (cosh), and the exp or bundled(1)
+  relation minus A (exp-t, ordered-t).
+* ``poly`` of degree d: O(N^2 d), and ``custom``: O(N^3).  u_m is a column
+  of a table of the powers A^j that grows by one column per new a_n (Knuth,
+  TAOCP Vol. 2, 4.7).  Wrapping a named phi in ``DegreeWeights.custom``
+  runs it on this table, the reference route for the relations.
 
 ``SCHEMES`` is the one place that states a scheme: its engine step and the
 scale that turns a_n into T_n.  The named ``solve_*`` functions and
@@ -28,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .series import Series, _compose_column, _trim
 from .trees import falling_factorial
@@ -81,17 +91,78 @@ SCHEMES = {
 
 
 def _online(scheme: str, weights: DegreeWeights, terms: int, k: int) -> List[Fraction]:
-    """a_0 = 0, a_1 .. a_terms of the scheme's series A.  Reads phi_0 ..
-    phi_{terms-1} once."""
+    """a_0 = 0, a_1 .. a_terms of the scheme's series A."""
     step = SCHEMES[scheme][0]
-    phi = _trim([weights.coefficient(j) for j in range(terms)])
     a = [Fraction(0)]
     u: List[Fraction] = []
-    rows: list = []
+    columns = _phi_columns(weights, terms, a)
     for n in range(1, terms + 1):
-        u.append(_compose_column(phi, a, rows, n - 1))
+        u.append(next(columns))
         a.append(step(n, k, a, u))
     return a
+
+
+def _phi_columns(weights: DegreeWeights, terms: int, a: List[Fraction]) -> Iterator[Fraction]:
+    """u_0, u_1, ... of U = phi(A); u_m is drawn once a_1 .. a_m are in
+    ``a``.  The named kinds run their first-order relation, the rest the
+    power table."""
+    kind = weights.kind
+    if kind in ("exp", "exp-t"):
+        return _relation_columns(a, 0, 1, kind == "exp-t")
+    if kind in ("bundled", "ordered-t"):
+        # phi_1 = C(d, 1) = d; ordered-t is bundled(1) minus t
+        d = int(weights.coefficient(1)) if kind == "bundled" else 1
+        return _relation_columns(a, 1, d, kind == "ordered-t")
+    if kind == "cosh":
+        return _cosh_columns(a)
+    return _table_columns(weights, terms, a)
+
+
+def _relation_columns(a: List[Fraction], c: int, d: int, minus_t: bool) -> Iterator[Fraction]:
+    """E = exp(A) (c = 0, d = 1) or (1 - A)^(-d) (c = 1) from
+    (1 - cA) E' = d E A', that is
+    m e_m = sum_i a_i e_(m-i) (c (m-i) + d i).  Yields E, or E - A when
+    ``minus_t``."""
+    e = [Fraction(1)]
+    live: List[int] = []  # the i with a_i != 0
+    yield e[0]
+    m = 1
+    while True:
+        if a[m]:
+            live.append(m)
+        total = sum((a[i] * e[m - i] * (c * (m - i) + d * i) for i in live), Fraction(0))
+        e.append(total / m)
+        yield e[m] - a[m] if minus_t else e[m]
+        m += 1
+
+
+def _cosh_columns(a: List[Fraction]) -> Iterator[Fraction]:
+    """U = cosh A with its partner V = sinh A: U' = V A' and V' = U A',
+    that is m u_m = sum_i i a_i v_(m-i) and m v_m = sum_i i a_i u_(m-i)."""
+    u, v = [Fraction(1)], [Fraction(0)]
+    ia = [Fraction(0)]
+    live: List[int] = []
+    yield u[0]
+    m = 1
+    while True:
+        ia.append(m * a[m])
+        if a[m]:
+            live.append(m)
+        u.append(sum((ia[i] * v[m - i] for i in live), Fraction(0)) / m)
+        v.append(sum((ia[i] * u[m - i] for i in live), Fraction(0)) / m)
+        yield u[m]
+        m += 1
+
+
+def _table_columns(weights: DegreeWeights, terms: int, a: List[Fraction]) -> Iterator[Fraction]:
+    """Columns of the power table of A, weighted by phi_0 .. phi_{terms-1}
+    (read once)."""
+    phi = _trim([weights.coefficient(j) for j in range(terms)])
+    rows: list = []
+    m = 0
+    while True:
+        yield _compose_column(phi, a, rows, m)
+        m += 1
 
 
 def _solve(scheme: str, weights: DegreeWeights, terms: int, k: int) -> CountingSequence:

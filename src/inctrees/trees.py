@@ -19,9 +19,9 @@ Trees have a text form of balanced parentheses: ``()`` is a single node and
 ``(()())`` is a root with two leaf children; parsers reject text nested
 deeper than ``MAX_TEXT_DEPTH`` with a ``ValueError`` naming the position.
 
-The package's six capacity bounds (``MAX_TREE_SIZE``, ``MAX_LABEL_TOTAL``
-and ``MAX_BUCKET_TOTAL`` here, two in ``hooks``, one in ``bijections``) are
-all enforced by :func:`check_capacity`.
+The package's seven capacity bounds (``MAX_TREE_SIZE``, ``MAX_LABEL_TOTAL``
+and ``MAX_BUCKET_TOTAL`` here, two in ``hooks``, one in ``bijections``, one
+in ``families``) are all enforced by :func:`check_capacity`.
 The environment variable ``INCTREE_CAPACITY``, when set to a positive
 integer, replaces all of them; any other value is a ``ValueError``.
 Raising it can make enumerations take minutes and gigabytes; that risk is

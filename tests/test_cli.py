@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ GOLDEN_VERIFY_ALL = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.txt"
 GOLDEN_VERIFY_ALL_JSON = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.json"
 GOLDEN_REVERSE = ROOT / "tests" / "data" / "reverse_families.txt"
 GOLDEN_BIJECTION_SHOW = ROOT / "tests" / "data" / "bijection_show_m5.txt"
+GOLDEN_SEQ = ROOT / "tests" / "data" / "seq_registry_40.txt"
 # checks whose detail is a float that depends on the platform's libm
 FLOAT_ROUTES = ("lattice sum ", "binary free series ")
 
@@ -310,6 +311,76 @@ def test_reverse_output_is_pinned():
     assert reverse_transcript() == GOLDEN_REVERSE.read_text()
 
 
+def seq_transcript() -> str:
+    """stdout of ``seq ID 40`` for every registry family and for
+    ktuple/{ordered,unordered}:k={1,2,3}, each under a ``$ inctree ...``
+    header line."""
+    identifiers = families.family_identifiers() + tuple(
+        f"ktuple/{variant}:k={k}" for variant in ("ordered", "unordered") for k in (1, 2, 3)
+    )
+    out = io.StringIO()
+    for identifier in identifiers:
+        argv = ["seq", identifier, "40"]
+        out.write("$ inctree " + " ".join(argv) + "\n")
+        with redirect_stdout(out):
+            assert main(argv) == 0
+    return out.getvalue()
+
+
+def test_seq_output_is_pinned():
+    # Forty terms of every family, recorded from the power-table engine.
+    assert seq_transcript() == GOLDEN_SEQ.read_text()
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one main call, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# failing requests first, then non-default options, then the defaults
+REUSE_RUNS = [
+    ["seq", "no/such-family", "5"],
+    ["seq", "bilabelled/unordered", "0"],
+    ["verify", "closed-forms", "--max-n", "two"],
+    ["hook", "ktuple", "--weights", "exp", "-k", "30001"],
+    ["seq", "bilabelled/ordered", "8", "--format", "json"],
+    ["verify", "closed-forms", "--max-n", "4", "--max-m", "3", "--format", "json"],
+    ["bijection", "unibi", "--max-m", "3", "--show"],
+    ["reverse", "--values", "1,2,22,584", "--format", "json"],
+    ["hook", "ktuple", "--weights", "poly:1,2,1", "-k", "3", "--max-n", "4", "--format", "json"],
+    ["seq", "bilabelled/ordered", "8"],
+    ["verify", "closed-forms"],
+    ["bijection", "unibi"],
+    ["reverse", "--values", "1,2,22,584"],
+    ["hook", "ktuple", "--weights", "poly:1,2,1"],
+]
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    alone = []
+    for argv in REUSE_RUNS:
+        cli._parser.cache_clear()
+        alone.append(call(argv))
+    builds = []
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in REUSE_RUNS] == alone
+    assert len(builds) == 1
+    assert [code for code, _, _ in alone[:4]] == [2, 2, 2, 2]
+
+
 def test_bijection_show_output_is_pinned(capsys):
     # Every object and its image, in enumeration order, for both maps at m <= 5.
     out = ""
@@ -366,6 +437,21 @@ def test_bad_parameter_names_the_input(capsys, argv, bad):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert repr(bad) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "ktuple/ordered:k=30001", "3"],
+        ["hook", "ktuple", "--weights", "exp", "-k", "30001"],
+    ],
+    ids=["seq", "hook"],
+)
+def test_ktuple_exponent_past_its_capacity_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "k-tuple exponent k = 30001 exceeds the capacity 30000" in err
 
 
 @pytest.mark.parametrize(

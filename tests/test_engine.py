@@ -5,13 +5,17 @@ and ``reverse_engineer`` replaced fixed-point iteration, the composition
 recurrence, Horner composition, one full composition per order and the
 two-derivative reverse engineering.  These properties pin them to those
 routes on random small rational weights and series, with a fixed Hypothesis
-seed.
+seed.  The first-order relations of the named weight kinds are pinned both to
+those routes and to the power table, which the same phi wrapped as
+``DegreeWeights.custom`` runs on.
 """
 from fractions import Fraction as F
 
 import oracle
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from inctrees import solvers
 from inctrees.reverse import reverse_engineer
 from inctrees.series import Series
 from inctrees.solvers import (
@@ -66,6 +70,37 @@ def test_engine_equals_fixed_point_oracle(weights, k, terms):
         oracle.unilabelled_bilabelled_values(weights, terms)
     assert tuple(solve_k_labelled(weights, k, terms)) == \
         oracle.k_labelled_values(weights, k, terms)
+
+
+# every kind that solvers._online serves by a first-order relation
+FAST_KINDS = [
+    DegreeWeights.exponential(), DegreeWeights.cosh(), DegreeWeights.exp_minus_t(),
+    DegreeWeights.ordered_minus_t(), *(DegreeWeights.bundled(d) for d in range(1, 5)),
+]
+
+
+@pytest.mark.parametrize("weights", FAST_KINDS, ids=lambda w: w.name)
+@given(st.integers(min_value=1, max_value=6))
+@settings(max_examples=4, deadline=None, derandomize=True)
+def test_first_order_relations_equal_power_table_and_oracle(weights, terms):
+    table = DegreeWeights.custom(weights.coefficient, name=f"custom {weights.name}")
+    for scheme, values in ORACLE_VALUES.items():
+        for k in (1, 2, 3):
+            fast = tuple(solve_scheme(scheme, weights, terms, k))
+            assert fast == tuple(solve_scheme(scheme, table, terms, k)), (scheme, k)
+            assert fast == values(weights, k, terms), (scheme, k)
+
+
+def test_named_kinds_never_reach_the_power_table(monkeypatch):
+    def table_column(*args):
+        raise AssertionError("power table reached")
+
+    monkeypatch.setattr(solvers, "_compose_column", table_column)
+    for weights in FAST_KINDS:
+        for scheme in SCHEMES:
+            assert len(solve_scheme(scheme, weights, 12, 2)) == 12
+    with pytest.raises(AssertionError, match="power table reached"):
+        solve_scheme("k-labelled", DegreeWeights.parse("poly:1,2,1"), 3, 2)
 
 
 @given(rational_weights(), st.integers(min_value=1, max_value=3),

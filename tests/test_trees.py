@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inctrees import bijections, hooks, trees
+from inctrees import bijections, families, hooks, trees
 from inctrees.trees import (
     CapacityError,
     OrderedTree,
@@ -88,6 +88,8 @@ CAPACITY_BOUNDS = [
      lambda v: hooks.hook_sum_bucket(DegreeWeights.exponential(), v)),
     (bijections, "MAX_OBJECT_LABELS", "object label count m",
      lambda v: next(bijections.enumerate_free_multilabelled(v))),
+    (families, "MAX_KTUPLE_EXPONENT", "k-tuple exponent k",
+     lambda v: families.get_family(f"ktuple/ordered:k={v}")),
 ]
 
 
