@@ -14,7 +14,13 @@ Two maps, each with its inverse and an exhaustive verifier:
 
 Unordered trees are represented as ordered trees in canonical form: the
 children of every node sorted by their smallest label, ascending, which the
-labelling generator of ``trees`` keeps as it goes; colorings share subtrees.
+labelling generator of ``trees`` keeps as it goes.
+
+Internally an object is a preorder code on its tree's out-degree word:
+``(word, blocks)`` multilabelled, ``(word, labels, colors)`` colored.  All
+work on codes is loops, not recursion, and hashing is on flat tuples.
+:class:`MultiTree` and :class:`ColoredTree` are the public and text form,
+converted at the boundary by one iterative pass each way.
 
 Text encodings (parse/format below)::
 
@@ -27,15 +33,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, List, Tuple
+from functools import lru_cache, partial
+from itertools import chain, product
+from typing import Iterator, Tuple
 
 from .trees import (
     MAX_TEXT_DEPTH,
+    _bucket_functions,
     _label_blocks,
     check_capacity,
-    enumerate_bucket_functions,
-    enumerate_ordered_trees,
+    enumerate_degree_words,
 )
 
 MAX_OBJECT_LABELS = 7
@@ -70,13 +77,66 @@ class ColoredTree:
         return 1 + sum(c.size() for c in self.children)
 
 
+# -- preorder codes -------------------------------------------------------
+
+
+@lru_cache(maxsize=1024)
+def _shape(word):
+    """Parent (-1 at the root) and children of each node of the tree with
+    this out-degree word; a node waits once per child it still lacks."""
+    parents, kids, waiting = [], [[] for _ in word], []
+    for i, d in enumerate(word):
+        p = waiting.pop() if waiting else -1
+        parents.append(p)
+        if i:
+            kids[p].append(i)
+        waiting += [i] * d
+    return tuple(parents), tuple(map(tuple, kids))
+
+
+def _code(tree, *fields):
+    """Preorder code of a tree: out-degree word, then each named field."""
+    rows, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        rows.append((len(node.children), *(getattr(node, f) for f in fields)))
+        stack.extend(reversed(node.children))
+    return tuple(zip(*rows))
+
+
+def _fold(make, word, *fields):
+    """Build a tree bottom-up from its preorder code, make(*fields, kids) per node."""
+    stack = []
+    for d, *args in zip(reversed(word), *map(reversed, fields)):
+        cut = len(stack) - d
+        stack[cut:] = [make(*args, tuple(reversed(stack[cut:])))]
+    return stack[0]
+
+
 # -- validation ---------------------------------------------------------
 
 
-def _collect_labels(t: MultiTree, out: List[int]):
-    out.extend(t.labels)
-    for c in t.children:
-        _collect_labels(c, out)
+def _check_multi(code, max_block: int = 0) -> int:
+    word, blocks = code
+    labels = sorted(chain.from_iterable(blocks))
+    m = len(labels)
+    if labels != list(range(1, m + 1)):
+        raise ValueError("labels must partition 1..m into disjoint node sets")
+    # labels are now distinct, so a sorted block is strictly sorted, and a
+    # checked block's first and last labels are its least and greatest
+    for block, p in zip(blocks, _shape(word)[0]):
+        if not block:
+            raise ValueError("every node needs a non-empty label set" if p < 0 else
+                             f"a child of the node with labels {blocks[p]} has no labels")
+        if len(block) > 1 and list(block) != sorted(block):
+            raise ValueError("node labels must be a strictly sorted tuple")
+        if max_block and len(block) > max_block:
+            raise ValueError(f"node holds {len(block)} labels, allowed at most {max_block}")
+        if p >= 0 and block[0] <= blocks[p][-1]:
+            raise ValueError(
+                f"increasing condition violated between label sets {blocks[p]} and {block}"
+            )
+    return m
 
 
 def validate_multilabelled(t: MultiTree, max_block: int = 0) -> int:
@@ -84,41 +144,37 @@ def validate_multilabelled(t: MultiTree, max_block: int = 0) -> int:
 
     max_block > 0 additionally bounds the number of labels per node.
     """
-    seen: List[int] = []
-    _collect_labels(t, seen)
-    m = len(seen)
-    if sorted(seen) != list(range(1, m + 1)):
-        raise ValueError("labels must partition 1..m into disjoint node sets")
+    return _check_multi(_code(t, "labels"), max_block)
 
-    def walk(node: MultiTree):
-        if not node.labels:
-            raise ValueError("every node needs a non-empty label set")
-        if list(node.labels) != sorted(set(node.labels)):
-            raise ValueError("node labels must be a strictly sorted tuple")
-        if max_block and len(node.labels) > max_block:
-            raise ValueError(
-                f"node holds {len(node.labels)} labels, allowed at most {max_block}"
-            )
-        for child in node.children:
-            if not child.labels:
-                raise ValueError(f"a child of the node with labels {node.labels} has no labels")
-            if min(child.labels) <= max(node.labels):
-                raise ValueError(
-                    f"increasing condition violated between label sets "
-                    f"{node.labels} and {child.labels}"
-                )
-            walk(child)
 
-    walk(t)
-    return m
+def _canonical(code) -> bool:
+    word, blocks = code
+    return all(
+        min(blocks[a]) <= min(blocks[b]) for kids in _shape(word)[1] for a, b in zip(kids, kids[1:])
+    )
 
 
 def is_canonical_unordered(t: MultiTree) -> bool:
     """Children of every node sorted ascending by smallest label."""
-    mins = [min(c.labels) for c in t.children]
-    if mins != sorted(mins):
-        return False
-    return all(is_canonical_unordered(c) for c in t.children)
+    return _canonical(_code(t, "labels"))
+
+
+def _check_colored(code, black_degrees: str) -> int:
+    word, labels, colors = code
+    for d, label, color, p in zip(word, labels, colors, _shape(word)[0]):
+        if p >= 0 and label <= labels[p]:
+            raise ValueError("labels must increase from parent to child")
+        if color != WHITE:
+            if color != BLACK:
+                raise ValueError(f"unknown color {color!r}")
+            if black_degrees == "unary" and d != 1:
+                raise ValueError(f"black node of out-degree {d}, expected 1")
+            if black_degrees == "branching" and d < 2:
+                raise ValueError(f"black node of out-degree {d}, expected >= 2")
+    m = len(labels)
+    if sorted(labels) != list(range(1, m + 1)):
+        raise ValueError("labels must be exactly 1..size")
+    return m
 
 
 def validate_colored(t: ColoredTree, black_degrees: str) -> int:
@@ -127,65 +183,97 @@ def validate_colored(t: ColoredTree, black_degrees: str) -> int:
     black_degrees is "unary" (only out-degree-1 nodes may be black) or
     "branching" (only out-degree >= 2 nodes may be black).
     """
-    labels: List[int] = []
-
-    def walk(node: ColoredTree):
-        labels.append(node.label)
-        if node.color not in (BLACK, WHITE):
-            raise ValueError(f"unknown color {node.color!r}")
-        if node.color == BLACK:
-            if black_degrees == "unary" and len(node.children) != 1:
-                raise ValueError(
-                    f"black node of out-degree {len(node.children)}, expected 1"
-                )
-            if black_degrees == "branching" and len(node.children) < 2:
-                raise ValueError(
-                    f"black node of out-degree {len(node.children)}, expected >= 2"
-                )
-        for child in node.children:
-            if child.label <= node.label:
-                raise ValueError("labels must increase from parent to child")
-            walk(child)
-
-    walk(t)
-    m = len(labels)
-    if sorted(labels) != list(range(1, m + 1)):
-        raise ValueError("labels must be exactly 1..size")
-    return m
+    return _check_colored(_code(t, "label", "color"), black_degrees)
 
 
 # -- chain map: free multilabelled <-> colored with black unary nodes -----
 
 
+def _chain(code):
+    """A block l1 < ... < lb under out-degree d becomes b-1 black unary
+    nodes, then a white node of out-degree d."""
+    _check_multi(code)
+    word, blocks = code
+    out, colors = [], []
+    for d, block in zip(word, blocks):
+        tail = len(block) - 1
+        if tail:
+            out += (1,) * tail
+            colors += (BLACK,) * tail
+        out.append(d)
+        colors.append(WHITE)
+    return tuple(out), tuple(chain.from_iterable(blocks)), tuple(colors)
+
+
+def _unchain(code):
+    """Each run of black nodes and the white node ending it become one block."""
+    _check_colored(code, "unary")
+    word, blocks, run = [], [], []
+    for d, label, color in zip(*code):
+        run.append(label)
+        if color == WHITE:
+            word.append(d)
+            blocks.append(tuple(run))
+            run = []
+    return tuple(word), tuple(blocks)
+
+
 def multi_to_colored(t: MultiTree) -> ColoredTree:
     """Expand every label set into a chain of black nodes ending white."""
-    validate_multilabelled(t)
-    return _expand(t)
-
-
-def _expand(node: MultiTree) -> ColoredTree:
-    children = tuple(map(_expand, node.children))
-    tip = ColoredTree(node.labels[-1], WHITE, children)
-    for label in reversed(node.labels[:-1]):
-        tip = ColoredTree(label, BLACK, (tip,))
-    return tip
+    return _fold(ColoredTree, *_chain(_code(t, "labels")))
 
 
 def colored_to_multi(t: ColoredTree) -> MultiTree:
     """Collapse maximal chains of black nodes with their white end."""
-    validate_colored(t, "unary")
-    return _collapse(t)
-
-
-def _collapse(node: ColoredTree) -> MultiTree:
-    labels = [node.label]
-    while node.color == BLACK:
-        node = node.children[0]
-        labels.append(node.label)
-    return MultiTree(tuple(labels), tuple(map(_collapse, node.children)))
+    return _fold(MultiTree, *_unchain(_code(t, "label", "color")))
 
 
 # -- split map: one-or-two labels <-> colored with black branching nodes --
+
+
+def _split(code):
+    """Split map from a stack of pending (label, input children): at the
+    first child (a, b), a takes the later siblings, b that child's children."""
+    _check_multi(code, max_block=2)
+    if not _canonical(code):
+        raise ValueError("children must be sorted ascending by smallest label")
+    word, blocks = code
+    kids = _shape(word)[1]
+    shift = len(blocks[0]) - 1
+    rows, stack = [], [(blocks[0][-1] - shift, kids[0])]
+    while stack:
+        label, below = stack.pop()
+        first = next((j for j, c in enumerate(below) if len(blocks[c]) == 2), None)
+        items = [(blocks[c][0] - shift, kids[c]) for c in below[:first]]
+        if first is not None:
+            low, high = blocks[below[first]]
+            items += [(low - shift, below[first + 1:]), (high - shift, kids[below[first]])]
+        rows.append((len(items), label, WHITE if first is None else BLACK))
+        stack.extend(reversed(items))
+    return tuple(zip(*rows)), bool(shift)
+
+
+def _merge(code, shifted: bool):
+    """Inverse split map from a stack of pending (block, colored node): a black
+    node's last two children join, then the first one's children follow."""
+    _check_colored(code, "branching")
+    word, labels, colors = code
+    kids = _shape(word)[1]
+    rows, stack = [], [((1, labels[0] + 1) if shifted else (labels[0],), 0)]
+    while stack:
+        block, node = stack.pop()
+        items = []
+        while colors[node] == BLACK:
+            *rest, left, right = kids[node]
+            if labels[left] >= labels[right]:
+                raise ValueError("split children must carry increasing labels")
+            items += [((labels[c] + shifted,), c) for c in rest]
+            items.append(((labels[left] + shifted, labels[right] + shifted), right))
+            node = left
+        items += [((labels[c] + shifted,), c) for c in kids[node]]
+        rows.append((len(items), block))
+        stack.extend(reversed(items))
+    return tuple(zip(*rows))
 
 
 def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
@@ -195,155 +283,78 @@ def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
     case label 1 is removed from the root and all labels shift down by one,
     so the image has size m-1.
     """
-    validate_multilabelled(t, max_block=2)
-    if not is_canonical_unordered(t):
-        raise ValueError("children must be sorted ascending by smallest label")
-    shifted = False
-    if len(t.labels) == 2:
-        shifted = True
-        t = MultiTree(
-            (t.labels[1] - 1,),
-            tuple(_shift_multi(c, -1) for c in t.children),
-        )
-    return _split(t), shifted
-
-
-def _shift_multi(node: MultiTree, delta: int) -> MultiTree:
-    return MultiTree(
-        tuple(l + delta for l in node.labels),
-        tuple(_shift_multi(c, delta) for c in node.children),
-    )
-
-
-def _split(node: MultiTree) -> ColoredTree:
-    children = list(node.children)
-    first_double = next(
-        (i for i, c in enumerate(children) if len(c.labels) == 2), None
-    )
-    if first_double is None:
-        return ColoredTree(
-            node.labels[0], WHITE, tuple(_split(c) for c in children)
-        )
-    p = first_double
-    doubled = children[p]
-    left = MultiTree((doubled.labels[0],), tuple(children[p + 1 :]))
-    right = MultiTree((doubled.labels[1],), doubled.children)
-    new_children = children[:p] + [left, right]
-    return ColoredTree(
-        node.labels[0], BLACK, tuple(_split(c) for c in new_children)
-    )
+    code, shifted = _split(_code(t, "labels"))
+    return _fold(ColoredTree, *code), shifted
 
 
 def q_to_unibi(t: ColoredTree, root_was_doubly_labelled: bool) -> MultiTree:
     """Inverse of the split map."""
-    validate_colored(t, "branching")
-    merged = _merge(t)
-    if root_was_doubly_labelled:
-        merged = _shift_multi(merged, +1)
-        merged = MultiTree((1,) + merged.labels, merged.children)
-    return merged
-
-
-def _merge(node: ColoredTree) -> MultiTree:
-    children = [_merge(c) for c in node.children]
-    if node.color == BLACK:
-        if len(children) < 2:
-            raise ValueError("black node of out-degree < 2 cannot be merged")
-        left, right = children[-2], children[-1]
-        if len(left.labels) != 1 or len(right.labels) != 1:
-            raise ValueError("split children must carry single labels")
-        if left.labels[0] >= right.labels[0]:
-            raise ValueError("split children must carry increasing labels")
-        joined = MultiTree(left.labels + right.labels, right.children)
-        children = children[:-2] + [joined] + list(left.children)
-    return MultiTree((node.label,), tuple(children))
+    return _fold(MultiTree, *_merge(_code(t, "label", "color"), root_was_doubly_labelled))
 
 
 # -- exhaustive enumeration of objects ------------------------------------
 
 
-def _labelled_shapes(sizes, m: int, max_bucket, sibling_sorted: bool = False):
-    """(preorder out-degree word, label blocks) of every increasing labelling
-    with m labels of every plane tree of the given sizes."""
+def _labelled_codes(sizes, m: int, cap: int, sibling_sorted: bool = False):
+    """(word, blocks) of every increasing labelling with m labels, at most
+    cap per node, of every plane tree of the given sizes."""
+    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
     for size in sizes:
-        for tree in enumerate_ordered_trees(size):
-            word, parents = tree.out_degrees(), tree.parent_indices()
-            for buckets in enumerate_bucket_functions(tree, m, max_bucket):
-                for blocks in _label_blocks(parents, buckets, sibling_sorted):
-                    yield word, blocks
+        for word in enumerate_degree_words(size):
+            parents = _shape(word)[0]
+            for buckets in _bucket_functions(size, m, cap):
+                yield from ((word, b) for b in _label_blocks(parents, buckets, sibling_sorted))
 
 
-def _fold(word, blocks, make):
-    """Build bottom-up along a preorder out-degree word: make(block, kids)
-    per node, kids being its children's results in order."""
-    stack = []
-    for d, block in zip(reversed(word), reversed(blocks)):
-        cut = len(stack) - d
-        stack[cut:] = [make(block, tuple(reversed(stack[cut:])))]
-    return stack[0]
+def _colored_codes(m: int, branching: bool):
+    """Per labelling, every coloring of the colorable nodes, white first, the
+    first in preorder varying slowest."""
+    colorings = {}
+    for word, blocks in _labelled_codes((m,), m, 1, sibling_sorted=branching):
+        if word not in colorings:
+            colorable = [d >= 2 if branching else d == 1 for d in word]
+            colorings[word] = list(product(*((WHITE, BLACK)[:1 + c] for c in colorable)))
+        labels = tuple(label for (label,) in blocks)
+        yield from ((word, labels, colors) for colors in colorings[word])
 
 
-def enumerate_free_multilabelled(m: int) -> Iterator[MultiTree]:
-    """All ordered free multilabelled increasing trees with m labels."""
-    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
-    for word, blocks in _labelled_shapes(range(1, m + 1), m, None):
-        yield _fold(word, blocks, MultiTree)
-
-
-def enumerate_unibi_unordered(m: int) -> Iterator[MultiTree]:
-    """All canonical unordered trees with one or two labels per node and m
-    labels in total."""
-    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
-    for word, blocks in _labelled_shapes(range((m + 1) // 2, m + 1), m, 2, True):
-        yield _fold(word, blocks, MultiTree)
-
-
-def _enumerate_colored(m: int, branching: bool) -> Iterator[ColoredTree]:
-    """Colorings per labelled tree as a product of each node's colors, white
-    first, and its children's colorings: the first in preorder varies slowest."""
-    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
-
-    def colorings(block, kids) -> List[ColoredTree]:
-        colorable = len(kids) >= 2 if branching else len(kids) == 1
-        return [
-            ColoredTree(block[0], color, sub)
-            for color in ((WHITE, BLACK) if colorable else (WHITE,))
-            for sub in product(*kids)
-        ]
-
-    for word, blocks in _labelled_shapes((m,), m, 1, sibling_sorted=branching):
-        yield from _fold(word, blocks, colorings)
-
-
-def enumerate_colored_unary(m: int) -> Iterator[ColoredTree]:
-    """Ordered increasing trees of size m, out-degree-1 nodes black or white."""
-    return _enumerate_colored(m, branching=False)
-
-
-def enumerate_colored_branching(m: int) -> Iterator[ColoredTree]:
-    """Canonical unordered increasing trees of size m, out-degree >= 2 nodes
-    black or white."""
-    return _enumerate_colored(m, branching=True)
-
-
-_OBJECT_SCHEMES = {
-    "free-multi": enumerate_free_multilabelled,
-    "unibi": enumerate_unibi_unordered,
-    "colored-unary": enumerate_colored_unary,
-    "colored-branching": enumerate_colored_branching,
+_OBJECT_SCHEMES = {  # scheme: (tree class, codes with m labels)
+    "free-multi": (MultiTree, lambda m: _labelled_codes(range(1, m + 1), m, m)),
+    "unibi": (MultiTree, lambda m: _labelled_codes(range((m + 1) // 2, m + 1), m, 2, True)),
+    "colored-unary": (ColoredTree, partial(_colored_codes, branching=False)),
+    "colored-branching": (ColoredTree, partial(_colored_codes, branching=True)),
 }
 
 
 def enumerate_objects(scheme: str, m: int) -> Iterator:
     """Complete, duplicate-free enumeration for one of the object schemes:
     free-multi, unibi, colored-unary, colored-branching."""
-    try:
-        enum = _OBJECT_SCHEMES[scheme]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {scheme!r}; choose from {sorted(_OBJECT_SCHEMES)}"
-        ) from None
-    return enum(m)
+    if scheme not in _OBJECT_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_OBJECT_SCHEMES)}")
+    make, codes = _OBJECT_SCHEMES[scheme]
+    return (_fold(make, *code) for code in codes(m))
+
+
+def enumerate_free_multilabelled(m: int) -> Iterator[MultiTree]:
+    """All ordered free multilabelled increasing trees with m labels."""
+    return enumerate_objects("free-multi", m)
+
+
+def enumerate_unibi_unordered(m: int) -> Iterator[MultiTree]:
+    """All canonical unordered trees with one or two labels per node and m
+    labels in total."""
+    return enumerate_objects("unibi", m)
+
+
+def enumerate_colored_unary(m: int) -> Iterator[ColoredTree]:
+    """Ordered increasing trees of size m, out-degree-1 nodes black or white."""
+    return enumerate_objects("colored-unary", m)
+
+
+def enumerate_colored_branching(m: int) -> Iterator[ColoredTree]:
+    """Canonical unordered increasing trees of size m, out-degree >= 2 nodes
+    black or white."""
+    return enumerate_objects("colored-branching", m)
 
 
 # -- verification -----------------------------------------------------------
@@ -364,64 +375,54 @@ class BijectionReport:
         return not self.failures
 
 
+def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionReport:
+    """Round trip, injectivity, codomain membership and count equality of a
+    map whose image (code, shifted) of an object with m labels lies among
+    the targets with m - shifted labels, for each shift in ``shifts``."""
+    objects, targets = (_OBJECT_SCHEMES[scheme][1] for scheme in schemes)
+    failures, domain, image = [], [], []
+    codomains = [set()]
+    for m in range(1, max_m + 1):
+        objs = list(objects(m))
+        codomains.append(set(targets(m)))
+        images = set()
+        for obj in objs:
+            col, shifted = forward(obj)
+            images.add((col, shifted))
+            if col not in codomains[m - shifted]:
+                failures.append(
+                    f"m={m}: image not a valid colored tree: "
+                    f"{format_object(_fold(ColoredTree, *col))}"
+                )
+            if inverse(col, shifted) != obj:
+                failures.append(
+                    f"m={m}: round trip failed for {format_object(_fold(MultiTree, *obj))}"
+                )
+        if len(images) != len(objs):
+            failures.append(f"m={m}: {name} map not injective")
+        sizes = [len(codomains[m - shift]) for shift in shifts]
+        if sum(sizes) != len(objs):
+            failures.append(f"m={m}: {len(objs)} {noun} vs {' + '.join(map(str, sizes))} colored")
+        domain.append(len(objs))
+        image.append(sum(sizes))
+    return BijectionReport(
+        name, tuple(range(1, max_m + 1)), tuple(domain), tuple(image), tuple(failures)
+    )
+
+
 def verify_chain_bijection(max_m: int) -> BijectionReport:
     """Round trip, injectivity, codomain membership and count equality of
     the chain map."""
-    failures = []
-    domain, image = [], []
-    for m in range(1, max_m + 1):
-        objects = list(enumerate_free_multilabelled(m))
-        targets = set(enumerate_colored_unary(m))
-        images = set()
-        for obj in objects:
-            col = multi_to_colored(obj)
-            images.add(col)
-            if col not in targets:
-                failures.append(f"m={m}: image not a valid colored tree: {format_object(col)}")
-            if colored_to_multi(col) != obj:
-                failures.append(f"m={m}: round trip failed for {format_object(obj)}")
-        if len(images) != len(objects):
-            failures.append(f"m={m}: chain map not injective")
-        if len(targets) != len(objects):
-            failures.append(
-                f"m={m}: {len(objects)} multilabelled vs {len(targets)} colored"
-            )
-        domain.append(len(objects))
-        image.append(len(targets))
-    return BijectionReport(
-        "chain", tuple(range(1, max_m + 1)), tuple(domain), tuple(image), tuple(failures)
+    return _verify(
+        "chain", "multilabelled", max_m, ("free-multi", "colored-unary"),
+        lambda obj: (_chain(obj), False), lambda col, shifted: _unchain(col), (0,),
     )
 
 
 def verify_split_bijection(max_m: int) -> BijectionReport:
     """Round trip, injectivity and count equality of the split map."""
-    failures = []
-    domain, image = [], []
-    targets_m = set()
-    for m in range(1, max_m + 1):
-        objects = list(enumerate_unibi_unordered(m))
-        targets_prev, targets_m = targets_m, set(enumerate_colored_branching(m))
-        images = set()
-        for obj in objects:
-            col, shifted = unibi_to_q(obj)
-            images.add((col, shifted))
-            codomain = targets_prev if shifted else targets_m
-            if col not in codomain:
-                failures.append(
-                    f"m={m}: image not a valid colored tree: {format_object(col)}"
-                )
-            if q_to_unibi(col, shifted) != obj:
-                failures.append(f"m={m}: round trip failed for {format_object(obj)}")
-        if len(images) != len(objects):
-            failures.append(f"m={m}: split map not injective")
-        if len(targets_m) + len(targets_prev) != len(objects):
-            failures.append(
-                f"m={m}: {len(objects)} unibi vs {len(targets_m)} + {len(targets_prev)} colored"
-            )
-        domain.append(len(objects))
-        image.append(len(targets_m) + len(targets_prev))
-    return BijectionReport(
-        "split", tuple(range(1, max_m + 1)), tuple(domain), tuple(image), tuple(failures)
+    return _verify(
+        "split", "unibi", max_m, ("unibi", "colored-branching"), _split, _merge, (0, 1),
     )
 
 
@@ -442,47 +443,44 @@ def format_object(obj) -> str:
 _TOKEN = re.compile(r"\(\{(\d+(?:,\d+)*)\}([bw]?)")
 
 
-def _parse_node(text: str, pos: int, depth: int = 1):
-    match = _TOKEN.match(text, pos)
-    if not match:
-        raise ValueError(f"expected a node at position {pos}")
-    if depth > MAX_TEXT_DEPTH:
-        raise ValueError(f"tree nested deeper than {MAX_TEXT_DEPTH} at position {pos}")
-    labels = tuple(int(x) for x in match.group(1).split(","))
-    color = match.group(2)
-    pos = match.end()
-    children = []
-    while pos < len(text) and text[pos] == " ":
-        child, pos = _parse_node(text, pos + 1, depth + 1)
-        children.append(child)
-    if pos >= len(text) or text[pos] != ")":
-        raise ValueError(f"expected ')' at position {pos}")
-    return (labels, color, tuple(children)), pos + 1
-
-
-def _to_multi(node) -> MultiTree:
-    labels, color, children = node
-    if color:
-        raise ValueError("multilabelled trees carry no colors")
-    return MultiTree(tuple(sorted(labels)), tuple(_to_multi(c) for c in children))
-
-
-def _to_colored(node) -> ColoredTree:
-    labels, color, children = node
-    if len(labels) != 1 or color not in (BLACK, WHITE):
-        raise ValueError("colored trees need a single label and a b/w color per node")
-    return ColoredTree(labels[0], color, tuple(_to_colored(c) for c in children))
+def _parse(text: str):
+    """Preorder code (word, label tuples, colors) of a tree's text."""
+    text, pos = text.strip(), 0
+    word, labels, colors, open_nodes = [], [], [], []
+    while True:
+        match = _TOKEN.match(text, pos)
+        if not match:
+            raise ValueError(f"expected a node at position {pos}")
+        if len(open_nodes) == MAX_TEXT_DEPTH:
+            raise ValueError(f"tree nested deeper than {MAX_TEXT_DEPTH} at position {pos}")
+        if open_nodes:
+            word[open_nodes[-1]] += 1
+        open_nodes.append(len(word))
+        word.append(0)
+        labels.append(tuple(int(x) for x in match.group(1).split(",")))
+        colors.append(match.group(2))
+        pos = match.end()
+        while text[pos:pos + 1] != " ":
+            if text[pos:pos + 1] != ")":
+                raise ValueError(f"expected ')' at position {pos}")
+            pos += 1
+            open_nodes.pop()
+            if not open_nodes:
+                if pos != len(text):
+                    raise ValueError("trailing input after tree")
+                return word, labels, colors
+        pos += 1
 
 
 def parse_multilabelled(text: str) -> MultiTree:
-    node, pos = _parse_node(text.strip(), 0)
-    if pos != len(text.strip()):
-        raise ValueError("trailing input after tree")
-    return _to_multi(node)
+    word, labels, colors = _parse(text)
+    if any(colors):
+        raise ValueError("multilabelled trees carry no colors")
+    return _fold(MultiTree, word, [tuple(sorted(block)) for block in labels])
 
 
 def parse_colored(text: str) -> ColoredTree:
-    node, pos = _parse_node(text.strip(), 0)
-    if pos != len(text.strip()):
-        raise ValueError("trailing input after tree")
-    return _to_colored(node)
+    word, labels, colors = _parse(text)
+    if any(len(block) != 1 or c not in (BLACK, WHITE) for block, c in zip(labels, colors)):
+        raise ValueError("colored trees need a single label and a b/w color per node")
+    return _fold(ColoredTree, word, [label for (label,) in labels], colors)

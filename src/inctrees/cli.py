@@ -398,9 +398,17 @@ def _run_hook(args, out) -> int:
     if args.kind == "rho":
         num = [_parse_fraction(x) for x in args.rho_num.split(",")]
         den = [_parse_fraction(x) for x in args.rho_den.split(",")]
-        for n in range(1, args.max_n + 1):
-            value = hooks.generic_hook_weight_sum(args.tree_family, num, den, n)
-            print(f"n={n} sum={value}", file=out)
+        # largest n first: that call checks the capacity and every
+        # denominator before any sum is computed, and nothing prints on failure
+        sums = [
+            (n, hooks.generic_hook_weight_sum(args.tree_family, num, den, n))
+            for n in range(args.max_n, 0, -1)
+        ][::-1]
+        if fmt == "json":
+            print(json.dumps([{"n": n, "sum": str(value)} for n, value in sums]), file=out)
+        else:
+            for n, value in sums:
+                print(f"n={n} sum={value}", file=out)
         return 0
     if args.family:
         weights = families.get_family(args.family).weights

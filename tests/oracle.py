@@ -9,9 +9,11 @@ objects that the hook sums used before degree words and the census, with the
 labelling generator that kept its free labels in a frozenset; and the
 bijection objects built per labelling from ``OrderedTree`` recursion, with
 unordered trees filtered after generation and colorings as one product over
-the colorable positions.  The Horner composition they all run on is kept here
-too (:func:`compose`), so no function in this module touches the package's
-power table (``Series.compose``, ``Series.reversion``, ``_power_sum``).
+the colorable positions; and the chain and split maps with their inverses
+as recursions over ``MultiTree``/``ColoredTree`` nodes.  The Horner
+composition they all run on is kept here too (:func:`compose`), so no
+function in this module touches the package's power table
+(``Series.compose``, ``Series.reversion``, ``_power_sum``).
 They stay here, outside the package, as a second independent route: the
 tests compare the engine against them exactly.  They are polynomial of high
 degree (k-tuple: exponential), so keep N small.
@@ -23,7 +25,7 @@ from itertools import combinations, product
 from math import factorial
 from typing import Iterator, Optional, Sequence, Tuple
 
-from inctrees.bijections import BLACK, WHITE, ColoredTree, MultiTree, is_canonical_unordered
+from inctrees.bijections import BLACK, WHITE, ColoredTree, MultiTree
 from inctrees.series import Series
 from inctrees.trees import (
     OrderedTree,
@@ -273,6 +275,12 @@ def multi_from_blocks(tree: OrderedTree, blocks, cursor: int = 0) -> MultiTree:
     return MultiTree(tuple(sorted(blocks[cursor])), tuple(children))
 
 
+def is_canonical_unordered(t: MultiTree) -> bool:
+    """Children of every node sorted ascending by smallest label."""
+    mins = [min(c.labels) for c in t.children]
+    return mins == sorted(mins) and all(is_canonical_unordered(c) for c in t.children)
+
+
 def sibling_sorted_labellings(
     tree: OrderedTree, block_sizes: Sequence[int]
 ) -> Iterator[Tuple[frozenset, ...]]:
@@ -321,3 +329,72 @@ def _colored(tree: OrderedTree, blocks, colors, cursor: int = 0) -> ColoredTree:
         offset += child.size
     (label,) = blocks[cursor]
     return ColoredTree(label, colors[cursor], tuple(children))
+
+
+# -- bijection maps by recursion over tree nodes -----------------------------
+
+
+def expand(node: MultiTree) -> ColoredTree:
+    """``bijections.multi_to_colored`` of a valid tree."""
+    children = tuple(map(expand, node.children))
+    tip = ColoredTree(node.labels[-1], WHITE, children)
+    for label in reversed(node.labels[:-1]):
+        tip = ColoredTree(label, BLACK, (tip,))
+    return tip
+
+
+def collapse(node: ColoredTree) -> MultiTree:
+    """``bijections.colored_to_multi`` of a valid tree."""
+    labels = [node.label]
+    while node.color == BLACK:
+        node = node.children[0]
+        labels.append(node.label)
+    return MultiTree(tuple(labels), tuple(map(collapse, node.children)))
+
+
+def shift_multi(node: MultiTree, delta: int) -> MultiTree:
+    return MultiTree(
+        tuple(l + delta for l in node.labels),
+        tuple(shift_multi(c, delta) for c in node.children),
+    )
+
+
+def split(node: MultiTree) -> ColoredTree:
+    children = list(node.children)
+    first_double = next(
+        (i for i, c in enumerate(children) if len(c.labels) == 2), None
+    )
+    if first_double is None:
+        return ColoredTree(node.labels[0], WHITE, tuple(split(c) for c in children))
+    p = first_double
+    doubled = children[p]
+    left = MultiTree((doubled.labels[0],), tuple(children[p + 1 :]))
+    right = MultiTree((doubled.labels[1],), doubled.children)
+    new_children = children[:p] + [left, right]
+    return ColoredTree(node.labels[0], BLACK, tuple(split(c) for c in new_children))
+
+
+def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
+    """``bijections.unibi_to_q`` of a valid canonical tree."""
+    if len(t.labels) == 2:
+        rest = MultiTree((t.labels[1] - 1,), tuple(shift_multi(c, -1) for c in t.children))
+        return split(rest), True
+    return split(t), False
+
+
+def merge(node: ColoredTree) -> MultiTree:
+    children = [merge(c) for c in node.children]
+    if node.color == BLACK:
+        left, right = children[-2], children[-1]
+        joined = MultiTree(left.labels + right.labels, right.children)
+        children = children[:-2] + [joined] + list(left.children)
+    return MultiTree((node.label,), tuple(children))
+
+
+def q_to_unibi(t: ColoredTree, root_was_doubly_labelled: bool) -> MultiTree:
+    """``bijections.q_to_unibi`` of a valid tree."""
+    merged = merge(t)
+    if root_was_doubly_labelled:
+        merged = shift_multi(merged, +1)
+        merged = MultiTree((1,) + merged.labels, merged.children)
+    return merged

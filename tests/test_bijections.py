@@ -19,6 +19,8 @@ from inctrees.bijections import (
     parse_multilabelled,
     q_to_unibi,
     unibi_to_q,
+    validate_colored,
+    validate_multilabelled,
     verify_chain_bijection,
     verify_split_bijection,
 )
@@ -219,3 +221,70 @@ def test_empty_child_label_set_names_the_node():
     tree = MultiTree((1,), (MultiTree((2,)), MultiTree(())))
     with pytest.raises(ValueError, match=r"a child of the node with labels \(1,\) has no labels"):
         multi_to_colored(tree)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_maps_equal_the_recursive_tree_maps(m):
+    for obj in enumerate_free_multilabelled(m):
+        assert multi_to_colored(obj) == oracle.expand(obj)
+    for col in enumerate_colored_unary(m):
+        assert colored_to_multi(col) == oracle.collapse(col)
+    for obj in enumerate_unibi_unordered(m):
+        assert unibi_to_q(obj) == oracle.unibi_to_q(obj)
+    for col in enumerate_colored_branching(m):
+        for shifted in (False, True):
+            assert q_to_unibi(col, shifted) == oracle.q_to_unibi(col, shifted)
+
+
+def test_verification_builds_no_tree_nodes(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("tree node built")
+
+    for cls in (MultiTree, ColoredTree):
+        monkeypatch.setattr(cls, "__init__", build)
+    with pytest.raises(AssertionError, match="tree node built"):
+        ColoredTree(1, WHITE)
+    chain, split = verify_chain_bijection(5), verify_split_bijection(5)
+    assert chain.ok and chain.domain_sizes == (1, 2, 6, 30, 228)
+    assert split.ok and split.domain_sizes == (1, 2, 4, 14, 66)
+
+
+def _preorder(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def test_maps_and_validators_take_deep_trees():
+    # a path of n nodes holding (1, 2), (3, 4), ..., (2n-1, 2n), built bottom-up
+    n = 5000
+    path = MultiTree((2 * n - 1, 2 * n))
+    for i in range(n - 1, 0, -1):
+        path = MultiTree((2 * i - 1, 2 * i), (path,))
+    assert validate_multilabelled(path, max_block=2) == 2 * n
+
+    col = multi_to_colored(path)
+    assert [(v.label, v.color, len(v.children)) for v in _preorder(col)] == [
+        (l, BLACK if l % 2 else WHITE, int(l < 2 * n)) for l in range(1, 2 * n + 1)
+    ]
+    assert validate_colored(col, "unary") == 2 * n
+    with pytest.raises(ValueError, match="black node of out-degree 1"):
+        validate_colored(col, "branching")
+    back = colored_to_multi(col)
+    assert [(v.labels, len(v.children)) for v in _preorder(back)] == [
+        ((2 * i - 1, 2 * i), int(i < n)) for i in range(1, n + 1)
+    ]
+
+    # label 1 leaves the root, then each doubled child splits off a leaf
+    q, shifted = unibi_to_q(path)
+    assert shifted
+    assert [(v.label, v.color, len(v.children)) for v in _preorder(q)] == [
+        (l, BLACK if l % 2 and l < 2 * n - 1 else WHITE, 2 if l % 2 and l < 2 * n - 1 else 0)
+        for l in range(1, 2 * n)
+    ]
+    back = q_to_unibi(q, shifted)
+    assert [(v.labels, len(v.children)) for v in _preorder(back)] == [
+        ((2 * i - 1, 2 * i), int(i < n)) for i in range(1, n + 1)
+    ]

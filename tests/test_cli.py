@@ -172,6 +172,29 @@ def test_hook_rho(capsys):
     assert "n=3 sum=64/3" in out
 
 
+def test_hook_rho_json(capsys):
+    code, out, _ = run(
+        capsys, "hook", "rho", "--tree-family", "binary",
+        "--rho-num", "1,1", "--rho-den", "0,1", "--max-n", "3", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == [
+        {"n": 1, "sum": "2"}, {"n": 2, "sum": "6"}, {"n": 3, "sum": "64/3"},
+    ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-n", "13"], "n = 13 exceeds the capacity 12"),
+    (["--rho-den", "3,-1", "--max-n", "5"], "vanishes at h = 3"),
+], ids=["capacity", "vanishing-denominator"])
+def test_hook_rho_failure_prints_nothing(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    code, out, err = run(capsys, "hook", "rho", "--rho-num", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_verify_bijection_suite(capsys):
     code, out, _ = run(capsys, "verify", "bijection", "--max-m", "4")
     assert code == 0
