@@ -27,14 +27,12 @@ from .solvers import (
     CountingSequence,
     InvariantReport,
     first_order_invariant_check,
-    free_multilabelled_series,
     k_labelled_series,
     solve_free_multilabelled,
     solve_k_labelled,
     solve_k_tuple,
     solve_scheme,
     solve_unilabelled_bilabelled,
-    unilabelled_bilabelled_series,
 )
 from .hooks import (
     HookIdentityReport,
@@ -92,7 +90,6 @@ __all__ = [
     "falling_factorial",
     "family_from_parameters",
     "first_order_invariant_check",
-    "free_multilabelled_series",
     "generic_hook_weight_sum",
     "get_family",
     "hook_sum_bucket",
@@ -110,7 +107,6 @@ __all__ = [
     "solve_unilabelled_bilabelled",
     "tree_weight",
     "unibi_to_q",
-    "unilabelled_bilabelled_series",
     "verify_chain_bijection",
     "verify_split_bijection",
 ]

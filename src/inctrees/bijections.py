@@ -19,8 +19,9 @@ labelling generator of ``trees`` keeps as it goes.
 Internally an object is a preorder code on its tree's out-degree word:
 ``(word, blocks)`` multilabelled, ``(word, labels, colors)`` colored.  All
 work on codes is loops, not recursion, and hashing is on flat tuples.
-:class:`MultiTree` and :class:`ColoredTree` are the public and text form,
-converted at the boundary by one iterative pass each way.
+:class:`MultiTree` and :class:`ColoredTree` are the public form, converted
+at the boundary by the code and text layer of ``trees`` (``_code``,
+``_fold``, ``_scan``, ``_write``), which serves every tree class.
 
 Text encodings (parse/format below)::
 
@@ -33,14 +34,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, product
 from typing import Iterator, Tuple
 
 from .trees import (
-    MAX_TEXT_DEPTH,
     _bucket_functions,
+    _code,
+    _fold,
     _label_blocks,
+    _scan,
+    _shape,
+    _write,
     check_capacity,
     enumerate_degree_words,
 )
@@ -58,11 +63,8 @@ class MultiTree:
     labels: Tuple[int, ...]
     children: Tuple["MultiTree", ...] = ()
 
-    def label_count(self) -> int:
-        return len(self.labels) + sum(c.label_count() for c in self.children)
-
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        return len(_code(self)[0])
 
 
 @dataclass(frozen=True)
@@ -72,45 +74,6 @@ class ColoredTree:
     label: int
     color: str
     children: Tuple["ColoredTree", ...] = ()
-
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
-
-# -- preorder codes -------------------------------------------------------
-
-
-@lru_cache(maxsize=1024)
-def _shape(word):
-    """Parent (-1 at the root) and children of each node of the tree with
-    this out-degree word; a node waits once per child it still lacks."""
-    parents, kids, waiting = [], [[] for _ in word], []
-    for i, d in enumerate(word):
-        p = waiting.pop() if waiting else -1
-        parents.append(p)
-        if i:
-            kids[p].append(i)
-        waiting += [i] * d
-    return tuple(parents), tuple(map(tuple, kids))
-
-
-def _code(tree, *fields):
-    """Preorder code of a tree: out-degree word, then each named field."""
-    rows, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        rows.append((len(node.children), *(getattr(node, f) for f in fields)))
-        stack.extend(reversed(node.children))
-    return tuple(zip(*rows))
-
-
-def _fold(make, word, *fields):
-    """Build a tree bottom-up from its preorder code, make(*fields, kids) per node."""
-    stack = []
-    for d, *args in zip(reversed(word), *map(reversed, fields)):
-        cut = len(stack) - d
-        stack[cut:] = [make(*args, tuple(reversed(stack[cut:])))]
-    return stack[0]
 
 
 # -- validation ---------------------------------------------------------
@@ -431,45 +394,23 @@ def verify_split_bijection(max_m: int) -> BijectionReport:
 
 def format_object(obj) -> str:
     if isinstance(obj, MultiTree):
-        inner = "{" + ",".join(str(l) for l in obj.labels) + "}"
-        kids = "".join(" " + format_object(c) for c in obj.children)
-        return f"({inner}{kids})"
-    if isinstance(obj, ColoredTree):
-        kids = "".join(" " + format_object(c) for c in obj.children)
-        return f"({{{obj.label}}}{obj.color}{kids})"
-    raise TypeError(f"cannot format {type(obj).__name__}")
+        word, blocks = _code(obj, "labels")
+        heads = ("({" + ",".join(map(str, block)) + "}" for block in blocks)
+    elif isinstance(obj, ColoredTree):
+        word, labels, colors = _code(obj, "label", "color")
+        heads = (f"({{{label}}}{color}" for label, color in zip(labels, colors))
+    else:
+        raise TypeError(f"cannot format {type(obj).__name__}")
+    return _write(word, heads, " ")
 
 
 _TOKEN = re.compile(r"\(\{(\d+(?:,\d+)*)\}([bw]?)")
 
 
 def _parse(text: str):
-    """Preorder code (word, label tuples, colors) of a tree's text."""
-    text, pos = text.strip(), 0
-    word, labels, colors, open_nodes = [], [], [], []
-    while True:
-        match = _TOKEN.match(text, pos)
-        if not match:
-            raise ValueError(f"expected a node at position {pos}")
-        if len(open_nodes) == MAX_TEXT_DEPTH:
-            raise ValueError(f"tree nested deeper than {MAX_TEXT_DEPTH} at position {pos}")
-        if open_nodes:
-            word[open_nodes[-1]] += 1
-        open_nodes.append(len(word))
-        word.append(0)
-        labels.append(tuple(int(x) for x in match.group(1).split(",")))
-        colors.append(match.group(2))
-        pos = match.end()
-        while text[pos:pos + 1] != " ":
-            if text[pos:pos + 1] != ")":
-                raise ValueError(f"expected ')' at position {pos}")
-            pos += 1
-            open_nodes.pop()
-            if not open_nodes:
-                if pos != len(text):
-                    raise ValueError("trailing input after tree")
-                return word, labels, colors
-        pos += 1
+    """Preorder code (word, label tuples, colors) of an object's text."""
+    word, matches = _scan(text, _TOKEN, " ")
+    return word, [tuple(map(int, m[1].split(","))) for m in matches], [m[2] for m in matches]
 
 
 def parse_multilabelled(text: str) -> MultiTree:

@@ -416,18 +416,15 @@ def _run_hook(args, out) -> int:
         weights = DegreeWeights.parse(args.weights)
     else:
         raise ValueError("need --weights or --family")
-    reports = []
-    if args.kind == "klabelled":
-        for n in range(1, args.max_n + 1):
-            reports.append(hooks.hook_sum_k_labelled(weights, args.k, n))
-    elif args.kind == "ktuple":
-        for n in range(1, args.max_n + 1):
-            reports.append(hooks.hook_sum_k_tuple(weights, args.k, n))
-    elif args.kind == "bucket":
+    if args.kind == "bucket":
         if args.max_bucket not in (None, 2):
             raise ValueError("--max-bucket supports only 2 (omit it for unbounded)")
-        for m in range(1, args.max_m + 1):
-            reports.append(hooks.hook_sum_bucket(weights, m, args.max_bucket))
+        top, report = args.max_m, lambda m: hooks.hook_sum_bucket(weights, m, args.max_bucket)
+    else:
+        hook_sum = hooks.hook_sum_k_labelled if args.kind == "klabelled" else hooks.hook_sum_k_tuple
+        top, report = args.max_n, lambda n: hook_sum(weights, args.k, n)
+    # largest size first, as for rho: its capacity check fails before any sum
+    reports = [report(size) for size in range(top, 0, -1)][::-1]
     if fmt == "json":
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
     else:

@@ -188,14 +188,6 @@ def k_labelled_series(weights: DegreeWeights, k: int, order: int) -> Series:
     return Series(coeffs)
 
 
-def free_multilabelled_series(weights: DegreeWeights, order: int) -> Series:
-    return Series(_online("free-multilabelled", weights, order, 1))
-
-
-def unilabelled_bilabelled_series(weights: DegreeWeights, order: int) -> Series:
-    return Series(_online("uni-bi", weights, order, 1))
-
-
 def solve_scheme(
     scheme: str, weights: DegreeWeights, terms: int, k: Optional[int] = None
 ) -> CountingSequence:

@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of ordered rooted trees and their label counts.
+"""Plane trees, their preorder code and text, and their label counts.
 
 This is the brute-force oracle layer: plane trees of a given size in a
 deterministic canonical order, hook-lengths, node weights, bucket-size
@@ -6,18 +6,27 @@ functions, and both closed-form and explicit-enumeration counts of
 increasing labellings.  Everything here is exact and deliberately naive;
 capacity limits keep runtimes at desk scale.
 
-One enumerator yields the trees as preorder out-degree (Łukasiewicz)
-words, cached up to size ``_MEMO_SIZE_LIMIT`` and streamed beyond it.  Hook
-sums read the words; :class:`OrderedTree` objects are built from them only
-for bijections, text and label-count checks.  Labellings come from one flat
-backtracking generator that skips every branch that cannot be completed.
+Every tree class of the package (:class:`OrderedTree` here,
+``MultiTree`` and ``ColoredTree`` in ``bijections``) converts through one
+code layer: a tree's preorder code is its out-degree (Łukasiewicz) word
+plus one tuple per node field.  :func:`_code` reads it off a tree,
+:func:`_fold` builds a tree from it, :func:`_shape` gives each node's
+parent and children, and :func:`_scan` and :func:`_write` read and write
+nested-parenthesis text.  All five are loops, so any depth works; only
+parsing is capped, at ``MAX_TEXT_DEPTH`` levels, with a ``ValueError``
+naming the position.
+
+One enumerator yields the trees as degree words, cached up to size
+``_MEMO_SIZE_LIMIT`` and streamed beyond it.  Hook sums read the words;
+:class:`OrderedTree` objects are built from them only for text and
+label-count checks.  Labellings come from one flat backtracking generator
+that skips every branch that cannot be completed.
 
 Node-indexed data (hook-lengths, out-degrees, bucket sizes, label blocks)
 is always aligned with the preorder traversal of the tree.
 
 Trees have a text form of balanced parentheses: ``()`` is a single node and
-``(()())`` is a root with two leaf children; parsers reject text nested
-deeper than ``MAX_TEXT_DEPTH`` with a ``ValueError`` naming the position.
+``(()())`` is a root with two leaf children.
 
 The package's seven capacity bounds (``MAX_TREE_SIZE``, ``MAX_LABEL_TOTAL``
 and ``MAX_BUCKET_TOTAL`` here, two in ``hooks``, one in ``bijections``, one
@@ -30,9 +39,11 @@ the caller's.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, repeat
 from math import comb, factorial
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -93,7 +104,7 @@ class OrderedTree:
             stack.extend(reversed(node.children))
 
     def out_degrees(self) -> Tuple[int, ...]:
-        return tuple(node.out_degree for node in self.preorder())
+        return _code(self)[0]
 
     def hook_lengths(self) -> Tuple[int, ...]:
         """Subtree sizes in preorder; the hook-length of a node is the
@@ -102,49 +113,101 @@ class OrderedTree:
 
     def parent_indices(self) -> Tuple[int, ...]:
         """Preorder index of each node's parent (-1 for the root)."""
-        parents = [-1] * self.size
-        cursor = [0]
-
-        def walk(node: "OrderedTree", parent: int):
-            me = cursor[0]
-            cursor[0] += 1
-            parents[me] = parent
-            for child in node.children:
-                walk(child, me)
-
-        walk(self, -1)
-        return tuple(parents)
-
-    # -- text form -----------------------------------------------------
+        return _shape(self.out_degrees())[0]
 
     def to_text(self) -> str:
-        return "(" + "".join(c.to_text() for c in self.children) + ")"
+        return _write(self.out_degrees(), repeat("("), "")
 
     @classmethod
     def parse(cls, text: str) -> "OrderedTree":
-        text = text.strip()
-        tree, pos = cls._parse_at(text, 0)
-        if pos != len(text):
-            raise ValueError(f"trailing input after tree at position {pos}")
-        return tree
-
-    @classmethod
-    def _parse_at(cls, text: str, pos: int, depth: int = 1):
-        if pos >= len(text) or text[pos] != "(":
-            raise ValueError(f"expected '(' at position {pos}")
-        if depth > MAX_TEXT_DEPTH:
-            raise ValueError(f"tree nested deeper than {MAX_TEXT_DEPTH} at position {pos}")
-        pos += 1
-        children = []
-        while pos < len(text) and text[pos] == "(":
-            child, pos = cls._parse_at(text, pos, depth + 1)
-            children.append(child)
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError(f"expected ')' at position {pos}")
-        return cls(tuple(children)), pos + 1
+        return _fold(cls, _scan(text, _OPEN, "")[0])
 
     def __repr__(self) -> str:
         return f"OrderedTree.parse({self.to_text()!r})"
+
+
+# -- preorder codes and text ---------------------------------------------
+
+
+@lru_cache(maxsize=1024)
+def _shape(word):
+    """Parent (-1 at the root) and children of each node of the tree with
+    this out-degree word; a node waits once per child it still lacks."""
+    parents, kids, waiting = [], [[] for _ in word], []
+    for i, d in enumerate(word):
+        p = waiting.pop() if waiting else -1
+        parents.append(p)
+        if i:
+            kids[p].append(i)
+        waiting += [i] * d
+    return tuple(parents), tuple(map(tuple, kids))
+
+
+def _code(tree, *fields):
+    """Preorder code of a tree: out-degree word, then each named field."""
+    rows, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        rows.append((len(node.children), *(getattr(node, f) for f in fields)))
+        stack.extend(reversed(node.children))
+    return tuple(zip(*rows))
+
+
+def _fold(make, word, *fields):
+    """Build a tree bottom-up from its preorder code, make(*fields, kids) per node."""
+    stack = []
+    for d, *args in zip(reversed(word), *map(reversed, fields)):
+        cut = len(stack) - d
+        stack[cut:] = [make(*args, tuple(reversed(stack[cut:])))]
+    return stack[0]
+
+
+_OPEN = re.compile(r"\(")
+
+
+def _scan(text: str, token, sep: str):
+    """Out-degree word and per-node ``token`` matches, in preorder, of
+    nested text: a node is a token, then each child after ``sep``, then ')'."""
+    text, pos = text.strip(), 0
+    word, matches, open_nodes = [], [], []
+    while True:
+        match = token.match(text, pos)
+        if not match:
+            raise ValueError(f"expected a node at position {pos}")
+        if len(open_nodes) == MAX_TEXT_DEPTH:
+            raise ValueError(f"tree nested deeper than {MAX_TEXT_DEPTH} at position {pos}")
+        if open_nodes:
+            word[open_nodes[-1]] += 1
+        open_nodes.append(len(word))
+        word.append(0)
+        matches.append(match)
+        pos = match.end()
+        while text.startswith(")", pos):
+            pos += 1
+            open_nodes.pop()
+            if not open_nodes:
+                if pos != len(text):
+                    raise ValueError(f"trailing input after tree at position {pos}")
+                return tuple(word), matches
+        if not text.startswith(sep, pos):
+            raise ValueError(f"expected ')' at position {pos}")
+        pos += len(sep)
+
+
+def _write(word, heads, sep: str) -> str:
+    """Text of a preorder code, the inverse of :func:`_scan`: each node's
+    head, then each child after ``sep``, then ')'."""
+    out, waiting = [], []
+    for d, head in zip(word, heads):
+        if waiting:
+            waiting[-1] -= 1
+            out.append(sep)
+        out.append(head)
+        waiting.append(d)
+        while waiting and not waiting[-1]:
+            waiting.pop()
+            out.append(")")
+    return "".join(out)
 
 
 def catalan(n: int) -> int:
@@ -177,13 +240,6 @@ def _build_words(n: int) -> Iterator[Tuple[int, ...]]:
                 yield (rest[0] + 1,) + first + rest[1:]
 
 
-def _tree_from_word(word: Sequence[int]) -> OrderedTree:
-    stack = []
-    for d in reversed(word):
-        stack[len(stack) - d :] = [OrderedTree(tuple(reversed(stack[len(stack) - d :])))]
-    return stack[0]
-
-
 def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
     """The preorder out-degree words of all Catalan(n-1) plane trees with n
     nodes, in canonical order (see :func:`enumerate_ordered_trees`)."""
@@ -201,7 +257,7 @@ def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
     child and same-size children compare by their own canonical rank.
     Each tree is built from its word of :func:`enumerate_degree_words`.
     """
-    return (_tree_from_word(word) for word in enumerate_degree_words(n))
+    return (_fold(OrderedTree, word) for word in enumerate_degree_words(n))
 
 
 def word_hook_lengths(word: Sequence[int]) -> Tuple[int, ...]:
@@ -289,18 +345,10 @@ def _label_blocks(
         choices.append(combinations(free, block_sizes[i + 1]))
 
 
-def iter_increasing_labellings(
-    tree: OrderedTree, block_sizes: Sequence[int]
-) -> Iterator[Tuple[frozenset, ...]]:
-    """All assignments of disjoint label blocks (given sizes, preorder) such
-    that every label in a child block exceeds every label of its parent.
-
-    Labels are 1..sum(block_sizes); blocks are yielded as preorder-aligned
-    tuples of frozensets.
-    """
+def _count_labellings(tree: OrderedTree, block_sizes: Sequence[int]) -> int:
     if len(block_sizes) != tree.size:
         raise ValueError("one block size per node required")
-    return (tuple(map(frozenset, b)) for b in _label_blocks(tree.parent_indices(), block_sizes))
+    return sum(1 for _ in _label_blocks(tree.parent_indices(), block_sizes))
 
 
 def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
@@ -308,31 +356,23 @@ def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     check_capacity(k * tree.size, MAX_LABEL_TOTAL, "brute-force label total k*n")
-    return sum(1 for _ in iter_increasing_labellings(tree, [k] * tree.size))
+    return _count_labellings(tree, [k] * tree.size)
 
 
 # -- bucket labellings -------------------------------------------------
 
 
-def bucket_hook_lengths(hooks: Sequence[int], buckets: Sequence[int]) -> Tuple[int, ...]:
-    """Bucket hook-length of each node (preorder) of the tree with these
-    hook-lengths: the total bucket size of its subtree, which is the hooks[i]
-    nodes from node i on."""
-    if len(buckets) != len(hooks):
-        raise ValueError("one bucket size per node required")
-    return tuple(sum(buckets[i : i + h]) for i, h in enumerate(hooks))
-
-
 def _bucket_count(word: Sequence[int], hooks: Sequence[int], buckets: Sequence[int]) -> int:
     """m! / prod over nodes of (bucket hook-length) falling (bucket size) for
-    the tree with this degree word and these hook-lengths."""
+    the tree with this degree word and these hook-lengths; the bucket
+    hook-length of node i is the bucket total of its hooks[i] subtree nodes."""
     denom = 1
-    for hb, b in zip(bucket_hook_lengths(hooks, buckets), buckets):
-        denom *= falling_factorial(hb, b)
+    for i, (h, b) in enumerate(zip(hooks, buckets)):
+        denom *= falling_factorial(sum(buckets[i : i + h]), b)
     count, rem = divmod(factorial(sum(buckets)), denom)
     if rem:
         raise ArithmeticError(
-            f"bucket labelling count of {_tree_from_word(word).to_text()} "
+            f"bucket labelling count of {_write(word, repeat('('), '')} "
             f"with buckets {tuple(buckets)} is not integral"
         )
     return count
@@ -341,6 +381,8 @@ def _bucket_count(word: Sequence[int], hooks: Sequence[int], buckets: Sequence[i
 def count_bucket_labellings_formula(tree: OrderedTree, buckets: Sequence[int]) -> int:
     """Number of increasing multilabellings for a fixed bucket-size function:
     m! / prod over nodes of (bucket hook-length) falling (bucket size)."""
+    if len(buckets) != tree.size:
+        raise ValueError("one bucket size per node required")
     if any(b < 1 for b in buckets):
         raise ValueError("bucket sizes must be positive")
     return _bucket_count(tree.out_degrees(), tree.hook_lengths(), buckets)
@@ -348,7 +390,7 @@ def count_bucket_labellings_formula(tree: OrderedTree, buckets: Sequence[int]) -
 
 def count_bucket_labellings_bruteforce(tree: OrderedTree, buckets: Sequence[int]) -> int:
     check_capacity(sum(buckets), MAX_BUCKET_TOTAL, "brute-force bucket total m")
-    return sum(1 for _ in iter_increasing_labellings(tree, list(buckets)))
+    return _count_labellings(tree, buckets)
 
 
 def count_k_tuple_labellings(tree: OrderedTree, k: int) -> int:

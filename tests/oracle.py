@@ -244,7 +244,7 @@ def bucket_hook_sum(
 def increasing_labellings(
     tree: OrderedTree, block_sizes: Sequence[int]
 ) -> Iterator[Tuple[frozenset, ...]]:
-    """The blocks of ``trees.iter_increasing_labellings``, in its order."""
+    """The blocks of ``trees._label_blocks``, in its order."""
     n = tree.size
     parents = tree.parent_indices()
 

@@ -195,6 +195,27 @@ def test_hook_rho_failure_prints_nothing(capsys, monkeypatch, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["klabelled", "--max-n", "13"], "n = 13 exceeds the capacity 12"),
+    (["ktuple", "--max-n", "13"], "n = 13 exceeds the capacity 12"),
+    (["bucket", "--max-m", "9"], "m = 9 exceeds the capacity 8"),
+])
+def test_hook_capacity_fails_before_any_sum(capsys, monkeypatch, argv, message):
+    # the largest size runs first, so its capacity check precedes every sum
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    calls = []
+
+    def counted(name):
+        original = getattr(hooks, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("_tree_sum", "_bucket_census"):
+        monkeypatch.setattr(hooks, name, counted(name))
+    code, out, err = run(capsys, "hook", *argv, "--weights", "exp")
+    assert (code, out, calls) == (2, "", [])
+    assert message in err
+
+
 def test_verify_bijection_suite(capsys):
     code, out, _ = run(capsys, "verify", "bijection", "--max-m", "4")
     assert code == 0

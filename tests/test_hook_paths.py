@@ -3,12 +3,12 @@
 ``hooks._tree_sum`` sums over a census of (sorted out-degrees, sorted
 hook-lengths) with integer hook products over one common denominator per
 degree multiset, and ``hook_sum_bucket`` reads a census of integer labelling
-counts per degree multiset; ``iter_increasing_labellings`` wraps a flat
-backtracking generator of sorted label blocks.  These tests pin each to the route it replaced: one ``Fraction``
-product per ``OrderedTree``, bucket hook-lengths from the subtree objects, and
-the frozenset labelling generator, with the sibling-sorted labellings pinned
-to that generator's output filtered after generation.  Hypothesis runs with a
-fixed seed.
+counts per degree multiset; ``_label_blocks`` is a flat backtracking
+generator of sorted label blocks.  These tests pin each to the route it
+replaced: one ``Fraction`` product per ``OrderedTree``, bucket hook-lengths
+from the subtree objects, and the frozenset labelling generator, with the
+sibling-sorted labellings pinned to that generator's output filtered after
+generation.  Hypothesis runs with a fixed seed.
 """
 from fractions import Fraction as F
 
@@ -27,7 +27,6 @@ from inctrees.trees import (
     enumerate_bucket_functions,
     enumerate_ordered_trees,
     falling_factorial,
-    iter_increasing_labellings,
 )
 from inctrees.weights import DegreeWeights
 
@@ -99,10 +98,11 @@ def test_bucket_sums_at_one_label_count_share_the_census(max_bucket):
 def test_labellings_equal_frozenset_generator():
     for n in range(1, 7):
         for tree in enumerate_ordered_trees(n):
+            parents = tree.parent_indices()
             for m in range(n, 8):
                 for buckets in enumerate_bucket_functions(tree, m):
-                    assert list(iter_increasing_labellings(tree, buckets)) == \
-                        list(oracle.increasing_labellings(tree, buckets))
+                    got = [tuple(map(frozenset, b)) for b in _label_blocks(parents, buckets)]
+                    assert got == list(oracle.increasing_labellings(tree, buckets))
 
 
 def test_sibling_sorted_labellings_equal_filtered_generator():

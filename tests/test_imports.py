@@ -1,9 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the tree
+modules do not recurse.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with the standard library: every name bound by an import must occur
 as a name somewhere else in the module.  ``__init__.py`` only re-exports and
-is exempt.
+is exempt.  In ``trees.py`` and ``bijections.py`` no function, nested ones
+included, calls itself by name or as an attribute, so every tree converts
+at any depth.  ``_bucket_functions`` is the one exception: its depth is the
+node count of an enumerated tree, which ``MAX_TREE_SIZE`` caps.
 """
 import ast
 from pathlib import Path
@@ -36,3 +40,43 @@ def test_module_uses_every_import(path):
 def test_unused_import_is_found():
     source = "import os\nfrom math import comb, factorial\nprint(factorial(3))\n"
     assert unused_imports(source) == [(1, "os"), (2, "comb")]
+
+
+TREE_MODULES = [PACKAGE / "trees.py", PACKAGE / "bijections.py"]
+ALLOWED_RECURSION = {"_bucket_functions"}
+
+
+def self_calls(source: str):
+    """Names of the functions that call themselves, as ``f(...)`` or
+    ``x.f(...)``, in their own body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == node.name:
+                        found.add(node.name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", TREE_MODULES, ids=[p.name for p in TREE_MODULES])
+def test_tree_modules_do_not_recurse(path):
+    assert set(self_calls(path.read_text(encoding="utf-8"))) <= ALLOWED_RECURSION
+
+
+def test_self_call_is_found():
+    source = (
+        "class T:\n"
+        "    def to_text(self):\n"
+        "        return ''.join(c.to_text() for c in self.children)\n"
+        "def indices(tree):\n"
+        "    def walk(node):\n"
+        "        for child in node.children:\n"
+        "            walk(child)\n"
+        "    walk(tree)\n"
+        "def flat(word):\n"
+        "    return list(word)\n"
+    )
+    assert self_calls(source) == ["to_text", "walk"]

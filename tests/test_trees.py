@@ -147,6 +147,40 @@ def test_deep_text_fails_with_position():
         OrderedTree.parse("(" * 3000 + ")" * 3000)
 
 
+def test_parent_indices_match_the_nested_nodes():
+    for n in range(1, 9):
+        for tree in enumerate_ordered_trees(n):
+            nodes = list(tree.preorder())
+            index = {id(node): i for i, node in enumerate(nodes)}
+            want = [-1] * n
+            for i, node in enumerate(nodes):
+                for child in node.children:
+                    want[index[id(child)]] = i
+            assert tree.parent_indices() == tuple(want)
+
+
+def test_deep_trees_convert_without_recursion():
+    # paths of 5000 nodes, built bottom-up; results are read as flat strings
+    # and tuples, since == and hash() of nested nodes still recurse
+    n = 5000
+    tree, multi = LEAF, bijections.MultiTree((2 * n - 1, 2 * n))
+    for i in range(n - 1, 0, -1):
+        tree = OrderedTree((tree,))
+        multi = bijections.MultiTree((2 * i - 1, 2 * i), (multi,))
+    assert tree.to_text() == "(" * n + ")" * n
+    assert tree.parent_indices() == tuple(range(-1, n - 1))
+    assert multi.node_count() == n
+    text = bijections.format_object(multi)
+    assert text.count("(") == n and text.startswith("({1,2} ({3,4} (")
+    assert text.endswith(f"({{{2 * n - 1},{2 * n}}}" + ")" * n)
+
+    colored = bijections.multi_to_colored(multi)
+    text = bijections.format_object(colored)
+    assert text == " ".join(
+        f"({{{l}}}{'b' if l % 2 else 'w'}" for l in range(1, 2 * n + 1)
+    ) + ")" * (2 * n)
+
+
 def test_hook_length_recursion_invariant():
     for n in range(1, 7):
         for tree in enumerate_ordered_trees(n):
