@@ -39,15 +39,15 @@ from itertools import chain, product
 from typing import Iterator, Tuple
 
 from .trees import (
-    _bucket_functions,
+    _bucket_words,
     _code,
     _fold,
     _label_blocks,
+    _Node,
     _scan,
     _shape,
     _write,
     check_capacity,
-    enumerate_degree_words,
 )
 
 MAX_OBJECT_LABELS = 7
@@ -56,10 +56,11 @@ BLACK = "b"
 WHITE = "w"
 
 
-@dataclass(frozen=True)
-class MultiTree:
+@dataclass(frozen=True, eq=False)
+class MultiTree(_Node):
     """Node of a multilabelled tree: a sorted tuple of labels plus subtrees."""
 
+    _FIELDS = ("labels",)
     labels: Tuple[int, ...]
     children: Tuple["MultiTree", ...] = ()
 
@@ -67,10 +68,11 @@ class MultiTree:
         return len(_code(self)[0])
 
 
-@dataclass(frozen=True)
-class ColoredTree:
+@dataclass(frozen=True, eq=False)
+class ColoredTree(_Node):
     """Node of a singly-labelled colored tree."""
 
+    _FIELDS = ("label", "color")
     label: int
     color: str
     children: Tuple["ColoredTree", ...] = ()
@@ -107,7 +109,7 @@ def validate_multilabelled(t: MultiTree, max_block: int = 0) -> int:
 
     max_block > 0 additionally bounds the number of labels per node.
     """
-    return _check_multi(_code(t, "labels"), max_block)
+    return _check_multi(_code(t), max_block)
 
 
 def _canonical(code) -> bool:
@@ -119,7 +121,7 @@ def _canonical(code) -> bool:
 
 def is_canonical_unordered(t: MultiTree) -> bool:
     """Children of every node sorted ascending by smallest label."""
-    return _canonical(_code(t, "labels"))
+    return _canonical(_code(t))
 
 
 def _check_colored(code, black_degrees: str) -> int:
@@ -146,7 +148,7 @@ def validate_colored(t: ColoredTree, black_degrees: str) -> int:
     black_degrees is "unary" (only out-degree-1 nodes may be black) or
     "branching" (only out-degree >= 2 nodes may be black).
     """
-    return _check_colored(_code(t, "label", "color"), black_degrees)
+    return _check_colored(_code(t), black_degrees)
 
 
 # -- chain map: free multilabelled <-> colored with black unary nodes -----
@@ -183,12 +185,12 @@ def _unchain(code):
 
 def multi_to_colored(t: MultiTree) -> ColoredTree:
     """Expand every label set into a chain of black nodes ending white."""
-    return _fold(ColoredTree, *_chain(_code(t, "labels")))
+    return _fold(ColoredTree, *_chain(_code(t)))
 
 
 def colored_to_multi(t: ColoredTree) -> MultiTree:
     """Collapse maximal chains of black nodes with their white end."""
-    return _fold(MultiTree, *_unchain(_code(t, "label", "color")))
+    return _fold(MultiTree, *_unchain(_code(t)))
 
 
 # -- split map: one-or-two labels <-> colored with black branching nodes --
@@ -246,34 +248,33 @@ def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
     case label 1 is removed from the root and all labels shift down by one,
     so the image has size m-1.
     """
-    code, shifted = _split(_code(t, "labels"))
+    code, shifted = _split(_code(t))
     return _fold(ColoredTree, *code), shifted
 
 
 def q_to_unibi(t: ColoredTree, root_was_doubly_labelled: bool) -> MultiTree:
     """Inverse of the split map."""
-    return _fold(MultiTree, *_merge(_code(t, "label", "color"), root_was_doubly_labelled))
+    return _fold(MultiTree, *_merge(_code(t), root_was_doubly_labelled))
 
 
 # -- exhaustive enumeration of objects ------------------------------------
 
 
-def _labelled_codes(sizes, m: int, cap: int, sibling_sorted: bool = False):
+def _labelled_codes(m: int, cap: int, sibling_sorted: bool = False):
     """(word, blocks) of every increasing labelling with m labels, at most
-    cap per node, of every plane tree of the given sizes."""
+    cap per node, of every plane tree that can hold them."""
     check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
-    for size in sizes:
-        for word in enumerate_degree_words(size):
-            parents = _shape(word)[0]
-            for buckets in _bucket_functions(size, m, cap):
-                yield from ((word, b) for b in _label_blocks(parents, buckets, sibling_sorted))
+    for word, bucket_functions in _bucket_words(m, cap):
+        parents = _shape(word)[0]
+        for buckets in bucket_functions:
+            yield from ((word, b) for b in _label_blocks(parents, buckets, sibling_sorted))
 
 
 def _colored_codes(m: int, branching: bool):
     """Per labelling, every coloring of the colorable nodes, white first, the
     first in preorder varying slowest."""
     colorings = {}
-    for word, blocks in _labelled_codes((m,), m, 1, sibling_sorted=branching):
+    for word, blocks in _labelled_codes(m, 1, sibling_sorted=branching):
         if word not in colorings:
             colorable = [d >= 2 if branching else d == 1 for d in word]
             colorings[word] = list(product(*((WHITE, BLACK)[:1 + c] for c in colorable)))
@@ -282,8 +283,8 @@ def _colored_codes(m: int, branching: bool):
 
 
 _OBJECT_SCHEMES = {  # scheme: (tree class, codes with m labels)
-    "free-multi": (MultiTree, lambda m: _labelled_codes(range(1, m + 1), m, m)),
-    "unibi": (MultiTree, lambda m: _labelled_codes(range((m + 1) // 2, m + 1), m, 2, True)),
+    "free-multi": (MultiTree, lambda m: _labelled_codes(m, m)),
+    "unibi": (MultiTree, lambda m: _labelled_codes(m, 2, True)),
     "colored-unary": (ColoredTree, partial(_colored_codes, branching=False)),
     "colored-branching": (ColoredTree, partial(_colored_codes, branching=True)),
 }
@@ -394,10 +395,10 @@ def verify_split_bijection(max_m: int) -> BijectionReport:
 
 def format_object(obj) -> str:
     if isinstance(obj, MultiTree):
-        word, blocks = _code(obj, "labels")
+        word, blocks = _code(obj)
         heads = ("({" + ",".join(map(str, block)) + "}" for block in blocks)
     elif isinstance(obj, ColoredTree):
-        word, labels, colors = _code(obj, "label", "color")
+        word, labels, colors = _code(obj)
         heads = (f"({{{label}}}{color}" for label, color in zip(labels, colors))
     else:
         raise TypeError(f"cannot format {type(obj).__name__}")

@@ -41,7 +41,6 @@ from .trees import (
     count_k_labellings_formula,
     enumerate_bucket_functions,
     enumerate_ordered_trees,
-    tree_weight,
 )
 from .weights import SHAPES, DegreeWeights
 
@@ -133,19 +132,10 @@ def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
 
 
 def _suite_bijection(max_n: int, max_m: int, cutoff: int) -> List[Check]:
-    chain = bijections.verify_chain_bijection(max_m)
-    split = bijections.verify_split_bijection(max_m)
+    reports = bijections.verify_chain_bijection(max_m), bijections.verify_split_bijection(max_m)
     return [
-        (
-            f"chain bijection m<={max_m} counts={chain.domain_sizes}",
-            chain.ok,
-            "; ".join(chain.failures[:3]),
-        ),
-        (
-            f"split bijection m<={max_m} counts={split.domain_sizes}",
-            split.ok,
-            "; ".join(split.failures[:3]),
-        ),
+        (f"{r.name} bijection m<={max_m} counts={r.domain_sizes}", r.ok, "; ".join(r.failures[:3]))
+        for r in reports
     ]
 
 
@@ -207,7 +197,7 @@ def _suite_closed_forms(max_n: int, max_m: int, cutoff: int) -> List[Check]:
         )
     for m in range(1, 7):
         exact = solved["free/binary"][m]
-        approx = families.binary_free_multi_numeric(m, 60)
+        approx = families.binary_free_multi_numeric(m, cutoff)
         ok = abs(approx - exact) / int(exact) < 1e-6
         checks.append((f"binary free series m={m}", ok, f"value={approx!r}"))
     return checks
@@ -245,21 +235,11 @@ def _suite_invariants(max_n: int, max_m: int, cutoff: int) -> List[Check]:
         checks.append((f"free = single-label with phi+t {identifier}", not bad, bad))
     bad = _label_count_mismatch(min(max_n, 4), max_m)
     checks.append(("label-count formulas vs brute force n<=4", not bad, bad))
-    w = SHAPES["unordered"]
-
-    def tree_sum_note(n: int) -> Optional[str]:
-        total = sum(
-            (
-                tree_weight(tree, w) * count_k_labellings_formula(tree, 1)
-                for tree in enumerate_ordered_trees(n)
-            ),
-            Fraction(0),
-        )
-        return None if total == solvers.solve_k_labelled(w, 1, n)[n] else ""
-
+    # sum over trees of w(T) n!/prod h = T_n, the k = 1 hook identity; its left
+    # side is `verify hook`'s k-tuple(k=1), so only the k-labelled solver is new
     checks.append(_first_failure(
         "tree-sum oracle vs single-label solver", "n", range(1, min(max_n, 6) + 1),
-        tree_sum_note,
+        lambda n: _hook_note(hooks.hook_sum_k_labelled(SHAPES["unordered"], 1, n)),
     ))
     return checks
 

@@ -8,9 +8,10 @@ solvers — two fully independent computation paths, compared exactly.
 
 The sums walk degree words: a per-node sum reads the size's census of tree
 counts per (sorted out-degrees, sorted hook-lengths), and a bucket sum the
-label count's census of integer labelling counts per sorted out-degrees;
-both are cached per process.  Both apply phi once per degree multiset and
-skip a zero weight; ``trees_visited`` is the number of words behind a sum.
+label count's census of integer labelling counts per sorted out-degrees,
+over the words of ``trees._bucket_words``; both are cached per process.
+Both apply phi once per degree multiset and skip a zero weight;
+``trees_visited`` is the number of words behind a sum.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .solvers import (
 )
 from .trees import (
     _bucket_count,
-    _bucket_functions,
+    _bucket_words,
     check_capacity,
     enumerate_degree_words,
     falling_factorial,
@@ -58,17 +59,13 @@ def _bucket_census(m: int, max_bucket: Optional[int]):
     """The plane trees with m labels in buckets of at most max_bucket (None:
     unbounded) as (sorted out-degrees, summed integer labelling counts)
     pairs, and the number of degree words visited."""
-    counts = Counter()
-    visited = 0
-    min_size = 1 if max_bucket is None else (m + max_bucket - 1) // max_bucket
-    for size in range(min_size, m + 1):
-        for word in enumerate_degree_words(size):
-            visited += 1
-            hooks = word_hook_lengths(word)
-            counts[tuple(sorted(word))] += sum(
-                _bucket_count(word, hooks, buckets)
-                for buckets in _bucket_functions(size, m, max_bucket or m)
-            )
+    counts, visited = Counter(), 0
+    for word, bucket_functions in _bucket_words(m, max_bucket or m):
+        visited += 1
+        hooks = word_hook_lengths(word)
+        counts[tuple(sorted(word))] += sum(
+            _bucket_count(word, hooks, buckets) for buckets in bucket_functions
+        )
     return tuple(counts.items()), visited
 
 

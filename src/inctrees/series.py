@@ -12,7 +12,7 @@ guaranteed to be valid to:
 Composition and reversion run on a table of powers ``[z^m] g^j`` of the
 inner series that grows by one column per new coefficient (Knuth, TAOCP
 Vol. 2, 4.7); the coefficient solvers use the same table
-(:func:`_compose_column`, :func:`_power_sum`).  Reversion fills g = f^(-1)
+(:func:`_compose_column`).  Reversion fills g = f^(-1)
 and, for reverse engineering, a composition h(g) from one table
 (:func:`_revert_compose`).
 
@@ -59,14 +59,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def is_rational_square(value: Fraction) -> bool:
-    """True if value is the square of a rational number."""
-    if value < 0:
-        return False
-    num, den = value.numerator, value.denominator
-    return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
 
 
 class Series:
@@ -230,14 +222,14 @@ class Series:
 
     def sqrt(self) -> "Series":
         """Formal square root with positive constant coefficient."""
-        a0 = self._coeffs[0]
-        if not is_rational_square(a0) or a0 == 0:
+        num, den = self._coeffs[0].numerator, self._coeffs[0].denominator
+        if num <= 0 or isqrt(num) ** 2 != num or isqrt(den) ** 2 != den:
             raise ValueError(
                 "sqrt needs a constant term that is the square of a nonzero rational"
             )
         n = self.order
         out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(isqrt(a0.numerator), isqrt(a0.denominator))
+        out[0] = Fraction(isqrt(num), isqrt(den))
         for i in range(1, n + 1):
             acc = Fraction(0)
             for k in range(1, i):
@@ -265,22 +257,12 @@ def _trim(coeffs) -> tuple:
 
 def _compose_column(outer, inner, rows: list, m: int) -> Fraction:
     """[z^m] outer(inner) for inner with inner_0 = 0, from inner_1 .. inner_m;
-    call it for m = 0, 1, ... in turn with the same ``rows`` (see
-    :func:`_power_sum`) and ``outer`` without trailing zeros."""
+    call it for m = 0, 1, ... in turn with the same ``rows``, the power table
+    of :func:`_power_column`.  Powers of inner past the degree of ``outer``
+    are never formed: pass it without trailing zeros."""
     if m == 0:
         return outer[0]
-    return outer[1] * inner[m] + _power_sum(inner, rows, outer, m)
-
-
-def _power_sum(a, rows: list, weights, m: int) -> Fraction:
-    """sum_{j=2}^{m} weights[j] [z^m] A^j for A = sum a_i z^i with a_0 = 0.
-
-    Only a_1 .. a_{m-1} are read.  ``rows`` is the power table of
-    :func:`_power_column`, so call this for m = 1, 2, ... in turn with the
-    same ``rows``.  Powers past ``len(weights) - 1`` are never formed: pass
-    weights without trailing zeros.
-    """
-    return _dot(weights, _power_column(a, rows, len(weights) - 1, m))
+    return outer[1] * inner[m] + _dot(outer, _power_column(inner, rows, len(outer) - 1, m))
 
 
 def _power_column(a, rows: list, top: int, m: int) -> list:

@@ -14,13 +14,20 @@ plus one tuple per node field.  :func:`_code` reads it off a tree,
 parent and children, and :func:`_scan` and :func:`_write` read and write
 nested-parenthesis text.  All five are loops, so any depth works; only
 parsing is capped, at ``MAX_TEXT_DEPTH`` levels, with a ``ValueError``
-naming the position.
+naming the position.  Equality and hash of every tree class compare codes
+(:class:`_Node`), so they take any depth too.
 
 One enumerator yields the trees as degree words, cached up to size
 ``_MEMO_SIZE_LIMIT`` and streamed beyond it.  Hook sums read the words;
 :class:`OrderedTree` objects are built from them only for text and
 label-count checks.  Labellings come from one flat backtracking generator
-that skips every branch that cannot be completed.
+that skips every branch that cannot be completed.  :func:`_bucket_words`
+states once which trees can hold m labels, at most cap per node.
+
+One formula counts increasing labellings (:func:`_bucket_count`): a tree
+with bucket sizes b_i has m! / prod (bucket hook-length)_i falling b_i.  A
+k-labelled count is the case b_i = k, and a k-tuple count is the k = 1
+count to the k-th power.  :func:`word_hook_lengths` gives the hook-lengths.
 
 Node-indexed data (hook-lengths, out-degrees, bucket sizes, label blocks)
 is always aligned with the preorder traversal of the tree.
@@ -77,12 +84,27 @@ def check_capacity(value: int, default: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class OrderedTree:
+class _Node:
+    """Equality and hash of every tree class, a ``dataclass(frozen=True,
+    eq=False)`` over this, on its preorder code with the fields ``_FIELDS``."""
+
+    _FIELDS = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _code(self) == _code(other)
+
+    def __hash__(self):
+        return hash(_code(self))
+
+
+@dataclass(frozen=True, eq=False)
+class OrderedTree(_Node):
     """Rooted plane tree; children are an ordered tuple of subtrees."""
 
     children: Tuple["OrderedTree", ...] = ()
-    size: int = field(init=False, compare=False)
+    size: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "size", 1 + sum(c.size for c in self.children))
@@ -107,9 +129,8 @@ class OrderedTree:
         return _code(self)[0]
 
     def hook_lengths(self) -> Tuple[int, ...]:
-        """Subtree sizes in preorder; the hook-length of a node is the
-        number of its descendants including itself."""
-        return tuple(node.size for node in self.preorder())
+        """Subtree sizes in preorder (see :func:`word_hook_lengths`)."""
+        return word_hook_lengths(self.out_degrees())
 
     def parent_indices(self) -> Tuple[int, ...]:
         """Preorder index of each node's parent (-1 for the root)."""
@@ -143,9 +164,9 @@ def _shape(word):
     return tuple(parents), tuple(map(tuple, kids))
 
 
-def _code(tree, *fields):
-    """Preorder code of a tree: out-degree word, then each named field."""
-    rows, stack = [], [tree]
+def _code(tree):
+    """Preorder code of a tree: out-degree word, then each of its ``_FIELDS``."""
+    fields, rows, stack = tree._FIELDS, [], [tree]
     while stack:
         node = stack.pop()
         rows.append((len(node.children), *(getattr(node, f) for f in fields)))
@@ -261,8 +282,8 @@ def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
 
 
 def word_hook_lengths(word: Sequence[int]) -> Tuple[int, ...]:
-    """Hook-lengths, in preorder, of the tree with this preorder out-degree
-    word, from one right-to-left stack pass."""
+    """Hook-lengths (descendants, self included) in preorder of the tree with
+    this preorder out-degree word, from one right-to-left stack pass."""
     stack, hooks = [], []
     for d in reversed(word):
         stack[len(stack) - d :] = [1 + sum(stack[len(stack) - d :])]
@@ -291,18 +312,17 @@ def tree_weight(tree: OrderedTree, weights: DegreeWeights) -> Fraction:
 # -- increasing k-labellings ------------------------------------------
 
 
-def count_k_labellings_formula(tree: OrderedTree, k: int) -> int:
-    """Number of increasing k-labellings: (kn)! / prod of k-step falling
-    factorials of k * hook-length."""
+def _check_k(k: int) -> int:
+    """k, the labels per node or the tuple length, checked positive."""
     if k < 1:
         raise ValueError("k must be positive")
-    denom = 1
-    for h in tree.hook_lengths():
-        denom *= falling_factorial(k * h, k)
-    count, rem = divmod(factorial(k * tree.size), denom)
-    if rem:
-        raise ArithmeticError(f"labelling count of {tree.to_text()} with k={k} is not integral")
-    return count
+    return k
+
+
+def count_k_labellings_formula(tree: OrderedTree, k: int) -> int:
+    """Number of increasing k-labellings: the bucket count with k labels at
+    every node, (kn)! / prod of k-step falling factorials of k * hook-length."""
+    return count_bucket_labellings_formula(tree, (_check_k(k),) * tree.size)
 
 
 def _label_blocks(
@@ -353,10 +373,9 @@ def _count_labellings(tree: OrderedTree, block_sizes: Sequence[int]) -> int:
 
 def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
     """Count increasing k-labellings by explicit construction."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    check_capacity(k * tree.size, MAX_LABEL_TOTAL, "brute-force label total k*n")
-    return _count_labellings(tree, [k] * tree.size)
+    buckets = (_check_k(k),) * tree.size
+    check_capacity(sum(buckets), MAX_LABEL_TOTAL, "brute-force label total k*n")
+    return _count_labellings(tree, buckets)
 
 
 # -- bucket labellings -------------------------------------------------
@@ -396,9 +415,7 @@ def count_bucket_labellings_bruteforce(tree: OrderedTree, buckets: Sequence[int]
 def count_k_tuple_labellings(tree: OrderedTree, k: int) -> int:
     """Number of increasing k-tuple labellings: the k-th power of the
     single-labelling count n! / prod of hook-lengths."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return count_k_labellings_formula(tree, 1) ** k
+    return count_k_labellings_formula(tree, 1) ** _check_k(k)
 
 
 def enumerate_bucket_functions(
@@ -421,3 +438,11 @@ def _bucket_functions(n: int, total: int, cap: int, acc: tuple = ()) -> Iterator
         return
     for b in range(max(1, total - cap * (n - 1)), min(cap, total - (n - 1)) + 1):
         yield from _bucket_functions(n - 1, total - b, cap, acc + (b,))
+
+
+def _bucket_words(m: int, cap: int):
+    """(word, bucket functions) of every plane tree that can hold m labels,
+    at most cap per node: sizes ceil(m/cap) .. m, each in canonical order."""
+    for size in range(-(-m // cap) if m > 0 else 1, m + 1):
+        for word in enumerate_degree_words(size):
+            yield word, _bucket_functions(size, m, cap)

@@ -13,7 +13,7 @@ the colorable positions; and the chain and split maps with their inverses
 as recursions over ``MultiTree``/``ColoredTree`` nodes.  The Horner
 composition they all run on is kept here too (:func:`compose`), so no
 function in this module touches the package's power table
-(``Series.compose``, ``Series.reversion``, ``_power_sum``).
+(``Series.compose``, ``Series.reversion``, ``_compose_column``).
 They stay here, outside the package, as a second independent route: the
 tests compare the engine against them exactly.  They are polynomial of high
 degree (k-tuple: exponential), so keep N small.
@@ -204,7 +204,9 @@ def tree_hook_sum(weights: DegreeWeights, n: int, factor) -> Tuple[Fraction, int
     for tree in enumerate_ordered_trees(n):
         visited += 1
         term = Fraction(1)
-        for d, h in zip(tree.out_degrees(), tree.hook_lengths()):
+        # hook-lengths as node sizes, apart from the package's word_hook_lengths
+        hooks = (node.size for node in tree.preorder())
+        for d, h in zip(tree.out_degrees(), hooks):
             if not phi[d]:
                 break
             term *= phi[d] * factor[h]

@@ -27,6 +27,11 @@ from inctrees.bijections import (
 from inctrees.trees import CapacityError
 
 
+def test_no_objects_with_zero_labels():
+    assert list(enumerate_free_multilabelled(0)) == []
+    assert list(enumerate_unibi_unordered(0)) == []
+
+
 def test_chain_map_single_node_three_labels():
     got = multi_to_colored(MultiTree((1, 2, 3)))
     assert got == ColoredTree(1, BLACK, (ColoredTree(2, BLACK, (ColoredTree(3, WHITE),)),))

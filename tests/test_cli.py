@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from inctrees import cli, families, hooks
+from inctrees import cli, families, hooks, solvers
 from inctrees.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_VERIFY_ALL = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.txt"
 GOLDEN_VERIFY_ALL_JSON = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.json"
+GOLDEN_VERIFY_INVARIANTS = ROOT / "tests" / "data" / "verify_invariants_max_n6_max_m7.txt"
+GOLDEN_VERIFY_INVARIANTS_JSON = ROOT / "tests" / "data" / "verify_invariants_max_n6_max_m7.json"
 GOLDEN_REVERSE = ROOT / "tests" / "data" / "reverse_families.txt"
 GOLDEN_BIJECTION_SHOW = ROOT / "tests" / "data" / "bijection_show_m5.txt"
 GOLDEN_SEQ = ROOT / "tests" / "data" / "seq_registry_40.txt"
@@ -265,6 +267,36 @@ def test_verify_all_output_is_pinned(capsys):
     want = json.loads(GOLDEN_VERIFY_ALL_JSON.read_text())
     assert got["ok"] is want["ok"] is True
     assert [pinned(c) for c in got["checks"]] == [pinned(c) for c in want["checks"]]
+
+
+def test_verify_invariants_output_is_pinned(capsys):
+    # The invariants suite has no float route, so both forms are pinned
+    # byte for byte.
+    argv = ["verify", "invariants", "--max-n", "6", "--max-m", "7"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == GOLDEN_VERIFY_INVARIANTS.read_text()
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == GOLDEN_VERIFY_INVARIANTS_JSON.read_text()
+
+
+def test_tree_sum_check_catches_a_wrong_k_labelled_step(monkeypatch):
+    step, scale = solvers.SCHEMES["k-labelled"]
+    monkeypatch.setitem(
+        solvers.SCHEMES, "k-labelled", (lambda n, k, a, u: 2 * step(n, k, a, u), scale)
+    )
+    checks = {name: (ok, detail) for name, ok, detail in cli._SUITES["invariants"](6, 3, 50)}
+    assert checks["tree-sum oracle vs single-label solver"] == (False, "first failure at n=1")
+
+
+def test_verify_cutoff_reaches_the_binary_free_series():
+    def details(cutoff):
+        checks = cli._SUITES["closed-forms"](1, 1, cutoff)
+        return [detail for name, _, detail in checks if name.startswith("binary free series ")]
+
+    assert len(details(3)) == 6
+    assert details(3) != details(50)
 
 
 def test_verify_all_under_python_O():

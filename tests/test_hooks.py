@@ -63,11 +63,17 @@ def test_bucket_single_label():
     assert report.equal
 
 
+def test_bucket_rejects_zero_labels():
+    for cap in (None, 2):
+        with pytest.raises(ValueError, match="terms must be positive"):
+            hook_sum_bucket(EXP, 0, max_bucket=cap)
+
+
 def test_bucket_rejects_other_bucket_caps(monkeypatch):
-    def no_words(n):
+    def no_words(*args):
         raise AssertionError("trees enumerated before max_bucket was checked")
 
-    monkeypatch.setattr(hooks, "enumerate_degree_words", no_words)
+    monkeypatch.setattr(hooks, "_bucket_words", no_words)
     for cap in (0, 1, 3):
         with pytest.raises(ValueError, match="max_bucket"):
             hook_sum_bucket(EXP, 8, max_bucket=cap)

@@ -7,7 +7,9 @@ as a name somewhere else in the module.  ``__init__.py`` only re-exports and
 is exempt.  In ``trees.py`` and ``bijections.py`` no function, nested ones
 included, calls itself by name or as an attribute, so every tree converts
 at any depth.  ``_bucket_functions`` is the one exception: its depth is the
-node count of an enumerated tree, which ``MAX_TREE_SIZE`` caps.
+node count of an enumerated tree, which ``MAX_TREE_SIZE`` caps.  Every
+dataclass there with a ``children`` field is declared ``eq=False``, so no tree
+class gets a generated ``__eq__`` that recurses through its children.
 """
 import ast
 from pathlib import Path
@@ -80,3 +82,50 @@ def test_self_call_is_found():
         "    return list(word)\n"
     )
     assert self_calls(source) == ["to_text", "walk"]
+
+
+def recursive_eq_dataclasses(source: str):
+    """Names of the dataclasses with a ``children`` field that are not
+    declared ``eq=False``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        fields = {
+            stmt.target.id for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+        for deco in node.decorator_list:
+            func = deco.func if isinstance(deco, ast.Call) else deco
+            if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+                continue
+            eq_false = isinstance(deco, ast.Call) and any(
+                kw.arg == "eq" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                for kw in deco.keywords
+            )
+            if "children" in fields and not eq_false:
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", TREE_MODULES, ids=[p.name for p in TREE_MODULES])
+def test_tree_classes_do_not_generate_eq(path):
+    assert recursive_eq_dataclasses(path.read_text(encoding="utf-8")) == []
+
+
+def test_recursive_eq_dataclass_is_found():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    children: tuple = ()\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    children: tuple = ()\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class C:\n"
+        "    children: tuple = ()\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    name: str\n"
+    )
+    assert recursive_eq_dataclasses(source) == ["A", "B"]

@@ -100,6 +100,8 @@ def test_sqrt_rejects_non_square_constant():
         S(2, 0).sqrt()
     with pytest.raises(ValueError):
         S(0, 1).sqrt()
+    with pytest.raises(ValueError, match="square of a nonzero rational"):
+        S(-4, 1).sqrt()
 
 
 def test_reversion_of_identity():

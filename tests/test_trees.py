@@ -58,7 +58,9 @@ def test_degree_words_are_the_trees_in_order():
         trees = list(enumerate_ordered_trees(n))
         words = list(enumerate_degree_words(n))
         assert words == [t.out_degrees() for t in trees]
-        assert [word_hook_lengths(w) for w in words] == [t.hook_lengths() for t in trees]
+        assert [word_hook_lengths(w) for w in words] == [
+            tuple(node.size for node in t.preorder()) for t in trees
+        ]
 
 
 def test_degree_words_stream_past_the_memo():
@@ -159,14 +161,33 @@ def test_parent_indices_match_the_nested_nodes():
             assert tree.parent_indices() == tuple(want)
 
 
-def test_deep_trees_convert_without_recursion():
-    # paths of 5000 nodes, built bottom-up; results are read as flat strings
-    # and tuples, since == and hash() of nested nodes still recurse
-    n = 5000
-    tree, multi = LEAF, bijections.MultiTree((2 * n - 1, 2 * n))
+def _deep_paths(n: int, last: int = 0):
+    """Paths of n nodes, built bottom-up, of each tree class; ``last`` is
+    added to the largest label of the labelled paths' deepest node."""
+    tree, multi = LEAF, bijections.MultiTree((2 * n - 1, 2 * n + last))
+    colored = bijections.ColoredTree(n + last, "w")
     for i in range(n - 1, 0, -1):
         tree = OrderedTree((tree,))
         multi = bijections.MultiTree((2 * i - 1, 2 * i), (multi,))
+        colored = bijections.ColoredTree(i, "w", (colored,))
+    return tree, multi, colored
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    n = 5000
+    first, second = _deep_paths(n), _deep_paths(n)
+    for a, b in zip(first, second):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    for a, b in zip(_deep_paths(n, last=1)[1:], first[1:]):
+        assert a != b
+    assert bijections.MultiTree((1,)) != bijections.ColoredTree(1, "w")
+
+
+def test_deep_trees_convert_without_recursion():
+    # paths of 5000 nodes, built bottom-up
+    n = 5000
+    tree, multi, _ = _deep_paths(n)
     assert tree.to_text() == "(" * n + ")" * n
     assert tree.parent_indices() == tuple(range(-1, n - 1))
     assert multi.node_count() == n
