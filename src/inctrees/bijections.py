@@ -23,7 +23,7 @@ work on codes is loops, not recursion, and hashing is on flat tuples.
 at the boundary by the code and text layer of ``trees`` (``_code``,
 ``_fold``, ``_scan``, ``_write``), which serves every tree class.
 
-Text encodings (parse/format below)::
+Text encodings (each class's ``to_text`` and ``parse``)::
 
     multilabelled   ({1,2} ({3}) ({4,5}))
     colored         ({1}b ({2}w))          -- b/w after the label set
@@ -56,7 +56,7 @@ BLACK = "b"
 WHITE = "w"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class MultiTree(_Node):
     """Node of a multilabelled tree: a sorted tuple of labels plus subtrees."""
 
@@ -67,8 +67,16 @@ class MultiTree(_Node):
     def node_count(self) -> int:
         return len(_code(self)[0])
 
+    def to_text(self) -> str:
+        word, blocks = _code(self)
+        return _write(word, ("({" + ",".join(map(str, b)) + "}" for b in blocks), " ")
 
-@dataclass(frozen=True, eq=False)
+    @staticmethod
+    def parse(text: str) -> "MultiTree":
+        return parse_multilabelled(text)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class ColoredTree(_Node):
     """Node of a singly-labelled colored tree."""
 
@@ -76,6 +84,14 @@ class ColoredTree(_Node):
     label: int
     color: str
     children: Tuple["ColoredTree", ...] = ()
+
+    def to_text(self) -> str:
+        word, labels, colors = _code(self)
+        return _write(word, (f"({{{x}}}{c}" for x, c in zip(labels, colors)), " ")
+
+    @staticmethod
+    def parse(text: str) -> "ColoredTree":
+        return parse_colored(text)
 
 
 # -- validation ---------------------------------------------------------
@@ -394,15 +410,9 @@ def verify_split_bijection(max_m: int) -> BijectionReport:
 
 
 def format_object(obj) -> str:
-    if isinstance(obj, MultiTree):
-        word, blocks = _code(obj)
-        heads = ("({" + ",".join(map(str, block)) + "}" for block in blocks)
-    elif isinstance(obj, ColoredTree):
-        word, labels, colors = _code(obj)
-        heads = (f"({{{label}}}{color}" for label, color in zip(labels, colors))
-    else:
+    if not isinstance(obj, (MultiTree, ColoredTree)):
         raise TypeError(f"cannot format {type(obj).__name__}")
-    return _write(word, heads, " ")
+    return obj.to_text()
 
 
 _TOKEN = re.compile(r"\(\{(\d+(?:,\d+)*)\}([bw]?)")

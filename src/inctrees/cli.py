@@ -1,24 +1,27 @@
 """Command-line interface.
 
-Subcommands::
+Subcommands (every ``hook`` kind also takes ``--format plain|json``)::
 
     seq FAMILY TERMS [--format plain|bfile|json]
     verify {hook,bijection,closed-forms,invariants,all} [--max-n N] [--max-m M]
            [--cutoff C] [--format plain|json]
-    reverse (--values 1,2,22,584 | --family ID [--terms N] | --values-file PATH)
+    reverse (--values 1,2,22,584 | --values-file PATH | --family ID [--terms N])
+            [--format plain|json]
     bijection {free,unibi} [--max-m M] [--show]
-    hook {klabelled,bucket,ktuple,rho} [options]
+    hook {klabelled,ktuple} (--weights SPEC | --family ID) [-k K] [--max-n N]
+    hook bucket (--weights SPEC | --family ID) [--max-m M] [--max-bucket 2]
+    hook rho [--rho-num c0,c1,..] [--rho-den c0,c1,..] [--tree-family F] [--max-n N]
 
-Exit status is 0 exactly when every executed check passes.  Every size
-argument (TERMS, --max-n, --max-m, --cutoff, -k, --terms) must be a positive
-integer; anything else exits 2 naming it.  The b-file format prints
-``n a(n)`` lines with offset 1 for every family.  The environment variable
+A command accepts only the flags it reads, and its parser names its runner.
+Exit status is 0 exactly when every executed check passes; a bad input
+(every size must be a positive integer) exits 2 naming it.  The b-file
+format prints ``n a(n)`` lines with offset 1 for every family.
 INCTREE_CAPACITY raises the capacity bounds of the enumerations and of the
 k-tuple length k (at the cost of potentially very long runtimes).
 
 ``_SUITES`` is the one check registry: each suite maps the sizes
 ``(max_n, max_m, cutoff)`` to ``(name, ok, detail)`` checks, each comparing
-two independent routes.  ``verify`` prints them, and
+two independent routes, so ``verify`` takes all three for every suite.
 ``tests/test_acceptance.py`` runs the same suites at its own sizes.
 """
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import List, Optional, Tuple
 from . import bijections, families, hooks, reverse, solvers
 from .series import _parse_fraction
 from .trees import (
-    CapacityError,
     count_bucket_labellings_bruteforce,
     count_bucket_labellings_formula,
     count_k_labellings_bruteforce,
@@ -45,24 +47,6 @@ from .trees import (
 from .weights import SHAPES, DegreeWeights
 
 _BILABELLED_IDS = tuple(i for i in families.REGISTRY if i.startswith("bilabelled/"))
-
-
-def _print_sequence(identifier: str, seq, fmt: str, out) -> None:
-    if fmt == "plain":
-        print(" ".join(str(v) for v in seq), file=out)
-    elif fmt == "bfile":
-        for n, v in enumerate(seq, start=1):
-            print(f"{n} {v}", file=out)
-    elif fmt == "json":
-        payload = {
-            "family": identifier,
-            "values": [
-                int(v) if v.denominator == 1 else str(v) for v in seq
-            ],
-        }
-        print(json.dumps(payload), file=out)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 # -- verification suites -------------------------------------------------
@@ -269,6 +253,19 @@ _SUITES = {
 }
 
 
+def _run_seq(args, out) -> int:
+    seq = families.get_family(args.family).sequence(args.terms)
+    if args.format == "plain":
+        print(" ".join(str(v) for v in seq), file=out)
+    elif args.format == "bfile":
+        for n, v in enumerate(seq, start=1):
+            print(f"{n} {v}", file=out)
+    else:
+        values = [int(v) if v.denominator == 1 else str(v) for v in seq]
+        print(json.dumps({"family": args.family, "values": values}), file=out)
+    return 0
+
+
 def _run_verify(args, out) -> int:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     checks: List[Check] = []
@@ -276,18 +273,8 @@ def _run_verify(args, out) -> int:
         checks.extend(_SUITES[suite](args.max_n, args.max_m, args.cutoff))
     ok = all(c[1] for c in checks)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "ok": ok,
-                    "checks": [
-                        {"name": name, "ok": good, "detail": detail}
-                        for name, good, detail in checks
-                    ],
-                }
-            ),
-            file=out,
-        )
+        rows = [{"name": name, "ok": good, "detail": detail} for name, good, detail in checks]
+        print(json.dumps({"ok": ok, "checks": rows}), file=out)
     else:
         for name, good, detail in checks:
             line = f"{'PASS' if good else 'FAIL'} {name}"
@@ -299,18 +286,15 @@ def _run_verify(args, out) -> int:
 
 
 def _run_reverse(args, out) -> int:
-    if args.values:
-        target = reverse.parse_values(args.values)
-        source = "values"
-    elif args.values_file:
-        target = reverse.values_from_file(args.values_file)
-        source = args.values_file
-    elif args.family:
-        spec = families.get_family(args.family)
-        target = tuple(spec.sequence(args.terms))
-        source = args.family
+    if args.terms is not None and args.family is None:
+        raise ValueError("argument --terms/-t: allowed only with --family")
+    if args.values is not None:
+        target, source = reverse.parse_values(args.values), "values"
+    elif args.values_file is not None:
+        target, source = reverse.values_from_file(args.values_file), args.values_file
     else:
-        raise ValueError("need --values, --values-file or --family")
+        spec = families.get_family(args.family)
+        target, source = tuple(spec.sequence(args.terms or 8)), args.family
     report = reverse.reverse_engineer(target, source=source)
     if args.format == "json":
         print(
@@ -373,39 +357,43 @@ def _run_bijection(args, out) -> int:
     return 1
 
 
-def _run_hook(args, out) -> int:
-    fmt = args.format
-    if args.kind == "rho":
-        num = [_parse_fraction(x) for x in args.rho_num.split(",")]
-        den = [_parse_fraction(x) for x in args.rho_den.split(",")]
-        # largest n first: that call checks the capacity and every
-        # denominator before any sum is computed, and nothing prints on failure
-        sums = [
-            (n, hooks.generic_hook_weight_sum(args.tree_family, num, den, n))
-            for n in range(args.max_n, 0, -1)
-        ][::-1]
-        if fmt == "json":
-            print(json.dumps([{"n": n, "sum": str(value)} for n, value in sums]), file=out)
-        else:
-            for n, value in sums:
-                print(f"n={n} sum={value}", file=out)
-        return 0
-    if args.family:
-        weights = families.get_family(args.family).weights
-    elif args.weights:
-        weights = DegreeWeights.parse(args.weights)
+def _rho_coefficients(flag: str, text: str) -> List[Fraction]:
+    try:
+        return [_parse_fraction(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad {flag} {text!r}: {exc}") from None
+
+
+def _run_rho(args, out) -> int:
+    num = _rho_coefficients("--rho-num", args.rho_num)
+    den = _rho_coefficients("--rho-den", args.rho_den)
+    # largest n first: that call checks the capacity and every
+    # denominator before any sum is computed, and nothing prints on failure
+    sums = [
+        (n, hooks.generic_hook_weight_sum(args.tree_family, num, den, n))
+        for n in range(args.max_n, 0, -1)
+    ][::-1]
+    if args.format == "json":
+        print(json.dumps([{"n": n, "sum": str(value)} for n, value in sums]), file=out)
     else:
-        raise ValueError("need --weights or --family")
+        for n, value in sums:
+            print(f"n={n} sum={value}", file=out)
+    return 0
+
+
+def _run_hook(args, out) -> int:
+    if args.family is not None:
+        weights = families.get_family(args.family).weights
+    else:
+        weights = DegreeWeights.parse(args.weights)
     if args.kind == "bucket":
-        if args.max_bucket not in (None, 2):
-            raise ValueError("--max-bucket supports only 2 (omit it for unbounded)")
         top, report = args.max_m, lambda m: hooks.hook_sum_bucket(weights, m, args.max_bucket)
     else:
         hook_sum = hooks.hook_sum_k_labelled if args.kind == "klabelled" else hooks.hook_sum_k_tuple
         top, report = args.max_n, lambda n: hook_sum(weights, args.k, n)
     # largest size first, as for rho: its capacity check fails before any sum
     reports = [report(size) for size in range(top, 0, -1)][::-1]
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
     else:
         for r in reports:
@@ -426,6 +414,8 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command and ``hook`` kind takes only the flags its runner
+    (``run``) reads; each source group is one required choice."""
     parser = argparse.ArgumentParser(
         prog="inctree",
         description="Exact enumeration and verification of multilabelled increasing tree families.",
@@ -436,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("family", help="family identifier, e.g. bilabelled/unordered")
     p_seq.add_argument("terms", type=_positive_int)
     p_seq.add_argument("--format", choices=("plain", "bfile", "json"), default="plain")
+    p_seq.set_defaults(run=_run_seq)
 
     p_verify = sub.add_parser("verify", help="run exhaustive verification suites")
     p_verify.add_argument("suite", choices=(*_SUITES, "all"))
@@ -443,31 +434,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-m", type=_positive_int, default=5)
     p_verify.add_argument("--cutoff", type=_positive_int, default=50)
     p_verify.add_argument("--format", choices=("plain", "json"), default="plain")
+    p_verify.set_defaults(run=_run_verify)
 
     p_rev = sub.add_parser("reverse", help="recover degree weights from a target sequence")
-    p_rev.add_argument("--values", help="comma-separated target values T_1,T_2,...")
-    p_rev.add_argument("--values-file", help="file with one target value per line")
-    p_rev.add_argument("--family", help="take the target from a registered family")
-    p_rev.add_argument("--terms", "-t", type=_positive_int, default=8)
+    target = p_rev.add_mutually_exclusive_group(required=True)
+    target.add_argument("--values", help="comma-separated target values T_1,T_2,...")
+    target.add_argument("--values-file", help="file with one target value per line")
+    target.add_argument("--family", help="take the target from a registered family")
+    p_rev.add_argument("--terms", "-t", type=_positive_int, help="terms of --family (default 8)")
     p_rev.add_argument("--format", choices=("plain", "json"), default="plain")
+    p_rev.set_defaults(run=_run_reverse)
 
     p_bij = sub.add_parser("bijection", help="verify a bijection exhaustively")
     p_bij.add_argument("scheme", choices=("free", "unibi"))
     p_bij.add_argument("--max-m", type=_positive_int, default=5)
     p_bij.add_argument("--show", action="store_true", help="print each object pair")
+    p_bij.set_defaults(run=_run_bijection)
 
     p_hook = sub.add_parser("hook", help="evaluate hook-length identities")
-    p_hook.add_argument("kind", choices=("klabelled", "bucket", "ktuple", "rho"))
-    p_hook.add_argument("--weights", help="degree weights, e.g. exp or poly:1,0,1")
-    p_hook.add_argument("--family", help="take weights from a registered family")
-    p_hook.add_argument("-k", type=_positive_int, default=2)
-    p_hook.add_argument("--max-n", type=_positive_int, default=5)
-    p_hook.add_argument("--max-m", type=_positive_int, default=5)
-    p_hook.add_argument("--max-bucket", type=int, default=None)
-    p_hook.add_argument("--rho-num", default="1")
-    p_hook.add_argument("--rho-den", default="1")
-    p_hook.add_argument("--tree-family", default="ordered")
-    p_hook.add_argument("--format", choices=("plain", "json"), default="plain")
+    kinds = p_hook.add_subparsers(dest="kind", required=True)
+    for kind in ("klabelled", "bucket", "ktuple"):
+        p_kind = kinds.add_parser(kind)
+        source = p_kind.add_mutually_exclusive_group(required=True)
+        source.add_argument("--weights", help="degree weights, e.g. exp or poly:1,0,1")
+        source.add_argument("--family", help="take weights from a registered family")
+        if kind == "bucket":
+            p_kind.add_argument("--max-m", type=_positive_int, default=5)
+            p_kind.add_argument("--max-bucket", type=int, choices=(2,), help="omit for unbounded")
+        else:
+            p_kind.add_argument("-k", type=_positive_int, default=2)
+            p_kind.add_argument("--max-n", type=_positive_int, default=5)
+        p_kind.add_argument("--format", choices=("plain", "json"), default="plain")
+        p_kind.set_defaults(run=_run_hook)
+    p_rho = kinds.add_parser("rho")
+    p_rho.add_argument("--rho-num", default="1")
+    p_rho.add_argument("--rho-den", default="1")
+    p_rho.add_argument("--tree-family", default="ordered")
+    p_rho.add_argument("--max-n", type=_positive_int, default=5)
+    p_rho.add_argument("--format", choices=("plain", "json"), default="plain")
+    p_rho.set_defaults(run=_run_rho)
     return parser
 
 
@@ -481,27 +486,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    out = sys.stdout
     # every exact value prints in full: lift Python's int-to-str digit limit
     # while the command runs (the parsers bound their own input)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.command == "seq":
-            spec = families.get_family(args.family)
-            seq = spec.sequence(args.terms)
-            _print_sequence(args.family, seq, args.format, out)
-            return 0
-        if args.command == "verify":
-            return _run_verify(args, out)
-        if args.command == "reverse":
-            return _run_reverse(args, out)
-        if args.command == "bijection":
-            return _run_bijection(args, out)
-        if args.command == "hook":
-            return _run_hook(args, out)
-        raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, CapacityError, OSError) as exc:
+        return args.run(args, sys.stdout)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

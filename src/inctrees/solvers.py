@@ -41,7 +41,7 @@ from math import factorial
 from typing import Iterator, List, Optional, Tuple
 
 from .series import Series, _compose_column, _trim
-from .trees import falling_factorial
+from .trees import _check_k, falling_factorial
 from .weights import DegreeWeights
 
 
@@ -166,8 +166,7 @@ def _table_columns(weights: DegreeWeights, terms: int, a: List[Fraction]) -> Ite
 
 
 def _solve(scheme: str, weights: DegreeWeights, terms: int, k: int) -> CountingSequence:
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_k(k)
     if terms < 1:
         raise ValueError("terms must be positive")
     a = _online(scheme, weights, terms, k)
@@ -180,8 +179,7 @@ def _solve(scheme: str, weights: DegreeWeights, terms: int, k: int) -> CountingS
 
 def k_labelled_series(weights: DegreeWeights, k: int, order: int) -> Series:
     """EGF of the k-labelled family, truncated at the given order in z."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_k(k)
     coeffs = [Fraction(0)] * (order + 1)
     for n, value in enumerate(_online("k-labelled", weights, order // k, k)):
         coeffs[k * n] = value

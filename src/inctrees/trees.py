@@ -14,8 +14,8 @@ plus one tuple per node field.  :func:`_code` reads it off a tree,
 parent and children, and :func:`_scan` and :func:`_write` read and write
 nested-parenthesis text.  All five are loops, so any depth works; only
 parsing is capped, at ``MAX_TEXT_DEPTH`` levels, with a ``ValueError``
-naming the position.  Equality and hash of every tree class compare codes
-(:class:`_Node`), so they take any depth too.
+naming the position.  Equality and hash of every tree class compare codes,
+and its repr writes its text (:class:`_Node`), so they take any depth too.
 
 One enumerator yields the trees as degree words, cached up to size
 ``_MEMO_SIZE_LIMIT`` and streamed beyond it.  Hook sums read the words;
@@ -85,8 +85,9 @@ def check_capacity(value: int, default: int, what: str) -> None:
 
 
 class _Node:
-    """Equality and hash of every tree class, a ``dataclass(frozen=True,
-    eq=False)`` over this, on its preorder code with the fields ``_FIELDS``."""
+    """Equality, hash and repr of every tree class, a ``dataclass(frozen=True,
+    eq=False, repr=False)`` over this, on its preorder code with the fields
+    ``_FIELDS``; the repr is the class's ``parse`` call on its ``to_text``."""
 
     _FIELDS = ()
 
@@ -98,8 +99,11 @@ class _Node:
     def __hash__(self):
         return hash(_code(self))
 
+    def __repr__(self):
+        return f"{type(self).__name__}.parse({self.to_text()!r})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class OrderedTree(_Node):
     """Rooted plane tree; children are an ordered tuple of subtrees."""
 
@@ -142,9 +146,6 @@ class OrderedTree(_Node):
     @classmethod
     def parse(cls, text: str) -> "OrderedTree":
         return _fold(cls, _scan(text, _OPEN, "")[0])
-
-    def __repr__(self) -> str:
-        return f"OrderedTree.parse({self.to_text()!r})"
 
 
 # -- preorder codes and text ---------------------------------------------

@@ -2,6 +2,7 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inctrees import bijections
 from inctrees.bijections import (
     BLACK,
     WHITE,
@@ -151,6 +152,38 @@ def test_verify_split_bijection():
     assert report.domain_sizes == (1, 2, 4, 14, 66)
 
 
+# The verifier's four failure reports, each reached by breaking one part.
+def test_verifier_reports_a_failed_round_trip(monkeypatch):
+    monkeypatch.setattr(bijections, "_unchain", lambda code: ((0,), ((9,),)))
+    assert verify_chain_bijection(2).failures == (
+        "m=1: round trip failed for ({1})",
+        "m=2: round trip failed for ({1,2})",
+        "m=2: round trip failed for ({1} ({2}))",
+    )
+
+
+def test_verifier_reports_images_outside_the_codomain(monkeypatch):
+    # every object maps to the one-node tree, which has one label
+    monkeypatch.setattr(bijections, "_chain", lambda code: ((0,), (1,), (WHITE,)))
+    report = verify_chain_bijection(2)
+    assert report.failures.count("m=2: image not a valid colored tree: ({1}w)") == 2
+    assert "m=2: chain map not injective" in report.failures
+    assert not any(f.startswith("m=1") for f in report.failures)
+
+
+def test_verifier_reports_unequal_counts(monkeypatch):
+    make, codes = bijections._OBJECT_SCHEMES["colored-unary"]
+    monkeypatch.setitem(
+        bijections._OBJECT_SCHEMES, "colored-unary", (make, lambda m: list(codes(m))[1:])
+    )
+    report = verify_chain_bijection(1)
+    assert report.failures == (
+        "m=1: image not a valid colored tree: ({1}w)",
+        "m=1: 1 multilabelled vs 0 colored",
+    )
+    assert (report.domain_sizes, report.image_sizes) == ((1,), (0,))
+
+
 def test_enumerate_objects_dispatch():
     assert len(list(enumerate_objects("free-multi", 3))) == 6
     assert len(list(enumerate_objects("unibi", 2))) == 2
@@ -170,6 +203,12 @@ def test_text_encoding_round_trip():
         assert parse_multilabelled(format_object(obj)) == obj
     for obj in enumerate_colored_unary(3):
         assert parse_colored(format_object(obj)) == obj
+
+
+def test_repr_is_the_parse_call_of_the_text():
+    for obj in (parse_multilabelled("({1,2} ({3}) ({4,5}))"), parse_colored("({1}b ({2}w))")):
+        assert repr(obj) == f"{type(obj).__name__}.parse({format_object(obj)!r})"
+        assert eval(repr(obj), {"MultiTree": MultiTree, "ColoredTree": ColoredTree}) == obj
 
 
 def test_text_encoding_examples():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from inctrees import cli, families, hooks, solvers
+from inctrees import bijections, cli, families, hooks, solvers
 from inctrees.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +100,16 @@ def test_reverse_family(capsys):
     assert "phi_1 = 3" in out and "phi_2 = 6" in out and "phi_3 = 10" in out
 
 
+def test_reverse_values_file_equals_values(capsys, tmp_path):
+    path = tmp_path / "values.txt"
+    path.write_text("1\n2\n22\n584\n")
+    _, expected, _ = run(capsys, "reverse", "--values", "1,2,22,584")
+    code, out, _ = run(capsys, "reverse", "--values-file", str(path))
+    assert (code, out) == (0, expected)
+    code, out, _ = run(capsys, "reverse", "--values-file", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["source"] == str(path)
+
+
 def test_reverse_zero_start_fails(capsys):
     code, _, err = run(capsys, "reverse", "--values", "0,1")
     assert code != 0
@@ -121,6 +131,13 @@ def test_bijection_free(capsys):
     assert code == 0
     assert "m=4: 30 objects" in out
     assert "PASS" in out
+
+
+def test_bijection_failure_prints_each_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(bijections, "_unchain", lambda code: ((0,), ((9,),)))
+    code, out, _ = run(capsys, "bijection", "free", "--max-m", "1")
+    assert code == 1
+    assert out == "m=1: 1 objects <-> 1 colored trees\nFAIL m=1: round trip failed for ({1})\n"
 
 
 def test_bijection_unibi_show(capsys):
@@ -157,12 +174,10 @@ def test_hook_bucket(capsys):
 
 
 def test_hook_bucket_rejects_other_caps(capsys):
-    code, _, err = run(
-        capsys, "hook", "bucket", "--weights", "exp", "--max-m", "3",
-        "--max-bucket", "3",
-    )
-    assert code != 0
-    assert "max-bucket" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["hook", "bucket", "--weights", "exp", "--max-m", "3", "--max-bucket", "3"])
+    assert exc.value.code == 2
+    assert "argument --max-bucket" in capsys.readouterr().err
 
 
 def test_hook_rho(capsys):
@@ -477,6 +492,57 @@ def test_label_count_check_reports_first_mismatch(capsys, monkeypatch):
         c for c in json.loads(out)["checks"] if c["name"].startswith("label-count")
     ]
     assert check["detail"] == "mismatch at tree () buckets=(1,)"
+
+
+def test_k_label_count_check_reports_first_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_k_labellings_formula", lambda tree, k: -1)
+    code, out, _ = run(
+        capsys, "verify", "invariants", "--max-n", "4", "--max-m", "4", "--format", "json"
+    )
+    assert code == 1
+    (check,) = [
+        c for c in json.loads(out)["checks"] if c["name"].startswith("label-count")
+    ]
+    assert check["detail"] == "mismatch at tree () k=1"
+
+
+# Each command accepts only the flags it reads and exactly one source; stderr
+# names the flag the command does not take, or the sources in conflict.
+UNREAD_FLAGS = [
+    (["hook", "rho", "--weights", "exp"], "--weights"),
+    (["hook", "rho", "-k", "3"], "-k"),
+    (["hook", "klabelled", "--weights", "exp", "--max-m", "4"], "--max-m"),
+    (["hook", "ktuple", "--weights", "exp", "--max-bucket", "2"], "--max-bucket"),
+    (["hook", "klabelled", "--weights", "exp", "--tree-family", "binary"], "--tree-family"),
+    (["hook", "bucket", "--weights", "exp", "-k", "3"], "-k"),
+    (["hook", "bucket", "--weights", "exp", "--max-n", "4"], "--max-n"),
+    (["hook", "klabelled", "--weights", "poly:1,0,1", "--family", "bilabelled/ordered"],
+     "argument --family: not allowed with argument --weights"),
+    (["hook", "ktuple", "--max-n", "3"], "--weights --family"),
+    (["reverse", "--values", "1,2", "--family", "bilabelled/ordered"],
+     "argument --family: not allowed with argument --values"),
+    (["reverse", "--values", "1,2", "--values-file", "VALUES"],
+     "argument --values-file: not allowed with argument --values"),
+    (["reverse", "--values", "1,2,22", "--terms", "5"], "--terms"),
+    (["reverse", "--format", "json"], "--values --values-file --family"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", UNREAD_FLAGS, ids=[" ".join(argv) for argv, _ in UNREAD_FLAGS]
+)
+def test_unread_flag_or_second_source_exits_2(tmp_path, argv, flag):
+    argv = [str(tmp_path / "values.txt") if a == "VALUES" else a for a in argv]
+    code, out, err = call(argv)
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+@pytest.mark.parametrize("flag", ["--rho-num", "--rho-den"])
+def test_rho_coefficient_error_names_its_flag(capsys, flag):
+    code, out, err = run(capsys, "hook", "rho", flag, "1,,2")
+    assert (code, out) == (2, "")
+    assert f"bad {flag} '1,,2': " in err
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,9 @@ is exempt.  In ``trees.py`` and ``bijections.py`` no function, nested ones
 included, calls itself by name or as an attribute, so every tree converts
 at any depth.  ``_bucket_functions`` is the one exception: its depth is the
 node count of an enumerated tree, which ``MAX_TREE_SIZE`` caps.  Every
-dataclass there with a ``children`` field is declared ``eq=False``, so no tree
-class gets a generated ``__eq__`` that recurses through its children.
+dataclass there with a ``children`` field is declared ``eq=False`` and
+``repr=False``, so no tree class gets a generated ``__eq__`` or ``__repr__``
+that recurses through its children.
 """
 import ast
 from pathlib import Path
@@ -84,9 +85,9 @@ def test_self_call_is_found():
     assert self_calls(source) == ["to_text", "walk"]
 
 
-def recursive_eq_dataclasses(source: str):
+def recursive_dataclasses(source: str, method: str = "eq"):
     """Names of the dataclasses with a ``children`` field that are not
-    declared ``eq=False``."""
+    declared ``method=False`` (``eq`` or ``repr``)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
@@ -99,18 +100,23 @@ def recursive_eq_dataclasses(source: str):
             func = deco.func if isinstance(deco, ast.Call) else deco
             if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
                 continue
-            eq_false = isinstance(deco, ast.Call) and any(
-                kw.arg == "eq" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            declared_off = isinstance(deco, ast.Call) and any(
+                kw.arg == method and isinstance(kw.value, ast.Constant) and kw.value.value is False
                 for kw in deco.keywords
             )
-            if "children" in fields and not eq_false:
+            if "children" in fields and not declared_off:
                 found.append(node.name)
     return found
 
 
 @pytest.mark.parametrize("path", TREE_MODULES, ids=[p.name for p in TREE_MODULES])
 def test_tree_classes_do_not_generate_eq(path):
-    assert recursive_eq_dataclasses(path.read_text(encoding="utf-8")) == []
+    assert recursive_dataclasses(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TREE_MODULES, ids=[p.name for p in TREE_MODULES])
+def test_tree_classes_do_not_generate_repr(path):
+    assert recursive_dataclasses(path.read_text(encoding="utf-8"), "repr") == []
 
 
 def test_recursive_eq_dataclass_is_found():
@@ -128,4 +134,22 @@ def test_recursive_eq_dataclass_is_found():
         "class D:\n"
         "    name: str\n"
     )
-    assert recursive_eq_dataclasses(source) == ["A", "B"]
+    assert recursive_dataclasses(source) == ["A", "B"]
+
+
+def test_recursive_repr_dataclass_is_found():
+    source = (
+        "@dataclass(frozen=True, eq=False)\n"
+        "class A:\n"
+        "    children: tuple = ()\n"
+        "@dataclass(frozen=True, eq=False, repr=False)\n"
+        "class B:\n"
+        "    children: tuple = ()\n"
+        "@dataclass(repr=True)\n"
+        "class C:\n"
+        "    children: tuple = ()\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    name: str\n"
+    )
+    assert recursive_dataclasses(source, "repr") == ["A", "C"]

@@ -179,6 +179,8 @@ def test_deep_trees_compare_and_hash_without_recursion():
     for a, b in zip(first, second):
         assert a is not b and a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+        assert repr(a) == repr(b) and repr(a).startswith(f"{type(a).__name__}.parse('(")
+    assert repr(first[0]) == f"OrderedTree.parse({'(' * n + ')' * n!r})"
     for a, b in zip(_deep_paths(n, last=1)[1:], first[1:]):
         assert a != b
     assert bijections.MultiTree((1,)) != bijections.ColoredTree(1, "w")
