@@ -485,6 +485,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["hook"] and argv[1:2] and argv[1][:1] == "-" and argv[1] not in ("-h", "--help"):
+        # argparse would take the option's value for the kind
+        _parser().error(f"hook: the kind (klabelled, ktuple, bucket, rho) comes first, "
+                        f"before option {argv[1].partition('=')[0]}")
     args = _parser().parse_args(argv)
     # every exact value prints in full: lift Python's int-to-str digit limit
     # while the command runs (the parsers bound their own input)

@@ -24,7 +24,7 @@ from .weights import SHAPES, DegreeWeights
 # tuple length k of a k-tuple family (ktuple/<variant>:k=K, hook ktuple -k).
 # T_n has about k log2(n!) bits; at the default sizes the slowest accepted
 # request, ``hook ktuple --weights exp -k 30000`` (n <= 5), takes about a
-# second on a 2-vCPU Xeon, and ``seq ktuple/unordered:k=30000 5`` 0.2 s
+# second on a 2-vCPU Xeon, and ``seq ktuple/unordered:k=30000 5`` 0.07 s
 MAX_KTUPLE_EXPONENT = 30000
 
 

@@ -11,9 +11,8 @@ guaranteed to be valid to:
 
 Composition and reversion run on a table of powers ``[z^m] g^j`` of the
 inner series that grows by one column per new coefficient (Knuth, TAOCP
-Vol. 2, 4.7); the coefficient solvers use the same table
-(:func:`_compose_column`).  Reversion fills g = f^(-1)
-and, for reverse engineering, a composition h(g) from one table
+Vol. 2, 4.7; :func:`_compose_column`).  Reversion fills g = f^(-1) and, for
+reverse engineering, a composition h(g) from one table
 (:func:`_revert_compose`).
 
 All coefficients are :class:`fractions.Fraction` values, so arithmetic is

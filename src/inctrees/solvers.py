@@ -13,35 +13,41 @@ exponential generating function:
   multinomial raised to the k-th power.
 
 One online engine solves all four (Bergeron-Flajolet-Salvy, "Varieties of
-increasing trees", CAAP '92).  Each equation fixes the next coefficient a_n
-of a series A = sum a_n w^n from the coefficients u_0 .. u_{n-1} of
-U = phi(A).  How u_m is produced depends on the kind of the weights, and
-costs, for N terms, in exact operations:
+increasing trees", CAAP '92) on the counts T_n themselves.  A scheme has a
+scale s_n ((kn)!, n! or (n!)^k), with T = sum T_n w^n / s_n and
+U = phi(T) = sum U_m w^m / s_m, and its step in ``SCHEMES`` adds U_(n-1)
+(and T_(n-1) or U_(n-2)) to give T_n.  The scale only builds two integer
+convolution weights D(m, i) = i s_m / (m s_i s_(m-i)) and
+E(m, i) = (m - i) s_m / (m s_i s_(m-i)) (k-labelled: C(km-1, ki-1) and
+C(km-1, ki); k-tuple: C(m-1, i-1) C(m, i)^(k-1) and C(m-1, i) C(m, i)^(k-1)).
+No relation divides, so when every Phi_j = j! phi_j is an integer the loop
+runs on ``int`` (U_m is then an integer by the exponential formula,
+Flajolet-Sedgewick, "Analytic Combinatorics", II.2); rational phi run the
+same code on ``Fraction``.  For N terms U_m costs, in big-integer operations:
 
 * ``exp``, ``bundled``, ``cosh``, ``exp-t``, ``ordered-t``: O(N^2).  U
-  satisfies a linear first-order equation in A (Stanley, "Differentiably
-  finite power series", 1980), so each u_m is one O(m) convolution:
-  U' = U A' (exp), (1 - A) U' = d U A' (bundled(d)), the pair
-  U' = V A', V' = U A' with V = sinh A (cosh), and the exp or bundled(1)
-  relation minus A (exp-t, ordered-t).
-* ``poly`` of degree d: O(N^2 d), and ``custom``: O(N^3).  u_m is a column
-  of a table of the powers A^j that grows by one column per new a_n (Knuth,
-  TAOCP Vol. 2, 4.7).  Wrapping a named phi in ``DegreeWeights.custom``
-  runs it on this table, the reference route for the relations.
-
-``SCHEMES`` is the one place that states a scheme: its engine step and the
-scale that turns a_n into T_n.  The named ``solve_*`` functions and
-:func:`solve_scheme` all run it through the same engine.
+  satisfies a linear first-order equation in T (Stanley, "Differentiably
+  finite power series", 1980), so each U_m is one O(m) convolution:
+  U_m = sum_i D T_i U_(m-i) (exp), U_m = sum_i (d D + E) T_i U_(m-i)
+  (bundled(d)), the exp sums with V = sinh T as partner (cosh), and the exp
+  or bundled(1) relation minus T_m (exp-t, ordered-t).
+* ``poly`` of degree d: O(N^2 d), and ``custom``: O(N^3).  U_m = sum_j
+  Phi_j B(m, j) over a table of partial Bell polynomials,
+  B(m, j) = sum_i D T_i B(m-i, j-1), that grows by one column per new T_n
+  (Comtet, "Advanced Combinatorics", 3.3).  Wrapping a named phi in
+  ``DegreeWeights.custom`` runs it on this table, the reference route for
+  the relations.  :func:`solve_scheme` and each ``solve_*`` call this engine.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import factorial
 from typing import Iterator, List, Optional, Tuple
 
-from .series import Series, _compose_column, _trim
-from .trees import _check_k, falling_factorial
+from .series import Series, _trim
+from .trees import _check_k
 from .weights import DegreeWeights
 
 
@@ -74,104 +80,97 @@ class CountingSequence:
 
 # -- the scheme table and the online engine --------------------------------
 
-# scheme -> (step, scale): step(n, k, a, u) gives a_n from a_0 .. a_{n-1} and
-# the coefficients u_0 .. u_{n-1} of u = phi(A); T_n = scale(n, k) * a_n.
+# scheme -> (step, scale): step(n, t, u) gives T_n from T_0 .. T_{n-1} and
+# U_0 .. U_{n-1} of U = phi(T); scale(n, k) is s_n.
 SCHEMES = {
-    # w = z^k; [z^(kn-k)] of T^(k) = phi(T) gives a_n (kn)_k = u_{n-1}
-    "k-labelled": (lambda n, k, a, u: u[n - 1] / falling_factorial(k * n, k),
-                   lambda n, k: factorial(k * n)),
-    "free-multilabelled": (lambda n, k, a, u: (u[n - 1] + a[n - 1]) / n,
-                           lambda n, k: factorial(n)),
+    # [z^(kn-k)] of T^(k) = phi(T)
+    "k-labelled": (lambda n, t, u: u[n - 1], lambda n, k: factorial(k * n)),
+    "free-multilabelled": (lambda n, t, u: u[n - 1] + t[n - 1], lambda n, k: factorial(n)),
     # T' phi'(T) = (phi(T))', so T' = phi(T) + integral of phi(T)
-    "uni-bi": (lambda n, k, a, u: (u[n - 1] + (u[n - 2] / (n - 1) if n > 1 else 0)) / n,
-               lambda n, k: factorial(n)),
-    # a_n = T_n / (n!)^k
-    "k-tuple": (lambda n, k, a, u: u[n - 1] / n**k, lambda n, k: factorial(n) ** k),
+    "uni-bi": (lambda n, t, u: u[n - 1] + (u[n - 2] if n > 1 else 0), lambda n, k: factorial(n)),
+    "k-tuple": (lambda n, t, u: u[n - 1], lambda n, k: factorial(n) ** k),
 }
 
 
-def _online(scheme: str, weights: DegreeWeights, terms: int, k: int) -> List[Fraction]:
-    """a_0 = 0, a_1 .. a_terms of the scheme's series A."""
-    step = SCHEMES[scheme][0]
-    a = [Fraction(0)]
-    u: List[Fraction] = []
-    columns = _phi_columns(weights, terms, a)
-    for n in range(1, terms + 1):
-        u.append(next(columns))
-        a.append(step(n, k, a, u))
-    return a
-
-
-def _phi_columns(weights: DegreeWeights, terms: int, a: List[Fraction]) -> Iterator[Fraction]:
-    """u_0, u_1, ... of U = phi(A); u_m is drawn once a_1 .. a_m are in
-    ``a``.  The named kinds run their first-order relation, the rest the
-    power table."""
+def _online(scheme: str, weights: DegreeWeights, terms: int, k: int) -> list:
+    """T_0 = 0, T_1 .. T_terms of the scheme: ints when every Phi_j is an
+    integer, else Fractions.  U_m is drawn once T_1 .. T_m are in ``t``."""
+    step, scale = SCHEMES[scheme]
+    t, u = [0], []
     kind = weights.kind
-    if kind in ("exp", "exp-t"):
-        return _relation_columns(a, 0, 1, kind == "exp-t")
+    c, d = 0, 1
     if kind in ("bundled", "ordered-t"):
         # phi_1 = C(d, 1) = d; ordered-t is bundled(1) minus t
-        d = int(weights.coefficient(1)) if kind == "bundled" else 1
-        return _relation_columns(a, 1, d, kind == "ordered-t")
-    if kind == "cosh":
-        return _cosh_columns(a)
-    return _table_columns(weights, terms, a)
+        c, d = 1, int(weights.coefficient(1)) if kind == "bundled" else 1
+    rows = _convolution_weights(scale, k, c, d)
+    if kind in ("exp", "exp-t", "cosh", "bundled", "ordered-t"):
+        columns = _relation_columns(t, rows, kind.endswith("-t"), kind == "cosh")
+    else:
+        columns = _table_columns(weights, terms, t, rows)
+    for n in range(1, terms + 1):
+        u.append(next(columns))
+        t.append(step(n, t, u))
+    return t
 
 
-def _relation_columns(a: List[Fraction], c: int, d: int, minus_t: bool) -> Iterator[Fraction]:
-    """E = exp(A) (c = 0, d = 1) or (1 - A)^(-d) (c = 1) from
-    (1 - cA) E' = d E A', that is
-    m e_m = sum_i a_i e_(m-i) (c (m-i) + d i).  Yields E, or E - A when
-    ``minus_t``."""
-    e = [Fraction(1)]
-    live: List[int] = []  # the i with a_i != 0
-    yield e[0]
-    m = 1
-    while True:
-        if a[m]:
-            live.append(m)
-        total = sum((a[i] * e[m - i] * (c * (m - i) + d * i) for i in live), Fraction(0))
-        e.append(total / m)
-        yield e[m] - a[m] if minus_t else e[m]
-        m += 1
+def _convolution_weights(scale, k: int, c: int, d: int) -> Iterator[List[int]]:
+    """The rows d D(m, i) + c E(m, i) = (d i + c (m-i)) b / m, i = 0 .. m, for
+    m = 1, 2, ..., where b = s_m / (s_i s_(m-i)) runs along the row as
+    b(m, i) = b(m, i-1) r_(m-i+1) / r_i with r_n = s_n / s_(n-1).  Every
+    quotient is exact."""
+    r = [1]
+    for m in count(1):
+        r.append(scale(m, k) // scale(m - 1, k))
+        b, row = 1, [c]
+        for i in range(1, m + 1):
+            b = b * r[m - i + 1] // r[i]
+            row.append((d * i + c * (m - i)) * b // m)
+        yield row
 
 
-def _cosh_columns(a: List[Fraction]) -> Iterator[Fraction]:
-    """U = cosh A with its partner V = sinh A: U' = V A' and V' = U A',
-    that is m u_m = sum_i i a_i v_(m-i) and m v_m = sum_i i a_i u_(m-i)."""
-    u, v = [Fraction(1)], [Fraction(0)]
-    ia = [Fraction(0)]
-    live: List[int] = []
+def _relation_columns(t: list, rows, minus_t: bool, cosh: bool) -> Iterator:
+    """U = exp(T) or (1 - T)^(-d) from (1 - cT) U' = d U T', that is
+    U_m = sum_i (d D + c E)(m, i) T_i U_(m-i) on the rows of weights; with
+    ``cosh``, U = cosh T from U' = V T' and V' = U T' for V = sinh T (c = 0,
+    d = 1).  Yields U, or U - T when ``minus_t``."""
+    u = [1]
+    v = [0] if cosh else u
     yield u[0]
-    m = 1
-    while True:
-        ia.append(m * a[m])
-        if a[m]:
-            live.append(m)
-        u.append(sum((ia[i] * v[m - i] for i in live), Fraction(0)) / m)
-        v.append(sum((ia[i] * u[m - i] for i in live), Fraction(0)) / m)
-        yield u[m]
-        m += 1
+    for m in count(1):
+        w = [x * y for x, y in zip(next(rows), t)]
+        u.append(sum(w[i] * v[m - i] for i in range(1, m + 1)))
+        if cosh:
+            v.append(sum(w[i] * u[m - i] for i in range(1, m + 1)))
+        yield u[m] - t[m] if minus_t else u[m]
 
 
-def _table_columns(weights: DegreeWeights, terms: int, a: List[Fraction]) -> Iterator[Fraction]:
-    """Columns of the power table of A, weighted by phi_0 .. phi_{terms-1}
-    (read once)."""
-    phi = _trim([weights.coefficient(j) for j in range(terms)])
-    rows: list = []
-    m = 0
-    while True:
-        yield _compose_column(phi, a, rows, m)
-        m += 1
+def _table_columns(weights: DegreeWeights, terms: int, t: list, rows) -> Iterator:
+    """U_m = sum_j Phi_j B(m, j) over the Bell table B(m, j) = s_m [w^m] T^j / j!:
+    B(m, 1) = T_m and B(m, j) = sum_i D(m, i) T_i B(m-i, j-1), D the rows of
+    ``rows``.  Phi_j = j! phi_j is read once for j < terms, as an int when
+    integral; the table holds no power past the degree of phi."""
+    phi = [factorial(j) * weights.coefficient(j) for j in range(terms)]
+    phi = _trim([p.numerator if p.denominator == 1 else p for p in phi])
+    columns: list = []  # columns[j-2] = [B(0, j), B(1, j), ...]
+    yield phi[0]
+    for m in count(1):
+        if 2 <= m < len(phi):
+            columns.append([0] * m)  # B(m', m) = 0 for m' < m
+        w = [x * y for x, y in zip(next(rows), t)]
+        total, prev = phi[1] * t[m], t
+        for j, column in enumerate(columns, start=2):
+            # B(m-i, j-1) = 0 for i > m-j+1
+            column.append(sum(w[i] * prev[m - i] for i in range(1, m - j + 2)))
+            total += phi[j] * column[m]
+            prev = column
+        yield total
 
 
 def _solve(scheme: str, weights: DegreeWeights, terms: int, k: int) -> CountingSequence:
     _check_k(k)
     if terms < 1:
         raise ValueError("terms must be positive")
-    a = _online(scheme, weights, terms, k)
-    scale = SCHEMES[scheme][1]
-    return CountingSequence(tuple(scale(n, k) * a[n] for n in range(1, terms + 1)))
+    return CountingSequence(tuple(Fraction(v) for v in _online(scheme, weights, terms, k)[1:]))
 
 
 # -- series solutions ---------------------------------------------------
@@ -182,7 +181,7 @@ def k_labelled_series(weights: DegreeWeights, k: int, order: int) -> Series:
     _check_k(k)
     coeffs = [Fraction(0)] * (order + 1)
     for n, value in enumerate(_online("k-labelled", weights, order // k, k)):
-        coeffs[k * n] = value
+        coeffs[k * n] = Fraction(value, factorial(k * n))
     return Series(coeffs)
 
 
@@ -197,8 +196,8 @@ def solve_scheme(
 
 
 def solve_k_labelled(weights: DegreeWeights, k: int, terms: int) -> CountingSequence:
-    """T_n for 1 <= n <= terms, where T_n counts (total weight of) the
-    family's increasing k-labelled trees with kn labels."""
+    """T_n for 1 <= n <= terms: the weighted count of increasing k-labelled
+    trees with kn labels."""
     return _solve("k-labelled", weights, terms, k)
 
 
@@ -215,12 +214,9 @@ def solve_unilabelled_bilabelled(weights: DegreeWeights, terms: int) -> Counting
 
 
 def solve_k_tuple(weights: DegreeWeights, k: int, terms: int) -> CountingSequence:
-    """T_n for 1 <= n <= terms: increasing k-tuple labelled trees of size n.
-
-    T_1 = phi_0 (the weight of the single-node tree); every size-n value
-    follows from the root decomposition, with the label multinomial raised
-    to the k-th power.
-    """
+    """T_n for 1 <= n <= terms: increasing k-tuple labelled trees of size
+    n, by the root decomposition with the label multinomial to the k-th
+    power."""
     return _solve("k-tuple", weights, terms, k)
 
 
@@ -250,7 +246,7 @@ def first_order_invariant_check(weights: DegreeWeights, t: Series) -> InvariantR
     if t.coefficient(0) != 0:
         raise ValueError("the solution series needs a zero constant term")
     # 2 Phi(T) = sum_j 2 Phi_j T^j, by plain products of t, apart from the
-    # power table that produced t
+    # engine that produced t
     rhs = Series.zero(t.order)
     power = Series.one(t.order)
     for c in weights.antiderivative_series(t.order).coefficients:

@@ -4,16 +4,19 @@ reverse engineering, hook sums and labelling enumeration.
 These are the fixed-point solvers, the composition recurrence for k-tuple
 trees, the compose-per-order reversion and the two-derivative reverse
 engineering 4 g f''(g) + 2 f'(g) that the package used before its online
-power-table engine; and the per-tree ``Fraction`` loops over ``OrderedTree``
-objects that the hook sums used before degree words and the census, with the
-labelling generator that kept its free labels in a frozenset; and the
-bijection objects built per labelling from ``OrderedTree`` recursion, with
-unordered trees filtered after generation and colorings as one product over
-the colorable positions; and the chain and split maps with their inverses
-as recursions over ``MultiTree``/``ColoredTree`` nodes.  The Horner
-composition they all run on is kept here too (:func:`compose`), so no
-function in this module touches the package's power table
-(``Series.compose``, ``Series.reversion``, ``_compose_column``).
+engine.  They iterate on the rational coefficients T_n / s_n in ``Series``;
+the engine solves for the integers T_n with its own convolution weights and
+Bell table.  Here are also the per-tree ``Fraction`` loops over
+``OrderedTree`` objects that the hook sums used before degree words and the
+census, with the labelling generator that kept its free labels in a
+frozenset; and the bijection objects built per labelling from
+``OrderedTree`` recursion, with unordered trees filtered after generation
+and colorings as one product over the colorable positions; and the chain
+and split maps with their inverses as recursions over
+``MultiTree``/``ColoredTree`` nodes.  The Horner composition they all run
+on is kept here too (:func:`compose`), so no function in this module
+touches the package's power table (``Series.compose``, ``Series.reversion``,
+``_compose_column``) or the engine (``solvers._online``).
 They stay here, outside the package, as a second independent route: the
 tests compare the engine against them exactly.  They are polynomial of high
 degree (k-tuple: exponential), so keep N small.

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -20,6 +21,7 @@ GOLDEN_VERIFY_INVARIANTS_JSON = ROOT / "tests" / "data" / "verify_invariants_max
 GOLDEN_REVERSE = ROOT / "tests" / "data" / "reverse_families.txt"
 GOLDEN_BIJECTION_SHOW = ROOT / "tests" / "data" / "bijection_show_m5.txt"
 GOLDEN_SEQ = ROOT / "tests" / "data" / "seq_registry_40.txt"
+GOLDEN_SEQ_200 = ROOT / "tests" / "data" / "seq_registry_200.sha256"
 # checks whose detail is a float that depends on the platform's libm
 FLOAT_ROUTES = ("lattice sum ", "binary free series ")
 
@@ -299,7 +301,7 @@ def test_verify_invariants_output_is_pinned(capsys):
 def test_tree_sum_check_catches_a_wrong_k_labelled_step(monkeypatch):
     step, scale = solvers.SCHEMES["k-labelled"]
     monkeypatch.setitem(
-        solvers.SCHEMES, "k-labelled", (lambda n, k, a, u: 2 * step(n, k, a, u), scale)
+        solvers.SCHEMES, "k-labelled", (lambda n, t, u: 2 * step(n, t, u), scale)
     )
     checks = {name: (ok, detail) for name, ok, detail in cli._SUITES["invariants"](6, 3, 50)}
     assert checks["tree-sum oracle vs single-label solver"] == (False, "first failure at n=1")
@@ -402,25 +404,45 @@ def test_reverse_output_is_pinned():
     assert reverse_transcript() == GOLDEN_REVERSE.read_text()
 
 
-def seq_transcript() -> str:
-    """stdout of ``seq ID 40`` for every registry family and for
-    ktuple/{ordered,unordered}:k={1,2,3}, each under a ``$ inctree ...``
-    header line."""
-    identifiers = families.family_identifiers() + tuple(
-        f"ktuple/{variant}:k={k}" for variant in ("ordered", "unordered") for k in (1, 2, 3)
-    )
+# every registry family and ktuple/{ordered,unordered}:k={1,2,3}
+SEQ_IDENTIFIERS = families.family_identifiers() + tuple(
+    f"ktuple/{variant}:k={k}" for variant in ("ordered", "unordered") for k in (1, 2, 3)
+)
+
+
+def seq_stdout(identifier: str, terms: int) -> str:
     out = io.StringIO()
-    for identifier in identifiers:
-        argv = ["seq", identifier, "40"]
-        out.write("$ inctree " + " ".join(argv) + "\n")
-        with redirect_stdout(out):
-            assert main(argv) == 0
+    with redirect_stdout(out):
+        assert main(["seq", identifier, str(terms)]) == 0
     return out.getvalue()
 
 
+def seq_transcript() -> str:
+    """stdout of ``seq ID 40`` for every family of SEQ_IDENTIFIERS, each
+    under a ``$ inctree ...`` header line."""
+    return "".join(
+        f"$ inctree seq {identifier} 40\n" + seq_stdout(identifier, 40)
+        for identifier in SEQ_IDENTIFIERS
+    )
+
+
 def test_seq_output_is_pinned():
-    # Forty terms of every family, recorded from the power-table engine.
+    # Forty terms of every family, recorded from the rational engine that
+    # solved for T_n / s_n in Fractions.
     assert seq_transcript() == GOLDEN_SEQ.read_text()
+
+
+def test_seq_200_terms_are_pinned():
+    # The sha256 of 200 terms of every family, recorded from that engine:
+    # one "<sha256>  <identifier>" line per family.
+    expected = {}
+    for line in GOLDEN_SEQ_200.read_text().splitlines():
+        digest, identifier = line.split()
+        expected[identifier] = digest
+    assert {
+        identifier: hashlib.sha256(seq_stdout(identifier, 200).encode()).hexdigest()
+        for identifier in SEQ_IDENTIFIERS
+    } == expected
 
 
 def call(argv):
@@ -525,6 +547,9 @@ UNREAD_FLAGS = [
      "argument --values-file: not allowed with argument --values"),
     (["reverse", "--values", "1,2,22", "--terms", "5"], "--terms"),
     (["reverse", "--format", "json"], "--values --values-file --family"),
+    (["hook", "--weights", "exp", "klabelled"],
+     "the kind (klabelled, ktuple, bucket, rho) comes first, before option --weights"),
+    (["hook", "--rho-num=2", "rho"], "before option --rho-num"),
 ]
 
 

@@ -1,13 +1,16 @@
-"""The online power-table engine against the slow routes in ``oracle.py``.
+"""The integer coefficient engine and the power-table series operations
+against the slow routes in ``oracle.py``.
 
 The engine (``solvers._online``), ``Series.compose``, ``Series.reversion``
 and ``reverse_engineer`` replaced fixed-point iteration, the composition
 recurrence, Horner composition, one full composition per order and the
 two-derivative reverse engineering.  These properties pin them to those
 routes on random small rational weights and series, with a fixed Hypothesis
-seed.  The first-order relations of the named weight kinds are pinned both to
-those routes and to the power table, which the same phi wrapped as
-``DegreeWeights.custom`` runs on.
+seed; the examples add rational phi, whose Phi_j = j! phi_j are not all
+integers, so the engine runs them on Fractions.  The first-order relations
+of the named weight kinds are pinned both to those routes and to the Bell
+table, which the same phi wrapped as ``DegreeWeights.custom`` runs on.  A
+count of Fraction operations pins integral phi to integer arithmetic.
 """
 from fractions import Fraction as F
 
@@ -15,7 +18,7 @@ import oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from inctrees import solvers
+from inctrees import families, solvers
 from inctrees.reverse import reverse_engineer
 from inctrees.series import Series
 from inctrees.solvers import (
@@ -56,6 +59,11 @@ ORACLE_VALUES = {
 
 @given(rational_weights(), st.integers(min_value=1, max_value=3),
        st.integers(min_value=1, max_value=10))
+@example(DegreeWeights.parse("poly:1/2,1/3,1"), 1, 8)
+@example(DegreeWeights.parse("poly:1/2,1/3,1"), 2, 8)
+@example(DegreeWeights.parse("poly:1/2,1/3,1"), 3, 8)
+@example(DegreeWeights.custom(lambda j: F(3, 1), name="3/(1-t)"), 2, 8)
+@example(DegreeWeights.parse("poly:1,1/2,1/2,1/3"), 2, 8)  # Phi = 1, 1/2, 1, 2
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_engine_equals_fixed_point_oracle(weights, k, terms):
     assert set(ORACLE_VALUES) == set(SCHEMES)
@@ -90,15 +98,45 @@ def test_first_order_relations_equal_power_table_and_oracle(weights, terms):
 
 
 def test_named_kinds_never_reach_the_power_table(monkeypatch):
-    def table_column(*args):
+    def table_columns(*args):
         raise AssertionError("power table reached")
 
-    monkeypatch.setattr(solvers, "_compose_column", table_column)
+    monkeypatch.setattr(solvers, "_table_columns", table_columns)
     for weights in FAST_KINDS:
         for scheme in SCHEMES:
             assert len(solve_scheme(scheme, weights, 12, 2)) == 12
     with pytest.raises(AssertionError, match="power table reached"):
         solve_scheme("k-labelled", DegreeWeights.parse("poly:1,2,1"), 3, 2)
+
+
+FAMILY_IDENTIFIERS = families.family_identifiers() + tuple(
+    f"ktuple/{variant}:k={k}" for variant in ("ordered", "unordered") for k in (1, 2, 3)
+)
+
+
+def test_integral_phi_solve_without_fraction_arithmetic(monkeypatch):
+    # Every registry and k-tuple family has integral Phi_j = j! phi_j, so the
+    # engine makes at most the one Fraction operation that forms Phi_j from
+    # each phi_j it reads.
+    counts = {"ops": 0, "reads": 0}
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(*args, _operation=getattr(F, name)):
+            counts["ops"] += 1
+            return _operation(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    coefficient = DegreeWeights.coefficient
+
+    def read(weights, j):
+        counts["reads"] += 1
+        return coefficient(weights, j)
+
+    monkeypatch.setattr(DegreeWeights, "coefficient", read)
+    for identifier in FAMILY_IDENTIFIERS:
+        spec = families.get_family(identifier)
+        assert len(solve_scheme(spec.scheme, spec.weights, 40, spec.k)) == 40
+    assert counts["reads"] > 0
+    assert counts["ops"] <= counts["reads"], counts
 
 
 @given(rational_weights(), st.integers(min_value=1, max_value=3),
