@@ -280,7 +280,7 @@ def _labelled_codes(m: int, cap: int, sibling_sorted: bool = False):
     """(word, blocks) of every increasing labelling with m labels, at most
     cap per node, of every plane tree that can hold them."""
     check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
-    for word, bucket_functions in _bucket_words(m, cap):
+    for word, _, bucket_functions in _bucket_words(m, cap):
         parents = _shape(word)[0]
         for buckets in bucket_functions:
             yield from ((word, b) for b in _label_blocks(parents, buckets, sibling_sorted))

@@ -6,12 +6,15 @@ sequence value divided by a factorial.  The left-hand side is computed here
 by brute-force enumeration; the right-hand side comes from the coefficient
 solvers — two fully independent computation paths, compared exactly.
 
-The sums walk degree words: a per-node sum reads the size's census of tree
-counts per (sorted out-degrees, sorted hook-lengths), and a bucket sum the
-label count's census of integer labelling counts per sorted out-degrees,
-over the words of ``trees._bucket_words``; both are cached per process.
-Both apply phi once per degree multiset and skip a zero weight;
-``trees_visited`` is the number of words behind a sum.
+The sums walk degree words, which the word generator yields with their
+hook-lengths: a per-node sum reads the size's census of tree counts per
+(hook-length multiplicities, sorted out-degrees), and a bucket sum the label
+count's census of integer labelling counts per sorted out-degrees, over the
+words of ``trees._bucket_words``; both are cached per process.  One integer
+fold (:func:`_fold`) sums either census: phi is scaled by the lcm of its
+denominators, the hook products share one denominator per size and are
+formed once per hook multiset of nonzero weight, and one ``Fraction`` is
+built per sum.  ``trees_visited`` is the number of words behind a sum.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
+from operator import getitem
 from typing import Optional, Sequence, Tuple
 
 from .families import MAX_KTUPLE_EXPONENT
@@ -32,10 +36,9 @@ from .solvers import (
 from .trees import (
     _bucket_count,
     _bucket_words,
+    _words,
     check_capacity,
-    enumerate_degree_words,
     falling_factorial,
-    word_hook_lengths,
 )
 from .weights import SHAPES, DegreeWeights
 
@@ -45,13 +48,25 @@ MAX_HOOK_BUCKET_TOTAL = 8
 
 @cache
 def _census(n: int):
-    """The size-n plane trees as (sorted out-degrees, ((sorted hook-lengths,
-    tree count), ...)) groups, and the number of trees."""
-    groups = defaultdict(Counter)
-    for word in enumerate_degree_words(n):
-        groups[tuple(sorted(word))][tuple(sorted(word_hook_lengths(word)))] += 1
-    visited = sum(sum(hooks.values()) for hooks in groups.values())
-    return tuple((d, tuple(h.items())) for d, h in groups.items()), visited
+    """The size-n plane trees as (hook multiplicities, ((sorted out-degrees,
+    tree count), ...)) groups, where the multiplicities count the nodes of
+    hook-length 1..n; the number of trees; and per hook-length the most nodes
+    of that hook-length in one tree."""
+    by_degrees = defaultdict(Counter)
+    for word, hooks in _words(n):
+        by_degrees[tuple(sorted(word))][tuple(sorted(hooks))] += 1
+    # regrouped by hook multiset: a few dozen Counters while counting, not thousands
+    groups = defaultdict(list)
+    for degrees, hook_counts in by_degrees.items():
+        for hooks, count in hook_counts.items():
+            groups[hooks].append((degrees, count))
+    census = tuple(
+        (tuple(map(hooks.count, range(1, n + 1))), tuple(degree_counts))
+        for hooks, degree_counts in groups.items()
+    )
+    visited = sum(count for _, degree_counts in census for _, count in degree_counts)
+    most = tuple(map(max, zip(*(mults for mults, _ in census))))
+    return census, visited, most
 
 
 @cache
@@ -60,36 +75,52 @@ def _bucket_census(m: int, max_bucket: Optional[int]):
     unbounded) as (sorted out-degrees, summed integer labelling counts)
     pairs, and the number of degree words visited."""
     counts, visited = Counter(), 0
-    for word, bucket_functions in _bucket_words(m, max_bucket or m):
+    for word, hooks, bucket_functions in _bucket_words(m, max_bucket or m):
         visited += 1
-        hooks = word_hook_lengths(word)
         counts[tuple(sorted(word))] += sum(
             _bucket_count(word, hooks, buckets) for buckets in bucket_functions
         )
     return tuple(counts.items()), visited
 
 
+def _fold(phi: Sequence[Fraction], groups, size: int, denominator: int, value) -> Fraction:
+    """Sum over the census groups (key, ((sorted out-degrees, count), ...))
+    of value(key) * count * prod phi_odeg, over denominator, with value(key)
+    an int.  In ints: phi is scaled by the lcm L of its denominators and a
+    tree of s nodes by L^(size - s), so every term has the denominator
+    L^size; the one Fraction is built at the end.  value is not called for a
+    group of zero weight."""
+    scale = lcm(*(p.denominator for p in phi))
+    w = [p.numerator * (scale // p.denominator) for p in phi]
+    lift = [scale ** (size - s) for s in range(size + 1)]
+    total = 0
+    for key, degree_counts in groups:
+        weight = sum(
+            count * prod(map(w.__getitem__, degrees)) * lift[len(degrees)]
+            for degrees, count in degree_counts
+        )
+        if weight:
+            total += weight * value(key)
+    return Fraction(total, scale**size * denominator)
+
+
 def _tree_sum(weights: DegreeWeights, n: int, factor) -> Tuple[Fraction, int]:
     """Sum over the plane trees of size n of prod phi_odeg * factor[hook] over
     the nodes, and the number of trees visited.  ``factor`` maps each
-    hook-length 1..n to its per-node Fraction; a degree multiset's hook
-    products are summed as integers over one common denominator."""
+    hook-length 1..n to its per-node Fraction num[h]/den[h].  Every hook
+    product is an int over the common denominator prod den[h]^most[h], which
+    depends only on n: e nodes of hook-length h give num[h]^e den[h]^(most[h]-e),
+    and each hook multiset's product is formed once per sum."""
     # The size-n star has out-degree n-1, so every phi_0..phi_{n-1} is used.
     phi = [weights.coefficient(d) for d in range(n)]
-    groups, visited = _census(n)
-    total = Fraction(0)
-    for degrees, hook_counts in groups:
-        weight = prod(phi[d] for d in degrees)
-        if not weight:
-            continue
-        dens = [prod(factor[h].denominator for h in hooks) for hooks, _ in hook_counts]
-        common = lcm(*dens)
-        numerator = sum(
-            count * prod(factor[h].numerator for h in hooks) * (common // den)
-            for (hooks, count), den in zip(hook_counts, dens)
-        )
-        total += weight * Fraction(numerator, common)
-    return total, visited
+    groups, visited, most = _census(n)
+    powers = [
+        [factor[h].numerator ** e * factor[h].denominator ** (top - e) for e in range(top + 1)]
+        for h, top in enumerate(most, 1)
+    ]
+    common = prod(row[0] for row in powers)
+    lhs = _fold(phi, groups, n, common, lambda mults: prod(map(getitem, powers, mults)))
+    return lhs, visited
 
 
 @dataclass(frozen=True)
@@ -148,8 +179,8 @@ def hook_sum_bucket(
         raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
     phi = [weights.coefficient(d) for d in range(m)]
     counts, visited = _bucket_census(m, max_bucket)
-    terms = ((prod(phi[d] for d in degrees), count) for degrees, count in counts)
-    lhs = sum((w * count for w, count in terms if w), Fraction(0)) / factorial(m)
+    # the labelling counts carry the hook factors: one group of value 1
+    lhs = _fold(phi, [(None, counts)], m, factorial(m), lambda _: 1)
     free = max_bucket is None
     solve = solve_free_multilabelled if free else solve_unilabelled_bilabelled
     rhs = solve(weights, m)[m] / factorial(m)

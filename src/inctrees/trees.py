@@ -17,17 +17,21 @@ parsing is capped, at ``MAX_TEXT_DEPTH`` levels, with a ``ValueError``
 naming the position.  Equality and hash of every tree class compare codes,
 and its repr writes its text (:class:`_Node`), so they take any depth too.
 
-One enumerator yields the trees as degree words, cached up to size
-``_MEMO_SIZE_LIMIT`` and streamed beyond it.  Hook sums read the words;
+One enumerator yields the trees as degree words with their hook-lengths,
+cached up to size ``_MEMO_SIZE_LIMIT`` and streamed beyond it: grafting a
+first subtree onto the root of a rest tree keeps every hook-length but the
+root's.  Hook sums read the words and hook-lengths;
 :class:`OrderedTree` objects are built from them only for text and
 label-count checks.  Labellings come from one flat backtracking generator
 that skips every branch that cannot be completed.  :func:`_bucket_words`
-states once which trees can hold m labels, at most cap per node.
+states once which trees can hold m labels, at most cap per node, and
+:func:`_bucket_functions` their bucket sizes, as cut points.
 
 One formula counts increasing labellings (:func:`_bucket_count`): a tree
 with bucket sizes b_i has m! / prod (bucket hook-length)_i falling b_i.  A
 k-labelled count is the case b_i = k, and a k-tuple count is the k = 1
-count to the k-th power.  :func:`word_hook_lengths` gives the hook-lengths.
+count to the k-th power.  :func:`word_hook_lengths` gives the hook-lengths
+of a single word, for trees that do not come from the enumerator.
 
 Node-indexed data (hook-lengths, out-degrees, bucket sizes, label blocks)
 is always aligned with the preorder traversal of the tree.
@@ -50,8 +54,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, repeat
-from math import comb, factorial
+from itertools import accumulate, combinations, repeat
+from math import comb, factorial, perm
+from operator import sub
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .weights import DegreeWeights
@@ -60,7 +65,7 @@ MAX_TREE_SIZE = 14
 MAX_LABEL_TOTAL = 12   # brute-force k-labellings: k * n
 MAX_BUCKET_TOTAL = 10  # brute-force bucket labellings: m
 MAX_TEXT_DEPTH = 200   # nesting of parsed tree and labelled-object text
-_MEMO_SIZE_LIMIT = 10  # degree words cached up to this size
+_MEMO_SIZE_LIMIT = 9   # words and hook-lengths cached up to this size
 
 
 class CapacityError(ValueError):
@@ -239,27 +244,30 @@ def catalan(n: int) -> int:
 _word_memo: dict = {}
 
 
-def _words(n: int) -> Iterator[Tuple[int, ...]]:
-    """Preorder out-degree words of the size-n plane trees, in canonical
-    order; cached up to _MEMO_SIZE_LIMIT, streamed beyond it."""
+def _words(n: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(preorder out-degree word, preorder hook-lengths) of the size-n plane
+    trees, in canonical order; cached up to _MEMO_SIZE_LIMIT as one tuple of
+    words and one of hook-lengths, streamed beyond it."""
     if n > _MEMO_SIZE_LIMIT:
         return _build_words(n)
     if n not in _word_memo:
-        _word_memo[n] = tuple(_build_words(n))
-    return iter(_word_memo[n])
+        _word_memo[n] = tuple(zip(*_build_words(n)))
+    return zip(*_word_memo[n])
 
 
-def _build_words(n: int) -> Iterator[Tuple[int, ...]]:
+def _build_words(n: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     # A tree is its root's first child (size s, then rank) grafted as the
     # new first child onto the root of a size n-s tree, which holds the rest
-    # of the children in canonical order.
+    # of the children in canonical order.  The graft keeps every hook-length
+    # but the root's, which becomes n.
     if n == 1:
-        yield (0,)
+        yield (0,), (1,)
         return
     for s in range(1, n):
-        for first in _words(s):
-            for rest in _words(n - s):
-                yield (rest[0] + 1,) + first + rest[1:]
+        for first, first_hooks in _words(s):
+            hooks = (n,) + first_hooks
+            for rest, rest_hooks in _words(n - s):
+                yield (rest[0] + 1,) + first + rest[1:], hooks + rest_hooks[1:]
 
 
 def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
@@ -268,7 +276,7 @@ def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
     if n < 1:
         raise ValueError("tree size must be positive")
     check_capacity(n, MAX_TREE_SIZE, "tree size n")
-    return _words(n)
+    return (word for word, _ in _words(n))
 
 
 def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
@@ -385,11 +393,13 @@ def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
 def _bucket_count(word: Sequence[int], hooks: Sequence[int], buckets: Sequence[int]) -> int:
     """m! / prod over nodes of (bucket hook-length) falling (bucket size) for
     the tree with this degree word and these hook-lengths; the bucket
-    hook-length of node i is the bucket total of its hooks[i] subtree nodes."""
+    hook-length of node i is the bucket total of its hooks[i] subtree nodes,
+    read from the suffix sums of the buckets."""
+    suffix = list(accumulate(reversed(buckets), initial=0))[::-1]
     denom = 1
     for i, (h, b) in enumerate(zip(hooks, buckets)):
-        denom *= falling_factorial(sum(buckets[i : i + h]), b)
-    count, rem = divmod(factorial(sum(buckets)), denom)
+        denom *= perm(suffix[i] - suffix[i + h], b)
+    count, rem = divmod(factorial(suffix[0]), denom)
     if rem:
         raise ArithmeticError(
             f"bucket labelling count of {_write(word, repeat('('), '')} "
@@ -431,19 +441,23 @@ def enumerate_bucket_functions(
     return _bucket_functions(tree.size, m, m if max_bucket is None else max_bucket)
 
 
-def _bucket_functions(n: int, total: int, cap: int, acc: tuple = ()) -> Iterator[tuple]:
-    """enumerate_bucket_functions for any tree with n nodes, after ``acc``."""
-    if n == 0:
-        if total == 0:
-            yield acc
+def _bucket_functions(n: int, total: int, cap: int) -> Iterator[tuple]:
+    """enumerate_bucket_functions for any tree with n nodes: the compositions
+    of total into n parts of 1..cap, in lexicographic order.  They are the
+    cut points 0 < c_1 < ... < c_{n-1} < total in lexicographic order, less
+    those that leave a part above cap."""
+    if total < n:
         return
-    for b in range(max(1, total - cap * (n - 1)), min(cap, total - (n - 1)) + 1):
-        yield from _bucket_functions(n - 1, total - b, cap, acc + (b,))
+    for cuts in combinations(range(1, total), n - 1):
+        parts = tuple(map(sub, cuts + (total,), (0,) + cuts))
+        if max(parts) <= cap:
+            yield parts
 
 
 def _bucket_words(m: int, cap: int):
-    """(word, bucket functions) of every plane tree that can hold m labels,
-    at most cap per node: sizes ceil(m/cap) .. m, each in canonical order."""
+    """(word, hook-lengths, bucket functions) of every plane tree that can
+    hold m labels, at most cap per node: sizes ceil(m/cap) .. m, each in
+    canonical order."""
     for size in range(-(-m // cap) if m > 0 else 1, m + 1):
-        for word in enumerate_degree_words(size):
-            yield word, _bucket_functions(size, m, cap)
+        for word, hooks in _words(size):
+            yield word, hooks, _bucket_functions(size, m, cap)

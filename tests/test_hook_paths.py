@@ -1,21 +1,24 @@
 """The degree-word hook sums against the per-tree loops in ``oracle.py``.
 
-``hooks._tree_sum`` sums over a census of (sorted out-degrees, sorted
-hook-lengths) with integer hook products over one common denominator per
-degree multiset, and ``hook_sum_bucket`` reads a census of integer labelling
-counts per degree multiset; ``_label_blocks`` is a flat backtracking
-generator of sorted label blocks.  These tests pin each to the route it
-replaced: one ``Fraction`` product per ``OrderedTree``, bucket hook-lengths
+The word generator yields each word with its hook-lengths, and
+``hooks._tree_sum`` and ``hook_sum_bucket`` fold a census cached per size
+(per label count) in ints: phi scaled by the lcm of its denominators, hook
+products over one denominator per size, and one ``Fraction`` per sum.
+``_label_blocks`` is a flat backtracking generator of sorted label blocks.
+These tests pin each to the route it replaced: ``word_hook_lengths`` per
+word, one ``Fraction`` product per ``OrderedTree``, bucket hook-lengths
 from the subtree objects, and the frozenset labelling generator, with the
 sibling-sorted labellings pinned to that generator's output filtered after
 generation.  Hypothesis runs with a fixed seed.
 """
 from fractions import Fraction as F
+from math import factorial
 
 import oracle
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from inctrees import hooks, trees
 from inctrees.hooks import (
     generic_hook_weight_sum,
     hook_sum_bucket,
@@ -27,6 +30,7 @@ from inctrees.trees import (
     enumerate_bucket_functions,
     enumerate_ordered_trees,
     falling_factorial,
+    word_hook_lengths,
 )
 from inctrees.weights import DegreeWeights
 
@@ -34,6 +38,8 @@ weight_fraction = st.one_of(
     st.just(F(0)), st.fractions(min_value=0, max_value=5, max_denominator=7)
 )
 signed_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# integers give rho numerators with roots at hook-lengths, so some rho(h) = 0
+rho_coefficient = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F), signed_fraction)
 poly_weights = st.lists(weight_fraction, min_size=1, max_size=8).map(
     lambda cs: DegreeWeights.polynomial([cs[0] or F(1)] + cs[1:])
 )
@@ -44,10 +50,77 @@ RHO_FAMILIES = {
 }
 
 
+def test_generator_hooks_equal_word_hook_lengths():
+    # sizes up to the memo limit come from the memo, larger ones stream
+    for n in range(1, 13):
+        for word, hook_lengths in trees._words(n):
+            assert hook_lengths == word_hook_lengths(word)
+
+
+def test_streamed_words_equal_memoised(monkeypatch):
+    memoised = {n: list(trees._words(n)) for n in range(1, 10)}
+    monkeypatch.setattr(trees, "_MEMO_SIZE_LIMIT", 0)
+    monkeypatch.setattr(trees, "_word_memo", {})
+    for n, pairs in memoised.items():
+        assert list(trees._words(n)) == pairs
+    assert trees._word_memo == {}
+
+
+@pytest.fixture
+def fresh_censuses():
+    # the censuses are cached per process; earlier tests fill them
+    hooks._census.cache_clear()
+    hooks._bucket_census.cache_clear()
+    yield
+    hooks._census.cache_clear()
+    hooks._bucket_census.cache_clear()
+
+
+def test_censuses_do_not_rescan_words(monkeypatch, fresh_censuses):
+    def rescan(word):
+        raise AssertionError("word_hook_lengths called by a census")
+
+    monkeypatch.setattr(trees, "word_hook_lengths", rescan)
+    monkeypatch.setattr(hooks, "word_hook_lengths", rescan, raising=False)
+    assert hooks._census(9)[1] == 1430
+    assert hooks._bucket_census(7, None)[1] == sum(trees.catalan(s - 1) for s in range(1, 8))
+    assert hooks._bucket_census(7, 2)[1] == sum(trees.catalan(s - 1) for s in range(4, 8))
+
+
+FRACTION_OPERATIONS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+)
+
+
+def test_folds_make_no_fraction_arithmetic(monkeypatch):
+    # Both folds run in ints and build their one Fraction at the end, so no
+    # Fraction arithmetic runs per census group, whatever the group count.
+    weights = DegreeWeights.polynomial([F(1, 2), F(2, 3), 0, F(5, 7), 3])
+    phi = [weights.coefficient(d) for d in range(10)]
+    factor = {h: F(h + 1, 2 * h + 3) for h in range(1, 11)}
+    want_tree = oracle.tree_hook_sum(weights, 10, factor)
+    want_bucket = oracle.bucket_hook_sum(weights, 8)[0]
+    counts = hooks._bucket_census(8, None)[0]
+    assert len(hooks._census(10)[0]) > 20 and len(counts) > 20
+    calls = []
+    for name in FRACTION_OPERATIONS:
+        def counted(*args, _name=name, _operation=getattr(F, name)):
+            calls.append(_name)
+            return _operation(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    assert hooks._tree_sum(weights, 10, factor) == want_tree
+    assert hooks._fold(phi[:8], [(None, counts)], 8, factorial(8), lambda _: 1) == want_bucket
+    assert calls == []
+
+
 @given(poly_weights, st.integers(min_value=1, max_value=3),
        st.integers(min_value=1, max_value=8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @example(DegreeWeights.polynomial([F(1, 2), 0, 3, F(2, 7)]), 3, 8)
+@example(DegreeWeights.polynomial([1, 0, 0, 2]), 2, 6)  # every size-6 term is 0
+@example(DegreeWeights.polynomial([F(1, 3), 0, 0, 0, 0, 0, 0, 5]), 1, 8)
 def test_k_labelled_and_k_tuple_sums_equal_per_tree_loop(weights, k, n):
     labelled = hook_sum_k_labelled(weights, k, n)
     want = oracle.tree_hook_sum(
@@ -59,12 +132,24 @@ def test_k_labelled_and_k_tuple_sums_equal_per_tree_loop(weights, k, n):
     assert (ktuple.lhs, ktuple.trees_visited) == want
 
 
+@given(poly_weights, st.integers(min_value=1, max_value=6))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@example(DegreeWeights.polynomial([F(1, 2), 0, 3, F(2, 7)]), 6)
+def test_k_tuple_sum_at_k_3000_equals_per_tree_loop(weights, n):
+    report = hook_sum_k_tuple(weights, 3000, n)
+    want = oracle.tree_hook_sum(weights, n, {h: F(1, h**3000) for h in range(1, n + 1)})
+    assert (report.lhs, report.trees_visited) == want
+
+
 @given(st.sampled_from(sorted(RHO_FAMILIES)),
-       st.lists(signed_fraction, min_size=1, max_size=3),
+       st.lists(rho_coefficient, min_size=1, max_size=3),
        st.lists(signed_fraction, min_size=1, max_size=3),
        st.integers(min_value=1, max_value=8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @example("binary", [F(-1, 2), 3], [2, F(1, 3), -1], 8)
+@example("ordered", [0], [1], 6)  # rho = 0
+@example("binary", [-2, 1], [0, 1], 8)  # rho(1) < 0, rho(2) = 0
+@example("strict-binary", [F(-3, 2)], [1, 1], 7)
 def test_rho_sum_equals_per_tree_loop(family, num, den, n):
     def value(coeffs, h):
         return sum(c * h**i for i, c in enumerate(coeffs))
@@ -79,6 +164,7 @@ def test_rho_sum_equals_per_tree_loop(family, num, den, n):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @example(DegreeWeights.polynomial([2, 0, F(5, 3), 1]), 7, None)
 @example(DegreeWeights.polynomial([2, 0, F(5, 3), 1]), 7, 2)
+@example(DegreeWeights.polynomial([F(1, 2), 0, 0, F(3, 5)]), 7, 2)
 def test_bucket_sum_equals_per_tree_loop(weights, m, max_bucket):
     report = hook_sum_bucket(weights, m, max_bucket)
     assert (report.lhs, report.trees_visited) == oracle.bucket_hook_sum(weights, m, max_bucket)

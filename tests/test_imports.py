@@ -6,11 +6,9 @@ tree with the standard library: every name bound by an import must occur
 as a name somewhere else in the module.  ``__init__.py`` only re-exports and
 is exempt.  In ``trees.py`` and ``bijections.py`` no function, nested ones
 included, calls itself by name or as an attribute, so every tree converts
-at any depth.  ``_bucket_functions`` is the one exception: its depth is the
-node count of an enumerated tree, which ``MAX_TREE_SIZE`` caps.  Every
-dataclass there with a ``children`` field is declared ``eq=False`` and
-``repr=False``, so no tree class gets a generated ``__eq__`` or ``__repr__``
-that recurses through its children.
+at any depth.  Every dataclass there with a ``children`` field is declared
+``eq=False`` and ``repr=False``, so no tree class gets a generated
+``__eq__`` or ``__repr__`` that recurses through its children.
 """
 import ast
 from pathlib import Path
@@ -46,7 +44,6 @@ def test_unused_import_is_found():
 
 
 TREE_MODULES = [PACKAGE / "trees.py", PACKAGE / "bijections.py"]
-ALLOWED_RECURSION = {"_bucket_functions"}
 
 
 def self_calls(source: str):
@@ -66,7 +63,7 @@ def self_calls(source: str):
 
 @pytest.mark.parametrize("path", TREE_MODULES, ids=[p.name for p in TREE_MODULES])
 def test_tree_modules_do_not_recurse(path):
-    assert set(self_calls(path.read_text(encoding="utf-8"))) <= ALLOWED_RECURSION
+    assert self_calls(path.read_text(encoding="utf-8")) == []
 
 
 def test_self_call_is_found():
