@@ -26,7 +26,7 @@ print("  phi =", report.phi)
 print("  admissible:", report.admissible, "- first violation at phi_%s" % report.first_violation)
 
 # The two-parameter-case family C(1 - (1 - A z^2)^B): closed-form weights
-# against the generic reversion pipeline.
+# against the generic reverse-engineering pipeline.
 fam = family_from_parameters(1, Fraction(-1, 2), -1, 8)
 print("\nparametric family A=1, B=-1/2, C=-1 (case: %s):" % fam.case)
 print("  T_n    =", [int(t) for t in fam.target[:5]], "...")

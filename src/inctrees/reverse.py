@@ -1,25 +1,33 @@
 """Recover degree weights from a target counting sequence.
 
 Given target values T_1..T_N for a family of trees with two labels per node,
-form f(w) = sum T_n w^n / (2n)! (so the generating function is T(z) = f(z^2))
-and revert it to g = f^(-1).  The equation T'' = phi(T) reads
-2 f'(w) + 4 w f''(w) = phi(f(w)) in w = z^2, and the left side is
+T(z) = sum T_n z^(2n) / (2n)! and the equation T'' = phi(T) reads, at
+z^(2m) / (2m)!,
 
-    h(w) = sum_{n>=0} T_{n+1} w^n / (2n)!,
+    T_(m+1) = sum_{j=1..m} phi_j P(m, j)   (m >= 1),   T_1 = phi_0,
 
-so phi = h(g) is one composition, a series in T through phi_{N-1}.  The
-family is combinatorially admissible when phi_0 > 0 and every computed phi_j
-is non-negative; in that case re-solving the second-order equation with these
-weights reproduces the input sequence.
+over the power table P(m, j) = (2m)! [z^(2m)] T^j of the target itself:
+
+    P(m, 1) = T_m,   P(m, j) = sum_{i=1..m-j+1} C(2m, 2i) T_i P(m-i, j-1).
+
+The system is triangular with pivot P(m, m) = (2m)!/2^m T_1^m, which is
+non-zero when T_1 is, so phi_m follows from phi_0 .. phi_(m-1) with one
+division: N values give phi_0 .. phi_(N-1).  For integer targets the table
+holds ints and phi_0 .. phi_(m-1) are kept as integer numerators over one
+common denominator, so each phi_m costs one Fraction; rational targets run
+the same code on Fractions.  The family is combinatorially admissible when
+phi_0 > 0 and every computed phi_j is non-negative; in that case re-solving
+the second-order equation with these weights (:func:`round_trip_check`,
+through the solvers' own Bell table) reproduces the input sequence.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Optional, Tuple
+from math import comb, factorial, lcm
+from typing import List, Optional, Tuple
 
-from .series import _parse_fraction, _revert_compose, _trim, as_fraction
+from .series import _parse_fraction, _shown, as_fraction
 from .solvers import solve_k_labelled
 from .weights import DegreeWeights
 
@@ -54,9 +62,7 @@ def reverse_engineer(
         raise ValueError(
             "T_1 = 0: the target has no invertible square-root substitution"
         )
-    f = [Fraction(0)] + [values[n - 1] / factorial(2 * n) for n in range(1, n_terms + 1)]
-    h = [values[n] / factorial(2 * n) for n in range(n_terms)]
-    phi = tuple(_revert_compose(_trim(f), _trim(h), n_terms - 1))
+    phi = tuple(_solve_phi([0] + [v.numerator if v.denominator == 1 else v for v in values]))
     first_violation = None
     for j, value in enumerate(phi):
         if value < 0 or (j == 0 and value == 0):
@@ -70,6 +76,34 @@ def reverse_engineer(
         admissible=first_violation is None,
         first_violation=first_violation,
     )
+
+
+def _solve_phi(t: list) -> List[Fraction]:
+    """phi_0 .. phi_(N-1) from t = [0, T_1, .., T_N] (T_1 != 0), one row of
+    the power table P per phi_m, solved against the pivot P(m, m).  The
+    known phi_j are kept as integers nums[j] over the common denominator
+    den, so the row sum is exact without Fraction arithmetic when t is
+    integral."""
+    phi = [Fraction(t[1])]
+    den, nums = phi[0].denominator, [phi[0].numerator]
+    columns = [t]  # columns[j-1] = [P(0, j), P(1, j), ...]
+    for m in range(1, len(t) - 1):
+        row = [comb(2 * m, 2 * i) * t[i] for i in range(m + 1)]
+        if m > 1:
+            columns.append([0] * m)  # P(m', m) = 0 for m' < m
+        for j in range(2, m + 1):
+            prev = columns[j - 2]
+            # P(m-i, j-1) = 0 for i > m-j+1
+            columns[j - 1].append(sum(row[i] * prev[m - i] for i in range(1, m - j + 2)))
+        total = sum(nums[j] * columns[j - 1][m] for j in range(1, m))
+        value = Fraction(den * t[m + 1] - total, den * columns[m - 1][m])
+        common = lcm(den, value.denominator)
+        if common != den:
+            nums = [x * (common // den) for x in nums]
+            den = common
+        nums.append(value.numerator * (den // value.denominator))
+        phi.append(value)
+    return phi
 
 
 def round_trip_check(report: ReverseReport) -> bool:
@@ -129,7 +163,7 @@ def parametric_phi(a: Fraction, b: Fraction, c: Fraction, count: int) -> Tuple[F
 
 def family_from_parameters(a, b, c, terms: int) -> ParametricFamilyReport:
     """Validate the parameter case, build the closed-form sequence and
-    weights, and cross-check them against the generic reversion pipeline."""
+    weights, and cross-check them against :func:`reverse_engineer`."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if terms < 2:
         raise ValueError("need terms >= 2")
@@ -169,21 +203,31 @@ def family_from_parameters(a, b, c, terms: int) -> ParametricFamilyReport:
 
 
 def parse_values(text: str) -> Tuple[Fraction, ...]:
-    """Comma-separated exact values, e.g. "1,2,22,584"."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    """Comma-separated exact values, e.g. "1,2,22,584".  An empty entry, a
+    trailing comma included, is a ValueError that names the text and the
+    entry's position."""
+    if not text.strip():
         raise ValueError("no values given")
-    return tuple(_parse_fraction(p) for p in parts)
+    out = []
+    for position, part in enumerate(text.split(","), start=1):
+        if not part.strip():
+            raise ValueError(f"empty entry {position} in values {_shown(text)!r}")
+        out.append(_parse_fraction(part.strip()))
+    return tuple(out)
 
 
 def values_from_file(path: str) -> Tuple[Fraction, ...]:
-    """One exact value per line; blank lines and #-comments are skipped."""
+    """One exact value per line; blank lines and #-comments are skipped.  A
+    bad value is a ValueError that names the file and the line."""
     out = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if line and not line.startswith("#"):
-                out.append(_parse_fraction(line))
+                try:
+                    out.append(_parse_fraction(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {number}: {exc}") from None
     if not out:
         raise ValueError(f"no values found in {path}")
     return tuple(out)

@@ -11,9 +11,8 @@ guaranteed to be valid to:
 
 Composition and reversion run on a table of powers ``[z^m] g^j`` of the
 inner series that grows by one column per new coefficient (Knuth, TAOCP
-Vol. 2, 4.7; :func:`_compose_column`).  Reversion fills g = f^(-1) and, for
-reverse engineering, a composition h(g) from one table
-(:func:`_revert_compose`).
+Vol. 2, 4.7; :func:`_compose_column`); reversion fills g = f^(-1) from one
+such table of g itself.
 
 All coefficients are :class:`fractions.Fraction` values, so arithmetic is
 exact; floats are rejected at construction.  Series are immutable and every
@@ -44,6 +43,12 @@ def as_fraction(value: Scalar) -> Fraction:
 MAX_LITERAL_DIGITS = 4300
 
 
+def _shown(text: str) -> str:
+    """text as an error message quotes it: in full up to 40 characters, else
+    its head and tail."""
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+
+
 def _parse_fraction(text: str) -> Fraction:
     """An exact rational written like "3", "-3/2" or "1.5e3".  A zero
     denominator, or a literal whose length plus decimal exponent exceeds
@@ -52,8 +57,7 @@ def _parse_fraction(text: str) -> Fraction:
     if len(text) > MAX_LITERAL_DIGITS or (
         exponent.isdecimal() and len(text) + int(exponent) > MAX_LITERAL_DIGITS
     ):
-        shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
-        raise ValueError(f"literal {shown!r} has more than {MAX_LITERAL_DIGITS} digits")
+        raise ValueError(f"literal {_shown(text)!r} has more than {MAX_LITERAL_DIGITS} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -242,8 +246,12 @@ class Series:
             raise ValueError("reversion needs a series with zero constant term")
         if self.order < 1 or self._coeffs[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
-        # g is h(g) for h(t) = t
-        return Series(_revert_compose(_trim(self._coeffs), (Fraction(0), Fraction(1)), self.order))
+        # [z^m] f(g) = f_1 g_m + sum_{j>=2} f_j [z^m] g^j vanishes for m >= 2
+        f = _trim(self._coeffs)
+        g, rows = [Fraction(0), 1 / f[1]], []
+        for m in range(2, self.order + 1):
+            g.append(-_dot(f, _power_column(g, rows, len(f) - 1, m)) / f[1])
+        return Series(g)
 
 
 def _trim(coeffs) -> tuple:
@@ -292,19 +300,3 @@ def _dot(weights, column: list) -> Fraction:
         if c:
             total += w * c
     return total
-
-
-def _revert_compose(f, h, n: int) -> list:
-    """[z^0..z^n] h(g) for g = f^(-1), where f_0 = 0 != f_1 and f, h have no
-    trailing zeros.  Each column of one power table of g gives g_m, since
-    [z^m] f(g) = f_1 g_m + sum_{j>=2} f_j [z^m] g^j vanishes for m >= 2, and
-    then [z^m] h(g) as in :meth:`Series.compose`."""
-    g = [Fraction(0), 1 / f[1]]
-    out = [h[0], h[1] * g[1]][: n + 1]
-    rows: list = []
-    top = max(len(f), len(h)) - 1
-    for m in range(2, n + 1):
-        column = _power_column(g, rows, top, m)
-        g.append(-_dot(f, column) / f[1])
-        out.append(h[1] * g[m] + _dot(h, column))
-    return out

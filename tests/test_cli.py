@@ -590,6 +590,28 @@ def test_zero_denominator_is_reported(capsys, tmp_path, argv, bad):
 
 
 @pytest.mark.parametrize(
+    "values, message",
+    [
+        ("1,,2,22", "empty entry 2 in values '1,,2,22'"),
+        ("1,2,22,", "empty entry 4 in values '1,2,22,'"),
+    ],
+    ids=["hole", "trailing-comma"],
+)
+def test_reverse_empty_value_exits_2(capsys, values, message):
+    code, out, err = run(capsys, "reverse", "--values", values)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_reverse_values_file_error_names_file_and_line(capsys, tmp_path):
+    values = tmp_path / "values.txt"
+    values.write_text("1\n2\n# T_3\n22x\n")
+    code, out, err = run(capsys, "reverse", "--values-file", str(values))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {values}, line 4: ") and "'22x'" in err
+
+
+@pytest.mark.parametrize(
     "argv, bad",
     [
         (["seq", "ktuple/ordered:k=abc", "4"], "ktuple/ordered:k=abc"),

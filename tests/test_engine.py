@@ -5,14 +5,17 @@ The engine (``solvers._online``), ``Series.compose``, ``Series.reversion``
 and ``reverse_engineer`` replaced fixed-point iteration, the composition
 recurrence, Horner composition, one full composition per order and the
 two-derivative reverse engineering.  These properties pin them to those
-routes on random small rational weights and series, with a fixed Hypothesis
-seed; the examples add rational phi, whose Phi_j = j! phi_j are not all
-integers, so the engine runs them on Fractions.  The first-order relations
-of the named weight kinds are pinned both to those routes and to the Bell
-table, which the same phi wrapped as ``DegreeWeights.custom`` runs on.  A
-count of Fraction operations pins integral phi to integer arithmetic.
+routes on random small rational weights, series and targets, with a fixed
+Hypothesis seed, and ``reverse_engineer`` also to the composition h(f^(-1))
+by ``Series.reversion`` and ``Series.compose``; the examples add rational
+phi, whose Phi_j = j! phi_j are not all integers, so the engine runs them on
+Fractions.  The first-order relations of the named weight kinds are pinned
+both to those routes and to the Bell table, which the same phi wrapped as
+``DegreeWeights.custom`` runs on.  Counts of Fraction operations pin
+integral phi and integral targets to integer arithmetic.
 """
 from fractions import Fraction as F
+from math import factorial
 
 import oracle
 import pytest
@@ -176,10 +179,69 @@ def test_compose_equals_horner_oracle(outer, inner_tail):
     assert outer.compose(inner) == oracle.compose(outer, inner)
 
 
-@given(signed_fraction.filter(lambda x: x != 0), st.lists(signed_fraction, min_size=1, max_size=9))
-@example(first=F(1), rest=[F(2), F(22), F(584)])  # admissible: phi = 1 + 2t + 3t^2 + 4t^3
+def composition_phi(values):
+    """phi = h(f^(-1)) through Series.reversion and Series.compose, with
+    f(w) = sum T_n w^n / (2n)! and h(w) = sum T_(n+1) w^n / (2n)!."""
+    n = len(values)
+    f = Series([F(0)] + [F(values[i - 1]) / factorial(2 * i) for i in range(1, n + 1)])
+    h = Series([F(values[i]) / factorial(2 * i) for i in range(n)])
+    return h.compose(f.reversion()).coefficients
+
+
+integer_targets = st.builds(
+    lambda first, rest: [first] + rest,
+    st.sampled_from([1, -1, 2, -2]),
+    st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=1, max_size=29),
+)
+rational_targets = st.builds(
+    lambda first, rest: [first] + rest,
+    signed_fraction.filter(lambda x: x != 0),
+    st.lists(signed_fraction, min_size=1, max_size=11),
+)
+# solved from phi_0 > 0 and phi_j >= 0: integral or rational, and admissible
+admissible_targets = st.builds(
+    lambda coeffs, n: list(solve_k_labelled(
+        DegreeWeights.polynomial([coeffs[0] or F(1)] + coeffs[1:]), 2, n)),
+    st.lists(small_fraction, min_size=1, max_size=6),
+    st.integers(min_value=2, max_value=30),
+)
+
+
+@given(st.one_of(integer_targets, rational_targets, admissible_targets))
+@example([1, 2, 22, 584])  # admissible: phi = 1 + 2t + 3t^2 + 4t^3
+@example(list(families.get_family("bilabelled/2-bundled").sequence(30)))
+@example([-2] + [(-1) ** n * 10 ** n for n in range(1, 30)])
+@example([F(1, 2), 3, F(1, 3), 1, 5])
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_reverse_engineer_equals_two_derivative_oracle(first, rest):
+def test_reverse_engineer_equals_composition_and_two_derivative_oracles(values):
     # any target with T_1 != 0, admissible or not
-    values = [first] + rest
-    assert reverse_engineer(values).phi == oracle.reverse_phi(values)
+    report = reverse_engineer(values)
+    assert report.phi == composition_phi(values)
+    assert report.phi == oracle.reverse_phi(values)
+    assert report.admissible == (report.phi[0] > 0 and min(report.phi) >= 0)
+
+
+def test_integral_target_reverses_with_one_fraction_per_weight(monkeypatch):
+    # An integral target fills the power table with ints and keeps the known
+    # phi_j over one common denominator, so each phi_m is one Fraction: the
+    # Fraction operations and constructions grow like N, not like N^2.
+    counts = {"ops": 0}
+
+    def count(operation):
+        def counted(*args, **kwargs):
+            counts["ops"] += 1
+            return operation(*args, **kwargs)
+        return counted
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__new__"):
+        monkeypatch.setattr(F, name, count(getattr(F, name)))
+    targets = [
+        tuple(families.get_family("bilabelled/2-bundled").sequence(60)),
+        (-2,) + tuple((-1) ** n * 10 ** n for n in range(1, 60)),
+    ]
+    for target in targets:
+        counts["ops"] = 0
+        report = reverse_engineer(target)
+        assert len(report.phi) == 60
+        assert counts["ops"] <= 3 * 60, counts

@@ -1,12 +1,15 @@
-"""No module of the package imports a name it never uses, and the tree
-modules do not recurse.
+"""No module of the package imports a name it never uses, the reversal
+takes nothing from the engine but its entry point, and the tree modules do
+not recurse.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with the standard library: every name bound by an import must occur
 as a name somewhere else in the module.  ``__init__.py`` only re-exports and
-is exempt.  In ``trees.py`` and ``bijections.py`` no function, nested ones
-included, calls itself by name or as an attribute, so every tree converts
-at any depth.  Every dataclass there with a ``children`` field is declared
+is exempt.  ``reverse.py`` takes nothing from ``solvers`` but
+``solve_k_labelled``, so its round trip stays the engine's route, apart
+from the reversal's own power table.  In ``trees.py`` and ``bijections.py``
+no function, nested ones included, calls itself by name or as an
+attribute, so every tree converts at any depth.  Every dataclass there with a ``children`` field is declared
 ``eq=False`` and ``repr=False``, so no tree class gets a generated
 ``__eq__`` or ``__repr__`` that recurses through its children.
 """
@@ -36,6 +39,39 @@ def unused_imports(source: str):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def solver_imports(source: str):
+    """Names a module takes from ``solvers``, as ``from .solvers import x``
+    or ``from inctrees.solvers import x``; the module itself, taken whole by
+    ``from . import solvers`` or ``import inctrees.solvers``, is "solvers"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("solvers", "inctrees.solvers"):
+                found += [alias.name for alias in node.names]
+            elif node.module in (None, "inctrees"):
+                found += [alias.name for alias in node.names if alias.name == "solvers"]
+        elif isinstance(node, ast.Import):
+            found += ["solvers" for alias in node.names if alias.name == "inctrees.solvers"]
+    return sorted(found)
+
+
+def test_reverse_takes_only_the_solver_entry_point():
+    # The round trip re-solves through the engine's own Bell table; a shared
+    # table helper would make it re-run the reversal's arithmetic.
+    source = (PACKAGE / "reverse.py").read_text(encoding="utf-8")
+    assert solver_imports(source) == ["solve_k_labelled"]
+
+
+def test_solver_import_is_found():
+    source = (
+        "from .solvers import _table_columns, solve_k_labelled\n"
+        "from . import series, solvers\n"
+        "import inctrees.solvers\n"
+        "from .series import _trim\n"
+    )
+    assert solver_imports(source) == ["_table_columns", "solve_k_labelled", "solvers", "solvers"]
 
 
 def test_unused_import_is_found():

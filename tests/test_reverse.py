@@ -71,7 +71,7 @@ def test_parametric_negative_exponent_case():
     assert fam.case == "negative-exponent"
     assert fam.target[:3] == (F(2), F(24), F(720))
     assert fam.phi_closed[:6] == (2, 12, 18, 8, 0, 0)
-    # closed form agrees with the reversion pipeline
+    # closed form agrees with the reverse-engineering pipeline
     assert fam.match
     # and with the direct binomial-difference form
     for j in range(8):
@@ -110,9 +110,20 @@ def test_parametric_rejects_other_parameters():
 
 def test_parse_values():
     assert parse_values("1, 2,22 ,584") == (1, 2, 22, 584)
+    assert parse_values(" 1\t,2 ") == (1, 2)
     assert parse_values("1/2,3") == (F(1, 2), 3)
-    with pytest.raises(ValueError):
-        parse_values(" , ")
+    with pytest.raises(ValueError, match="no values given"):
+        parse_values("  ")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("1,,2,22", 2), ("1,2,", 3), (",1", 1), (" , ", 1), ("1, ,2", 2)],
+)
+def test_parse_values_rejects_an_empty_entry(text, position):
+    with pytest.raises(ValueError) as caught:
+        parse_values(text)
+    assert str(caught.value) == f"empty entry {position} in values {text!r}"
 
 
 def test_values_from_file(tmp_path):
@@ -123,6 +134,15 @@ def test_values_from_file(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError):
         values_from_file(str(empty))
+
+
+def test_values_file_error_names_file_and_line(tmp_path):
+    path = tmp_path / "target.txt"
+    path.write_text("# T_1, T_2, T_3\n1\n\n2\nfoo\n")
+    with pytest.raises(ValueError) as caught:
+        values_from_file(str(path))
+    assert str(caught.value).startswith(f"{path}, line 5: ")
+    assert "'foo'" in str(caught.value)
 
 
 def test_discovered_family_satisfies_hook_identity():
