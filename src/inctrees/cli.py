@@ -165,20 +165,18 @@ def _suite_closed_forms(max_n: int, max_m: int, cutoff: int) -> List[Check]:
     checks.append(("reduced tangent numbers vs solver", not bad, str(bad)))
     bad = _lemniscate_failures(max_n)
     checks.append(("even-degree vs lemniscate sine", not bad, str(bad)))
-    for n in (2, 3, 5, 7):
-        exact = families.strict_binary_recurrence(n)[n - 1]
-        approx = families.strict_binary_lattice_sum(n, cutoff)
-        if exact == 0:
-            ok = abs(approx.value) < 1e-6
-        else:
-            ok = abs(approx.value - exact) / exact < 1e-6
-        checks.append(
-            (
-                f"lattice sum n={n} cutoff={cutoff}",
-                ok,
-                f"value={approx.value!r} exact={exact}",
-            )
-        )
+    ns = (2, 3, 5, 7)
+    exacts = families.strict_binary_recurrence(ns[-1])
+    for n, approx in zip(ns, families.strict_binary_lattice_sums(ns, cutoff)):
+        exact = exacts[n - 1]
+        # within 1e-6 of exact, relative (absolute for T_n = 0), in both parts
+        scale = abs(exact) or 1
+        ok = abs(approx.value - exact) / scale < 1e-6
+        detail = f"value={approx.value!r} exact={exact}"
+        if approx.imaginary_residual / scale >= 1e-6:
+            ok = False
+            detail += f" imaginary={approx.imaginary_residual!r}"
+        checks.append((f"lattice sum n={n} cutoff={cutoff}", ok, detail))
     for m in range(1, 7):
         exact = solved["free/binary"][m]
         approx = families.binary_free_multi_numeric(m, cutoff)

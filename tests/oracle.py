@@ -1,5 +1,6 @@
 """Slow reference routes for the coefficient engine, composition, reversion,
-reverse engineering, hook sums and labelling enumeration.
+reverse engineering, the first integral, the lattice sum, hook sums and
+labelling enumeration.
 
 These are the fixed-point solvers, the composition recurrence for k-tuple
 trees, the compose-per-order reversion and the two-derivative reverse
@@ -13,13 +14,17 @@ frozenset; and the bijection objects built per labelling from
 ``OrderedTree`` recursion, with unordered trees filtered after generation
 and colorings as one product over the colorable positions; and the chain
 and split maps with their inverses as recursions over
-``MultiTree``/``ColoredTree`` nodes.  The Horner composition they all run
-on is kept here too (:func:`compose`), so no function in this module
-touches the package's power table (``Series.compose``, ``Series.reversion``,
-``_compose_column``) or the engine (``solvers._online``).
-They stay here, outside the package, as a second independent route: the
-tests compare the engine against them exactly.  They are polynomial of high
-degree (k-tuple: exponential), so keep N small.
+``MultiTree``/``ColoredTree`` nodes.  The first integral (T')^2 = 2 Phi(T)
+is checked here on ``Fraction`` series products, as the package did before
+its integer binomial convolutions, and the strict-binary lattice sum is
+taken one point and one n at a time, as before its one-pass sums.  The
+Horner composition they all run on is kept here too (:func:`compose`), so
+no function in this module touches the package's power table
+(``Series.compose``, ``Series.reversion``, ``_compose_column``) or the
+engine (``solvers._online``).  They stay here, outside the package, as a
+second independent route: the tests compare the engine against them
+exactly.  They are polynomial of high degree (k-tuple: exponential), so
+keep N small.
 """
 from __future__ import annotations
 
@@ -29,7 +34,9 @@ from math import factorial
 from typing import Iterator, Optional, Sequence, Tuple
 
 from inctrees.bijections import BLACK, WHITE, ColoredTree, MultiTree
+from inctrees.families import GAMMA_QUARTER_DIGITS, PI_DIGITS, LatticeSumResult
 from inctrees.series import Series
+from inctrees.solvers import InvariantReport
 from inctrees.trees import (
     OrderedTree,
     enumerate_bucket_functions,
@@ -193,6 +200,54 @@ def reverse_phi(values) -> Tuple[Fraction, ...]:
             product[i + j] += g.coefficient(i) * inner.coefficient(j)
     tail = compose(f_prime, g.truncate(n_terms - 1))
     return tuple(4 * product[j] + 2 * tail.coefficient(j) for j in range(n_terms))
+
+
+# -- first integral by Series products --------------------------------------
+
+
+def first_order_invariant_check(weights: DegreeWeights, t: Series) -> InvariantReport:
+    """(T')^2 against 2 Phi(T) coefficient by coefficient, both sides as
+    ``Fraction`` series: 2 Phi(T) = sum_j 2 Phi_j T^j by repeated products."""
+    lhs = t.differentiate()
+    lhs = lhs * lhs
+    if t.coefficient(0) != 0:
+        raise ValueError("the solution series needs a zero constant term")
+    rhs = Series.zero(t.order)
+    power = Series.one(t.order)
+    for c in weights.antiderivative_series(t.order).coefficients:
+        rhs = rhs + power.scale(2 * c)
+        power = power * t
+    order = min(lhs.order, rhs.order)
+    mismatches = tuple(
+        i for i in range(order + 1) if lhs.coefficient(i) != rhs.coefficient(i)
+    )
+    return InvariantReport(checked_order=order, mismatches=mismatches)
+
+
+# -- lattice sum one point at a time ------------------------------------------
+
+
+def lattice_prefactor(n: int) -> float:
+    """(2n+1)! 2^(3n+4) pi^(n+1) / (3^((n-1)/2) Gamma(1/4)^(4n+4)): the
+    weight of the lattice sum, and of its largest term, the point 1."""
+    return (
+        factorial(2 * n + 1)
+        * 2.0 ** (3 * n + 4)
+        * float(PI_DIGITS) ** (n + 1)
+        / (3.0 ** ((n - 1) / 2) * float(GAMMA_QUARTER_DIGITS) ** (4 * n + 4))
+    )
+
+
+def lattice_sum(n: int, cutoff: int) -> LatticeSumResult:
+    """The strict-binary lattice sum for one n (1 <= n <= 63), each point
+    (1 + n1 + n2 + i(n1 - n2))^(-(2n+2)) raised on its own."""
+    total = 0.0 + 0.0j
+    exponent = -(2 * n + 2)
+    for n1 in range(-cutoff, cutoff + 1):
+        for n2 in range(-cutoff, cutoff + 1):
+            total += complex(1 + n1 + n2, n1 - n2) ** exponent
+    value = lattice_prefactor(n) * total
+    return LatticeSumResult(value=value.real, imaginary_residual=abs(value.imag))
 
 
 # -- hook sums by one Fraction product per tree -----------------------------

@@ -264,6 +264,28 @@ def test_verify_closed_forms_json(capsys):
     assert all(c["ok"] for c in payload["checks"])
 
 
+def test_lattice_check_fails_on_an_imaginary_part(capsys, monkeypatch):
+    # A lattice sum whose real part matches but whose imaginary part is
+    # 1e-3 of T_n (or 1e-3 itself for T_2 = 0) fails its check.
+    one_pass = families.strict_binary_lattice_sums
+
+    def tilted(ns, cutoff):
+        return tuple(
+            families.LatticeSumResult(r.value, 1e-3 * max(abs(r.value), 1))
+            for r in one_pass(ns, cutoff)
+        )
+
+    code, out, _ = run(capsys, "verify", "closed-forms", "--max-n", "2")
+    assert code == 0
+    assert out.count("PASS lattice sum ") == 4
+    monkeypatch.setattr(families, "strict_binary_lattice_sums", tilted)
+    code, out, _ = run(capsys, "verify", "closed-forms", "--max-n", "2")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 4
+    assert all(line.startswith("FAIL lattice sum ") and "imaginary=" in line for line in failed)
+
+
 def test_verify_all_output_is_pinned(capsys):
     # Every check name, its order and the summary line of a small verify run,
     # and in the JSON form every name, verdict and detail (of the float

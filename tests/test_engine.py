@@ -12,7 +12,9 @@ phi, whose Phi_j = j! phi_j are not all integers, so the engine runs them on
 Fractions.  The first-order relations of the named weight kinds are pinned
 both to those routes and to the Bell table, which the same phi wrapped as
 ``DegreeWeights.custom`` runs on.  Counts of Fraction operations pin
-integral phi and integral targets to integer arithmetic.
+integral phi and integral targets to integer arithmetic.  The integer
+first-integral check is pinned to its ``Fraction``-series route on
+solutions, perturbed, odd-power and random series of orders 0-21.
 """
 from fractions import Fraction as F
 from math import factorial
@@ -245,3 +247,51 @@ def test_integral_target_reverses_with_one_fraction_per_weight(monkeypatch):
         report = reverse_engineer(target)
         assert len(report.phi) == 60
         assert counts["ops"] <= 3 * 60, counts
+
+
+def invariant_outcome(check, weights, t):
+    """checked_order and mismatches of one first-integral check, or the
+    message of its ValueError."""
+    try:
+        report = check(weights, t)
+    except ValueError as err:
+        return str(err)
+    return report.checked_order, report.mismatches
+
+
+@st.composite
+def invariant_cases(draw):
+    """Weights and a series of order 0-21: the two-label solution for the
+    weights, as it is or with one coefficient perturbed; a series of odd
+    powers; or a random series with zero constant term."""
+    weights = draw(rational_weights())
+    order = draw(st.integers(min_value=0, max_value=21))
+    kind = draw(st.sampled_from(["solution", "perturbed", "odd", "random"]))
+    if kind in ("solution", "perturbed"):
+        coeffs = list(k_labelled_series(weights, 2, order).coefficients)
+        if kind == "perturbed" and order:
+            coeffs[draw(st.integers(min_value=1, max_value=order))] += draw(
+                signed_fraction.filter(bool)
+            )
+    elif kind == "odd":
+        coeffs = [draw(signed_fraction) if i % 2 else F(0) for i in range(order + 1)]
+    else:
+        coeffs = [F(0)] + draw(st.lists(signed_fraction, min_size=order, max_size=order))
+    return weights, Series(coeffs)
+
+
+SQRT_SOLUTION = Series.one(16) - (Series.one(16) - Series([0, 0, 1] + [0] * 14)).sqrt()
+RATIONAL_PHI = DegreeWeights.parse("poly:1/2,1/3,1")
+
+
+@given(invariant_cases())
+@example((DegreeWeights.bundled(3), SQRT_SOLUTION))  # T = 1 - sqrt(1 - z^2)
+@example((DegreeWeights.exponential(), Series.zero(6)))
+@example((DegreeWeights.exponential(), Series([0, 1, 0, 0])))  # T = z
+@example((DegreeWeights.exponential(), Series([1, 1, 0, 0])))  # nonzero constant
+@example((RATIONAL_PHI, k_labelled_series(RATIONAL_PHI, 2, 21)))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_first_order_invariant_equals_series_oracle(case):
+    weights, t = case
+    fast = invariant_outcome(solvers.first_order_invariant_check, weights, t)
+    assert fast == invariant_outcome(oracle.first_order_invariant_check, weights, t)

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from math import comb
 
+import oracle
 import pytest
 
 from inctrees import cli, families
@@ -19,6 +20,7 @@ from inctrees.families import (
     reduced_tangent_numbers,
     strict_binary_free_multi_explicit,
     strict_binary_lattice_sum,
+    strict_binary_lattice_sums,
     strict_binary_recurrence,
     three_bundled_closed_form,
     two_bundled_closed_form,
@@ -205,6 +207,38 @@ def test_lattice_sum_domain_ends():
     for n in (64, 70, 85, 200):
         with pytest.raises(ValueError, match=f"n = {n} "):
             strict_binary_lattice_sum(n, 2)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 50])
+def test_one_pass_lattice_sums_equal_per_point_oracle(cutoff):
+    ns = (1, 2, 3, 5, 7, 63)
+    for n, fast in zip(ns, strict_binary_lattice_sums(ns, cutoff)):
+        slow = oracle.lattice_sum(n, cutoff)
+        # rounding is relative to the largest term, the point 1, where the
+        # terms cancel (T_2 = 0) and the sum is rounding noise
+        scale = max(abs(slow.value), oracle.lattice_prefactor(n))
+        assert abs(fast.value - slow.value) <= 1e-12 * scale, n
+        assert abs(fast.imaginary_residual - slow.imaginary_residual) <= 1e-12 * scale, n
+        # the one-n call is the same pass
+        assert strict_binary_lattice_sum(n, cutoff) == fast
+
+
+def test_one_pass_lattice_sums_keep_the_imaginary_part_at_rounding():
+    ns = (1, 2, 3, 5, 7, 63)
+    results = strict_binary_lattice_sums(ns, 50)
+    for n, approx in zip(ns[:-1], results):
+        assert approx.imaginary_residual < 1e-9, n
+    assert results[-1].imaginary_residual < 1e-9 * results[-1].value
+
+
+def test_one_pass_lattice_sums_name_the_n_out_of_domain():
+    for ns in ((64,), (2, 64), (63, 200, 3)):
+        bad = next(n for n in ns if n >= 64)
+        with pytest.raises(ValueError, match=f"n = {bad} leaves the float range"):
+            strict_binary_lattice_sums(ns, 2)
+    for ns, cutoff in (((0,), 2), ((2, -1), 2), ((2,), 0)):
+        with pytest.raises(ValueError, match="need n >= 1 and cutoff >= 1"):
+            strict_binary_lattice_sums(ns, cutoff)
 
 
 def test_binary_free_numeric_domain_ends():

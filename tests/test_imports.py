@@ -1,17 +1,20 @@
 """No module of the package imports a name it never uses, the reversal
-takes nothing from the engine but its entry point, and the tree modules do
-not recurse.
+takes nothing from the engine but its entry point, the first-integral check
+names no engine helper, and the tree modules do not recurse.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with the standard library: every name bound by an import must occur
 as a name somewhere else in the module.  ``__init__.py`` only re-exports and
 is exempt.  ``reverse.py`` takes nothing from ``solvers`` but
 ``solve_k_labelled``, so its round trip stays the engine's route, apart
-from the reversal's own power table.  In ``trees.py`` and ``bijections.py``
-no function, nested ones included, calls itself by name or as an
-attribute, so every tree converts at any depth.  Every dataclass there with a ``children`` field is declared
-``eq=False`` and ``repr=False``, so no tree class gets a generated
-``__eq__`` or ``__repr__`` that recurses through its children.
+from the reversal's own power table.  The body of
+``solvers.first_order_invariant_check`` names none of the engine's helpers,
+so it stays a second route for the series the engine solves.  In
+``trees.py`` and ``bijections.py`` no function, nested ones included, calls
+itself by name or as an attribute, so every tree converts at any depth.
+Every dataclass there with a ``children`` field is declared ``eq=False``
+and ``repr=False``, so no tree class gets a generated ``__eq__`` or
+``__repr__`` that recurses through its children.
 """
 import ast
 from pathlib import Path
@@ -72,6 +75,40 @@ def test_solver_import_is_found():
         "from .series import _trim\n"
     )
     assert solver_imports(source) == ["_table_columns", "solve_k_labelled", "solvers", "solvers"]
+
+
+# the coefficient engine of solvers.py, which the first-integral check
+# must not run: it checks the engine's series on a route of its own
+ENGINE_HELPERS = {"_online", "_convolution_weights", "_relation_columns", "_table_columns"}
+
+
+def engine_names(source: str, function: str):
+    """Engine helpers named, as ``f`` or ``x.f``, in the body of ``function``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for name in ast.walk(node):
+                ident = name.id if isinstance(name, ast.Name) else getattr(name, "attr", None)
+                if ident in ENGINE_HELPERS:
+                    found.add(ident)
+    return sorted(found)
+
+
+def test_first_integral_check_names_no_engine_helper():
+    source = (PACKAGE / "solvers.py").read_text(encoding="utf-8")
+    assert "def first_order_invariant_check(" in source
+    assert engine_names(source, "first_order_invariant_check") == []
+
+
+def test_engine_name_is_found():
+    source = (
+        "def first_order_invariant_check(weights, t):\n"
+        "    rows = _convolution_weights(scale, 2, 0, 1)\n"
+        "    return solvers._online('k-labelled', weights, 3, 2)\n"
+        "def other():\n"
+        "    return _table_columns\n"
+    )
+    assert engine_names(source, "first_order_invariant_check") == ["_convolution_weights", "_online"]
 
 
 def test_unused_import_is_found():
