@@ -27,7 +27,6 @@ from .solvers import (
     CountingSequence,
     InvariantReport,
     first_order_invariant_check,
-    k_labelled_series,
     solve_free_multilabelled,
     solve_k_labelled,
     solve_k_tuple,
@@ -95,7 +94,6 @@ __all__ = [
     "hook_sum_bucket",
     "hook_sum_k_labelled",
     "hook_sum_k_tuple",
-    "k_labelled_series",
     "multi_to_colored",
     "q_to_unibi",
     "reverse_engineer",

@@ -358,7 +358,9 @@ class BijectionReport:
 def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionReport:
     """Round trip, injectivity, codomain membership and count equality of a
     map whose image (code, shifted) of an object with m labels lies among
-    the targets with m - shifted labels, for each shift in ``shifts``."""
+    the targets with m - shifted labels, for each shift in ``shifts``.
+    max_m meets the capacity before any object is enumerated."""
+    check_capacity(max_m, MAX_OBJECT_LABELS, "object label count m")
     objects, targets = (_OBJECT_SCHEMES[scheme][1] for scheme in schemes)
     failures, domain, image = [], [], []
     codomains = [set()]

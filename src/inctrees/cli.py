@@ -35,8 +35,10 @@ from math import factorial
 from typing import List, Optional, Tuple
 
 from . import bijections, families, hooks, reverse, solvers
-from .series import _parse_fraction
+from .series import _parse_fractions
 from .trees import (
+    MAX_BUCKET_TOTAL,
+    check_capacity,
     count_bucket_labellings_bruteforce,
     count_bucket_labellings_formula,
     count_k_labellings_bruteforce,
@@ -79,6 +81,9 @@ def _rho_binary_note(n: int) -> Optional[str]:
 
 
 def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
+    # each size meets its capacity before any sum, n first as the sums run
+    check_capacity(max_n, hooks.MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
+    check_capacity(max_m, hooks.MAX_HOOK_BUCKET_TOTAL, "hook-sum label count m")
     checks: List[Check] = []
     ns = range(1, max_n + 1)
     ms = range(1, max_m + 1)
@@ -186,11 +191,13 @@ def _suite_closed_forms(max_n: int, max_m: int, cutoff: int) -> List[Check]:
 
 
 def _suite_invariants(max_n: int, max_m: int, cutoff: int) -> List[Check]:
+    # the label counts take bucket totals up to max_m; tree sizes are clamped
+    check_capacity(max_m, MAX_BUCKET_TOTAL, "brute-force bucket total m")
     checks: List[Check] = []
     for identifier in _BILABELLED_IDS:
         spec = families.get_family(identifier)
-        t = solvers.k_labelled_series(spec.weights, 2, 20)
-        rep = solvers.first_order_invariant_check(spec.weights, t)
+        counts = solvers.solve_k_labelled(spec.weights, 2, 9)
+        rep = solvers.first_order_invariant_check(spec.weights, counts)
         checks.append(
             (
                 f"(T')^2 = 2 Phi(T) to order {rep.checked_order} {identifier}",
@@ -357,7 +364,7 @@ def _run_bijection(args, out) -> int:
 
 def _rho_coefficients(flag: str, text: str) -> List[Fraction]:
     try:
-        return [_parse_fraction(x) for x in text.split(",")]
+        return _parse_fractions(text, "coefficients")
     except ValueError as exc:
         raise ValueError(f"bad {flag} {text!r}: {exc}") from None
 

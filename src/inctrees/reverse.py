@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import List, Optional, Tuple
 
-from .series import _parse_fraction, _shown, as_fraction
+from .series import _parse_fraction, _parse_fractions, as_fraction
 from .solvers import solve_k_labelled
 from .weights import DegreeWeights
 
@@ -208,26 +208,23 @@ def parse_values(text: str) -> Tuple[Fraction, ...]:
     entry's position."""
     if not text.strip():
         raise ValueError("no values given")
-    out = []
-    for position, part in enumerate(text.split(","), start=1):
-        if not part.strip():
-            raise ValueError(f"empty entry {position} in values {_shown(text)!r}")
-        out.append(_parse_fraction(part.strip()))
-    return tuple(out)
+    return tuple(_parse_fractions(text, "values"))
 
 
 def values_from_file(path: str) -> Tuple[Fraction, ...]:
-    """One exact value per line; blank lines and #-comments are skipped.  A
-    bad value is a ValueError that names the file and the line."""
+    """One exact value per line of UTF-8 text; blank lines and #-comments
+    are skipped.  A bad value or a line that is not UTF-8 is a ValueError
+    that names the file and the line."""
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    for number, raw in enumerate(lines, start=1):
+        try:  # a UnicodeDecodeError is a ValueError
+            line = raw.decode("utf-8").strip()
             if line and not line.startswith("#"):
-                try:
-                    out.append(_parse_fraction(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {number}: {exc}") from None
+                out.append(_parse_fraction(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
     if not out:
         raise ValueError(f"no values found in {path}")
     return tuple(out)

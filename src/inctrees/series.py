@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Union
+from typing import Iterable, List, Union
 
 Scalar = Union[int, Fraction]
 
@@ -62,6 +62,19 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _parse_fractions(text: str, what: str) -> List[Fraction]:
+    """Comma-separated exact rationals, each read by :func:`_parse_fraction`.
+    An empty entry, a trailing comma included, is a ValueError that names
+    its position, ``what`` the list holds and the text."""
+    out = []
+    for position, part in enumerate(text.split(","), start=1):
+        part = part.strip()
+        if not part:
+            raise ValueError(f"empty entry {position} in {what} {_shown(text)!r}")
+        out.append(_parse_fraction(part))
+    return out
 
 
 class Series:

@@ -285,7 +285,9 @@ def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
     Canonical order sorts same-size trees by their child sequences
     lexicographically, where a child of smaller size precedes any larger
     child and same-size children compare by their own canonical rank.
-    Each tree is built from its word of :func:`enumerate_degree_words`.
+    Equivalently, it is the strict lexicographic order of the preorder
+    hook-length sequences, at every size, streamed sizes included.  Each
+    tree is built from its word of :func:`enumerate_degree_words`.
     """
     return (_fold(OrderedTree, word) for word in enumerate_degree_words(n))
 

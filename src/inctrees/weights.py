@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Optional
 
-from .series import Series, _parse_fraction, as_fraction
+from .series import Series, _parse_fractions, as_fraction
 
 
 class DegreeWeights:
@@ -100,8 +100,7 @@ class DegreeWeights:
             if text.startswith("bundled:"):
                 return cls.bundled(int(text.split(":", 1)[1]))
             if text.startswith("poly:"):
-                parts = text.split(":", 1)[1].split(",")
-                return cls.polynomial([_parse_fraction(p.strip()) for p in parts])
+                return cls.polynomial(_parse_fractions(text.split(":", 1)[1], "coefficients"))
         except ValueError as exc:
             raise ValueError(f"bad degree-weight spec {text!r}: {exc}") from None
         raise ValueError(f"unknown degree-weight spec {text!r}")

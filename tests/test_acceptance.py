@@ -203,8 +203,8 @@ def test_criterion_10_first_order_invariant():
         "bilabelled/binary",
     ):
         weights = families.get_family(identifier).weights
-        t = solvers.k_labelled_series(weights, 2, 21)
-        report = solvers.first_order_invariant_check(weights, t)
+        counts = solvers.solve_k_labelled(weights, 2, 10)
+        report = solvers.first_order_invariant_check(weights, counts)
         if not report.ok or report.checked_order < 20:
             failures.append(f"{identifier}: order {report.checked_order}, "
                             f"mismatches {report.mismatches}")

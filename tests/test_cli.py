@@ -235,6 +235,31 @@ def test_hook_capacity_fails_before_any_sum(capsys, monkeypatch, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bijection", "free", "--max-m", "8"], "object label count m = 8 exceeds the capacity 7"),
+    (["verify", "bijection", "--max-m", "8"], "object label count m = 8 exceeds the capacity 7"),
+    (["verify", "hook", "--max-n", "13"], "hook-sum tree size n = 13 exceeds the capacity 12"),
+    (["verify", "hook", "--max-m", "9"], "hook-sum label count m = 9 exceeds the capacity 8"),
+    (["verify", "invariants", "--max-m", "11"],
+     "brute-force bucket total m = 11 exceeds the capacity 10"),
+], ids=["bijection", "verify-bijection", "verify-hook-n", "verify-hook-m", "verify-invariants"])
+def test_size_capacity_fails_before_any_check(capsys, monkeypatch, argv, message):
+    # each size meets its capacity before any smaller size is enumerated
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for module, name in ((bijections, "_bucket_words"), (hooks, "_tree_sum"),
+                         (hooks, "_bucket_census"), (solvers, "first_order_invariant_check")):
+        monkeypatch.setattr(module, name, counted(module, name))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert message in err
+
+
 def test_verify_bijection_suite(capsys):
     code, out, _ = run(capsys, "verify", "bijection", "--max-m", "4")
     assert code == 0
@@ -590,6 +615,25 @@ def test_rho_coefficient_error_names_its_flag(capsys, flag):
     code, out, err = run(capsys, "hook", "rho", flag, "1,,2")
     assert (code, out) == (2, "")
     assert f"bad {flag} '1,,2': " in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hook", "klabelled", "--weights", "poly:1,,1"],
+         "bad degree-weight spec 'poly:1,,1': empty entry 2 in coefficients '1,,1'"),
+        (["hook", "rho", "--rho-num", "1,,2"],
+         "bad --rho-num '1,,2': empty entry 2 in coefficients '1,,2'"),
+        (["hook", "rho", "--rho-den", "1,2,"],
+         "bad --rho-den '1,2,': empty entry 3 in coefficients '1,2,'"),
+    ],
+    ids=["poly-weights", "rho-num", "rho-den"],
+)
+def test_empty_list_entry_is_named(capsys, argv, message):
+    # one comma-list parser serves weights, rho coefficients and values
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

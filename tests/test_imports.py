@@ -9,7 +9,9 @@ is exempt.  ``reverse.py`` takes nothing from ``solvers`` but
 ``solve_k_labelled``, so its round trip stays the engine's route, apart
 from the reversal's own power table.  The body of
 ``solvers.first_order_invariant_check`` names none of the engine's helpers,
-so it stays a second route for the series the engine solves.  In
+so it stays a second route for the counts the engine solves: it checks
+them on a binomial power table of its own.  ``solvers.py`` imports no
+``Series``, since both the engine and the check run on the counts.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
 itself by name or as an attribute, so every tree converts at any depth.
 Every dataclass there with a ``children`` field is declared ``eq=False``
@@ -25,8 +27,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "inctrees"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str):
-    tree = ast.parse(source)
+def imported_names(tree):
+    """Each name an import binds in a parsed module, with its line."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -35,8 +37,13 @@ def unused_imports(source: str):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    return imported
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+    return sorted((line, name) for name, line in imported_names(tree).items() if name not in used)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -78,7 +85,7 @@ def test_solver_import_is_found():
 
 
 # the coefficient engine of solvers.py, which the first-integral check
-# must not run: it checks the engine's series on a route of its own
+# must not run: it checks the engine's counts on a route of its own
 ENGINE_HELPERS = {"_online", "_convolution_weights", "_relation_columns", "_table_columns"}
 
 
@@ -100,9 +107,15 @@ def test_first_integral_check_names_no_engine_helper():
     assert engine_names(source, "first_order_invariant_check") == []
 
 
+def test_solvers_import_no_series():
+    # the engine and the first-integral check both run on counts
+    source = (PACKAGE / "solvers.py").read_text(encoding="utf-8")
+    assert "Series" not in imported_names(ast.parse(source))
+
+
 def test_engine_name_is_found():
     source = (
-        "def first_order_invariant_check(weights, t):\n"
+        "def first_order_invariant_check(weights, counts):\n"
         "    rows = _convolution_weights(scale, 2, 0, 1)\n"
         "    return solvers._online('k-labelled', weights, 3, 2)\n"
         "def other():\n"

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from inctrees.hooks import hook_sum_bucket, hook_sum_k_labelled, hook_sum_k_tuple
 from inctrees.solvers import (
     first_order_invariant_check,
-    k_labelled_series,
     solve_free_multilabelled,
     solve_k_labelled,
     solve_k_tuple,
@@ -102,8 +101,7 @@ def test_k_tuple_solver_equals_weighted_tree_sum(weights, k):
 @given(weight_polynomials())
 @settings(max_examples=20, deadline=None)
 def test_first_order_invariant_for_random_weights(weights):
-    t = k_labelled_series(weights, 2, 12)
-    assert first_order_invariant_check(weights, t).ok
+    assert first_order_invariant_check(weights, solve_k_labelled(weights, 2, 6)).ok
 
 
 @given(weight_polynomials())

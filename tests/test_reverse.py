@@ -145,6 +145,16 @@ def test_values_file_error_names_file_and_line(tmp_path):
     assert "'foo'" in str(caught.value)
 
 
+def test_values_file_decoding_error_names_file_and_line(tmp_path):
+    path = tmp_path / "target.txt"
+    path.write_bytes(b"1\r\n2\r\n\xff22\r\n")
+    with pytest.raises(ValueError) as caught:
+        values_from_file(str(path))
+    assert str(caught.value).startswith(f"{path}, line 3: 'utf-8' codec can't decode byte 0xff")
+    path.write_bytes(b"# T_1\r1\r2\r22\r")  # one value per line at any line ending
+    assert values_from_file(str(path)) == (1, 2, 22)
+
+
 def test_discovered_family_satisfies_hook_identity():
     # recovered weights feed straight into the hook-length identity
     from math import factorial

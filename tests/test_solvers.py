@@ -1,10 +1,10 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from inctrees.solvers import (
     first_order_invariant_check,
-    k_labelled_series,
     solve_free_multilabelled,
     solve_k_labelled,
     solve_k_tuple,
@@ -166,8 +166,7 @@ def test_sequence_indexing_is_one_based_and_bounded():
      DegreeWeights.bundled(2), DegreeWeights.bundled(3)],
 )
 def test_first_order_invariant(weights):
-    t = k_labelled_series(weights, 2, 20)
-    report = first_order_invariant_check(weights, t)
+    report = first_order_invariant_check(weights, solve_k_labelled(weights, 2, 9))
     assert report.ok
     assert report.checked_order == 19
 
@@ -177,15 +176,25 @@ def test_first_order_invariant_explicit_sqrt_solution():
     one = Series.one(16)
     z2 = Series([0, 0, 1] + [0] * 14)
     t = one - (one - z2).sqrt()
-    assert first_order_invariant_check(DegreeWeights.bundled(3), t).ok
+    counts = [t.coefficient(2 * n) * factorial(2 * n) for n in range(1, 8)]
+    assert counts[:3] == [1, 3, 45]
+    assert first_order_invariant_check(DegreeWeights.bundled(3), counts).ok
 
 
 def test_first_order_invariant_zero_series():
-    report = first_order_invariant_check(EXP, Series.zero(6))
+    report = first_order_invariant_check(EXP, [0, 0, 0])
     assert report.ok
+    assert report.checked_order == 7
 
 
 def test_first_order_invariant_detects_mismatch():
-    bad = Series([0, 1, 0, 0])  # T = z does not solve T'' = e^T
-    report = first_order_invariant_check(EXP, bad)
-    assert not report.ok
+    # T_m + 1 breaks the identity first at z^(2m): the perturbed counts
+    # still agree below order 2m
+    solution = list(solve_k_labelled(EXP, 2, 9))
+    for m in range(1, 10):
+        counts = list(solution)
+        counts[m - 1] += 1
+        report = first_order_invariant_check(EXP, counts)
+        assert not report.ok
+        assert report.mismatches[0] == 2 * m
+        assert report.checked_order == 19

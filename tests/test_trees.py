@@ -68,6 +68,17 @@ def test_degree_words_stream_past_the_memo():
     assert max(trees._word_memo) <= trees._MEMO_SIZE_LIMIT
 
 
+def test_enumeration_order_is_strict_hook_length_order():
+    # the order of the docstring of enumerate_ordered_trees, through two
+    # streamed sizes: each preorder hook-length sequence, read off the tree
+    # itself, is lexicographically larger than the one before
+    assert trees._MEMO_SIZE_LIMIT <= 9
+    for n in range(1, 12):
+        hooks = [tuple(node.size for node in t.preorder()) for t in enumerate_ordered_trees(n)]
+        assert len(hooks) == catalan(n - 1)
+        assert all(a < b for a, b in zip(hooks, hooks[1:])), n
+
+
 def test_capacity_error(monkeypatch):
     monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
     with pytest.raises(CapacityError):
