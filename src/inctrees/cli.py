@@ -22,6 +22,7 @@ k-tuple length k (at the cost of potentially very long runtimes).
 ``_SUITES`` is the one check registry: each suite maps the sizes
 ``(max_n, max_m, cutoff)`` to ``(name, ok, detail)`` checks, each comparing
 two independent routes, so ``verify`` takes all three for every suite.
+``_BOUNDS`` holds each suite's size bounds, all checked before any suite runs.
 ``tests/test_acceptance.py`` runs the same suites at its own sizes.
 """
 from __future__ import annotations
@@ -56,66 +57,60 @@ _BILABELLED_IDS = tuple(i for i in families.REGISTRY if i.startswith("bilabelled
 Check = Tuple[str, bool, str]
 
 
-def _first_failure(name: str, var: str, sizes, report) -> Check:
-    """One check over a size range.  ``report(size)`` returns None when the
-    identity holds and a note (possibly empty) when it fails; the check stops
-    at the first failing size."""
-    for size in sizes:
-        note = report(size)
+def _first_failure(name: str, var: str, notes) -> Check:
+    """One check over a size range.  ``notes`` pairs each size, in order,
+    with None when the identity holds and a note (possibly empty) when it
+    fails; the check reports the first failing size."""
+    for size, note in notes:
         if note is not None:
             detail = f"first failure at {var}={size}" + (f": {note}" if note else "")
             return (name, False, detail)
     return (name, True, "")
 
 
-def _hook_note(rep: hooks.HookIdentityReport, full: bool = False) -> Optional[str]:
-    if rep.equal:
-        return None
-    return rep.to_text() if full else ""
+def _hook_notes(reports, full: bool = False):
+    return [(r.parameter, None if r.equal else (r.to_text() if full else "")) for r in reports]
 
 
-def _rho_binary_note(n: int) -> Optional[str]:
-    lhs = hooks.generic_hook_weight_sum("binary", [1, 1], [0, 1], n)
-    rhs = Fraction(2**n * (n + 1) ** (n - 1), factorial(n))
-    return None if lhs == rhs else f"{lhs} != {rhs}"
+def _rho_binary_notes(max_n: int):
+    ns = range(1, max_n + 1)
+    for n, lhs in zip(ns, hooks.generic_hook_weight_sums("binary", [1, 1], [0, 1], ns)):
+        rhs = Fraction(2**n * (n + 1) ** (n - 1), factorial(n))
+        yield n, None if lhs == rhs else f"{lhs} != {rhs}"
 
 
 def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
-    # each size meets its capacity before any sum, n first as the sums run
-    check_capacity(max_n, hooks.MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
-    check_capacity(max_m, hooks.MAX_HOOK_BUCKET_TOTAL, "hook-sum label count m")
     checks: List[Check] = []
     ns = range(1, max_n + 1)
     ms = range(1, max_m + 1)
     for identifier in _BILABELLED_IDS:
         w = families.get_family(identifier).weights
         checks.append(_first_failure(
-            f"hook k=2 {identifier} n<={max_n}", "n", ns,
-            lambda n, w=w: _hook_note(hooks.hook_sum_k_labelled(w, 2, n), full=True),
+            f"hook k=2 {identifier} n<={max_n}", "n",
+            _hook_notes(hooks.hook_sums_k_labelled(w, 2, ns), full=True),
         ))
     tri = families.get_family("trilabelled/unordered").weights
     checks.append(_first_failure(
-        f"hook k=3 trilabelled/unordered n<={max_n}", "n", ns,
-        lambda n: _hook_note(hooks.hook_sum_k_labelled(tri, 3, n)),
+        f"hook k=3 trilabelled/unordered n<={max_n}", "n",
+        _hook_notes(hooks.hook_sums_k_labelled(tri, 3, ns)),
     ))
     for k in (1, 2, 3):
         for variant in ("ordered", "unordered"):
             checks.append(_first_failure(
-                f"hook k-tuple(k={k}) {variant}", "n", ns,
-                lambda n, w=SHAPES[variant], k=k: _hook_note(hooks.hook_sum_k_tuple(w, k, n)),
+                f"hook k-tuple(k={k}) {variant}", "n",
+                _hook_notes(hooks.hook_sums_k_tuple(SHAPES[variant], k, ns)),
             ))
     for name in ("ordered", "unordered", "strict-binary"):
         checks.append(_first_failure(
-            f"hook bucket-free {name} m<={max_m}", "m", ms,
-            lambda m, w=SHAPES[name]: _hook_note(hooks.hook_sum_bucket(w, m)),
+            f"hook bucket-free {name} m<={max_m}", "m",
+            _hook_notes(hooks.hook_sums_bucket(SHAPES[name], ms)),
         ))
     checks.append(_first_failure(
-        f"hook bucket-uni-bi unordered m<={max_m}", "m", ms,
-        lambda m: _hook_note(hooks.hook_sum_bucket(SHAPES["unordered"], m, max_bucket=2)),
+        f"hook bucket-uni-bi unordered m<={max_m}", "m",
+        _hook_notes(hooks.hook_sums_bucket(SHAPES["unordered"], ms, max_bucket=2)),
     ))
     checks.append(_first_failure(
-        f"hook rho=1+1/h binary vs 2^n(n+1)^(n-1)/n! n<={max_n}", "n", ns,
-        _rho_binary_note,
+        f"hook rho=1+1/h binary vs 2^n(n+1)^(n-1)/n! n<={max_n}", "n", _rho_binary_notes(max_n),
     ))
     return checks
 
@@ -191,8 +186,6 @@ def _suite_closed_forms(max_n: int, max_m: int, cutoff: int) -> List[Check]:
 
 
 def _suite_invariants(max_n: int, max_m: int, cutoff: int) -> List[Check]:
-    # the label counts take bucket totals up to max_m; tree sizes are clamped
-    check_capacity(max_m, MAX_BUCKET_TOTAL, "brute-force bucket total m")
     checks: List[Check] = []
     for identifier in _BILABELLED_IDS:
         spec = families.get_family(identifier)
@@ -226,10 +219,9 @@ def _suite_invariants(max_n: int, max_m: int, cutoff: int) -> List[Check]:
     checks.append(("label-count formulas vs brute force n<=4", not bad, bad))
     # sum over trees of w(T) n!/prod h = T_n, the k = 1 hook identity; its left
     # side is `verify hook`'s k-tuple(k=1), so only the k-labelled solver is new
-    checks.append(_first_failure(
-        "tree-sum oracle vs single-label solver", "n", range(1, min(max_n, 6) + 1),
-        lambda n: _hook_note(hooks.hook_sum_k_labelled(SHAPES["unordered"], 1, n)),
-    ))
+    checks.append(_first_failure("tree-sum oracle vs single-label solver", "n", _hook_notes(
+        hooks.hook_sums_k_labelled(SHAPES["unordered"], 1, range(1, min(max_n, 6) + 1))
+    )))
     return checks
 
 
@@ -257,6 +249,13 @@ _SUITES = {
     "invariants": _suite_invariants,
 }
 
+_BOUNDS = {
+    "hook": (("max_n", hooks.MAX_HOOK_TREE_SIZE, "hook-sum tree size n"),
+             ("max_m", hooks.MAX_HOOK_BUCKET_TOTAL, "hook-sum label count m")),
+    "bijection": (("max_m", bijections.MAX_OBJECT_LABELS, "object label count m"),),
+    "invariants": (("max_m", MAX_BUCKET_TOTAL, "brute-force bucket total m"),),
+}
+
 
 def _run_seq(args, out) -> int:
     seq = families.get_family(args.family).sequence(args.terms)
@@ -273,6 +272,9 @@ def _run_seq(args, out) -> int:
 
 def _run_verify(args, out) -> int:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    for suite in suites:
+        for arg, capacity, what in _BOUNDS.get(suite, ()):
+            check_capacity(getattr(args, arg), capacity, what)
     checks: List[Check] = []
     for suite in suites:
         checks.extend(_SUITES[suite](args.max_n, args.max_m, args.cutoff))
@@ -372,16 +374,12 @@ def _rho_coefficients(flag: str, text: str) -> List[Fraction]:
 def _run_rho(args, out) -> int:
     num = _rho_coefficients("--rho-num", args.rho_num)
     den = _rho_coefficients("--rho-den", args.rho_den)
-    # largest n first: that call checks the capacity and every
-    # denominator before any sum is computed, and nothing prints on failure
-    sums = [
-        (n, hooks.generic_hook_weight_sum(args.tree_family, num, den, n))
-        for n in range(args.max_n, 0, -1)
-    ][::-1]
+    ns = range(1, args.max_n + 1)
+    sums = hooks.generic_hook_weight_sums(args.tree_family, num, den, ns)
     if args.format == "json":
-        print(json.dumps([{"n": n, "sum": str(value)} for n, value in sums]), file=out)
+        print(json.dumps([{"n": n, "sum": str(value)} for n, value in zip(ns, sums)]), file=out)
     else:
-        for n, value in sums:
+        for n, value in zip(ns, sums):
             print(f"n={n} sum={value}", file=out)
     return 0
 
@@ -392,12 +390,11 @@ def _run_hook(args, out) -> int:
     else:
         weights = DegreeWeights.parse(args.weights)
     if args.kind == "bucket":
-        top, report = args.max_m, lambda m: hooks.hook_sum_bucket(weights, m, args.max_bucket)
+        reports = hooks.hook_sums_bucket(weights, range(1, args.max_m + 1), args.max_bucket)
+    elif args.kind == "klabelled":
+        reports = hooks.hook_sums_k_labelled(weights, args.k, range(1, args.max_n + 1))
     else:
-        hook_sum = hooks.hook_sum_k_labelled if args.kind == "klabelled" else hooks.hook_sum_k_tuple
-        top, report = args.max_n, lambda n: hook_sum(weights, args.k, n)
-    # largest size first, as for rho: its capacity check fails before any sum
-    reports = [report(size) for size in range(top, 0, -1)][::-1]
+        reports = hooks.hook_sums_k_tuple(weights, args.k, range(1, args.max_n + 1))
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
     else:

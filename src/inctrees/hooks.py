@@ -6,12 +6,16 @@ sequence value divided by a factorial.  The left-hand side is computed here
 by brute-force enumeration; the right-hand side comes from the coefficient
 solvers — two fully independent computation paths, compared exactly.
 
-The sums walk degree words, which the word generator yields with their
-hook-lengths: a per-node sum reads the size's census of tree counts per
-(hook-length multiplicities, sorted out-degrees), and a bucket sum the label
-count's census of integer labelling counts per sorted out-degrees, over the
-words of ``trees._bucket_words``; both are cached per process.  One integer
-fold (:func:`_fold`) sums either census: phi is scaled by the lcm of its
+Each kind has one core over sizes 1..N (``hook_sums_*``,
+``generic_hook_weight_sums``): it checks N's capacity, then solves to N once
+and builds the phi prefix and the per-hook factor table once; a function of
+one size calls it with that size alone.  The sums walk degree words, which
+the word generator yields with their hook-lengths: a per-node sum reads the
+size's census of tree counts per (hook-length multiplicities, sorted
+out-degrees), and a bucket sum the label count's census of integer
+labelling counts per sorted out-degrees, over the words of
+``trees._bucket_words``; both are cached per process.  One integer fold
+(:func:`_fold`) sums either census: phi is scaled by the lcm of its
 denominators, the hook products share one denominator per size and are
 formed once per hook multiset of nonzero weight, and one ``Fraction`` is
 built per sum.  ``trees_visited`` is the number of words behind a sum.
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 from operator import getitem
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .families import MAX_KTUPLE_EXPONENT
 from .solvers import (
@@ -104,23 +108,23 @@ def _fold(phi: Sequence[Fraction], groups, size: int, denominator: int, value) -
     return Fraction(total, scale**size * denominator)
 
 
-def _tree_sum(weights: DegreeWeights, n: int, factor) -> Tuple[Fraction, int]:
-    """Sum over the plane trees of size n of prod phi_odeg * factor[hook] over
-    the nodes, and the number of trees visited.  ``factor`` maps each
-    hook-length 1..n to its per-node Fraction num[h]/den[h].  Every hook
-    product is an int over the common denominator prod den[h]^most[h], which
-    depends only on n: e nodes of hook-length h give num[h]^e den[h]^(most[h]-e),
-    and each hook multiset's product is formed once per sum."""
+def _tree_sum(weights: DegreeWeights, sizes, factor) -> Iterator[Tuple[Fraction, int]]:
+    """Per size n in sizes: the sum over the size-n plane trees of prod
+    phi_odeg * factor[hook] over the nodes, and the trees visited; ``factor``
+    maps hook-lengths 1..max(sizes) to Fractions num[h]/den[h].  Each hook
+    product is an int over prod den[h]^most[h] for size n: e nodes of
+    hook-length h give num[h]^e den[h]^(most[h]-e), once per hook multiset."""
     # The size-n star has out-degree n-1, so every phi_0..phi_{n-1} is used.
-    phi = [weights.coefficient(d) for d in range(n)]
-    groups, visited, most = _census(n)
-    powers = [
-        [factor[h].numerator ** e * factor[h].denominator ** (top - e) for e in range(top + 1)]
-        for h, top in enumerate(most, 1)
-    ]
-    common = prod(row[0] for row in powers)
-    lhs = _fold(phi, groups, n, common, lambda mults: prod(map(getitem, powers, mults)))
-    return lhs, visited
+    phi = [weights.coefficient(d) for d in range(max(sizes))]
+    for n in sizes:
+        groups, visited, most = _census(n)
+        powers = [
+            [factor[h].numerator ** e * factor[h].denominator ** (top - e) for e in range(top + 1)]
+            for h, top in enumerate(most, 1)
+        ]
+        common = prod(row[0] for row in powers)
+        lhs = _fold(phi[:n], groups, n, common, lambda mults: prod(map(getitem, powers, mults)))
+        yield lhs, visited
 
 
 @dataclass(frozen=True)
@@ -155,47 +159,67 @@ class HookIdentityReport:
         }
 
 
-def hook_sum_k_labelled(weights: DegreeWeights, k: int, n: int) -> HookIdentityReport:
-    """Sum over plane trees of size n of prod phi_odeg / (k h)(kh-1)...(kh-k+1),
-    against T_n / (kn)! from the k-labelled solver."""
-    check_capacity(n, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
-    factor = {h: Fraction(1, falling_factorial(k * h, k)) for h in range(1, n + 1)}
-    lhs, visited = _tree_sum(weights, n, factor)
-    rhs = solve_k_labelled(weights, k, n)[n] / factorial(k * n)
-    return HookIdentityReport(f"k-labelled(k={k})", n, lhs, rhs, visited)
+def hook_sums_k_labelled(weights: DegreeWeights, k: int, sizes) -> List[HookIdentityReport]:
+    """Per size n in sizes: the sum over size-n plane trees of prod phi_odeg /
+    (kh)(kh-1)...(kh-k+1), against T_n / (kn)! from one solve to max(sizes)."""
+    top = max(sizes)
+    check_capacity(top, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
+    factor = {h: Fraction(1, falling_factorial(k * h, k)) for h in range(1, top + 1)}
+    counts = solve_k_labelled(weights, k, top)
+    return [
+        HookIdentityReport(f"k-labelled(k={k})", n, lhs, counts[n] / factorial(k * n), visited)
+        for n, (lhs, visited) in zip(sizes, _tree_sum(weights, sizes, factor))
+    ]
 
 
-def hook_sum_bucket(
-    weights: DegreeWeights, m: int, max_bucket: Optional[int] = None
-) -> HookIdentityReport:
-    """Sum over trees of all sizes and bucket-size functions with m labels of
-    prod phi_odeg / (bucket hook-length falling bucket size).
-
-    Unbounded buckets check the free multilabelled count; max_bucket=2
-    checks the one-or-two-labels count.
-    """
-    check_capacity(m, MAX_HOOK_BUCKET_TOTAL, "hook-sum label count m")
+def hook_sums_bucket(weights: DegreeWeights, sizes, max_bucket=None) -> List[HookIdentityReport]:
+    """Per label count m in sizes: the sum over trees and bucket-size functions
+    with m labels of prod phi_odeg / (bucket hook-length falling bucket size),
+    against the free (max_bucket None) or uni-bi (2) count from one solve."""
+    top = max(sizes)
+    check_capacity(top, MAX_HOOK_BUCKET_TOTAL, "hook-sum label count m")
     if max_bucket not in (None, 2):
         raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
-    phi = [weights.coefficient(d) for d in range(m)]
-    counts, visited = _bucket_census(m, max_bucket)
-    # the labelling counts carry the hook factors: one group of value 1
-    lhs = _fold(phi, [(None, counts)], m, factorial(m), lambda _: 1)
     free = max_bucket is None
-    solve = solve_free_multilabelled if free else solve_unilabelled_bilabelled
-    rhs = solve(weights, m)[m] / factorial(m)
-    return HookIdentityReport("bucket-free" if free else "bucket-uni-bi", m, lhs, rhs, visited)
+    scheme = "bucket-free" if free else "bucket-uni-bi"
+    counts = (solve_free_multilabelled if free else solve_unilabelled_bilabelled)(weights, top)
+    phi = [weights.coefficient(d) for d in range(top)]
+    reports = []
+    for m in sizes:
+        labellings, visited = _bucket_census(m, max_bucket)
+        # the labelling counts carry the hook factors: one group of value 1
+        lhs = _fold(phi[:m], [(None, labellings)], m, factorial(m), lambda _: 1)
+        reports.append(HookIdentityReport(scheme, m, lhs, counts[m] / factorial(m), visited))
+    return reports
+
+
+def hook_sums_k_tuple(weights: DegreeWeights, k: int, sizes) -> List[HookIdentityReport]:
+    """Per size n in sizes: the sum over size-n plane trees of prod phi_odeg /
+    h^k, against T_n / (n!)^k from one solve to max(sizes)."""
+    top = max(sizes)
+    check_capacity(top, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
+    check_capacity(k, MAX_KTUPLE_EXPONENT, "k-tuple exponent k")
+    factor = {h: Fraction(h) ** -k for h in range(1, top + 1)}
+    counts = solve_k_tuple(weights, k, top)
+    return [
+        HookIdentityReport(f"k-tuple(k={k})", n, lhs, counts[n] / factorial(n) ** k, visited)
+        for n, (lhs, visited) in zip(sizes, _tree_sum(weights, sizes, factor))
+    ]
+
+
+def hook_sum_k_labelled(weights: DegreeWeights, k: int, n: int) -> HookIdentityReport:
+    """:func:`hook_sums_k_labelled` at the size n alone."""
+    return hook_sums_k_labelled(weights, k, (n,))[0]
+
+
+def hook_sum_bucket(weights: DegreeWeights, m: int, max_bucket=None) -> HookIdentityReport:
+    """:func:`hook_sums_bucket` at the label count m alone."""
+    return hook_sums_bucket(weights, (m,), max_bucket)[0]
 
 
 def hook_sum_k_tuple(weights: DegreeWeights, k: int, n: int) -> HookIdentityReport:
-    """Sum over plane trees of size n of prod phi_odeg / h^k, against
-    T_n / (n!)^k from the k-tuple solver."""
-    check_capacity(n, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
-    check_capacity(k, MAX_KTUPLE_EXPONENT, "k-tuple exponent k")
-    factor = {h: Fraction(h) ** -k for h in range(1, n + 1)}
-    lhs, visited = _tree_sum(weights, n, factor)
-    rhs = solve_k_tuple(weights, k, n)[n] / Fraction(factorial(n)) ** k
-    return HookIdentityReport(f"k-tuple(k={k})", n, lhs, rhs, visited)
+    """:func:`hook_sums_k_tuple` at the size n alone."""
+    return hook_sums_k_tuple(weights, k, (n,))[0]
 
 
 _GENERIC_FAMILIES = {name: SHAPES[name] for name in ("ordered", "binary", "strict-binary")}
@@ -208,29 +232,32 @@ def _eval_poly(coeffs: Sequence, x: int) -> Fraction:
     return total
 
 
-def generic_hook_weight_sum(
-    tree_family: str, rho_numerator: Sequence, rho_denominator: Sequence, n: int
-) -> Fraction:
-    """Sum over the family's weighted size-n trees of prod rho(h) over nodes,
-    for a rational hook-weight function rho given by numerator/denominator
-    coefficient lists (constant term first).
+def generic_hook_weight_sums(
+    tree_family: str, rho_numerator: Sequence, rho_denominator: Sequence, sizes
+) -> List[Fraction]:
+    """Per size n in sizes: the sum over the family's weighted size-n trees of
+    prod rho(h) over nodes, for a rational hook-weight function rho
+    given by numerator/denominator coefficient lists (constant term first).
 
     Families: "ordered" (all weights 1), "binary" (weights C(2, j)),
     "strict-binary" (out-degrees 0 and 2 only).
     """
-    try:
-        weights = _GENERIC_FAMILIES[tree_family]
-    except KeyError:
+    weights = _GENERIC_FAMILIES.get(tree_family)
+    if weights is None:
         raise ValueError(
-            f"unknown tree family {tree_family!r}; "
-            f"choose from {sorted(_GENERIC_FAMILIES)}"
-        ) from None
-    check_capacity(n, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
-    for h in range(1, n + 1):
-        if _eval_poly(rho_denominator, h) == 0:
+            f"unknown tree family {tree_family!r}; choose from {sorted(_GENERIC_FAMILIES)}"
+        )
+    top = max(sizes)
+    check_capacity(top, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
+    rho = {}
+    for h in range(1, top + 1):
+        denominator = _eval_poly(rho_denominator, h)
+        if denominator == 0:
             raise ValueError(f"hook-weight denominator vanishes at h = {h}")
-    rho = {
-        h: _eval_poly(rho_numerator, h) / _eval_poly(rho_denominator, h)
-        for h in range(1, n + 1)
-    }
-    return _tree_sum(weights, n, rho)[0]
+        rho[h] = _eval_poly(rho_numerator, h) / denominator
+    return [lhs for lhs, _ in _tree_sum(weights, sizes, rho)]
+
+
+def generic_hook_weight_sum(tree_family: str, rho_numerator, rho_denominator, n: int) -> Fraction:
+    """:func:`generic_hook_weight_sums` at the size n alone."""
+    return generic_hook_weight_sums(tree_family, rho_numerator, rho_denominator, (n,))[0]

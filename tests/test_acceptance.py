@@ -119,15 +119,15 @@ def test_criterion_05_hook_identities():
     # does not run, and rho to n=10
     checks, _ = _registry("hook", max_n=8, max_m=7)
     checks.append(cli._first_failure(
-        "hook k=3 ordered n<=7", "n", range(1, 8),
-        lambda n: cli._hook_note(hooks.hook_sum_k_labelled(ORDERED, 3, n)),
+        "hook k=3 ordered n<=7", "n",
+        cli._hook_notes(hooks.hook_sums_k_labelled(ORDERED, 3, range(1, 8))),
     ))
     checks.append(cli._first_failure(
-        "hook bucket-uni-bi ordered m<=7", "m", range(1, 8),
-        lambda m: cli._hook_note(hooks.hook_sum_bucket(ORDERED, m, max_bucket=2)),
+        "hook bucket-uni-bi ordered m<=7", "m",
+        cli._hook_notes(hooks.hook_sums_bucket(ORDERED, range(1, 8), max_bucket=2)),
     ))
     checks.append(cli._first_failure(
-        "hook rho=1+1/h binary n<=10", "n", range(1, 11), cli._rho_binary_note
+        "hook rho=1+1/h binary n<=10", "n", cli._rho_binary_notes(10)
     ))
     failures = _failures(checks)
     _report(5, not failures, f"hook-length identities ({len(checks)} checks)")

@@ -184,6 +184,27 @@ def test_verifier_reports_unequal_counts(monkeypatch):
     assert (report.domain_sizes, report.image_sizes) == ((1,), (0,))
 
 
+def swap_first_two_labels(chain):
+    """The chain map with the labels of its image's first two nodes swapped,
+    which breaks the increasing labelling of every image of two or more
+    nodes, so the inverse's validator would reject it."""
+    def swapped(code):
+        word, labels, colors = chain(code)
+        return word, labels[1::-1] + labels[2:], colors
+
+    return swapped
+
+
+def test_verifier_fails_on_images_the_inverse_rejects(monkeypatch):
+    # an image outside the codomain is a failure; the inverse never sees it
+    monkeypatch.setattr(bijections, "_chain", swap_first_two_labels(bijections._chain))
+    report = verify_chain_bijection(3)
+    assert report.ok is False
+    # every image with two or more labels, and nothing else
+    assert [f.split(":")[0] for f in report.failures] == ["m=2"] * 2 + ["m=3"] * 6
+    assert all(": image not a valid colored tree: " in f for f in report.failures)
+
+
 def test_enumerate_objects_dispatch():
     assert len(list(enumerate_objects("free-multi", 3))) == 6
     assert len(list(enumerate_objects("unibi", 2))) == 2

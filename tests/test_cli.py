@@ -242,7 +242,10 @@ def test_hook_capacity_fails_before_any_sum(capsys, monkeypatch, argv, message):
     (["verify", "hook", "--max-m", "9"], "hook-sum label count m = 9 exceeds the capacity 8"),
     (["verify", "invariants", "--max-m", "11"],
      "brute-force bucket total m = 11 exceeds the capacity 10"),
-], ids=["bijection", "verify-bijection", "verify-hook-n", "verify-hook-m", "verify-invariants"])
+    # the hook suite runs first and would take m = 8; the bijection bound is 7
+    (["verify", "all", "--max-m", "8"], "object label count m = 8 exceeds the capacity 7"),
+], ids=["bijection", "verify-bijection", "verify-hook-n", "verify-hook-m", "verify-invariants",
+        "verify-all"])
 def test_size_capacity_fails_before_any_check(capsys, monkeypatch, argv, message):
     # each size meets its capacity before any smaller size is enumerated
     monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
@@ -258,6 +261,46 @@ def test_size_capacity_fails_before_any_check(capsys, monkeypatch, argv, message
     code, out, err = run(capsys, *argv)
     assert (code, out, calls) == (2, "", [])
     assert message in err
+
+
+@pytest.mark.parametrize("argv, solver, top", [
+    (["klabelled", "--weights", "exp", "--max-n", "7"], "solve_k_labelled", 7),
+    (["ktuple", "--weights", "poly:1,1", "-k", "3", "--max-n", "6"], "solve_k_tuple", 6),
+    (["bucket", "--weights", "exp", "--max-m", "6"], "solve_free_multilabelled", 6),
+    (["bucket", "--weights", "exp", "--max-m", "5", "--max-bucket", "2"],
+     "solve_unilabelled_bilabelled", 5),
+], ids=["klabelled", "ktuple", "bucket-free", "bucket-uni-bi"])
+def test_hook_command_solves_once(capsys, monkeypatch, argv, solver, top):
+    # every size's right-hand side comes from one solve to the largest size
+    calls = []
+
+    def counted(name):
+        original = getattr(hooks, name)
+        return lambda *args: calls.append((name, args[-1])) or original(*args)
+
+    for name in ("solve_k_labelled", "solve_k_tuple", "solve_free_multilabelled",
+                 "solve_unilabelled_bilabelled"):
+        monkeypatch.setattr(hooks, name, counted(name))
+    code, out, _ = run(capsys, "hook", *argv)
+    assert (code, calls) == (0, [(solver, top)])
+    assert out.count(" equal\n") == top
+
+
+def test_broken_bijection_fails_without_error(capsys, monkeypatch):
+    # swapping the first two labels of each image breaks its increasing
+    # labelling: the image is a FAIL line, not an input error from the inverse
+    chain = bijections._chain
+
+    def swapped(code):
+        word, labels, colors = chain(code)
+        return word, labels[1::-1] + labels[2:], colors
+
+    monkeypatch.setattr(bijections, "_chain", swapped)
+    code, out, err = run(capsys, "bijection", "free", "--max-m", "3")
+    assert (code, err) == (1, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(fails) == 2 + 6
+    assert all("image not a valid colored tree" in line for line in fails)
 
 
 def test_verify_bijection_suite(capsys):

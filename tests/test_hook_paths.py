@@ -9,7 +9,9 @@ These tests pin each to the route it replaced: ``word_hook_lengths`` per
 word, one ``Fraction`` product per ``OrderedTree``, bucket hook-lengths
 from the subtree objects, and the frozenset labelling generator, with the
 sibling-sorted labellings pinned to that generator's output filtered after
-generation.  Hypothesis runs with a fixed seed.
+generation.  The cores that take sizes 1..N, with one solve and one factor
+table, are pinned to a solve and a per-tree loop at each size.  Hypothesis
+runs with a fixed seed.
 """
 from fractions import Fraction as F
 from math import factorial
@@ -20,10 +22,21 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from inctrees import hooks, trees
 from inctrees.hooks import (
+    HookIdentityReport,
     generic_hook_weight_sum,
+    generic_hook_weight_sums,
     hook_sum_bucket,
     hook_sum_k_labelled,
     hook_sum_k_tuple,
+    hook_sums_bucket,
+    hook_sums_k_labelled,
+    hook_sums_k_tuple,
+)
+from inctrees.solvers import (
+    solve_free_multilabelled,
+    solve_k_labelled,
+    solve_k_tuple,
+    solve_unilabelled_bilabelled,
 )
 from inctrees.trees import (
     _label_blocks,
@@ -43,6 +56,13 @@ rho_coefficient = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F), signed_fra
 poly_weights = st.lists(weight_fraction, min_size=1, max_size=8).map(
     lambda cs: DegreeWeights.polynomial([cs[0] or F(1)] + cs[1:])
 )
+
+
+def value(coeffs, h):
+    """The polynomial with coefficients ``coeffs`` (constant first) at h."""
+    return sum(c * h**i for i, c in enumerate(coeffs))
+
+
 RHO_FAMILIES = {
     "ordered": DegreeWeights.bundled(1),
     "binary": DegreeWeights.polynomial([1, 2, 1]),
@@ -110,7 +130,7 @@ def test_folds_make_no_fraction_arithmetic(monkeypatch):
             return _operation(*args)
 
         monkeypatch.setattr(F, name, counted)
-    assert hooks._tree_sum(weights, 10, factor) == want_tree
+    assert list(hooks._tree_sum(weights, [10], factor)) == [want_tree]
     assert hooks._fold(phi[:8], [(None, counts)], 8, factorial(8), lambda _: 1) == want_bucket
     assert calls == []
 
@@ -151,9 +171,6 @@ def test_k_tuple_sum_at_k_3000_equals_per_tree_loop(weights, n):
 @example("binary", [-2, 1], [0, 1], 8)  # rho(1) < 0, rho(2) = 0
 @example("strict-binary", [F(-3, 2)], [1, 1], 7)
 def test_rho_sum_equals_per_tree_loop(family, num, den, n):
-    def value(coeffs, h):
-        return sum(c * h**i for i, c in enumerate(coeffs))
-
     assume(all(value(den, h) != 0 for h in range(1, n + 1)))
     rho = {h: F(value(num, h)) / value(den, h) for h in range(1, n + 1)}
     want, _ = oracle.tree_hook_sum(RHO_FAMILIES[family], n, rho)
@@ -168,6 +185,59 @@ def test_rho_sum_equals_per_tree_loop(family, num, den, n):
 def test_bucket_sum_equals_per_tree_loop(weights, m, max_bucket):
     report = hook_sum_bucket(weights, m, max_bucket)
     assert (report.lhs, report.trees_visited) == oracle.bucket_hook_sum(weights, m, max_bucket)
+
+
+@given(poly_weights, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=8), st.sampled_from([None, 2]))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example(DegreeWeights.polynomial([F(1, 2), 0, 3, F(2, 7)]), 3, 8, None)
+@example(DegreeWeights.polynomial([2, 0, F(5, 3), 1]), 2, 8, 2)
+def test_one_pass_reports_equal_per_size_route(weights, k, top, max_bucket):
+    # one solve and one factor table for sizes 1..top, against a solve to
+    # each size n and the per-tree loops
+    sizes = range(1, top + 1)
+    want_labelled, want_ktuple, want_bucket = [], [], []
+    for n in sizes:
+        lhs, seen = oracle.tree_hook_sum(
+            weights, n, {h: F(1, falling_factorial(k * h, k)) for h in range(1, n + 1)}
+        )
+        rhs = solve_k_labelled(weights, k, n)[n] / factorial(k * n)
+        want_labelled.append(HookIdentityReport(f"k-labelled(k={k})", n, lhs, rhs, seen))
+        lhs, seen = oracle.tree_hook_sum(weights, n, {h: F(1, h**k) for h in range(1, n + 1)})
+        rhs = solve_k_tuple(weights, k, n)[n] / F(factorial(n)) ** k
+        want_ktuple.append(HookIdentityReport(f"k-tuple(k={k})", n, lhs, rhs, seen))
+        lhs, seen = oracle.bucket_hook_sum(weights, n, max_bucket)
+        if max_bucket is None:
+            scheme, rhs = "bucket-free", solve_free_multilabelled(weights, n)[n]
+        else:
+            scheme, rhs = "bucket-uni-bi", solve_unilabelled_bilabelled(weights, n)[n]
+        want_bucket.append(HookIdentityReport(scheme, n, lhs, rhs / factorial(n), seen))
+    assert hook_sums_k_labelled(weights, k, sizes) == want_labelled
+    assert hook_sums_k_tuple(weights, k, sizes) == want_ktuple
+    assert hook_sums_bucket(weights, sizes, max_bucket) == want_bucket
+
+
+@given(st.sampled_from(sorted(RHO_FAMILIES)),
+       st.lists(rho_coefficient, min_size=1, max_size=3),
+       st.lists(signed_fraction, min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example("binary", [1, 1], [0, 1], 8)  # rho = 1 + 1/h
+def test_one_pass_rho_sums_equal_per_size_route(family, num, den, top):
+    assume(all(value(den, h) != 0 for h in range(1, top + 1)))
+    want = [
+        oracle.tree_hook_sum(
+            RHO_FAMILIES[family], n, {h: F(value(num, h)) / value(den, h) for h in range(1, n + 1)}
+        )[0]
+        for n in range(1, top + 1)
+    ]
+    assert generic_hook_weight_sums(family, num, den, range(1, top + 1)) == want
+
+
+def test_one_size_builds_only_its_census(fresh_censuses):
+    hook_sum_k_labelled(DegreeWeights.parse("exp"), 2, 12)
+    hooks._census(12)
+    assert hooks._census.cache_info()[:4] == (1, 1, None, 1)  # hits, misses, maxsize, currsize
 
 
 @pytest.mark.parametrize("max_bucket", [None, 2])

@@ -11,7 +11,9 @@ from the reversal's own power table.  The body of
 ``solvers.first_order_invariant_check`` names none of the engine's helpers,
 so it stays a second route for the counts the engine solves: it checks
 them on a binomial power table of its own.  ``solvers.py`` imports no
-``Series``, since both the engine and the check run on the counts.  In
+``Series``, since both the engine and the check run on the counts.
+``cli.py`` names no hook sum of one size, so each ``hook`` command and
+hook check solves once for all its sizes.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
 itself by name or as an attribute, so every tree converts at any depth.
 Every dataclass there with a ``children`` field is declared ``eq=False``
@@ -122,6 +124,44 @@ def test_engine_name_is_found():
         "    return _table_columns\n"
     )
     assert engine_names(source, "first_order_invariant_check") == ["_convolution_weights", "_online"]
+
+
+# hooks.py's functions of one size; cli.py calls the cores that take the
+# sizes 1..N, so one command solves once and builds one factor table
+PER_SIZE_HOOK_SUMS = {
+    "hook_sum_k_labelled", "hook_sum_k_tuple", "hook_sum_bucket", "generic_hook_weight_sum",
+}
+
+
+def names_of(source: str, wanted):
+    """Names among ``wanted`` that occur as ``f``, ``x.f`` or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return sorted(found & wanted)
+
+
+def test_cli_names_no_per_size_hook_sum():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "hook_sums_k_labelled" in source
+    assert names_of(source, PER_SIZE_HOOK_SUMS) == []
+
+
+def test_per_size_hook_sum_is_found():
+    source = (
+        "from .hooks import hook_sum_bucket\n"
+        "report = hooks.hook_sum_k_tuple(w, 2, n)\n"
+        "run = generic_hook_weight_sum\n"
+        "reports = hooks.hook_sums_k_labelled(w, 2, sizes)\n"
+    )
+    assert names_of(source, PER_SIZE_HOOK_SUMS) == [
+        "generic_hook_weight_sum", "hook_sum_bucket", "hook_sum_k_tuple",
+    ]
 
 
 def test_unused_import_is_found():
