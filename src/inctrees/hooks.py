@@ -9,20 +9,19 @@ solvers — two fully independent computation paths, compared exactly.
 Each kind has one core over sizes 1..N (``hook_sums_*``,
 ``generic_hook_weight_sums``): it checks N's capacity, then solves to N once
 and builds the phi prefix and the per-hook factor table once; a function of
-one size calls it with that size alone.  The sums walk degree words, which
-the word generator yields with their hook-lengths: a per-node sum reads the
-size's census of tree counts per (hook-length multiplicities, sorted
-out-degrees), and a bucket sum the label count's census of integer
-labelling counts per sorted out-degrees, over the words of
-``trees._bucket_words``; both are cached per process.  One integer fold
-(:func:`_fold`) sums either census: phi is scaled by the lcm of its
-denominators, the hook products share one denominator per size and are
-formed once per hook multiset of nonzero weight, and one ``Fraction`` is
-built per sum.  ``trees_visited`` is the number of words behind a sum.
+one size calls it with that size alone.  A per-node sum reads the size's
+census of tree counts per (hook-length multiplicities, sorted out-degrees),
+and a bucket sum the label count's census of integer labelling counts per
+sorted out-degrees.  Each is decoded from the packed codes that ``trees``
+grafts, one per tree (and bucket function), and cached per process.  One
+integer fold (:func:`_fold`) sums either census: phi is scaled by the lcm
+of its denominators, the hook products share one denominator per size and
+are formed once per hook multiset of nonzero weight, and one ``Fraction``
+is built per sum.  ``trees_visited`` is the number of trees behind a sum.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -38,9 +37,10 @@ from .solvers import (
     solve_unilabelled_bilabelled,
 )
 from .trees import (
-    _bucket_count,
-    _bucket_words,
-    _words,
+    _bucket_codes,
+    _tree_codes,
+    _unpack,
+    catalan,
     check_capacity,
     falling_factorial,
 )
@@ -51,40 +51,33 @@ MAX_HOOK_BUCKET_TOTAL = 8
 
 
 @cache
+def _spread(multiplicities) -> Tuple[int, ...]:
+    """The sorted out-degrees with these multiplicities of 0, 1, 2, ..."""
+    return tuple(d for d, e in enumerate(multiplicities) for _ in range(e))
+
+
+@cache
 def _census(n: int):
     """The size-n plane trees as (hook multiplicities, ((sorted out-degrees,
     tree count), ...)) groups, where the multiplicities count the nodes of
     hook-length 1..n; the number of trees; and per hook-length the most nodes
     of that hook-length in one tree."""
-    by_degrees = defaultdict(Counter)
-    for word, hooks in _words(n):
-        by_degrees[tuple(sorted(word))][tuple(sorted(hooks))] += 1
-    # regrouped by hook multiset: a few dozen Counters while counting, not thousands
-    groups = defaultdict(list)
-    for degrees, hook_counts in by_degrees.items():
-        for hooks, count in hook_counts.items():
-            groups[hooks].append((degrees, count))
-    census = tuple(
-        (tuple(map(hooks.count, range(1, n + 1))), tuple(degree_counts))
-        for hooks, degree_counts in groups.items()
-    )
-    visited = sum(count for _, degree_counts in census for _, count in degree_counts)
-    most = tuple(map(max, zip(*(mults for mults, _ in census))))
-    return census, visited, most
+    codes, groups = _tree_codes(n), defaultdict(list)
+    for code, count in codes.items():
+        degrees, hooks = _unpack(code, n)
+        groups[hooks].append((_spread(degrees), count))
+    census = tuple((tuple(hooks), tuple(degree_counts)) for hooks, degree_counts in groups.items())
+    return census, sum(codes.values()), tuple(map(max, zip(*groups)))
 
 
 @cache
 def _bucket_census(m: int, max_bucket: Optional[int]):
     """The plane trees with m labels in buckets of at most max_bucket (None:
     unbounded) as (sorted out-degrees, summed integer labelling counts)
-    pairs, and the number of degree words visited."""
-    counts, visited = Counter(), 0
-    for word, hooks, bucket_functions in _bucket_words(m, max_bucket or m):
-        visited += 1
-        counts[tuple(sorted(word))] += sum(
-            _bucket_count(word, hooks, buckets) for buckets in bucket_functions
-        )
-    return tuple(counts.items()), visited
+    pairs, and the number of trees behind them, of ceil(m/max_bucket)..m nodes."""
+    counts = _bucket_codes(m, max_bucket).items()
+    census = tuple((_spread(_unpack(code, m)[0]), count) for code, count in counts)
+    return census, sum(map(catalan, range(-(-m // (max_bucket or m)) - 1, m)))
 
 
 def _fold(phi: Sequence[Fraction], groups, size: int, denominator: int, value) -> Fraction:

@@ -20,12 +20,13 @@ and its repr writes its text (:class:`_Node`), so they take any depth too.
 One enumerator yields the trees as degree words with their hook-lengths,
 cached up to size ``_MEMO_SIZE_LIMIT`` and streamed beyond it: grafting a
 first subtree onto the root of a rest tree keeps every hook-length but the
-root's.  Hook sums read the words and hook-lengths;
-:class:`OrderedTree` objects are built from them only for text and
-label-count checks.  Labellings come from one flat backtracking generator
-that skips every branch that cannot be completed.  :func:`_bucket_words`
-states once which trees can hold m labels, at most cap per node, and
-:func:`_bucket_functions` their bucket sizes, as cut points.
+root's.  The hook sums' censuses graft packed codes instead, one int per
+tree with a field per hook-length and out-degree that counts its nodes
+(:func:`_tree_codes`), or per tree and bucket function, with its labelling
+count (:func:`_bucket_codes`).  Labellings come from one flat backtracking
+generator that skips every branch that cannot be completed.
+:func:`_bucket_words` states which trees can hold m labels, at most cap
+per node, and :func:`_bucket_functions` their bucket sizes, as cut points.
 
 One formula counts increasing labellings (:func:`_bucket_count`): a tree
 with bucket sizes b_i has m! / prod (bucket hook-length)_i falling b_i.  A
@@ -51,10 +52,11 @@ from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, chain, combinations, repeat
 from math import comb, factorial, perm
 from operator import sub
 from typing import Iterator, Optional, Sequence, Tuple
@@ -463,3 +465,78 @@ def _bucket_words(m: int, cap: int):
     for size in range(-(-m // cap) if m > 0 else 1, m + 1):
         for word, hooks in _words(size):
             yield word, hooks, _bucket_functions(size, m, cap)
+
+
+# -- packed multiset codes -------------------------------------------------
+
+_code_tables: dict = {}  # unit: tree codes per size; (unit, cap): bucket items per total
+
+
+def _field_bytes(n: int) -> int:
+    """Bytes per field of a code of trees with at most n nodes.  A code adds
+    unit**(2d) per node of out-degree d and unit**(2h - 1) per node of
+    hook-length h, unit = 256**bytes, so a field holds a multiplicity up to n."""
+    return (n.bit_length() + 7) // 8
+
+
+def _unpack(code: int, n: int):
+    """The multiplicities of out-degrees 0..n-1 and of hook-lengths 1..n in
+    a code of trees with at most n nodes, as bytes or tuples."""
+    b = _field_bytes(n)
+    fields = code.to_bytes(2 * n * b, "little")
+    if b > 1:
+        fields = tuple(int.from_bytes(fields[i : i + b], "little") for i in range(0, 2 * n * b, b))
+    return fields[0::2], fields[1::2]
+
+
+def _grafts(table, n: int, unit: int):
+    """(root degree, codes) runs with each size-n plane tree once: a first
+    subtree of size k on the root of a rest tree of root degree r - 1 adds
+    the codes and moves the root's hook-length to n and its out-degree to r."""
+    for k, firsts in enumerate(table[1:n], 1):
+        hook = unit ** (2 * n - 1) - unit ** (2 * n - 2 * k - 1)
+        for r, rest in enumerate(table[n - k], 1):
+            move = hook + unit ** (2 * r) - unit ** (2 * r - 2)
+            yield r, [f + c for f in map(move.__add__, chain(*firsts)) for c in rest]
+
+
+def _tree_codes(n: int) -> Counter:
+    """How many size-n plane trees have each code, one code per tree.  Sizes
+    below n are built bottom-up and kept per root degree; size n is only
+    counted, so a pass over sizes 1..N builds size N - 1 twice."""
+    unit = 256 ** _field_bytes(n)
+    table = _code_tables.setdefault(unit, [None, [[1 + unit]]])
+    for size in range(len(table), n):
+        table.append([[] for _ in range(size)])
+        for r, run in _grafts(table, size, unit):
+            table[size][r] += run
+    runs = table[n] if n < len(table) else (run for _, run in _grafts(table, n, unit))
+    return Counter(chain.from_iterable(runs))
+
+
+def _bucket_codes(m: int, cap: Optional[int]) -> Counter:
+    """Increasing labelling counts per out-degree code, summed over the plane
+    trees and their bucket-size functions of total m, buckets at most cap
+    (None: unbounded).  Items carry D, the product over non-root nodes of
+    (bucket hook-length) falling (bucket size): a first item of total t and
+    root bucket b on a rest item makes D = D_first (t)_b D_rest, so each
+    count m! / (D (m)_b) is :func:`_bucket_count`'s, checked integral."""
+    unit = 256 ** _field_bytes(m)
+    table = _code_tables.setdefault((unit, cap), [None])
+    for total in range(len(table), m + 1):
+        items = [(1, 1, 0, total)] if cap is None or total <= cap else []
+        for t in range(1, total):
+            firsts = [(code, d * perm(t, b)) for code, d, _, b in table[t]]
+            items += [(c + f + unit ** (2 * r + 2) - unit ** (2 * r), d * e, r + 1, b)
+                      for c, d, r, b in table[total - t] for f, e in firsts]
+        table.append(items)
+    labels, counts = factorial(m), Counter()
+    for code, d, _, b in table[m]:
+        count, rem = divmod(labels, d * perm(m, b))
+        if rem:  # the words name the tree
+            for word, hooks, functions in _bucket_words(m, cap or m):
+                for buckets in functions:
+                    _bucket_count(word, hooks, buckets)
+            raise ArithmeticError(f"a bucket labelling count with {m} labels is not integral")
+        counts[code] += count
+    return counts

@@ -10,7 +10,9 @@ the engine solves for the integers T_n with its own convolution weights and
 Bell table.  Here are also the per-tree ``Fraction`` loops over
 ``OrderedTree`` objects that the hook sums used before degree words and the
 census, with the labelling generator that kept its free labels in a
-frozenset; and the bijection objects built per labelling from
+frozenset; the hook-sum censuses built by walking degree words, as before
+the package grafted packed codes (:func:`word_census`,
+:func:`word_bucket_census`); and the bijection objects built per labelling from
 ``OrderedTree`` recursion, with unordered trees filtered after generation
 and colorings as one product over the colorable positions; and the chain
 and split maps with their inverses as recursions over
@@ -28,7 +30,9 @@ keep N small.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import factorial
 from typing import Iterator, Optional, Sequence, Tuple
@@ -39,6 +43,9 @@ from inctrees.series import Series
 from inctrees.solvers import InvariantReport
 from inctrees.trees import (
     OrderedTree,
+    _bucket_count,
+    _bucket_words,
+    _words,
     enumerate_bucket_functions,
     enumerate_ordered_trees,
     falling_factorial,
@@ -296,6 +303,42 @@ def bucket_hook_sum(
                     term /= falling_factorial(sum(buckets[i : i + node.size]), b)
                 lhs += term
     return lhs, visited
+
+
+# -- censuses by walking degree words --------------------------------------
+
+
+@cache
+def word_census(n: int):
+    """``hooks._census`` as it was built from degree words: per word, its
+    sorted hook-lengths and sorted out-degrees, regrouped by hook multiset."""
+    by_degrees = defaultdict(Counter)
+    for word, hooks in _words(n):
+        by_degrees[tuple(sorted(word))][tuple(sorted(hooks))] += 1
+    groups = defaultdict(list)
+    for degrees, hook_counts in by_degrees.items():
+        for hooks, count in hook_counts.items():
+            groups[hooks].append((degrees, count))
+    census = tuple(
+        (tuple(map(hooks.count, range(1, n + 1))), tuple(degree_counts))
+        for hooks, degree_counts in groups.items()
+    )
+    visited = sum(count for _, degree_counts in census for _, count in degree_counts)
+    most = tuple(map(max, zip(*(mults for mults, _ in census))))
+    return census, visited, most
+
+
+@cache
+def word_bucket_census(m: int, max_bucket: Optional[int]):
+    """``hooks._bucket_census`` as it was built from degree words: each
+    word's bucket functions counted one by one with ``_bucket_count``."""
+    counts, visited = Counter(), 0
+    for word, hooks, bucket_functions in _bucket_words(m, max_bucket or m):
+        visited += 1
+        counts[tuple(sorted(word))] += sum(
+            _bucket_count(word, hooks, buckets) for buckets in bucket_functions
+        )
+    return tuple(counts.items()), visited
 
 
 # -- labellings with the free labels in a frozenset --------------------------

@@ -1,20 +1,24 @@
-"""The degree-word hook sums against the per-tree loops in ``oracle.py``.
+"""The hook sums and their censuses against the slower routes in ``oracle.py``.
 
 The word generator yields each word with its hook-lengths, and
 ``hooks._tree_sum`` and ``hook_sum_bucket`` fold a census cached per size
 (per label count) in ints: phi scaled by the lcm of its denominators, hook
-products over one denominator per size, and one ``Fraction`` per sum.
-``_label_blocks`` is a flat backtracking generator of sorted label blocks.
-These tests pin each to the route it replaced: ``word_hook_lengths`` per
-word, one ``Fraction`` product per ``OrderedTree``, bucket hook-lengths
-from the subtree objects, and the frozenset labelling generator, with the
-sibling-sorted labellings pinned to that generator's output filtered after
-generation.  The cores that take sizes 1..N, with one solve and one factor
-table, are pinned to a solve and a per-tree loop at each size.  Hypothesis
-runs with a fixed seed.
+products over one denominator per size, and one ``Fraction`` per sum.  The
+censuses are decoded from packed codes that ``trees`` grafts subtree by
+subtree.  ``_label_blocks`` is a flat backtracking generator of sorted label
+blocks.  These tests pin each to the route it replaced: ``word_hook_lengths``
+per word, the censuses built by walking degree words, one ``Fraction``
+product per ``OrderedTree``, bucket hook-lengths from the subtree objects,
+and the frozenset labelling generator, with the sibling-sorted labellings
+pinned to that generator's output filtered after generation.  The cores
+that take sizes 1..N, with one solve and one factor table, are pinned to a
+solve and a per-tree loop at each size.  The code fields are pinned at
+multiplicity n - 1.  Hypothesis runs with a fixed seed.
 """
+from collections import Counter
 from fractions import Fraction as F
 from math import factorial
+from unittest import mock
 
 import oracle
 import pytest
@@ -97,14 +101,105 @@ def fresh_censuses():
 
 
 def test_censuses_do_not_rescan_words(monkeypatch, fresh_censuses):
-    def rescan(word):
-        raise AssertionError("word_hook_lengths called by a census")
+    # the censuses graft packed codes from empty tables and walk no words
+    def rescan(*args):
+        raise AssertionError("a census walked degree words")
 
-    monkeypatch.setattr(trees, "word_hook_lengths", rescan)
+    for name in ("_words", "_build_words", "_bucket_words", "word_hook_lengths"):
+        monkeypatch.setattr(trees, name, rescan)
     monkeypatch.setattr(hooks, "word_hook_lengths", rescan, raising=False)
+    monkeypatch.setattr(trees, "_code_tables", {})
     assert hooks._census(9)[1] == 1430
     assert hooks._bucket_census(7, None)[1] == sum(trees.catalan(s - 1) for s in range(1, 8))
     assert hooks._bucket_census(7, 2)[1] == sum(trees.catalan(s - 1) for s in range(4, 8))
+
+
+def census_groups(census):
+    """The census groups as one multiset of (key, sorted out-degrees, count)."""
+    return Counter(
+        (key, degrees, count) for key, degree_counts in census for degrees, count in degree_counts
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_graft_census_equals_word_census(n):
+    groups, visited, most = hooks._census(n)
+    want_groups, want_visited, want_most = oracle.word_census(n)
+    assert census_groups(groups) == census_groups(want_groups)
+    assert len(groups) == len(want_groups)  # one group per hook multiset
+    assert (visited, most) == (want_visited, want_most)
+    assert visited == trees.catalan(n - 1)
+
+
+@pytest.mark.parametrize("max_bucket", [None, 2])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_graft_bucket_census_equals_word_census(m, max_bucket):
+    counts, visited = hooks._bucket_census(m, max_bucket)
+    want_counts, want_visited = oracle.word_bucket_census(m, max_bucket)
+    assert Counter(counts) == Counter(want_counts)
+    assert len(counts) == len(want_counts)  # one pair per out-degree multiset
+    assert visited == want_visited
+
+
+@given(poly_weights, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=9), st.sampled_from([None, 2]))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(DegreeWeights.polynomial([F(1, 2), 0, 3, F(2, 7)]), 3, 9, None)
+@example(DegreeWeights.polynomial([2, 0, F(5, 3), 1]), 2, 8, 2)
+def test_reports_equal_word_census_reports(weights, k, top, max_bucket):
+    # the same cores, once on the graft censuses and once on the word routes
+    sizes, labels = range(1, top + 1), range(1, min(top, 8) + 1)
+
+    def run():
+        return [
+            [(r.lhs, r.trees_visited) for r in reports] for reports in (
+                hook_sums_k_labelled(weights, k, sizes),
+                hook_sums_k_tuple(weights, k, sizes),
+                hook_sums_bucket(weights, labels, max_bucket),
+            )
+        ]
+
+    grafted = run()
+    with mock.patch.object(hooks, "_census", oracle.word_census), \
+            mock.patch.object(hooks, "_bucket_census", oracle.word_bucket_census):
+        assert grafted == run()
+
+
+def grown(n: int, root_degree, unit: int) -> int:
+    """The code of the size-n star (root_degree n - 1) or path (1), grafted
+    size by size through ``trees._grafts`` on tables that hold only the leaf
+    and the last size of that shape: a leaf on the root of the star, or the
+    path as the only child of a leaf."""
+    table = [None, [[1 + unit]]]
+    for size in range(2, n + 1):
+        want = root_degree(size)
+        (code,) = [c for r, run in trees._grafts(table, size, unit) if r == want for c in run]
+        table.append([[code] if r == want else [] for r in range(size)])
+        if size > 2:
+            table[size - 1] = []
+    return table[n][root_degree(n)][0]
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 257])  # 257: a second byte per field
+def test_codes_hold_multiplicity_n_minus_1(n):
+    # a star has n - 1 leaves of hook-length 1; a path n - 1 nodes of out-degree 1
+    unit = 256 ** trees._field_bytes(n)
+    degrees, hook_counts = trees._unpack(grown(n, lambda size: size - 1, unit), n)
+    assert list(degrees) == [n - 1] + [0] * (n - 2) + [1]
+    assert list(hook_counts) == [n - 1] + [0] * (n - 2) + [1]
+    degrees, hook_counts = trees._unpack(grown(n, lambda size: 1, unit), n)
+    assert list(degrees) == [1, n - 1] + [0] * (n - 2)
+    assert list(hook_counts) == [1] * n
+
+
+def test_field_bytes_hold_any_size():
+    assert [trees._field_bytes(n) for n in (1, 255, 256, 65535, 65536)] == [1, 1, 2, 2, 3]
+    n = 70000  # three bytes per field: the star's counts, set by hand, read back
+    unit = 256**3
+    code = (n - 1) + unit ** (2 * (n - 1)) + (n - 1) * unit + unit ** (2 * n - 1)
+    degrees, hook_counts = trees._unpack(code, n)
+    assert (degrees[0], degrees[-1], sum(degrees)) == (n - 1, 1, n)
+    assert (hook_counts[0], hook_counts[-1], sum(hook_counts)) == (n - 1, 1, n)
 
 
 FRACTION_OPERATIONS = (

@@ -70,10 +70,10 @@ def test_bucket_rejects_zero_labels():
 
 
 def test_bucket_rejects_other_bucket_caps(monkeypatch):
-    def no_words(*args):
-        raise AssertionError("trees enumerated before max_bucket was checked")
+    def no_tables(*args):
+        raise AssertionError("bucket codes grafted before max_bucket was checked")
 
-    monkeypatch.setattr(hooks, "_bucket_words", no_words)
+    monkeypatch.setattr(hooks, "_bucket_codes", no_tables)
     for cap in (0, 1, 3):
         with pytest.raises(ValueError, match="max_bucket"):
             hook_sum_bucket(EXP, 8, max_bucket=cap)
@@ -94,6 +94,14 @@ def test_non_integral_bucket_count_names_tree_and_buckets(monkeypatch, fresh_buc
         ArithmeticError,
         match=r"bucket labelling count of \(\(\)\) with buckets \(2, 2\) is not integral",
     ):
+        hook_sum_bucket(EXP, 4, max_bucket=2)
+
+
+def test_non_integral_bucket_count_raises_when_no_word_names_it(monkeypatch, fresh_bucket_census):
+    # the graft route checks every count; if the words then find none, it still raises
+    monkeypatch.setattr(trees, "factorial", lambda n: factorial(n) + 1)
+    monkeypatch.setattr(trees, "_bucket_count", lambda *args: 1)
+    with pytest.raises(ArithmeticError, match="count with 4 labels is not integral"):
         hook_sum_bucket(EXP, 4, max_bucket=2)
 
 

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, the reversal
 takes nothing from the engine but its entry point, the first-integral check
-names no engine helper, and the tree modules do not recurse.
+names no engine helper, the hook sums name no word generator, and the tree
+modules do not recurse.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with the standard library: every name bound by an import must occur
@@ -13,7 +14,8 @@ so it stays a second route for the counts the engine solves: it checks
 them on a binomial power table of its own.  ``solvers.py`` imports no
 ``Series``, since both the engine and the check run on the counts.
 ``cli.py`` names no hook sum of one size, so each ``hook`` command and
-hook check solves once for all its sizes.  In
+hook check solves once for all its sizes.  ``hooks.py`` names no word
+generator of ``trees.py``, so no census walks degree words again.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
 itself by name or as an attribute, so every tree converts at any depth.
 Every dataclass there with a ``children`` field is declared ``eq=False``
@@ -161,6 +163,28 @@ def test_per_size_hook_sum_is_found():
     )
     assert names_of(source, PER_SIZE_HOOK_SUMS) == [
         "generic_hook_weight_sum", "hook_sum_bucket", "hook_sum_k_tuple",
+    ]
+
+
+# trees.py's word generators: the hook censuses graft packed codes instead
+WORD_GENERATORS = {"_words", "_bucket_words", "enumerate_degree_words"}
+
+
+def test_hooks_name_no_word_generator():
+    source = (PACKAGE / "hooks.py").read_text(encoding="utf-8")
+    assert "_tree_codes" in source
+    assert names_of(source, WORD_GENERATORS) == []
+
+
+def test_word_generator_is_found():
+    source = (
+        "from .trees import _bucket_words, check_capacity\n"
+        "pairs = trees._words(n)\n"
+        "words = enumerate_degree_words\n"
+        "codes = trees._tree_codes(n)\n"
+    )
+    assert names_of(source, WORD_GENERATORS) == [
+        "_bucket_words", "_words", "enumerate_degree_words",
     ]
 
 
