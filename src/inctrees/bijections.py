@@ -13,8 +13,7 @@ Two maps, each with its inverse and an exhaustive verifier:
   into two siblings and its parent is marked black.
 
 Unordered trees are represented as ordered trees in canonical form: the
-children of every node sorted by their smallest label, ascending, which the
-labelling generator of ``trees`` keeps as it goes.
+children of every node sorted by their smallest label, ascending.
 
 Internally an object is a preorder code on its tree's out-degree word:
 ``(word, blocks)`` multilabelled, ``(word, labels, colors)`` colored.  All
@@ -22,6 +21,26 @@ work on codes is loops, not recursion, and hashing is on flat tuples.
 :class:`MultiTree` and :class:`ColoredTree` are the public form, converted
 at the boundary by the code and text layer of ``trees`` (``_code``,
 ``_fold``, ``_scan``, ``_write``), which serves every tree class.
+
+Objects are grown by their largest label (:func:`_levels`): the codes with
+m labels come from those with m - 1 by putting label m at the end of a
+leaf's block below the cap, or in a new leaf, at any gap among a node's
+children (ordered schemes) or after its last child (unordered schemes,
+whose siblings stay sorted).  Taking the largest label away undoes the
+step, so each object is made once.  The enumerators sort a level into the
+canonical order: tree size, the plane tree's canonical order (preorder
+hook-lengths), block sizes, blocks; colorings white before black, the
+first node in preorder varying slowest.  The verifier reads the levels as
+grown.
+
+Each map caches a plan per input shape: the word and block sizes of a
+multilabelled code, the word and colors of a colored one.  The plan holds
+the image's word and colors, where each image label comes from, and which
+label each label must exceed.  Per object a map flattens the labels,
+checks that they are 1..m and exceed those labels, and gathers the image
+with one ``itemgetter``.  An input its plan refuses goes through the
+detailed validator (``_check_multi`` or ``_check_colored``), which words
+the error.
 
 Text encodings (each class's ``to_text`` and ``parse``)::
 
@@ -33,22 +52,14 @@ Enumeration capacity is m <= 7 by default (INCTREE_CAPACITY overrides).
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, product
+from functools import lru_cache
+from itertools import accumulate, chain, count, islice, product
+from operator import itemgetter, lt, sub
 from typing import Iterator, Tuple
 
-from .trees import (
-    _bucket_words,
-    _code,
-    _fold,
-    _label_blocks,
-    _Node,
-    _scan,
-    _shape,
-    _write,
-    check_capacity,
-)
+from .trees import _code, _fold, _Node, _scan, _shape, _write, check_capacity, word_hook_lengths
 
 MAX_OBJECT_LABELS = 7
 
@@ -167,36 +178,119 @@ def validate_colored(t: ColoredTree, black_degrees: str) -> int:
     return _check_colored(_code(t), black_degrees)
 
 
+# -- per-shape map plans -----------------------------------------------------
+#
+# A plan is a tuple: first the validity test (want, preds) of the input
+# labels, then what the map needs to build the image.  It is None for a
+# shape no labelling makes valid.
+
+
+def _items(indices):
+    """seq -> tuple of its items at indices (ints or slices), any number of them."""
+    if len(indices) == 1:
+        return lambda seq, i=indices[0]: (seq[i],)
+    return itemgetter(*indices) if indices else lambda seq: ()
+
+
+def _test(preds):
+    """The validity test of labels 1..m where label i > 0 in preorder must
+    exceed label preds[i - 1]."""
+    return list(range(1, len(preds) + 2)), _items(preds)
+
+
+def _valid(plan, labels) -> bool:
+    """Whether the labels are 1..m and each exceeds its plan's predecessor."""
+    if plan is None:
+        return False
+    want, preds = plan[0]
+    return sorted(labels) == want and all(map(lt, preds(labels), labels[1:]))
+
+
+def _multi_preds(word, sizes, unibi: bool):
+    """The flat index of the label each flat label but the first must
+    exceed: the previous one of its block, or for a block's first label its
+    parent's last, with ``unibi`` its previous sibling's first if it has one.
+    By transitivity that makes blocks and, with ``unibi``, siblings increase.
+    None for an empty block, or with ``unibi`` a block of more than two."""
+    if not all(sizes) or (unibi and max(sizes) > 2):
+        return None
+    starts = list(accumulate(sizes, initial=0))
+    preds, last_child = [], {}
+    for i, (p, s, b) in enumerate(zip(_shape(word)[0], starts, sizes)):
+        if i:
+            sibling = last_child.get(p) if unibi else None
+            preds.append(starts[p + 1] - 1 if sibling is None else starts[sibling])
+            last_child[p] = i
+        preds += range(s, s + b - 1)
+    return preds
+
+
+def _colored_preds(word, colors, branching: bool):
+    """Each non-root node's parent, whose label it must exceed; None if a
+    node is neither white nor black, or is black at an out-degree other than
+    1 (below 2 when ``branching``)."""
+    if any(c != WHITE and (c != BLACK or (d < 2 if branching else d != 1))
+           for d, c in zip(word, colors)):
+        return None
+    return list(_shape(word)[0][1:])
+
+
+def _cuts(sizes):
+    """labels -> their blocks of consecutive labels with these sizes."""
+    starts = list(accumulate(sizes, initial=0))
+    return _items([slice(a, b) for a, b in zip(starts, starts[1:])])
+
+
 # -- chain map: free multilabelled <-> colored with black unary nodes -----
+
+
+@lru_cache(maxsize=4096)
+def _chain_plan(word, sizes):
+    """(test, image word, image colors)."""
+    preds = _multi_preds(word, sizes, False)
+    if preds is None:
+        return None
+    return (
+        _test(preds),
+        tuple(chain.from_iterable((1,) * (b - 1) + (d,) for d, b in zip(word, sizes))),
+        tuple(chain.from_iterable((BLACK,) * (b - 1) + (WHITE,) for b in sizes)),
+    )
 
 
 def _chain(code):
     """A block l1 < ... < lb under out-degree d becomes b-1 black unary
     nodes, then a white node of out-degree d."""
-    _check_multi(code)
     word, blocks = code
-    out, colors = [], []
-    for d, block in zip(word, blocks):
-        tail = len(block) - 1
-        if tail:
-            out += (1,) * tail
-            colors += (BLACK,) * tail
-        out.append(d)
-        colors.append(WHITE)
-    return tuple(out), tuple(chain.from_iterable(blocks)), tuple(colors)
+    labels = tuple(chain.from_iterable(blocks))
+    plan = _chain_plan(word, tuple(map(len, blocks)))
+    if not _valid(plan, labels):
+        _check_multi(code)
+        raise AssertionError("the chain plan refused a valid tree")
+    return plan[1], labels, plan[2]
+
+
+@lru_cache(maxsize=4096)
+def _unchain_plan(word, colors):
+    """(test, image word, labels -> image blocks)."""
+    preds = _colored_preds(word, colors, False)
+    if preds is None:
+        return None
+    ends = [i for i, c in enumerate(colors) if c == WHITE]
+    return (
+        _test(preds),
+        tuple(word[i] for i in ends),
+        _cuts(list(map(sub, ends, [-1] + ends[:-1]))),
+    )
 
 
 def _unchain(code):
     """Each run of black nodes and the white node ending it become one block."""
-    _check_colored(code, "unary")
-    word, blocks, run = [], [], []
-    for d, label, color in zip(*code):
-        run.append(label)
-        if color == WHITE:
-            word.append(d)
-            blocks.append(tuple(run))
-            run = []
-    return tuple(word), tuple(blocks)
+    word, labels, colors = code
+    plan = _unchain_plan(word, colors)
+    if not _valid(plan, labels):
+        _check_colored(code, "unary")
+        raise AssertionError("the unchain plan refused a valid tree")
+    return plan[1], plan[2](labels)
 
 
 def multi_to_colored(t: MultiTree) -> ColoredTree:
@@ -212,49 +306,88 @@ def colored_to_multi(t: ColoredTree) -> MultiTree:
 # -- split map: one-or-two labels <-> colored with black branching nodes --
 
 
-def _split(code):
-    """Split map from a stack of pending (label, input children): at the
-    first child (a, b), a takes the later siblings, b that child's children."""
-    _check_multi(code, max_block=2)
-    if not _canonical(code):
-        raise ValueError("children must be sorted ascending by smallest label")
-    word, blocks = code
+@lru_cache(maxsize=4096)
+def _split_plan(word, sizes):
+    """(test, image word, image colors, labels -> image labels, shift), from
+    a stack of pending (label index, input children): at the first child
+    (a, b), a takes the later siblings, b that child's children.  A doubled
+    root drops its label 1, and every other label shifts down by one."""
+    preds = _multi_preds(word, sizes, True)
+    if preds is None:
+        return None
     kids = _shape(word)[1]
-    shift = len(blocks[0]) - 1
-    rows, stack = [], [(blocks[0][-1] - shift, kids[0])]
+    starts = list(accumulate(sizes, initial=0))
+    rows, stack = [], [(starts[1] - 1, kids[0])]
     while stack:
         label, below = stack.pop()
-        first = next((j for j, c in enumerate(below) if len(blocks[c]) == 2), None)
-        items = [(blocks[c][0] - shift, kids[c]) for c in below[:first]]
+        first = next((j for j, c in enumerate(below) if sizes[c] == 2), None)
+        items = [(starts[c], kids[c]) for c in below[:first]]
         if first is not None:
-            low, high = blocks[below[first]]
-            items += [(low - shift, below[first + 1:]), (high - shift, kids[below[first]])]
+            c = below[first]
+            items += [(starts[c], below[first + 1:]), (starts[c] + 1, kids[c])]
         rows.append((len(items), label, WHITE if first is None else BLACK))
         stack.extend(reversed(items))
-    return tuple(zip(*rows)), bool(shift)
+    out, take, colors = zip(*rows)
+    return _test(preds), out, colors, _items(take), sizes[0] - 1
 
 
-def _merge(code, shifted: bool):
-    """Inverse split map from a stack of pending (block, colored node): a black
-    node's last two children join, then the first one's children follow."""
-    _check_colored(code, "branching")
-    word, labels, colors = code
+def _split(code):
+    word, blocks = code
+    labels = tuple(chain.from_iterable(blocks))
+    plan = _split_plan(word, tuple(map(len, blocks)))
+    if not _valid(plan, labels):
+        _check_multi(code, max_block=2)
+        raise ValueError("children must be sorted ascending by smallest label")
+    _, out, colors, take, shift = plan
+    image = take(labels)
+    if shift:
+        image = tuple(x - 1 for x in image)
+    return (out, image, colors), bool(shift)
+
+
+@lru_cache(maxsize=4096)
+def _merge_plan(word, colors, shifted: bool):
+    """(test, image word, labels -> image labels, image labels -> blocks),
+    from a stack of pending (block of node indices, colored node): a black
+    node's last two children join, then the first one's children follow.
+    Those two children's labels must increase too: the later one's label
+    must exceed the earlier one's, which exceeds their parent's."""
+    preds = _colored_preds(word, colors, True)
+    if preds is None:
+        return None
     kids = _shape(word)[1]
-    rows, stack = [], [((1, labels[0] + 1) if shifted else (labels[0],), 0)]
+    rows, stack = [], [((0,), 0)]
     while stack:
         block, node = stack.pop()
         items = []
         while colors[node] == BLACK:
             *rest, left, right = kids[node]
-            if labels[left] >= labels[right]:
-                raise ValueError("split children must carry increasing labels")
-            items += [((labels[c] + shifted,), c) for c in rest]
-            items.append(((labels[left] + shifted, labels[right] + shifted), right))
+            preds[right - 1] = left
+            items += [((c,), c) for c in rest]
+            items.append(((left, right), right))
             node = left
-        items += [((labels[c] + shifted,), c) for c in kids[node]]
+        items += [((c,), c) for c in kids[node]]
         rows.append((len(items), block))
         stack.extend(reversed(items))
-    return tuple(zip(*rows))
+    out, blocks = zip(*rows)
+    sizes = [len(b) for b in blocks]
+    sizes[0] += shifted
+    return _test(preds), out, _items(list(chain(*blocks))), _cuts(sizes)
+
+
+def _merge(code, shifted: bool):
+    """Inverse split map; with ``shifted`` the root gets label 1 back, and
+    every other label shifts up by one."""
+    word, labels, colors = code
+    plan = _merge_plan(word, colors, shifted)
+    if not _valid(plan, labels):
+        _check_colored(code, "branching")
+        raise ValueError("split children must carry increasing labels")
+    _, out, take, cut = plan
+    image = take(labels)
+    if shifted:
+        image = (1, *(x + 1 for x in image))
+    return out, cut(image)
 
 
 def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
@@ -276,34 +409,82 @@ def q_to_unibi(t: ColoredTree, root_was_doubly_labelled: bool) -> MultiTree:
 # -- exhaustive enumeration of objects ------------------------------------
 
 
-def _labelled_codes(m: int, cap: int, sibling_sorted: bool = False):
-    """(word, blocks) of every increasing labelling with m labels, at most
-    cap per node, of every plane tree that can hold them."""
-    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
-    for word, _, bucket_functions in _bucket_words(m, cap):
-        parents = _shape(word)[0]
-        for buckets in bucket_functions:
-            yield from ((word, b) for b in _label_blocks(parents, buckets, sibling_sorted))
+def _places(word, sorted_siblings: bool):
+    """(grown word, preorder index) of each new leaf a tree can take: at
+    every gap among a node's children, or only after its last child when
+    siblings are sorted by smallest label and the leaf's label is the largest."""
+    kids, hooks = _shape(word)[1], word_hook_lengths(word)
+    places = []
+    for v, below in enumerate(kids):
+        grown = word[:v] + (word[v] + 1,) + word[v + 1:]
+        ends = [v + hooks[v]] if sorted_siblings else [v + 1] + [c + hooks[c] for c in below]
+        places += [(grown[:i] + (0,) + grown[i:], i) for i in ends]
+    return places
 
 
-def _colored_codes(m: int, branching: bool):
-    """Per labelling, every coloring of the colorable nodes, white first, the
-    first in preorder varying slowest."""
+def _levels(cap: int, sorted_siblings: bool = False):
+    """The codes (word, blocks) with 1, 2, ... labels, at most cap per node
+    (0: any number), one list per label count in growth order.  Label m
+    joins a code with m - 1 labels at the end of a leaf's block below the
+    cap, or as a new leaf at one of its :func:`_places`.  Label m always
+    sits in a leaf, last in its block, so taking it away undoes the one step
+    that put it there: each code is made once."""
+    level, shapes = [((0,), ((1,),))], {}
+    for m in count(2):
+        yield level
+        new, grown, limit = (m,), [], cap or m
+        for word, blocks in level:
+            if word not in shapes:
+                leaves = [i for i, d in enumerate(word) if not d]
+                shapes[word] = leaves, _places(word, sorted_siblings)
+            leaves, places = shapes[word]
+            grown += [(word, blocks[:i] + (blocks[i] + new,) + blocks[i + 1:])
+                      for i in leaves if len(blocks[i]) < limit]
+            grown += [(w, blocks[:i] + (new,) + blocks[i:]) for w, i in places]
+        level = grown
+
+
+def _colored_levels(branching: bool):
+    """The codes (word, labels, colors) with 1, 2, ... labels: per
+    increasing labelling, every coloring of the colorable nodes (out-degree
+    1, or >= 2 when ``branching``), white first, the first in preorder
+    varying slowest."""
     colorings = {}
-    for word, blocks in _labelled_codes(m, 1, sibling_sorted=branching):
-        if word not in colorings:
-            colorable = [d >= 2 if branching else d == 1 for d in word]
-            colorings[word] = list(product(*((WHITE, BLACK)[:1 + c] for c in colorable)))
-        labels = tuple(label for (label,) in blocks)
-        yield from ((word, labels, colors) for colors in colorings[word])
+    for level in _levels(1, branching):
+        colored = []
+        for word, blocks in level:
+            if word not in colorings:
+                colorable = [d >= 2 if branching else d == 1 for d in word]
+                colorings[word] = list(product(*((WHITE, BLACK)[:1 + c] for c in colorable)))
+            labels = tuple(chain.from_iterable(blocks))
+            colored += [(word, labels, colors) for colors in colorings[word]]
+        yield colored
 
 
-_OBJECT_SCHEMES = {  # scheme: (tree class, codes with m labels)
-    "free-multi": (MultiTree, lambda m: _labelled_codes(m, m)),
-    "unibi": (MultiTree, lambda m: _labelled_codes(m, 2, True)),
-    "colored-unary": (ColoredTree, partial(_colored_codes, branching=False)),
-    "colored-branching": (ColoredTree, partial(_colored_codes, branching=True)),
+_OBJECT_SCHEMES = {  # scheme: (tree class, levels of codes with 1, 2, ... labels)
+    "free-multi": (MultiTree, lambda: _levels(0)),
+    "unibi": (MultiTree, lambda: _levels(2, True)),
+    "colored-unary": (ColoredTree, lambda: _colored_levels(False)),
+    "colored-branching": (ColoredTree, lambda: _colored_levels(True)),
 }
+
+_hooks = lru_cache(maxsize=1024)(word_hook_lengths)
+
+
+def _canonical_order(code):
+    """Sort key of the enumeration order: tree size, the plane tree in its
+    canonical order (preorder hook-lengths), then block sizes and blocks, or
+    labels and colors, white before black."""
+    word, labels, *colors = code
+    if colors:
+        return len(word), _hooks(word), labels, [c == BLACK for c in colors[0]]
+    return len(word), _hooks(word), tuple(map(len, labels)), labels
+
+
+def _sorted_level(levels, m: int):
+    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
+    if m > 0:
+        yield from sorted(next(islice(levels(), m - 1, None)), key=_canonical_order)
 
 
 def enumerate_objects(scheme: str, m: int) -> Iterator:
@@ -311,8 +492,8 @@ def enumerate_objects(scheme: str, m: int) -> Iterator:
     free-multi, unibi, colored-unary, colored-branching."""
     if scheme not in _OBJECT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_OBJECT_SCHEMES)}")
-    make, codes = _OBJECT_SCHEMES[scheme]
-    return (_fold(make, *code) for code in codes(m))
+    make, levels = _OBJECT_SCHEMES[scheme]
+    return (_fold(make, *code) for code in _sorted_level(levels, m))
 
 
 def enumerate_free_multilabelled(m: int) -> Iterator[MultiTree]:
@@ -359,20 +540,25 @@ def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionRe
     """Round trip, injectivity, codomain membership and count equality of a
     map whose image (code, shifted) of an object with m labels lies among
     the targets with m - shifted labels, for each shift in ``shifts``.
-    max_m meets the capacity before any object is enumerated."""
+    max_m meets the capacity before any object is made.  The codomain with
+    m labels is kept as (word, colors) -> label tuples."""
     check_capacity(max_m, MAX_OBJECT_LABELS, "object label count m")
-    objects, targets = (_OBJECT_SCHEMES[scheme][1] for scheme in schemes)
+    objects, targets = (_OBJECT_SCHEMES[scheme][1]() for scheme in schemes)
     failures, domain, image = [], [], []
-    codomains = [set()]
-    for m in range(1, max_m + 1):
-        objs = list(objects(m))
-        codomains.append(set(targets(m)))
+    codomains, counts = [{}], [0]
+    for m, objs, cols in zip(range(1, max_m + 1), objects, targets):
+        codomain = defaultdict(set)
+        for word, labels, colors in cols:
+            codomain[word, colors].add(labels)
+        codomains.append(codomain)
+        counts.append(sum(map(len, codomain.values())))
         images = set()
         for obj in objs:
             col, shifted = forward(obj)
             images.add((col, shifted))
+            word, labels, colors = col
             # the inverse validates its input, so it only sees codomain members
-            if col not in codomains[m - shifted]:
+            if labels not in codomains[m - shifted].get((word, colors), ()):
                 failures.append(
                     f"m={m}: image not a valid colored tree: "
                     f"{format_object(_fold(ColoredTree, *col))}"
@@ -383,7 +569,7 @@ def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionRe
                 )
         if len(images) != len(objs):
             failures.append(f"m={m}: {name} map not injective")
-        sizes = [len(codomains[m - shift]) for shift in shifts]
+        sizes = [counts[m - shift] for shift in shifts]
         if sum(sizes) != len(objs):
             failures.append(f"m={m}: {len(objs)} {noun} vs {' + '.join(map(str, sizes))} colored")
         domain.append(len(objs))

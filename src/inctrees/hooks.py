@@ -38,6 +38,7 @@ from .solvers import (
 )
 from .trees import (
     _bucket_codes,
+    _code_table,
     _tree_codes,
     _unpack,
     catalan,
@@ -109,6 +110,9 @@ def _tree_sum(weights: DegreeWeights, sizes, factor) -> Iterator[Tuple[Fraction,
     hook-length h give num[h]^e den[h]^(most[h]-e), once per hook multiset."""
     # The size-n star has out-degree n-1, so every phi_0..phi_{n-1} is used.
     phi = [weights.coefficient(d) for d in range(max(sizes))]
+    # sizes below the largest are kept as they are built, so that their own
+    # censuses read them and each size is grafted once in the run
+    _code_table(max(sizes) - 1, max(sizes))
     for n in sizes:
         groups, visited, most = _census(n)
         powers = [

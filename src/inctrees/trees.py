@@ -23,10 +23,13 @@ first subtree onto the root of a rest tree keeps every hook-length but the
 root's.  The hook sums' censuses graft packed codes instead, one int per
 tree with a field per hook-length and out-degree that counts its nodes
 (:func:`_tree_codes`), or per tree and bucket function, with its labelling
-count (:func:`_bucket_codes`).  Labellings come from one flat backtracking
-generator that skips every branch that cannot be completed.
-:func:`_bucket_words` states which trees can hold m labels, at most cap
-per node, and :func:`_bucket_functions` their bucket sizes, as cut points.
+count (:func:`_bucket_codes`).  The tree codes of each size are kept once
+built (:func:`_code_table`), except the largest size a run asks for, which
+is only counted as its grafts stream.  Labellings for the brute-force
+counts come from one flat backtracking generator that skips every branch
+that cannot be completed.  :func:`_bucket_words` states which trees can
+hold m labels, at most cap per node, and :func:`_bucket_functions` their
+bucket sizes, as cut points.
 
 One formula counts increasing labellings (:func:`_bucket_count`): a tree
 with bucket sizes b_i has m! / prod (bucket hook-length)_i falling b_i.  A
@@ -492,25 +495,44 @@ def _unpack(code: int, n: int):
 def _grafts(table, n: int, unit: int):
     """(root degree, codes) runs with each size-n plane tree once: a first
     subtree of size k on the root of a rest tree of root degree r - 1 adds
-    the codes and moves the root's hook-length to n and its out-degree to r."""
+    the codes and moves the root's hook-length to n and its out-degree to r.
+    Each run is an iterator, so a size that is only counted is never held."""
     for k, firsts in enumerate(table[1:n], 1):
         hook = unit ** (2 * n - 1) - unit ** (2 * n - 2 * k - 1)
         for r, rest in enumerate(table[n - k], 1):
             move = hook + unit ** (2 * r) - unit ** (2 * r - 2)
-            yield r, [f + c for f in map(move.__add__, chain(*firsts)) for c in rest]
+            yield r, _sums(firsts, rest, move)
+
+
+def _sums(firsts, rest, move: int):
+    """f + move + c for each f in the lists ``firsts`` and c in ``rest``, as
+    they are read; the outer loop runs over the shorter side."""
+    if sum(map(len, firsts)) < len(rest):
+        return chain.from_iterable(map((move + f).__add__, rest) for f in chain(*firsts))
+    return chain.from_iterable(map((move + c).__add__, chain(*firsts)) for c in rest)
+
+
+def _code_table(n: int, top: int) -> list:
+    """The codes of the plane trees of sizes 1..n per root degree, in the
+    field width of size top, built bottom-up and kept for the process."""
+    unit = 256 ** _field_bytes(top)
+    table = _code_tables.setdefault(unit, [None, [[1 + unit]]])
+    for size in range(len(table), n + 1):
+        table.append([[] for _ in range(size)])
+        for r, run in _grafts(table, size, unit):
+            table[size][r] += run
+    return table
 
 
 def _tree_codes(n: int) -> Counter:
     """How many size-n plane trees have each code, one code per tree.  Sizes
-    below n are built bottom-up and kept per root degree; size n is only
-    counted, so a pass over sizes 1..N builds size N - 1 twice."""
-    unit = 256 ** _field_bytes(n)
-    table = _code_tables.setdefault(unit, [None, [[1 + unit]]])
-    for size in range(len(table), n):
-        table.append([[] for _ in range(size)])
-        for r, run in _grafts(table, size, unit):
-            table[size][r] += run
-    runs = table[n] if n < len(table) else (run for _, run in _grafts(table, n, unit))
+    below n are built and kept (:func:`_code_table`); size n is read from
+    its table if a run over larger sizes kept it, else counted as its
+    grafts stream."""
+    table = _code_table(n - 1, n)
+    runs = table[n] if n < len(table) else (
+        run for _, run in _grafts(table, n, 256 ** _field_bytes(n))
+    )
     return Counter(chain.from_iterable(runs))
 
 

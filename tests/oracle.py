@@ -14,9 +14,14 @@ frozenset; the hook-sum censuses built by walking degree words, as before
 the package grafted packed codes (:func:`word_census`,
 :func:`word_bucket_census`); and the bijection objects built per labelling from
 ``OrderedTree`` recursion, with unordered trees filtered after generation
-and colorings as one product over the colorable positions; and the chain
-and split maps with their inverses as recursions over
-``MultiTree``/``ColoredTree`` nodes.  The first integral (T')^2 = 2 Phi(T)
+and colorings as one product over the colorable positions; the same
+objects made by backtracking over each plane tree's bucket functions, as
+before the package grew them by their largest label (:func:`labelled_codes`,
+:func:`colored_codes`); and the chain and split maps with their inverses as
+recursions over ``MultiTree``/``ColoredTree`` nodes, and as walks over codes
+that run the detailed validators on every input, as before per-shape plans
+(:func:`chain_code`, :func:`unchain_code`, :func:`split_code`,
+:func:`merge_code`).  The first integral (T')^2 = 2 Phi(T)
 is checked here on ``Fraction`` series products, as the package did before
 its integer binomial convolutions, and the strict-binary lattice sum is
 taken one point and one n at a time, as before its one-pass sums.  The
@@ -32,12 +37,20 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, product
+from functools import cache, partial
+from itertools import chain, combinations, product
 from math import factorial
 from typing import Iterator, Optional, Sequence, Tuple
 
-from inctrees.bijections import BLACK, WHITE, ColoredTree, MultiTree
+from inctrees.bijections import (
+    BLACK,
+    WHITE,
+    ColoredTree,
+    MultiTree,
+    _canonical,
+    _check_colored,
+    _check_multi,
+)
 from inctrees.families import GAMMA_QUARTER_DIGITS, PI_DIGITS, LatticeSumResult
 from inctrees.series import Series
 from inctrees.solvers import InvariantReport
@@ -45,6 +58,8 @@ from inctrees.trees import (
     OrderedTree,
     _bucket_count,
     _bucket_words,
+    _label_blocks,
+    _shape,
     _words,
     enumerate_bucket_functions,
     enumerate_ordered_trees,
@@ -365,6 +380,40 @@ def increasing_labellings(
     return assign(0, frozenset(range(1, sum(block_sizes) + 1)), ())
 
 
+# -- bijection objects by backtracking over bucket functions -----------------
+
+
+def labelled_codes(m: int, cap: int, sibling_sorted: bool = False):
+    """(word, blocks) of every increasing labelling with m labels, at most
+    cap per node, of every plane tree that can hold them: per plane tree
+    and bucket function, each labelling of ``trees._label_blocks``, as the
+    package made its objects before growing them by their largest label."""
+    for word, _, bucket_functions in _bucket_words(m, cap):
+        parents = _shape(word)[0]
+        for buckets in bucket_functions:
+            yield from ((word, b) for b in _label_blocks(parents, buckets, sibling_sorted))
+
+
+def colored_codes(m: int, branching: bool):
+    """Per labelling of :func:`labelled_codes`, every coloring of the
+    colorable nodes, white first, the first in preorder varying slowest."""
+    colorings = {}
+    for word, blocks in labelled_codes(m, 1, sibling_sorted=branching):
+        if word not in colorings:
+            colorable = [d >= 2 if branching else d == 1 for d in word]
+            colorings[word] = list(product(*((WHITE, BLACK)[:1 + c] for c in colorable)))
+        labels = tuple(label for (label,) in blocks)
+        yield from ((word, labels, colors) for colors in colorings[word])
+
+
+SCHEME_CODES = {  # scheme of bijections.enumerate_objects: codes with m labels
+    "free-multi": lambda m: labelled_codes(m, m),
+    "unibi": lambda m: labelled_codes(m, 2, True),
+    "colored-unary": partial(colored_codes, branching=False),
+    "colored-branching": partial(colored_codes, branching=True),
+}
+
+
 # -- bijection objects by generate-then-filter -------------------------------
 
 
@@ -501,3 +550,77 @@ def q_to_unibi(t: ColoredTree, root_was_doubly_labelled: bool) -> MultiTree:
         merged = shift_multi(merged, +1)
         merged = MultiTree((1,) + merged.labels, merged.children)
     return merged
+
+
+# -- bijection maps as validating walks over codes ---------------------------
+#
+# The package's maps on codes before per-shape plans: each runs the detailed
+# validator on every input, then walks the code.
+
+
+def chain_code(code):
+    """``bijections._chain``."""
+    _check_multi(code)
+    word, blocks = code
+    out, colors = [], []
+    for d, block in zip(word, blocks):
+        tail = len(block) - 1
+        out += (1,) * tail + (d,)
+        colors += (BLACK,) * tail + (WHITE,)
+    return tuple(out), tuple(chain.from_iterable(blocks)), tuple(colors)
+
+
+def unchain_code(code):
+    """``bijections._unchain``."""
+    _check_colored(code, "unary")
+    word, blocks, run = [], [], []
+    for d, label, color in zip(*code):
+        run.append(label)
+        if color == WHITE:
+            word.append(d)
+            blocks.append(tuple(run))
+            run = []
+    return tuple(word), tuple(blocks)
+
+
+def split_code(code):
+    """``bijections._split``."""
+    _check_multi(code, max_block=2)
+    if not _canonical(code):
+        raise ValueError("children must be sorted ascending by smallest label")
+    word, blocks = code
+    kids = _shape(word)[1]
+    shift = len(blocks[0]) - 1
+    rows, stack = [], [(blocks[0][-1] - shift, kids[0])]
+    while stack:
+        label, below = stack.pop()
+        first = next((j for j, c in enumerate(below) if len(blocks[c]) == 2), None)
+        items = [(blocks[c][0] - shift, kids[c]) for c in below[:first]]
+        if first is not None:
+            low, high = blocks[below[first]]
+            items += [(low - shift, below[first + 1:]), (high - shift, kids[below[first]])]
+        rows.append((len(items), label, WHITE if first is None else BLACK))
+        stack.extend(reversed(items))
+    return tuple(zip(*rows)), bool(shift)
+
+
+def merge_code(code, shifted: bool):
+    """``bijections._merge``."""
+    _check_colored(code, "branching")
+    word, labels, colors = code
+    kids = _shape(word)[1]
+    rows, stack = [], [((1, labels[0] + 1) if shifted else (labels[0],), 0)]
+    while stack:
+        block, node = stack.pop()
+        items = []
+        while colors[node] == BLACK:
+            *rest, left, right = kids[node]
+            if labels[left] >= labels[right]:
+                raise ValueError("split children must carry increasing labels")
+            items += [((labels[c] + shifted,), c) for c in rest]
+            items.append(((labels[left] + shifted, labels[right] + shifted), right))
+            node = left
+        items += [((labels[c] + shifted,), c) for c in kids[node]]
+        rows.append((len(items), block))
+        stack.extend(reversed(items))
+    return tuple(zip(*rows))

@@ -1,3 +1,6 @@
+from bisect import insort
+from collections import Counter
+
 import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +28,7 @@ from inctrees.bijections import (
     verify_chain_bijection,
     verify_split_bijection,
 )
-from inctrees.trees import CapacityError
+from inctrees.trees import CapacityError, _code, _fold, _shape, word_hook_lengths
 
 
 def test_no_objects_with_zero_labels():
@@ -172,9 +175,10 @@ def test_verifier_reports_images_outside_the_codomain(monkeypatch):
 
 
 def test_verifier_reports_unequal_counts(monkeypatch):
-    make, codes = bijections._OBJECT_SCHEMES["colored-unary"]
+    make, levels = bijections._OBJECT_SCHEMES["colored-unary"]
     monkeypatch.setitem(
-        bijections._OBJECT_SCHEMES, "colored-unary", (make, lambda m: list(codes(m))[1:])
+        bijections._OBJECT_SCHEMES, "colored-unary",
+        (make, lambda: (level[1:] for level in levels())),
     )
     report = verify_chain_bijection(1)
     assert report.failures == (
@@ -353,3 +357,150 @@ def test_maps_and_validators_take_deep_trees():
     assert [(v.labels, len(v.children)) for v in _preorder(back)] == [
         ((2 * i - 1, 2 * i), int(i < n)) for i in range(1, n + 1)
     ]
+
+
+SCHEMES = ("free-multi", "unibi", "colored-unary", "colored-branching")
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_enumeration_equals_the_backtracking_generators(scheme, m):
+    got = [_code(obj) for obj in enumerate_objects(scheme, m)]
+    assert got == list(oracle.SCHEME_CODES[scheme](m))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_grown_levels_equal_the_backtracking_generators(scheme):
+    # the verifier reads each level in growth order, up to the capacity m = 7
+    levels = bijections._OBJECT_SCHEMES[scheme][1]()
+    for m, level in zip(range(1, 8), levels):
+        assert Counter(level) == Counter(oracle.SCHEME_CODES[scheme](m))
+
+
+def test_verify_at_the_capacity(monkeypatch):
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    chain, split = verify_chain_bijection(7), verify_split_bijection(7)
+    assert chain.ok and chain.domain_sizes == chain.image_sizes == (1, 2, 6, 30, 228, 2316, 29148)
+    assert split.ok and split.domain_sizes == split.image_sizes == (1, 2, 4, 14, 66, 392, 2806)
+
+
+# Corruptions of a code held as (word, blocks, colors), blocks a list of
+# label lists (one label per node for a colored code, whose colors are a
+# list; None for a multilabelled one).  Each draws its choices from data.
+
+
+def swap_labels(data, word, blocks, colors):
+    places = [(i, j) for i, block in enumerate(blocks) for j in range(len(block))]
+    if len(places) > 1:
+        (a, x), (b, y) = data.draw(st.lists(st.sampled_from(places), min_size=2, max_size=2,
+                                            unique=True))
+        blocks[a][x], blocks[b][y] = blocks[b][y], blocks[a][x]
+    return word, blocks, colors
+
+
+def move_label(data, word, blocks, colors):
+    full = [i for i, block in enumerate(blocks) if block]
+    if len(blocks) > 1 and full:
+        i = data.draw(st.sampled_from(full))
+        j = data.draw(st.sampled_from([j for j in range(len(blocks)) if j != i]))
+        insort(blocks[j], blocks[i].pop(data.draw(st.integers(0, len(blocks[i]) - 1))))
+    return word, blocks, colors
+
+
+def unsort_block(data, word, blocks, colors):
+    long = [i for i, block in enumerate(blocks) if len(block) > 1]
+    if long:
+        blocks[data.draw(st.sampled_from(long))].reverse()
+    return word, blocks, colors
+
+
+def empty_block(data, word, blocks, colors):
+    blocks[data.draw(st.integers(0, len(blocks) - 1))] = []
+    return word, blocks, colors
+
+
+def grow_to_three(data, word, blocks, colors):
+    # the block takes labels from other blocks, kept sorted, until it has 3
+    i = data.draw(st.integers(0, len(blocks) - 1))
+    while len(blocks[i]) < 3:
+        others = [j for j, block in enumerate(blocks) if block and j != i]
+        if not others:
+            break
+        insort(blocks[i], blocks[data.draw(st.sampled_from(others))].pop())
+    return word, blocks, colors
+
+
+def recolor(data, word, blocks, colors):
+    colors[data.draw(st.integers(0, len(colors) - 1))] = data.draw(st.sampled_from("bwx"))
+    return word, blocks, colors
+
+
+def swap_siblings(data, word, blocks, colors):
+    # two sibling subtrees trade places in preorder, with all they hold
+    kids, hooks = _shape(tuple(word))[1], word_hook_lengths(word)
+    parents = [v for v, below in enumerate(kids) if len(below) > 1]
+    if parents:
+        below = kids[data.draw(st.sampled_from(parents))]
+        a, b = sorted(data.draw(st.lists(st.sampled_from(below), min_size=2, max_size=2,
+                                         unique=True)))
+        order = [*range(a), *range(b, b + hooks[b]), *range(a + hooks[a], b),
+                 *range(a, a + hooks[a]), *range(b + hooks[b], len(word))]
+        word, blocks = [word[i] for i in order], [blocks[i] for i in order]
+        colors = colors and [colors[i] for i in order]
+    return word, blocks, colors
+
+
+def corrupted(data, codes, corruptions):
+    """A valid code with zero to three corruptions applied."""
+    word, labels, *colors = data.draw(st.sampled_from(codes))
+    blocks = [list(b) for b in labels] if not colors else [[label] for label in labels]
+    colors = list(colors[0]) if colors else None
+    for corrupt in data.draw(st.lists(st.sampled_from(corruptions), max_size=3)):
+        word, blocks, colors = corrupt(data, word, blocks, colors)
+    return tuple(word), [tuple(b) for b in blocks], colors
+
+
+def outcome(map_, *args):
+    """The image, or the ValueError's message."""
+    try:
+        return map_(*args)
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+MULTI_CODES = [code for s in ("free-multi", "unibi") for m in range(1, 6)
+               for code in oracle.SCHEME_CODES[s](m)]
+COLORED_CODES = [code for s in ("colored-unary", "colored-branching") for m in range(1, 6)
+                 for code in oracle.SCHEME_CODES[s](m)]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_multilabelled_maps_accept_what_the_walks_accept(data):
+    # the plan-cached maps accept exactly the inputs the detailed walks
+    # accept, map them alike, and word each refusal the same
+    word, blocks, _ = corrupted(data, MULTI_CODES, [
+        swap_labels, move_label, unsort_block, empty_block, grow_to_three, swap_siblings,
+    ])
+    tree = _fold(MultiTree, word, blocks)
+    code = _code(tree)
+    assert outcome(lambda: _code(multi_to_colored(tree))) == outcome(oracle.chain_code, code)
+
+    def split(t):
+        col, shifted = unibi_to_q(t)
+        return _code(col), shifted
+
+    assert outcome(split, tree) == outcome(oracle.split_code, code)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_colored_maps_accept_what_the_walks_accept(data):
+    word, blocks, colors = corrupted(data, COLORED_CODES, [swap_labels, recolor, swap_siblings])
+    tree = _fold(ColoredTree, word, [label for (label,) in blocks], colors)
+    code = _code(tree)
+    assert outcome(lambda: _code(colored_to_multi(tree))) == outcome(oracle.unchain_code, code)
+    for shifted in (False, True):
+        assert outcome(lambda: _code(q_to_unibi(tree, shifted))) == outcome(
+            oracle.merge_code, code, shifted
+        )

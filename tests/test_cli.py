@@ -255,7 +255,7 @@ def test_size_capacity_fails_before_any_check(capsys, monkeypatch, argv, message
         original = getattr(module, name)
         return lambda *args: calls.append(name) or original(*args)
 
-    for module, name in ((bijections, "_bucket_words"), (hooks, "_tree_sum"),
+    for module, name in ((bijections, "_levels"), (hooks, "_tree_sum"),
                          (hooks, "_bucket_census"), (solvers, "first_order_invariant_check")):
         monkeypatch.setattr(module, name, counted(module, name))
     code, out, err = run(capsys, *argv)

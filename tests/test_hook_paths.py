@@ -114,6 +114,24 @@ def test_censuses_do_not_rescan_words(monkeypatch, fresh_censuses):
     assert hooks._bucket_census(7, 2)[1] == sum(trees.catalan(s - 1) for s in range(4, 8))
 
 
+def test_a_run_of_sizes_grafts_each_size_once(monkeypatch, fresh_censuses):
+    # sizes below the run's largest are kept as they are built and read back
+    # by their own censuses; the largest is counted as its grafts stream
+    grafted = []
+
+    def counted(table, n, unit):
+        grafted.append(n)
+        return graft(table, n, unit)
+
+    graft = trees._grafts
+    monkeypatch.setattr(trees, "_grafts", counted)
+    monkeypatch.setattr(trees, "_code_tables", {})
+    reports = hook_sums_k_labelled(DegreeWeights.exponential(), 2, range(1, 10))
+    assert [r.trees_visited for r in reports] == [trees.catalan(n - 1) for n in range(1, 10)]
+    assert sorted(grafted) == list(range(2, 10))
+    assert len(trees._code_tables[256]) == 9  # sizes up to 8 kept, size 9 counted only
+
+
 def census_groups(census):
     """The census groups as one multiset of (key, sorted out-degrees, count)."""
     return Counter(
