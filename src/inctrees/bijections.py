@@ -33,14 +33,15 @@ hook-lengths), block sizes, blocks; colorings white before black, the
 first node in preorder varying slowest.  The verifier reads the levels as
 grown.
 
-Each map caches a plan per input shape: the word and block sizes of a
-multilabelled code, the word and colors of a colored one.  The plan holds
-the image's word and colors, where each image label comes from, and which
-label each label must exceed.  Per object a map flattens the labels,
-checks that they are 1..m and exceed those labels, and gathers the image
-with one ``itemgetter``.  An input its plan refuses goes through the
-detailed validator (``_check_multi`` or ``_check_colored``), which words
-the error.
+Each map is one walk over codes that assumes a valid input.  The public
+maps (:func:`multi_to_colored`, :func:`colored_to_multi`,
+:func:`unibi_to_q`, :func:`q_to_unibi`) run the detailed validator
+(``_check_multi`` or ``_check_colored``) on every input first, which words
+the error.  The verifier calls the walks directly: its forward inputs are
+the objects :func:`_levels` grew, and its inverse inputs are codomain
+members it has looked up.  A grown object that is not valid either maps
+outside the codomain or fails the round trip, so it is reported as a
+failure rather than checked up front.
 
 Text encodings (each class's ``to_text`` and ``parse``)::
 
@@ -55,8 +56,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice, product
-from operator import itemgetter, lt, sub
+from itertools import chain, count, islice, product
 from typing import Iterator, Tuple
 
 from .trees import _code, _fold, _Node, _scan, _shape, _write, check_capacity, word_hook_lengths
@@ -178,216 +178,96 @@ def validate_colored(t: ColoredTree, black_degrees: str) -> int:
     return _check_colored(_code(t), black_degrees)
 
 
-# -- per-shape map plans -----------------------------------------------------
-#
-# A plan is a tuple: first the validity test (want, preds) of the input
-# labels, then what the map needs to build the image.  It is None for a
-# shape no labelling makes valid.
-
-
-def _items(indices):
-    """seq -> tuple of its items at indices (ints or slices), any number of them."""
-    if len(indices) == 1:
-        return lambda seq, i=indices[0]: (seq[i],)
-    return itemgetter(*indices) if indices else lambda seq: ()
-
-
-def _test(preds):
-    """The validity test of labels 1..m where label i > 0 in preorder must
-    exceed label preds[i - 1]."""
-    return list(range(1, len(preds) + 2)), _items(preds)
-
-
-def _valid(plan, labels) -> bool:
-    """Whether the labels are 1..m and each exceeds its plan's predecessor."""
-    if plan is None:
-        return False
-    want, preds = plan[0]
-    return sorted(labels) == want and all(map(lt, preds(labels), labels[1:]))
-
-
-def _multi_preds(word, sizes, unibi: bool):
-    """The flat index of the label each flat label but the first must
-    exceed: the previous one of its block, or for a block's first label its
-    parent's last, with ``unibi`` its previous sibling's first if it has one.
-    By transitivity that makes blocks and, with ``unibi``, siblings increase.
-    None for an empty block, or with ``unibi`` a block of more than two."""
-    if not all(sizes) or (unibi and max(sizes) > 2):
-        return None
-    starts = list(accumulate(sizes, initial=0))
-    preds, last_child = [], {}
-    for i, (p, s, b) in enumerate(zip(_shape(word)[0], starts, sizes)):
-        if i:
-            sibling = last_child.get(p) if unibi else None
-            preds.append(starts[p + 1] - 1 if sibling is None else starts[sibling])
-            last_child[p] = i
-        preds += range(s, s + b - 1)
-    return preds
-
-
-def _colored_preds(word, colors, branching: bool):
-    """Each non-root node's parent, whose label it must exceed; None if a
-    node is neither white nor black, or is black at an out-degree other than
-    1 (below 2 when ``branching``)."""
-    if any(c != WHITE and (c != BLACK or (d < 2 if branching else d != 1))
-           for d, c in zip(word, colors)):
-        return None
-    return list(_shape(word)[0][1:])
-
-
-def _cuts(sizes):
-    """labels -> their blocks of consecutive labels with these sizes."""
-    starts = list(accumulate(sizes, initial=0))
-    return _items([slice(a, b) for a, b in zip(starts, starts[1:])])
-
-
 # -- chain map: free multilabelled <-> colored with black unary nodes -----
-
-
-@lru_cache(maxsize=4096)
-def _chain_plan(word, sizes):
-    """(test, image word, image colors)."""
-    preds = _multi_preds(word, sizes, False)
-    if preds is None:
-        return None
-    return (
-        _test(preds),
-        tuple(chain.from_iterable((1,) * (b - 1) + (d,) for d, b in zip(word, sizes))),
-        tuple(chain.from_iterable((BLACK,) * (b - 1) + (WHITE,) for b in sizes)),
-    )
+#
+# The four walks assume a valid input: the public maps validate it first,
+# and the verifier only feeds them objects it grew or codomain members.
 
 
 def _chain(code):
     """A block l1 < ... < lb under out-degree d becomes b-1 black unary
     nodes, then a white node of out-degree d."""
     word, blocks = code
-    labels = tuple(chain.from_iterable(blocks))
-    plan = _chain_plan(word, tuple(map(len, blocks)))
-    if not _valid(plan, labels):
-        _check_multi(code)
-        raise AssertionError("the chain plan refused a valid tree")
-    return plan[1], labels, plan[2]
-
-
-@lru_cache(maxsize=4096)
-def _unchain_plan(word, colors):
-    """(test, image word, labels -> image blocks)."""
-    preds = _colored_preds(word, colors, False)
-    if preds is None:
-        return None
-    ends = [i for i, c in enumerate(colors) if c == WHITE]
-    return (
-        _test(preds),
-        tuple(word[i] for i in ends),
-        _cuts(list(map(sub, ends, [-1] + ends[:-1]))),
-    )
+    out, colors = [], []
+    for d, block in zip(word, blocks):
+        tail = len(block) - 1
+        out += (1,) * tail + (d,)
+        colors += (BLACK,) * tail + (WHITE,)
+    return tuple(out), tuple(chain.from_iterable(blocks)), tuple(colors)
 
 
 def _unchain(code):
     """Each run of black nodes and the white node ending it become one block."""
-    word, labels, colors = code
-    plan = _unchain_plan(word, colors)
-    if not _valid(plan, labels):
-        _check_colored(code, "unary")
-        raise AssertionError("the unchain plan refused a valid tree")
-    return plan[1], plan[2](labels)
+    word, blocks, run = [], [], []
+    for d, label, color in zip(*code):
+        run.append(label)
+        if color == WHITE:
+            word.append(d)
+            blocks.append(tuple(run))
+            run = []
+    return tuple(word), tuple(blocks)
 
 
 def multi_to_colored(t: MultiTree) -> ColoredTree:
     """Expand every label set into a chain of black nodes ending white."""
-    return _fold(ColoredTree, *_chain(_code(t)))
+    code = _code(t)
+    _check_multi(code)
+    return _fold(ColoredTree, *_chain(code))
 
 
 def colored_to_multi(t: ColoredTree) -> MultiTree:
     """Collapse maximal chains of black nodes with their white end."""
-    return _fold(MultiTree, *_unchain(_code(t)))
+    code = _code(t)
+    _check_colored(code, "unary")
+    return _fold(MultiTree, *_unchain(code))
 
 
 # -- split map: one-or-two labels <-> colored with black branching nodes --
 
 
-@lru_cache(maxsize=4096)
-def _split_plan(word, sizes):
-    """(test, image word, image colors, labels -> image labels, shift), from
-    a stack of pending (label index, input children): at the first child
-    (a, b), a takes the later siblings, b that child's children.  A doubled
-    root drops its label 1, and every other label shifts down by one."""
-    preds = _multi_preds(word, sizes, True)
-    if preds is None:
-        return None
+def _split(code):
+    """(image code, shifted), from a stack of pending (label, input
+    children): at the first child (a, b), a takes the later siblings, b that
+    child's children.  A doubled root drops its label 1, and every other
+    label shifts down by one."""
+    word, blocks = code
     kids = _shape(word)[1]
-    starts = list(accumulate(sizes, initial=0))
-    rows, stack = [], [(starts[1] - 1, kids[0])]
+    shift = len(blocks[0]) - 1
+    rows, stack = [], [(blocks[0][-1] - shift, kids[0])]
     while stack:
         label, below = stack.pop()
-        first = next((j for j, c in enumerate(below) if sizes[c] == 2), None)
-        items = [(starts[c], kids[c]) for c in below[:first]]
+        first = next((j for j, c in enumerate(below) if len(blocks[c]) == 2), None)
+        items = [(blocks[c][0] - shift, kids[c]) for c in below[:first]]
         if first is not None:
-            c = below[first]
-            items += [(starts[c], below[first + 1:]), (starts[c] + 1, kids[c])]
+            low, high = blocks[below[first]]
+            items += [(low - shift, below[first + 1:]), (high - shift, kids[below[first]])]
         rows.append((len(items), label, WHITE if first is None else BLACK))
         stack.extend(reversed(items))
-    out, take, colors = zip(*rows)
-    return _test(preds), out, colors, _items(take), sizes[0] - 1
+    return tuple(zip(*rows)), bool(shift)
 
 
-def _split(code):
-    word, blocks = code
-    labels = tuple(chain.from_iterable(blocks))
-    plan = _split_plan(word, tuple(map(len, blocks)))
-    if not _valid(plan, labels):
-        _check_multi(code, max_block=2)
-        raise ValueError("children must be sorted ascending by smallest label")
-    _, out, colors, take, shift = plan
-    image = take(labels)
-    if shift:
-        image = tuple(x - 1 for x in image)
-    return (out, image, colors), bool(shift)
-
-
-@lru_cache(maxsize=4096)
-def _merge_plan(word, colors, shifted: bool):
-    """(test, image word, labels -> image labels, image labels -> blocks),
-    from a stack of pending (block of node indices, colored node): a black
-    node's last two children join, then the first one's children follow.
-    Those two children's labels must increase too: the later one's label
-    must exceed the earlier one's, which exceeds their parent's."""
-    preds = _colored_preds(word, colors, True)
-    if preds is None:
-        return None
+def _merge(code, shifted: bool):
+    """Inverse split map, from a stack of pending (block, colored node): a
+    black node's last two children join, then the first one's children
+    follow.  With ``shifted`` the root gets label 1 back, and every other
+    label shifts up by one."""
+    word, labels, colors = code
     kids = _shape(word)[1]
-    rows, stack = [], [((0,), 0)]
+    rows, stack = [], [((1, labels[0] + 1) if shifted else (labels[0],), 0)]
     while stack:
         block, node = stack.pop()
         items = []
         while colors[node] == BLACK:
             *rest, left, right = kids[node]
-            preds[right - 1] = left
-            items += [((c,), c) for c in rest]
-            items.append(((left, right), right))
+            if labels[left] >= labels[right]:
+                raise ValueError("split children must carry increasing labels")
+            items += [((labels[c] + shifted,), c) for c in rest]
+            items.append(((labels[left] + shifted, labels[right] + shifted), right))
             node = left
-        items += [((c,), c) for c in kids[node]]
+        items += [((labels[c] + shifted,), c) for c in kids[node]]
         rows.append((len(items), block))
         stack.extend(reversed(items))
-    out, blocks = zip(*rows)
-    sizes = [len(b) for b in blocks]
-    sizes[0] += shifted
-    return _test(preds), out, _items(list(chain(*blocks))), _cuts(sizes)
-
-
-def _merge(code, shifted: bool):
-    """Inverse split map; with ``shifted`` the root gets label 1 back, and
-    every other label shifts up by one."""
-    word, labels, colors = code
-    plan = _merge_plan(word, colors, shifted)
-    if not _valid(plan, labels):
-        _check_colored(code, "branching")
-        raise ValueError("split children must carry increasing labels")
-    _, out, take, cut = plan
-    image = take(labels)
-    if shifted:
-        image = (1, *(x + 1 for x in image))
-    return out, cut(image)
+    return tuple(zip(*rows))
 
 
 def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
@@ -397,13 +277,19 @@ def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
     case label 1 is removed from the root and all labels shift down by one,
     so the image has size m-1.
     """
-    code, shifted = _split(_code(t))
-    return _fold(ColoredTree, *code), shifted
+    code = _code(t)
+    _check_multi(code, max_block=2)
+    if not _canonical(code):
+        raise ValueError("children must be sorted ascending by smallest label")
+    col, shifted = _split(code)
+    return _fold(ColoredTree, *col), shifted
 
 
 def q_to_unibi(t: ColoredTree, root_was_doubly_labelled: bool) -> MultiTree:
     """Inverse of the split map."""
-    return _fold(MultiTree, *_merge(_code(t), root_was_doubly_labelled))
+    code = _code(t)
+    _check_colored(code, "branching")
+    return _fold(MultiTree, *_merge(code, root_was_doubly_labelled))
 
 
 # -- exhaustive enumeration of objects ------------------------------------
@@ -557,7 +443,7 @@ def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionRe
             col, shifted = forward(obj)
             images.add((col, shifted))
             word, labels, colors = col
-            # the inverse validates its input, so it only sees codomain members
+            # the inverse walk only sees codomain members, which are valid
             if labels not in codomains[m - shifted].get((word, colors), ()):
                 failures.append(
                     f"m={m}: image not a valid colored tree: "

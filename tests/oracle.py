@@ -19,8 +19,8 @@ objects made by backtracking over each plane tree's bucket functions, as
 before the package grew them by their largest label (:func:`labelled_codes`,
 :func:`colored_codes`); and the chain and split maps with their inverses as
 recursions over ``MultiTree``/``ColoredTree`` nodes, and as walks over codes
-that run the detailed validators on every input, as before per-shape plans
-(:func:`chain_code`, :func:`unchain_code`, :func:`split_code`,
+that run the detailed validators on every input, as the package's public
+maps do (:func:`chain_code`, :func:`unchain_code`, :func:`split_code`,
 :func:`merge_code`).  The first integral (T')^2 = 2 Phi(T)
 is checked here on ``Fraction`` series products, as the package did before
 its integer binomial convolutions, and the strict-binary lattice sum is
@@ -554,8 +554,9 @@ def q_to_unibi(t: ColoredTree, root_was_doubly_labelled: bool) -> MultiTree:
 
 # -- bijection maps as validating walks over codes ---------------------------
 #
-# The package's maps on codes before per-shape plans: each runs the detailed
-# validator on every input, then walks the code.
+# The package's public maps on codes: each runs the detailed validator on
+# every input, then walks the code.  The package keeps the validation at its
+# public boundary and lets the verifier call the bare walks.
 
 
 def chain_code(code):

@@ -1,5 +1,6 @@
 from bisect import insort
 from collections import Counter
+from itertools import islice
 
 import oracle
 import pytest
@@ -186,6 +187,26 @@ def test_verifier_reports_unequal_counts(monkeypatch):
         "m=1: 1 multilabelled vs 0 colored",
     )
     assert (report.domain_sizes, report.image_sizes) == ((1,), (0,))
+
+
+@pytest.mark.parametrize("scheme, m, good, bad, failure", [
+    ("free-multi", 2, ((1, 0), ((1,), (2,))), ((1, 0), ((2,), (1,))),
+     "m=2: image not a valid colored tree: ({2}w ({1}w))"),
+    ("unibi", 3, ((2, 0, 0), ((1,), (2,), (3,))), ((2, 0, 0), ((1,), (3,), (2,))),
+     "m=3: image not a valid colored tree: ({1}w ({3}w) ({2}w))"),
+])
+def test_verifier_reports_invalid_grown_objects(monkeypatch, scheme, m, good, bad, failure):
+    # the verifier does not validate the objects it grows: a bad one maps
+    # outside the codomain (or fails the round trip) and is one failure line
+    make, levels = bijections._OBJECT_SCHEMES[scheme]
+    assert good in next(islice(levels(), m - 1, None))
+
+    def swapped():
+        return ([bad if code == good else code for code in level] for level in levels())
+
+    monkeypatch.setitem(bijections._OBJECT_SCHEMES, scheme, (make, swapped))
+    verify = verify_chain_bijection if scheme == "free-multi" else verify_split_bijection
+    assert verify(m).failures == (failure,)
 
 
 def swap_first_two_labels(chain):
@@ -477,8 +498,9 @@ COLORED_CODES = [code for s in ("colored-unary", "colored-branching") for m in r
 @given(st.data())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_multilabelled_maps_accept_what_the_walks_accept(data):
-    # the plan-cached maps accept exactly the inputs the detailed walks
-    # accept, map them alike, and word each refusal the same
+    # the public maps, which validate and then walk, accept exactly the
+    # inputs the validating walks accept, map them alike, and word each
+    # refusal the same
     word, blocks, _ = corrupted(data, MULTI_CODES, [
         swap_labels, move_label, unsort_block, empty_block, grow_to_three, swap_siblings,
     ])

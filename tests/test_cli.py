@@ -20,6 +20,7 @@ GOLDEN_VERIFY_INVARIANTS = ROOT / "tests" / "data" / "verify_invariants_max_n6_m
 GOLDEN_VERIFY_INVARIANTS_JSON = ROOT / "tests" / "data" / "verify_invariants_max_n6_max_m7.json"
 GOLDEN_REVERSE = ROOT / "tests" / "data" / "reverse_families.txt"
 GOLDEN_BIJECTION_SHOW = ROOT / "tests" / "data" / "bijection_show_m5.txt"
+GOLDEN_BIJECTION_SHA = ROOT / "tests" / "data" / "bijection_outputs.sha256"
 GOLDEN_SEQ = ROOT / "tests" / "data" / "seq_registry_40.txt"
 GOLDEN_SEQ_200 = ROOT / "tests" / "data" / "seq_registry_200.sha256"
 # checks whose detail is a float that depends on the platform's libm
@@ -592,6 +593,17 @@ def test_bijection_show_output_is_pinned(capsys):
         assert code == 0
         out += text
     assert out == GOLDEN_BIJECTION_SHOW.read_text()
+
+
+def test_larger_bijection_outputs_are_pinned(capsys, monkeypatch):
+    # The sha256 of the stdout of larger bijection commands, up to the
+    # capacity: one "<sha256>  <argv>" line per command.
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    for line in GOLDEN_BIJECTION_SHA.read_text().splitlines():
+        digest, argv = line.split(maxsplit=1)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_label_count_check_reports_first_mismatch(capsys, monkeypatch):
