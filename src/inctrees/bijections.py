@@ -31,7 +31,8 @@ step, so each object is made once.  The enumerators sort a level into the
 canonical order: tree size, the plane tree's canonical order (preorder
 hook-lengths), block sizes, blocks; colorings white before black, the
 first node in preorder varying slowest.  The verifier reads the levels as
-grown.
+grown; :func:`mapped_texts` writes each sorted level's objects and their
+images as text straight from the codes, building no tree.
 
 Each map is one walk over codes that assumes a valid input.  The public
 maps (:func:`multi_to_colored`, :func:`colored_to_multi`,
@@ -79,8 +80,7 @@ class MultiTree(_Node):
         return len(_code(self)[0])
 
     def to_text(self) -> str:
-        word, blocks = _code(self)
-        return _write(word, ("({" + ",".join(map(str, b)) + "}" for b in blocks), " ")
+        return _multi_text(*_code(self))
 
     @staticmethod
     def parse(text: str) -> "MultiTree":
@@ -97,8 +97,7 @@ class ColoredTree(_Node):
     children: Tuple["ColoredTree", ...] = ()
 
     def to_text(self) -> str:
-        word, labels, colors = _code(self)
-        return _write(word, (f"({{{x}}}{c}" for x, c in zip(labels, colors)), " ")
+        return _colored_text(*_code(self))
 
     @staticmethod
     def parse(text: str) -> "ColoredTree":
@@ -446,12 +445,11 @@ def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionRe
             # the inverse walk only sees codomain members, which are valid
             if labels not in codomains[m - shifted].get((word, colors), ()):
                 failures.append(
-                    f"m={m}: image not a valid colored tree: "
-                    f"{format_object(_fold(ColoredTree, *col))}"
+                    f"m={m}: image not a valid colored tree: {_colored_text(*col)}"
                 )
             elif inverse(col, shifted) != obj:
                 failures.append(
-                    f"m={m}: round trip failed for {format_object(_fold(MultiTree, *obj))}"
+                    f"m={m}: round trip failed for {_multi_text(*obj)}"
                 )
         if len(images) != len(objs):
             failures.append(f"m={m}: {name} map not injective")
@@ -481,7 +479,30 @@ def verify_split_bijection(max_m: int) -> BijectionReport:
     )
 
 
+def mapped_texts(scheme: str, max_m: int) -> Iterator[Tuple[str, str, bool]]:
+    """(object text, image text, shifted) of every object with 1..max_m
+    labels under the chain map (scheme "free") or the split map ("unibi"),
+    in the enumeration order, written from the codes of one run of levels."""
+    check_capacity(max_m, MAX_OBJECT_LABELS, "object label count m")
+    domain, walk = {
+        "free": ("free-multi", lambda code: (_chain(code), False)),
+        "unibi": ("unibi", _split),
+    }[scheme]
+    for level in islice(_OBJECT_SCHEMES[domain][1](), max_m):
+        for code in sorted(level, key=_canonical_order):
+            image, shifted = walk(code)
+            yield _multi_text(*code), _colored_text(*image), shifted
+
+
 # -- text encoding -----------------------------------------------------------
+
+
+def _multi_text(word, blocks) -> str:
+    return _write(word, ("({" + ",".join(map(str, b)) + "}" for b in blocks), " ")
+
+
+def _colored_text(word, labels, colors) -> str:
+    return _write(word, (f"({{{x}}}{c}" for x, c in zip(labels, colors)), " ")
 
 
 def format_object(obj) -> str:

@@ -338,24 +338,9 @@ def _run_bijection(args, out) -> int:
     for m, d, i in zip(report.label_counts, report.domain_sizes, report.image_sizes):
         print(f"m={m}: {d} objects <-> {i} colored trees", file=out)
     if args.show:
-        for m in range(1, args.max_m + 1):
-            if args.scheme == "free":
-                for obj in bijections.enumerate_free_multilabelled(m):
-                    img = bijections.multi_to_colored(obj)
-                    print(
-                        f"{bijections.format_object(obj)} -> "
-                        f"{bijections.format_object(img)}",
-                        file=out,
-                    )
-            else:
-                for obj in bijections.enumerate_unibi_unordered(m):
-                    img, shifted = bijections.unibi_to_q(obj)
-                    tag = "m-1" if shifted else "m"
-                    print(
-                        f"{bijections.format_object(obj)} -> "
-                        f"{bijections.format_object(img)} [{tag}]",
-                        file=out,
-                    )
+        for obj, img, shifted in bijections.mapped_texts(args.scheme, args.max_m):
+            tag = "" if args.scheme == "free" else " [m-1]" if shifted else " [m]"
+            print(f"{obj} -> {img}{tag}", file=out)
     if report.ok:
         print("PASS bijection verified", file=out)
         return 0

@@ -13,18 +13,25 @@ one size calls it with that size alone.  A per-node sum reads the size's
 census of tree counts per (hook-length multiplicities, sorted out-degrees),
 and a bucket sum the label count's census of integer labelling counts per
 sorted out-degrees.  Each is decoded from the packed codes that ``trees``
-grafts, one per tree (and bucket function), and cached per process.  One
-integer fold (:func:`_fold`) sums either census: phi is scaled by the lcm
-of its denominators, the hook products share one denominator per size and
-are formed once per hook multiset of nonzero weight, and one ``Fraction``
-is built per sum.  ``trees_visited`` is the number of trees behind a sum.
+grafts, one per tree (and bucket function), and cached per process.
+
+A per-node sum splits into a hook side and a degree side.  The hook factor
+(1/(kh)_k, h^-k or rho(h)) depends on the scheme and k, never on phi, so
+:func:`_hook_vector` folds the census over one row of factors into one int
+per out-degree multiset, over one common denominator, and is cached per
+process per (size, factor row), at most ``HOOK_VECTOR_CACHE`` rows.  phi
+then enters as one dot product per size (:func:`_fold`), which also sums
+the bucket censuses: phi is scaled by the lcm of its denominators and one
+``Fraction`` is built per sum.  A second phi at the same size and factor
+row costs only its degree products and the solver.  Every tree's term is
+still summed, and ``trees_visited`` is the number of trees behind a sum.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, lcm, prod
 from operator import getitem
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -81,47 +88,63 @@ def _bucket_census(m: int, max_bucket: Optional[int]):
     return census, sum(map(catalan, range(-(-m // (max_bucket or m)) - 1, m)))
 
 
-def _fold(phi: Sequence[Fraction], groups, size: int, denominator: int, value) -> Fraction:
-    """Sum over the census groups (key, ((sorted out-degrees, count), ...))
-    of value(key) * count * prod phi_odeg, over denominator, with value(key)
-    an int.  In ints: phi is scaled by the lcm L of its denominators and a
-    tree of s nodes by L^(size - s), so every term has the denominator
-    L^size; the one Fraction is built at the end.  value is not called for a
-    group of zero weight."""
+# Enough for every (size, factor row) of one ``verify hook --max-n 12
+# --max-m 8`` (70 rows) or of every hook request of the bench's ``oracle``
+# pass (50).  An entry holds one int per out-degree multiset (56 at size
+# 12): a few KB for small k, about 0.7 MB at size 12 for ``-k 3000``.
+HOOK_VECTOR_CACHE = 128
+
+
+@lru_cache(maxsize=HOOK_VECTOR_CACHE)
+def _hook_vector(n: int, factors: Tuple[Tuple[int, int], ...]):
+    """The hook side of the size-n sums with hook factors num/den =
+    factors[h - 1]: per sorted out-degree tuple, the sum over its trees of
+    prod num[h]^e den[h]^(most[h]-e) over the e nodes of each hook-length h,
+    an int over common = prod den[h]^most[h]; then common and the trees
+    visited.  Each hook product is formed once per hook multiset; the
+    tuples of sum 0 are left out.  Cached per process: phi never enters."""
+    groups, visited, most = _census(n)
+    powers = [
+        [num**e * den ** (top - e) for e in range(top + 1)]
+        for (num, den), top in zip(factors, most)
+    ]
+    vector = defaultdict(int)
+    for mults, degree_counts in groups:
+        value = prod(map(getitem, powers, mults))
+        for degrees, count in degree_counts:
+            vector[degrees] += count * value
+    pairs = tuple((degrees, c) for degrees, c in vector.items() if c)
+    return pairs, prod(row[0] for row in powers), visited
+
+
+def _fold(phi: Sequence[Fraction], pairs, size: int, denominator: int) -> Fraction:
+    """Sum over the (sorted out-degrees, int c) pairs of c * prod phi_odeg,
+    over denominator.  In ints: phi is scaled by the lcm L of its
+    denominators and a tree of s nodes by L^(size - s), so every term has
+    the denominator L^size; the one Fraction is built at the end."""
     scale = lcm(*(p.denominator for p in phi))
     w = [p.numerator * (scale // p.denominator) for p in phi]
     lift = [scale ** (size - s) for s in range(size + 1)]
-    total = 0
-    for key, degree_counts in groups:
-        weight = sum(
-            count * prod(map(w.__getitem__, degrees)) * lift[len(degrees)]
-            for degrees, count in degree_counts
-        )
-        if weight:
-            total += weight * value(key)
+    total = sum(
+        c * (prod(map(w.__getitem__, degrees)) * lift[len(degrees)]) for degrees, c in pairs
+    )
     return Fraction(total, scale**size * denominator)
 
 
 def _tree_sum(weights: DegreeWeights, sizes, factor) -> Iterator[Tuple[Fraction, int]]:
     """Per size n in sizes: the sum over the size-n plane trees of prod
     phi_odeg * factor[hook] over the nodes, and the trees visited; ``factor``
-    maps hook-lengths 1..max(sizes) to Fractions num[h]/den[h].  Each hook
-    product is an int over prod den[h]^most[h] for size n: e nodes of
-    hook-length h give num[h]^e den[h]^(most[h]-e), once per hook multiset."""
+    maps hook-lengths 1..max(sizes) to Fractions.  The hook side is
+    :func:`_hook_vector`'s for the size's row of factors, phi one fold."""
     # The size-n star has out-degree n-1, so every phi_0..phi_{n-1} is used.
     phi = [weights.coefficient(d) for d in range(max(sizes))]
+    row = tuple((factor[h].numerator, factor[h].denominator) for h in range(1, max(sizes) + 1))
     # sizes below the largest are kept as they are built, so that their own
     # censuses read them and each size is grafted once in the run
     _code_table(max(sizes) - 1, max(sizes))
     for n in sizes:
-        groups, visited, most = _census(n)
-        powers = [
-            [factor[h].numerator ** e * factor[h].denominator ** (top - e) for e in range(top + 1)]
-            for h, top in enumerate(most, 1)
-        ]
-        common = prod(row[0] for row in powers)
-        lhs = _fold(phi[:n], groups, n, common, lambda mults: prod(map(getitem, powers, mults)))
-        yield lhs, visited
+        pairs, common, visited = _hook_vector(n, row[:n])
+        yield _fold(phi[:n], pairs, n, common), visited
 
 
 @dataclass(frozen=True)
@@ -184,8 +207,7 @@ def hook_sums_bucket(weights: DegreeWeights, sizes, max_bucket=None) -> List[Hoo
     reports = []
     for m in sizes:
         labellings, visited = _bucket_census(m, max_bucket)
-        # the labelling counts carry the hook factors: one group of value 1
-        lhs = _fold(phi[:m], [(None, labellings)], m, factorial(m), lambda _: 1)
+        lhs = _fold(phi[:m], labellings, m, factorial(m))
         reports.append(HookIdentityReport(scheme, m, lhs, counts[m] / factorial(m), visited))
     return reports
 

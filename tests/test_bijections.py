@@ -337,6 +337,25 @@ def test_verification_builds_no_tree_nodes(monkeypatch):
     chain, split = verify_chain_bijection(5), verify_split_bijection(5)
     assert chain.ok and chain.domain_sizes == (1, 2, 6, 30, 228)
     assert split.ok and split.domain_sizes == (1, 2, 4, 14, 66)
+    # the --show lines are written from the codes too
+    assert sum(1 for _ in bijections.mapped_texts("free", 5)) == 1 + 2 + 6 + 30 + 228
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_mapped_texts_equal_the_public_maps(m):
+    # each line's object and image as the enumerators, the public maps and
+    # format_object give them, at label count m
+    want = [
+        (format_object(obj), format_object(multi_to_colored(obj)), False)
+        for obj in enumerate_free_multilabelled(m)
+    ]
+    assert list(bijections.mapped_texts("free", m))[-len(want):] == want
+    want = [
+        (format_object(obj), format_object(col), shifted)
+        for obj in enumerate_unibi_unordered(m)
+        for col, shifted in [unibi_to_q(obj)]
+    ]
+    assert list(bijections.mapped_texts("unibi", m))[-len(want):] == want
 
 
 def _preorder(tree):

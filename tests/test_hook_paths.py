@@ -2,8 +2,11 @@
 
 The word generator yields each word with its hook-lengths, and
 ``hooks._tree_sum`` and ``hook_sum_bucket`` fold a census cached per size
-(per label count) in ints: phi scaled by the lcm of its denominators, hook
-products over one denominator per size, and one ``Fraction`` per sum.  The
+(per label count) in ints: the tree censuses into hook vectors cached per
+(size, factor row), hook products over one denominator per size, then phi,
+scaled by the lcm of its denominators, in one fold with one ``Fraction``
+per sum.  The hook-vector cache is cleared wherever a test swaps a census,
+and pinned to one build per size and factor row.  The
 censuses are decoded from packed codes that ``trees`` grafts subtree by
 subtree.  ``_label_blocks`` is a flat backtracking generator of sorted label
 blocks.  These tests pin each to the route it replaced: ``word_hook_lengths``
@@ -90,14 +93,19 @@ def test_streamed_words_equal_memoised(monkeypatch):
     assert trees._word_memo == {}
 
 
+def clear_census_caches():
+    hooks._hook_vector.cache_clear()
+    hooks._census.cache_clear()
+    hooks._bucket_census.cache_clear()
+
+
 @pytest.fixture
 def fresh_censuses():
-    # the censuses are cached per process; earlier tests fill them
-    hooks._census.cache_clear()
-    hooks._bucket_census.cache_clear()
+    # the censuses and the hook vectors folded from them are cached per
+    # process; earlier tests fill them
+    clear_census_caches()
     yield
-    hooks._census.cache_clear()
-    hooks._bucket_census.cache_clear()
+    clear_census_caches()
 
 
 def test_censuses_do_not_rescan_words(monkeypatch, fresh_censuses):
@@ -165,7 +173,9 @@ def test_graft_bucket_census_equals_word_census(m, max_bucket):
 @example(DegreeWeights.polynomial([F(1, 2), 0, 3, F(2, 7)]), 3, 9, None)
 @example(DegreeWeights.polynomial([2, 0, F(5, 3), 1]), 2, 8, 2)
 def test_reports_equal_word_census_reports(weights, k, top, max_bucket):
-    # the same cores, once on the graft censuses and once on the word routes
+    # the same cores, once on the graft censuses and once on the word routes;
+    # the hook vectors are cleared around each run, or a warm cache would
+    # answer both runs from the graft censuses
     sizes, labels = range(1, top + 1), range(1, min(top, 8) + 1)
 
     def run():
@@ -177,10 +187,15 @@ def test_reports_equal_word_census_reports(weights, k, top, max_bucket):
             )
         ]
 
+    hooks._hook_vector.cache_clear()
     grafted = run()
-    with mock.patch.object(hooks, "_census", oracle.word_census), \
-            mock.patch.object(hooks, "_bucket_census", oracle.word_bucket_census):
-        assert grafted == run()
+    hooks._hook_vector.cache_clear()
+    try:
+        with mock.patch.object(hooks, "_census", oracle.word_census), \
+                mock.patch.object(hooks, "_bucket_census", oracle.word_bucket_census):
+            assert grafted == run()
+    finally:
+        hooks._hook_vector.cache_clear()
 
 
 def grown(n: int, root_degree, unit: int) -> int:
@@ -226,9 +241,10 @@ FRACTION_OPERATIONS = (
 )
 
 
-def test_folds_make_no_fraction_arithmetic(monkeypatch):
-    # Both folds run in ints and build their one Fraction at the end, so no
-    # Fraction arithmetic runs per census group, whatever the group count.
+def test_folds_make_no_fraction_arithmetic(monkeypatch, fresh_censuses):
+    # The hook vector and the one fold run in ints and the fold builds its
+    # one Fraction at the end, so no Fraction arithmetic runs per census
+    # group or per out-degree multiset, whatever their count.
     weights = DegreeWeights.polynomial([F(1, 2), F(2, 3), 0, F(5, 7), 3])
     phi = [weights.coefficient(d) for d in range(10)]
     factor = {h: F(h + 1, 2 * h + 3) for h in range(1, 11)}
@@ -244,7 +260,8 @@ def test_folds_make_no_fraction_arithmetic(monkeypatch):
 
         monkeypatch.setattr(F, name, counted)
     assert list(hooks._tree_sum(weights, [10], factor)) == [want_tree]
-    assert hooks._fold(phi[:8], [(None, counts)], 8, factorial(8), lambda _: 1) == want_bucket
+    assert hooks._hook_vector.cache_info().misses == 1  # built here, under the patch
+    assert hooks._fold(phi[:8], counts, 8, factorial(8)) == want_bucket
     assert calls == []
 
 
@@ -351,6 +368,37 @@ def test_one_size_builds_only_its_census(fresh_censuses):
     hook_sum_k_labelled(DegreeWeights.parse("exp"), 2, 12)
     hooks._census(12)
     assert hooks._census.cache_info()[:4] == (1, 1, None, 1)  # hits, misses, maxsize, currsize
+
+
+K2_WEIGHTS = ("exp", "poly:1,0,1", "poly:2,0,0,1/3", "bundled:1", "poly:1/2,1,0,3/5")
+
+
+def test_hook_vectors_are_folded_once_per_size_and_factor_row(fresh_censuses):
+    # five phi at k = 2 and sizes 1..9: the first builds the nine hook
+    # vectors, the other four read them, and every report is still the sum
+    # over every tree
+    for spec in K2_WEIGHTS:
+        weights = DegreeWeights.parse(spec)
+        for n, report in enumerate(hook_sums_k_labelled(weights, 2, range(1, 10)), 1):
+            want = oracle.tree_hook_sum(
+                weights, n, {h: F(1, falling_factorial(2 * h, 2)) for h in range(1, n + 1)}
+            )
+            assert (report.lhs, report.trees_visited) == want
+            assert report.equal
+    assert hooks._hook_vector.cache_info()[:2] == (36, 9)  # hits, misses
+
+
+def test_hook_vectors_are_keyed_by_the_factor_row(fresh_censuses):
+    # k = 2 and k = 3 at the same sizes share no key; k-labelled k = 1 and
+    # k-tuple k = 1 have the same factors 1/h and share every key
+    weights = DegreeWeights.parse("exp")
+    hook_sums_k_labelled(weights, 2, range(1, 8))
+    hook_sums_k_labelled(weights, 3, range(1, 8))
+    assert hooks._hook_vector.cache_info()[:2] == (0, 14)
+    hook_sums_k_labelled(weights, 1, range(1, 8))
+    hook_sums_k_tuple(weights, 1, range(1, 8))
+    assert hooks._hook_vector.cache_info()[:2] == (7, 21)
+    assert hooks._hook_vector.cache_info().maxsize == hooks.HOOK_VECTOR_CACHE >= 72
 
 
 @pytest.mark.parametrize("max_bucket", [None, 2])

@@ -15,7 +15,9 @@ them on a binomial power table of its own.  ``solvers.py`` imports no
 ``Series``, since both the engine and the check run on the counts.
 ``cli.py`` names no hook sum of one size, so each ``hook`` command and
 hook check solves once for all its sizes.  ``hooks.py`` names no word
-generator of ``trees.py``, so no census walks degree words again.  In
+generator of ``trees.py``, so no census walks degree words again, and its
+census side (the censuses, the hook vectors and the fold) names no solver,
+so the left-hand sides never reach the route of the right-hand sides.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
 itself by name or as an attribute, so every tree converts at any depth.
 Every dataclass there with a ``children`` field is declared ``eq=False``
@@ -135,17 +137,22 @@ PER_SIZE_HOOK_SUMS = {
 }
 
 
-def names_of(source: str, wanted):
-    """Names among ``wanted`` that occur as ``f``, ``x.f`` or an import."""
+def node_names(tree):
+    """Every name that occurs in a syntax tree as ``f``, ``x.f`` or an import."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
-    return sorted(found & wanted)
+    return found
+
+
+def names_of(source: str, wanted):
+    """Names among ``wanted`` that occur as ``f``, ``x.f`` or an import."""
+    return sorted(node_names(ast.parse(source)) & wanted)
 
 
 def test_cli_names_no_per_size_hook_sum():
@@ -185,6 +192,48 @@ def test_word_generator_is_found():
     )
     assert names_of(source, WORD_GENERATORS) == [
         "_bucket_words", "_words", "enumerate_degree_words",
+    ]
+
+
+# hooks.py's census side: the left-hand sides, which must not reach the
+# solvers that give the right-hand sides, so the two routes stay apart
+CENSUS_SIDE = {"_spread", "_census", "_bucket_census", "_hook_vector", "_fold", "_tree_sum"}
+SOLVER_NAMES = {"_solve", "_online", "SCHEMES"}
+
+
+def solver_names_in(source: str, functions):
+    """Solver names (``solve_*`` or one of SOLVER_NAMES), as ``f``, ``x.f``
+    or an import, in the bodies of ``functions``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found.update(
+                name for name in node_names(node)
+                if name.startswith("solve_") or name in SOLVER_NAMES
+            )
+    return sorted(found)
+
+
+def test_hook_census_side_names_no_solver():
+    source = (PACKAGE / "hooks.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert CENSUS_SIDE <= defined
+    assert "solve_k_labelled" in source  # the right-hand sides still solve
+    assert solver_names_in(source, CENSUS_SIDE) == []
+
+
+def test_census_side_solver_name_is_found():
+    source = (
+        "def _hook_vector(n, factors):\n"
+        "    from .solvers import SCHEMES\n"
+        "    return solvers._online(n), solve_k_tuple\n"
+        "def _fold(phi, pairs, size, denominator):\n"
+        "    return _solve(phi)\n"
+        "def hook_sums_k_tuple(weights, k, sizes):\n"
+        "    return solve_k_tuple(weights, k, max(sizes)), _solve_free\n"
+    )
+    assert solver_names_in(source, CENSUS_SIDE) == [
+        "SCHEMES", "_online", "_solve", "solve_k_tuple",
     ]
 
 
