@@ -40,9 +40,10 @@ maps (:func:`multi_to_colored`, :func:`colored_to_multi`,
 (``_check_multi`` or ``_check_colored``) on every input first, which words
 the error.  The verifier calls the walks directly: its forward inputs are
 the objects :func:`_levels` grew, and its inverse inputs are codomain
-members it has looked up.  A grown object that is not valid either maps
-outside the codomain or fails the round trip, so it is reported as a
-failure rather than checked up front.
+members it has looked up, in one set of colored codes per label count.  A
+grown object that is not valid either maps outside the codomain or fails
+the round trip, so it is reported as a failure rather than checked up
+front.  The round trips prove the map injective.
 
 Text encodings (each class's ``to_text`` and ``parse``)::
 
@@ -54,7 +55,6 @@ Enumeration capacity is m <= 7 by default (INCTREE_CAPACITY overrides).
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, islice, product
@@ -187,12 +187,15 @@ def _chain(code):
     """A block l1 < ... < lb under out-degree d becomes b-1 black unary
     nodes, then a white node of out-degree d."""
     word, blocks = code
-    out, colors = [], []
+    out, labels, colors = [], [], []
     for d, block in zip(word, blocks):
-        tail = len(block) - 1
-        out += (1,) * tail + (d,)
-        colors += (BLACK,) * tail + (WHITE,)
-    return tuple(out), tuple(chain.from_iterable(blocks)), tuple(colors)
+        labels += block
+        for _ in block[1:]:
+            out.append(1)
+            colors.append(BLACK)
+        out.append(d)
+        colors.append(WHITE)
+    return tuple(out), tuple(labels), tuple(colors)
 
 
 def _unchain(code):
@@ -232,17 +235,24 @@ def _split(code):
     word, blocks = code
     kids = _shape(word)[1]
     shift = len(blocks[0]) - 1
-    rows, stack = [], [(blocks[0][-1] - shift, kids[0])]
+    out, labels, colors = [], [], []
+    stack = [(blocks[0][-1] - shift, kids[0])]
     while stack:
         label, below = stack.pop()
-        first = next((j for j, c in enumerate(below) if len(blocks[c]) == 2), None)
-        items = [(blocks[c][0] - shift, kids[c]) for c in below[:first]]
-        if first is not None:
-            low, high = blocks[below[first]]
-            items += [(low - shift, below[first + 1:]), (high - shift, kids[below[first]])]
-        rows.append((len(items), label, WHITE if first is None else BLACK))
-        stack.extend(reversed(items))
-    return tuple(zip(*rows)), bool(shift)
+        items, color = [], WHITE
+        for j, c in enumerate(below):
+            block = blocks[c]
+            if len(block) == 2:
+                items.append((block[0] - shift, below[j + 1:]))
+                items.append((block[1] - shift, kids[c]))
+                color = BLACK
+                break
+            items.append((block[0] - shift, kids[c]))
+        out.append(len(items))
+        labels.append(label)
+        colors.append(color)
+        stack += reversed(items)
+    return (tuple(out), tuple(labels), tuple(colors)), bool(shift)
 
 
 def _merge(code, shifted: bool):
@@ -252,21 +262,26 @@ def _merge(code, shifted: bool):
     label shifts up by one."""
     word, labels, colors = code
     kids = _shape(word)[1]
-    rows, stack = [], [((1, labels[0] + 1) if shifted else (labels[0],), 0)]
+    out, blocks = [], []
+    stack = [((1, labels[0] + 1) if shifted else (labels[0],), 0)]
     while stack:
         block, node = stack.pop()
         items = []
         while colors[node] == BLACK:
-            *rest, left, right = kids[node]
+            below = kids[node]
+            left, right = below[-2:]
             if labels[left] >= labels[right]:
                 raise ValueError("split children must carry increasing labels")
-            items += [((labels[c] + shifted,), c) for c in rest]
+            for c in below[:-2]:
+                items.append(((labels[c] + shifted,), c))
             items.append(((labels[left] + shifted, labels[right] + shifted), right))
             node = left
-        items += [((labels[c] + shifted,), c) for c in kids[node]]
-        rows.append((len(items), block))
-        stack.extend(reversed(items))
-    return tuple(zip(*rows))
+        for c in kids[node]:
+            items.append(((labels[c] + shifted,), c))
+        out.append(len(items))
+        blocks.append(block)
+        stack += reversed(items)
+    return tuple(out), tuple(blocks)
 
 
 def unibi_to_q(t: MultiTree) -> Tuple[ColoredTree, bool]:
@@ -422,28 +437,22 @@ class BijectionReport:
 
 
 def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionReport:
-    """Round trip, injectivity, codomain membership and count equality of a
-    map whose image (code, shifted) of an object with m labels lies among
-    the targets with m - shifted labels, for each shift in ``shifts``.
-    max_m meets the capacity before any object is made.  The codomain with
-    m labels is kept as (word, colors) -> label tuples."""
+    """Round trip, codomain membership and count equality of a map whose
+    image (code, shifted) of an object with m labels lies among the targets
+    with m - shifted labels, for each shift in ``shifts``: one set of colored
+    codes per label count.  max_m meets the capacity before any object is
+    made.  The round trips make the map injective, so the images are counted
+    against the objects only at a label count that recorded a failure."""
     check_capacity(max_m, MAX_OBJECT_LABELS, "object label count m")
     objects, targets = (_OBJECT_SCHEMES[scheme][1]() for scheme in schemes)
-    failures, domain, image = [], [], []
-    codomains, counts = [{}], [0]
+    failures, domain, image, codomains = [], [], [], [set()]
     for m, objs, cols in zip(range(1, max_m + 1), objects, targets):
-        codomain = defaultdict(set)
-        for word, labels, colors in cols:
-            codomain[word, colors].add(labels)
-        codomains.append(codomain)
-        counts.append(sum(map(len, codomain.values())))
-        images = set()
+        codomains.append(set(cols))
+        before = len(failures)
         for obj in objs:
             col, shifted = forward(obj)
-            images.add((col, shifted))
-            word, labels, colors = col
             # the inverse walk only sees codomain members, which are valid
-            if labels not in codomains[m - shifted].get((word, colors), ()):
+            if col not in codomains[m - shifted]:
                 failures.append(
                     f"m={m}: image not a valid colored tree: {_colored_text(*col)}"
                 )
@@ -451,9 +460,9 @@ def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionRe
                 failures.append(
                     f"m={m}: round trip failed for {_multi_text(*obj)}"
                 )
-        if len(images) != len(objs):
+        if len(failures) > before and len(set(map(forward, objs))) != len(objs):
             failures.append(f"m={m}: {name} map not injective")
-        sizes = [counts[m - shift] for shift in shifts]
+        sizes = [len(codomains[m - shift]) for shift in shifts]
         if sum(sizes) != len(objs):
             failures.append(f"m={m}: {len(objs)} {noun} vs {' + '.join(map(str, sizes))} colored")
         domain.append(len(objs))

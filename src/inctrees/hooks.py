@@ -91,7 +91,9 @@ def _bucket_census(m: int, max_bucket: Optional[int]):
 # Enough for every (size, factor row) of one ``verify hook --max-n 12
 # --max-m 8`` (70 rows) or of every hook request of the bench's ``oracle``
 # pass (50).  An entry holds one int per out-degree multiset (56 at size
-# 12): a few KB for small k, about 0.7 MB at size 12 for ``-k 3000``.
+# 12): a few KB for small k, about 0.7 MB at size 12 for ``-k 3000``.  The
+# bound counts rows, not bytes, and a row grows with k: one size-10 row at
+# k = 30000 holds 2.5 MB, and a library process can keep 128 such rows.
 HOOK_VECTOR_CACHE = 128
 
 

@@ -547,9 +547,10 @@ def _bucket_codes(m: int, cap: Optional[int]) -> Counter:
     table = _code_tables.setdefault((unit, cap), [None])
     for total in range(len(table), m + 1):
         items = [(1, 1, 0, total)] if cap is None or total <= cap else []
+        lift = [unit ** (2 * r + 2) - unit ** (2 * r) for r in range(total)]
         for t in range(1, total):
             firsts = [(code, d * perm(t, b)) for code, d, _, b in table[t]]
-            items += [(c + f + unit ** (2 * r + 2) - unit ** (2 * r), d * e, r + 1, b)
+            items += [(c + f + lift[r], d * e, r + 1, b)
                       for c, d, r, b in table[total - t] for f, e in firsts]
         table.append(items)
     labels, counts = factorial(m), Counter()

@@ -175,6 +175,38 @@ def test_verifier_reports_images_outside_the_codomain(monkeypatch):
     assert not any(f.startswith("m=1") for f in report.failures)
 
 
+def test_verifier_reports_a_collision_inside_the_codomain(monkeypatch):
+    # every object maps to the chain image of one node holding all its
+    # labels: a valid colored tree, so only the round trips fail, and the
+    # images are then collected and found to collide
+    whole = bijections._chain
+    monkeypatch.setattr(
+        bijections, "_chain", lambda code: whole(((0,), (tuple(sorted(sum(code[1], ()))),)))
+    )
+    assert verify_chain_bijection(2).failures == (
+        "m=2: round trip failed for ({1} ({2}))",
+        "m=2: chain map not injective",
+    )
+
+
+def test_verifier_walks_each_object_once_when_all_pass(monkeypatch):
+    # the round trips prove the map injective, so no image set is built
+    calls = Counter()
+
+    def counted(walk):
+        def run(*args):
+            calls[walk.__name__] += 1
+            return walk(*args)
+        return run
+
+    for name in ("_chain", "_unchain", "_split", "_merge"):
+        monkeypatch.setattr(bijections, name, counted(getattr(bijections, name)))
+    chain, split = verify_chain_bijection(5), verify_split_bijection(5)
+    assert chain.ok and split.ok
+    n, k = sum(chain.domain_sizes), sum(split.domain_sizes)
+    assert calls == {"_chain": n, "_unchain": n, "_split": k, "_merge": k}
+
+
 def test_verifier_reports_unequal_counts(monkeypatch):
     make, levels = bijections._OBJECT_SCHEMES["colored-unary"]
     monkeypatch.setitem(
@@ -415,6 +447,27 @@ def test_grown_levels_equal_the_backtracking_generators(scheme):
     levels = bijections._OBJECT_SCHEMES[scheme][1]()
     for m, level in zip(range(1, 8), levels):
         assert Counter(level) == Counter(oracle.SCHEME_CODES[scheme](m))
+
+
+WALKS = (  # object scheme: the walk and its validating copy, per shift
+    ("free-multi", lambda code: [(bijections._chain(code), oracle.chain_code(code))]),
+    ("colored-unary", lambda code: [(bijections._unchain(code), oracle.unchain_code(code))]),
+    ("unibi", lambda code: [(bijections._split(code), oracle.split_code(code))]),
+    ("colored-branching", lambda code: [
+        (bijections._merge(code, shifted), oracle.merge_code(code, shifted))
+        for shifted in (False, True)
+    ]),
+)
+
+
+@pytest.mark.parametrize("scheme, pairs", WALKS, ids=[scheme for scheme, _ in WALKS])
+def test_walks_equal_the_validating_walks(scheme, pairs):
+    # every code the verifier grows, up to the capacity m = 7
+    levels = bijections._OBJECT_SCHEMES[scheme][1]()
+    for _, level in zip(range(1, 8), levels):
+        for code in level:
+            for got, want in pairs(code):
+                assert got == want
 
 
 def test_verify_at_the_capacity(monkeypatch):
