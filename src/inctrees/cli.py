@@ -12,7 +12,12 @@ Subcommands (every ``hook`` kind also takes ``--format plain|json``)::
     hook bucket (--weights SPEC | --family ID) [--max-m M] [--max-bucket 2]
     hook rho [--rho-num c0,c1,..] [--rho-den c0,c1,..] [--tree-family F] [--max-n N]
 
-A command accepts only the flags it reads, and its parser names its runner.
+``_COMMANDS`` is the one command table: each command path holds its runner,
+positionals, options (with their ``add_argument`` keywords) and required
+source group, so a command accepts only the flags it reads.  :func:`main`
+reads a well-formed command directly from the table (``_parse_direct``) and
+hands anything else, help and errors included, to the argparse parser
+:func:`build_parser` builds from the same table at first need.
 Exit status is 0 exactly when every executed check passes; a bad input
 (every size must be a positive integer) exits 2 naming it.  The b-file
 format prints ``n a(n)`` lines with offset 1 for every family.
@@ -33,7 +38,7 @@ import json
 import sys
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import bijections, families, hooks, reverse, solvers
 from .series import _parse_fractions
@@ -389,8 +394,8 @@ def _run_hook(args, out) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the size arguments (--max-n, --max-m, --cutoff, -k,
-    seq TERMS, reverse --terms)."""
+    """Type of the size arguments (--max-n, --max-m, --cutoff, -k, seq TERMS,
+    reverse --terms), read by the direct pass and by argparse alike."""
     try:
         value = int(text)
     except ValueError:
@@ -400,84 +405,196 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# -- the command table ---------------------------------------------------
+
+class _Command(NamedTuple):
+    """One command path: its runner, its arguments and its required source
+    group, of which a command takes exactly one.  An argument is ``(names,
+    add_argument keywords)``; an option's names start with "-"."""
+
+    run: Callable
+    arguments: tuple
+    sources: tuple = ()
+
+
+_FORMAT = (("--format",), {"choices": ("plain", "json"), "default": "plain"})
+_MAX_N = (("--max-n",), {"type": _positive_int, "default": 5})
+_MAX_M = (("--max-m",), {"type": _positive_int, "default": 5})
+_K = (("-k",), {"type": _positive_int, "default": 2})
+_WEIGHT_SOURCES = (
+    (("--weights",), {"help": "degree weights, e.g. exp or poly:1,0,1"}),
+    (("--family",), {"help": "take weights from a registered family"}),
+)
+
+# the help line of each command, in the order ``inctree --help`` lists them
+_COMMAND_HELP = {
+    "seq": "print a family's counting sequence",
+    "verify": "run exhaustive verification suites",
+    "reverse": "recover degree weights from a target sequence",
+    "bijection": "verify a bijection exhaustively",
+    "hook": "evaluate hook-length identities",
+}
+
+_COMMANDS = {
+    ("seq",): _Command(_run_seq, (
+        (("family",), {"help": "family identifier, e.g. bilabelled/unordered"}),
+        (("terms",), {"type": _positive_int}),
+        (("--format",), {"choices": ("plain", "bfile", "json"), "default": "plain"}),
+    )),
+    ("verify",): _Command(_run_verify, (
+        (("suite",), {"choices": (*_SUITES, "all")}),
+        (("--max-n",), {"type": _positive_int, "default": 6}),
+        _MAX_M,
+        (("--cutoff",), {"type": _positive_int, "default": 50}),
+        _FORMAT,
+    )),
+    ("reverse",): _Command(_run_reverse, (
+        (("--terms", "-t"), {"type": _positive_int, "help": "terms of --family (default 8)"}),
+        _FORMAT,
+    ), sources=(
+        (("--values",), {"help": "comma-separated target values T_1,T_2,..."}),
+        (("--values-file",), {"help": "file with one target value per line"}),
+        (("--family",), {"help": "take the target from a registered family"}),
+    )),
+    ("bijection",): _Command(_run_bijection, (
+        (("scheme",), {"choices": ("free", "unibi")}),
+        _MAX_M,
+        (("--show",), {"action": "store_true", "help": "print each object pair"}),
+    )),
+    ("hook", "klabelled"): _Command(_run_hook, (_K, _MAX_N, _FORMAT), _WEIGHT_SOURCES),
+    ("hook", "bucket"): _Command(_run_hook, (
+        _MAX_M,
+        (("--max-bucket",), {"type": int, "choices": (2,), "help": "omit for unbounded"}),
+        _FORMAT,
+    ), _WEIGHT_SOURCES),
+    ("hook", "ktuple"): _Command(_run_hook, (_K, _MAX_N, _FORMAT), _WEIGHT_SOURCES),
+    ("hook", "rho"): _Command(_run_rho, (
+        (("--rho-num",), {"default": "1"}),
+        (("--rho-den",), {"default": "1"}),
+        (("--tree-family",), {"default": "ordered"}),
+        _MAX_N,
+        _FORMAT,
+    )),
+}
+
+
+def _grammar(path: Tuple[str, ...], command: _Command):
+    """What the direct pass reads of one table entry: each option name's
+    (dest, keywords), the positionals' (dest, keywords), the sources' dests
+    and the Namespace of a command given no option."""
+    options, positionals = {}, []
+    defaults = {**dict(zip(("command", "kind"), path)), "run": command.run}
+    for names, keywords in (*command.sources, *command.arguments):
+        if names[0][:1] != "-":
+            positionals.append((names[0], keywords))
+            continue
+        dest = next((n for n in names if n[:2] == "--"), names[0]).lstrip("-").replace("-", "_")
+        store_true = keywords.get("action") == "store_true"
+        defaults[dest] = keywords.get("default", False if store_true else None)
+        options.update(dict.fromkeys(names, (dest, keywords)))
+    sources = tuple(options[names[0]][0] for names, _ in command.sources)
+    return options, tuple(positionals), sources, defaults
+
+
+_GRAMMARS = {path: _grammar(path, command) for path, command in _COMMANDS.items()}
+_MALFORMED = object()
+
+
+def _value(keywords: dict, text: str):
+    """``text`` converted and checked as argparse does, or _MALFORMED."""
+    convert = keywords.get("type")
+    if convert is not None:
+        try:
+            text = convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return _MALFORMED
+    choices = keywords.get("choices")
+    return _MALFORMED if choices is not None and text not in choices else text
+
+
+def _parse_direct(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse would return for a well-formed ``argv``, read in
+    one pass over the command table; None for anything else: an unknown,
+    abbreviated or repeated flag, ``-h``, ``--``, a value that starts with
+    "-", a failed type or choice check, a missing or extra positional, or
+    zero or two sources.  Options are ``--flag value`` or ``--flag=value``
+    in any order, between the positionals too."""
+    depth = 2 if argv[:1] == ["hook"] else 1
+    grammar = _GRAMMARS.get(tuple(argv[:depth]))
+    if grammar is None:
+        return None
+    options, positionals, sources, defaults = grammar
+    values, words = {}, []
+    tokens = iter(argv[depth:])
+    for token in tokens:
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        name, eq, text = token.partition("=") if token[:2] == "--" else (token, "", "")
+        dest, keywords = options.get(name, (None, None))
+        if dest is None or dest in values:
+            return None
+        if keywords.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(tokens, "-")
+        value = _MALFORMED if text[:1] == "-" else _value(keywords, text)
+        if value is _MALFORMED:
+            return None
+        values[dest] = value
+    if len(words) != len(positionals) or (sources and sum(d in values for d in sources) != 1):
+        return None
+    for (dest, keywords), word in zip(positionals, words):
+        value = values[dest] = _value(keywords, word)
+        if value is _MALFORMED:
+            return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Each command and ``hook`` kind takes only the flags its runner
-    (``run``) reads; each source group is one required choice."""
+    """The argparse parser of the command table: each command and ``hook``
+    kind takes only the flags its runner (``run``) reads, and each source
+    group is one required choice.  :func:`main` reads a command with it only
+    when the direct pass does not, so its help and errors are argparse's."""
     parser = argparse.ArgumentParser(
         prog="inctree",
         description="Exact enumeration and verification of multilabelled increasing tree families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_seq = sub.add_parser("seq", help="print a family's counting sequence")
-    p_seq.add_argument("family", help="family identifier, e.g. bilabelled/unordered")
-    p_seq.add_argument("terms", type=_positive_int)
-    p_seq.add_argument("--format", choices=("plain", "bfile", "json"), default="plain")
-    p_seq.set_defaults(run=_run_seq)
-
-    p_verify = sub.add_parser("verify", help="run exhaustive verification suites")
-    p_verify.add_argument("suite", choices=(*_SUITES, "all"))
-    p_verify.add_argument("--max-n", type=_positive_int, default=6)
-    p_verify.add_argument("--max-m", type=_positive_int, default=5)
-    p_verify.add_argument("--cutoff", type=_positive_int, default=50)
-    p_verify.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_verify.set_defaults(run=_run_verify)
-
-    p_rev = sub.add_parser("reverse", help="recover degree weights from a target sequence")
-    target = p_rev.add_mutually_exclusive_group(required=True)
-    target.add_argument("--values", help="comma-separated target values T_1,T_2,...")
-    target.add_argument("--values-file", help="file with one target value per line")
-    target.add_argument("--family", help="take the target from a registered family")
-    p_rev.add_argument("--terms", "-t", type=_positive_int, help="terms of --family (default 8)")
-    p_rev.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_rev.set_defaults(run=_run_reverse)
-
-    p_bij = sub.add_parser("bijection", help="verify a bijection exhaustively")
-    p_bij.add_argument("scheme", choices=("free", "unibi"))
-    p_bij.add_argument("--max-m", type=_positive_int, default=5)
-    p_bij.add_argument("--show", action="store_true", help="print each object pair")
-    p_bij.set_defaults(run=_run_bijection)
-
-    p_hook = sub.add_parser("hook", help="evaluate hook-length identities")
-    kinds = p_hook.add_subparsers(dest="kind", required=True)
-    for kind in ("klabelled", "bucket", "ktuple"):
-        p_kind = kinds.add_parser(kind)
-        source = p_kind.add_mutually_exclusive_group(required=True)
-        source.add_argument("--weights", help="degree weights, e.g. exp or poly:1,0,1")
-        source.add_argument("--family", help="take weights from a registered family")
-        if kind == "bucket":
-            p_kind.add_argument("--max-m", type=_positive_int, default=5)
-            p_kind.add_argument("--max-bucket", type=int, choices=(2,), help="omit for unbounded")
-        else:
-            p_kind.add_argument("-k", type=_positive_int, default=2)
-            p_kind.add_argument("--max-n", type=_positive_int, default=5)
-        p_kind.add_argument("--format", choices=("plain", "json"), default="plain")
-        p_kind.set_defaults(run=_run_hook)
-    p_rho = kinds.add_parser("rho")
-    p_rho.add_argument("--rho-num", default="1")
-    p_rho.add_argument("--rho-den", default="1")
-    p_rho.add_argument("--tree-family", default="ordered")
-    p_rho.add_argument("--max-n", type=_positive_int, default=5)
-    p_rho.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_rho.set_defaults(run=_run_rho)
+    commands = {name: sub.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
+    kinds = commands["hook"].add_subparsers(dest="kind", required=True)
+    for path, command in _COMMANDS.items():
+        p = kinds.add_parser(path[1]) if len(path) > 1 else commands[path[0]]
+        if command.sources:
+            group = p.add_mutually_exclusive_group(required=True)
+            for names, keywords in command.sources:
+                group.add_argument(*names, **keywords)
+        for names, keywords in command.arguments:
+            p.add_argument(*names, **keywords)
+        p.set_defaults(run=command.run)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built at the first call of :func:`main`
-    (not at import) and reused by every later call: parsing reads it and
-    leaves it unchanged."""
+    """The parser of this process, built at the first command the direct pass
+    does not read (not at import) and reused by every later one: parsing
+    reads it and leaves it unchanged."""
     return build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["hook"] and argv[1:2] and argv[1][:1] == "-" and argv[1] not in ("-h", "--help"):
-        # argparse would take the option's value for the kind
-        _parser().error(f"hook: the kind (klabelled, ktuple, bucket, rho) comes first, "
-                        f"before option {argv[1].partition('=')[0]}")
-    args = _parser().parse_args(argv)
+    args = _parse_direct(argv)
+    if args is None:
+        if argv[:1] == ["hook"] and argv[1:2] and argv[1][:1] == "-" and argv[1] not in ("-h", "--help"):
+            # argparse would take the option's value for the kind
+            _parser().error(f"hook: the kind (klabelled, ktuple, bucket, rho) comes first, "
+                            f"before option {argv[1].partition('=')[0]}")
+        args = _parser().parse_args(argv)
     # every exact value prints in full: lift Python's int-to-str digit limit
     # while the command runs (the parsers bound their own input)
     limit = sys.get_int_max_str_digits()

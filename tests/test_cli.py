@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inctrees import bijections, cli, families, hooks, solvers
 from inctrees.cli import main
@@ -583,6 +585,53 @@ def test_one_parser_serves_every_call(monkeypatch):
     assert [call(argv) for argv in REUSE_RUNS] == alone
     assert len(builds) == 1
     assert [code for code, _, _ in alone[:4]] == [2, 2, 2, 2]
+    # well-formed commands alone never build the parser (the direct pass reads
+    # them); the first malformed one builds it once, and the next reuses it
+    builds.clear()
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in REUSE_RUNS[:1] + REUSE_RUNS[3:]] == alone[:1] + alone[3:]
+    assert builds == []
+    assert call(REUSE_RUNS[1]) == alone[1]
+    assert len(builds) == 1
+    assert call(REUSE_RUNS[2]) == alone[2]
+    assert len(builds) == 1
+
+
+def test_a_process_of_well_formed_commands_builds_no_parser():
+    # in a fresh process: importing the CLI and running well-formed commands
+    # constructs no argparse parser; the first malformed command builds the
+    # parser once, and a second reuses it
+    script = """if True:
+        import argparse, contextlib, io
+        made = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        from inctrees import cli
+        builds = []
+        build = cli.build_parser
+        cli.build_parser = lambda: builds.append(1) or build()
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    return cli.main(list(argv))
+                except SystemExit as exc:
+                    return exc.code
+        codes = [run("seq", "bilabelled/ordered", "5"), run("bijection", "free", "--max-m", "3"),
+                 run("hook", "klabelled", "--weights", "exp", "--max-n", "3")]
+        print(codes, len(made), len(builds))
+        codes = [run("seq", "bilabelled/ordered", "0"), run("seq", "bilabelled/ordered", "--max")]
+        print(codes, len(builds))
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[0, 0, 0] 0 0", "[2, 2] 1"]
 
 
 def test_bijection_show_output_is_pinned(capsys):
@@ -826,3 +875,176 @@ def test_reverse_rejects_oversized_literal_by_name(capsys, literal):
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert literal[:10] in err and "4300 digits" in err
+
+
+# -- the direct pass and argparse read the same command table --------------
+#
+# main reads a well-formed command in one pass over cli._COMMANDS and hands
+# anything else to argparse, built from the same table.  Wherever the direct
+# pass returns a Namespace, argparse returns an equal one.
+
+PARSER = cli.build_parser()
+
+
+def readme_examples():
+    """The argv of each example of README's "Command line" section."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Examples:\n\n```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line.partition("#")[0]) for line in block.splitlines()]
+    assert lines and all(line[0] == "inctree" for line in lines)
+    return [line[1:] for line in lines]
+
+
+def direct_or_none(argv):
+    """The direct pass's Namespace of argv, checked against argparse's."""
+    args = cli._parse_direct(argv)
+    if args is not None:
+        assert vars(args) == vars(PARSER.parse_args(argv)), argv
+    return args
+
+
+def test_direct_pass_reads_every_readme_example():
+    assert all(direct_or_none(argv) is not None for argv in readme_examples())
+
+
+@pytest.mark.parametrize(
+    "argv", [*REUSE_RUNS, *(argv for argv, _ in UNREAD_FLAGS)], ids=" ".join
+)
+def test_direct_pass_agrees_on_the_pinned_commands(argv):
+    direct_or_none(argv)
+
+
+# argv the direct pass leaves to argparse, each with None when argparse
+# rejects it or prints help, else with the spelled-out argv argparse reads it as
+LEFT_TO_ARGPARSE = [
+    ([], None),
+    (["--help"], None),
+    (["hook"], None),
+    (["hook", "-h"], None),
+    (["hook", "--weights", "exp", "klabelled"], None),
+    (["seq", "-h"], None),
+    (["seq", "bilabelled/ordered"], None),
+    (["seq", "bilabelled/ordered", "5", "extra"], None),
+    (["seq", "bilabelled/ordered", "0"], None),
+    (["seq", "bilabelled/ordered", "5", "--", "--format", "json"], None),
+    (["verify", "everything"], None),
+    (["verify", "hook", "--max", "3"], None),
+    (["verify", "hook", "--max-n", "-3"], None),
+    (["verify", "hook", "--max-n=-3"], None),
+    (["bijection", "free", "--show=yes"], None),
+    (["hook", "rho", "--rho-num", "-1,1"], None),
+    (["hook", "rho", "--rho-num"], None),
+    (["hook", "bucket", "--weights", "exp", "--max-bucket", "3"], None),
+    (["hook", "ktuple", "--max-n", "3"], None),
+    (["hook", "ktuple", "--weights", "exp", "--family", "bilabelled/ordered"], None),
+    (["reverse", "--format", "json"], None),
+    (["seq", "bilabelled/ordered", "5", "--form", "json"],
+     ["seq", "bilabelled/ordered", "5", "--format", "json"]),
+    (["seq", "bilabelled/ordered", "5", "--format", "json", "--format", "plain"],
+     ["seq", "bilabelled/ordered", "5"]),
+    (["hook", "ktuple", "--weights", "exp", "-k3"], ["hook", "ktuple", "--weights", "exp", "-k", "3"]),
+    (["reverse", "--values", "1,2", "--values", "1,2"], ["reverse", "--values", "1,2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, same", LEFT_TO_ARGPARSE, ids=[" ".join(argv) or "empty" for argv, _ in LEFT_TO_ARGPARSE]
+)
+def test_direct_pass_leaves_other_commands_to_argparse(argv, same):
+    assert cli._parse_direct(argv) is None
+    code, out, err = call(argv)
+    if same is not None:
+        assert cli._parse_direct(same) is not None
+        assert (code, out, err) == call(same)
+    elif code == 0:
+        assert out.startswith("usage: inctree") and err == ""
+    else:
+        assert (code, out) == (2, "") and err.startswith("usage: inctree")
+
+
+def _option_names(command):
+    return [name for names, _ in (*command.sources, *command.arguments)
+            for name in names if name[:1] == "-"]
+
+
+FLAGS = sorted({name for command in cli._COMMANDS.values() for name in _option_names(command)})
+# tokens a malformed command may carry: flags of any command, abbreviated
+# flags, help, the end of options, values with a leading "-" and values that
+# fail a type or choice check
+NOISE = [*FLAGS, "--max", "--form", "--val", "--fam", "--rho", "--show=1", "-h", "--help", "--",
+         "-", "-1", "-x", "0", "two", "3", "json", "bfile", "extra", "--format=json", "--max-n=4"]
+
+
+def _text_value(keywords):
+    if "choices" in keywords:
+        return st.sampled_from([str(c) for c in keywords["choices"]])
+    if keywords.get("type") is not None:
+        return st.integers(1, 30).map(str)
+    return st.sampled_from(["exp", "poly:1,0,1", "bilabelled/ordered", "1,2,22", "1,1", "",
+                            "binary", "a=b", "x y"])
+
+
+@st.composite
+def table_argv(draw, noisy=False):
+    """An argv of a command path of the table: its positionals, one source
+    and some options (each once, as ``--flag value`` or ``--flag=value``),
+    all in any order.  A noisy argv also repeats options, takes zero or two
+    sources, and has tokens of NOISE inserted and tokens dropped."""
+    path, command = draw(st.sampled_from(list(cli._COMMANDS.items())))
+    options = [a for a in command.arguments if a[0][0][:1] == "-"]
+    positionals = [a for a in command.arguments if a[0][0][:1] != "-"]
+    if noisy:
+        chosen = draw(st.lists(st.sampled_from(options), max_size=5))
+        sources = draw(st.lists(st.sampled_from(command.sources), max_size=2)) if command.sources else []
+    else:
+        chosen = draw(st.lists(st.sampled_from(options), unique_by=lambda a: a[0])) if options else []
+        sources = [draw(st.sampled_from(command.sources))] if command.sources else []
+    units = []
+    for names, keywords in sources + chosen:
+        name = draw(st.sampled_from(names))
+        if keywords.get("action") == "store_true":
+            units.append([name])
+        elif name[:2] == "--" and draw(st.booleans()):
+            units.append([f"{name}={draw(_text_value(keywords))}"])
+        else:
+            units.append([name, draw(_text_value(keywords))])
+    words = [draw(_text_value(keywords)) for _, keywords in positionals]
+    units = draw(st.permutations(units + [None] * len(words)))
+    argv = list(path)
+    for unit in units:
+        argv.extend(unit if unit is not None else [words.pop(0)])
+    if noisy:
+        for _ in range(draw(st.integers(0, 3))):
+            if argv and draw(st.booleans()):
+                del argv[draw(st.integers(0, len(argv) - 1))]
+            else:
+                argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(NOISE)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table_argv())
+def test_direct_pass_reads_well_formed_commands_as_argparse_does(argv):
+    assert direct_or_none(argv) is not None, argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(table_argv(noisy=True))
+def test_direct_pass_returns_none_or_what_argparse_returns(argv):
+    direct_or_none(argv)
+
+
+@pytest.mark.parametrize(
+    "path", [(), ("hook",), *cli._COMMANDS], ids=lambda path: " ".join(path) or "inctree"
+)
+def test_help_exits_0_and_names_every_flag(path):
+    code, out, err = call([*path, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(('inctree', *path))} [-h]")
+    if not path:
+        names = {p[0] for p in cli._COMMANDS}
+    elif path == ("hook",):
+        names = [p[1] for p in cli._COMMANDS if p[0] == "hook"]
+    else:
+        names = _option_names(cli._COMMANDS[path])
+    assert names and all(name in out for name in names)
