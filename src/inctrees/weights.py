@@ -44,7 +44,7 @@ class DegreeWeights:
         self._fn = fn
         self._cache: dict = {}
         phi0 = self.coefficient(0)
-        if phi0 <= 0:
+        if phi0.numerator <= 0:
             raise ValueError(f"degree weights need phi_0 > 0, got {phi0}")
 
     # -- constructors -------------------------------------------------
@@ -52,9 +52,9 @@ class DegreeWeights:
     @classmethod
     def polynomial(cls, coefficients, name: Optional[str] = None) -> "DegreeWeights":
         coeffs = tuple(as_fraction(c) for c in coefficients)
-        if any(c < 0 for c in coeffs):
-            bad = next(i for i, c in enumerate(coeffs) if c < 0)
-            raise ValueError(f"negative degree weight phi_{bad} = {coeffs[bad]}")
+        for j, c in enumerate(coeffs):
+            if c.numerator < 0:
+                raise ValueError(f"negative degree weight phi_{j} = {c}")
         label = name or "poly:" + ",".join(str(c) for c in coeffs)
         return cls("poly", label, lambda j: coeffs[j] if j < len(coeffs) else 0)
 
@@ -113,7 +113,7 @@ class DegreeWeights:
             raise ValueError("degree index must be non-negative")
         if j not in self._cache:
             value = as_fraction(self._fn(j))
-            if value < 0:
+            if value.numerator < 0:
                 raise ValueError(f"negative degree weight phi_{j} = {value}")
             self._cache[j] = value
         return self._cache[j]

@@ -962,6 +962,24 @@ def test_direct_pass_leaves_other_commands_to_argparse(argv, same):
         assert (code, out) == (2, "") and err.startswith("usage: inctree")
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["seq", "bilabelled/unordered", "6", "--max-n", "3"], "--max-n 3"),
+    (["seq", "bilabelled/unordered", "6", "extra"], "extra"),
+    (["hook", "klabelled", "--weights", "exp", "--max-m", "3"], "--max-m 3"),
+    (["verify", "all", "--max-m=3", "--bogus"], "--bogus"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_a_flag_the_command_does_not_take_is_reported_by_that_command(argv, unknown):
+    # the usage line and the error name the command, not the top-level parser
+    path = argv[:2] if argv[0] == "hook" else argv[:1]
+    prog = " ".join(["inctree", *path])
+    code, out, err = call(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: {unknown}\n")
+    _, help_text, _ = call([*path, "--help"])
+    assert err.startswith(help_text[: help_text.index("\n\n") + 1])
+
+
 def _option_names(command):
     return [name for names, _ in (*command.sources, *command.arguments)
             for name in names if name[:1] == "-"]
