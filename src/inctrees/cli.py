@@ -369,8 +369,7 @@ def _run_rho(args, out) -> int:
     if args.format == "json":
         print(json.dumps([{"n": n, "sum": str(value)} for n, value in zip(ns, sums)]), file=out)
     else:
-        for n, value in zip(ns, sums):
-            print(f"n={n} sum={value}", file=out)
+        print("\n".join(f"n={n} sum={value}" for n, value in zip(ns, sums)), file=out)
     return 0
 
 
@@ -388,8 +387,7 @@ def _run_hook(args, out) -> int:
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
     else:
-        for r in reports:
-            print(r.to_text(), file=out)
+        print("\n".join([r.to_text() for r in reports]), file=out)
     return 0 if all(r.equal for r in reports) else 1
 
 

@@ -7,32 +7,40 @@ by brute-force enumeration; the right-hand side comes from the coefficient
 solvers — two fully independent computation paths, compared exactly.
 
 Each kind has one core over sizes 1..N (``hook_sums_*``,
-``generic_hook_weight_sums``): it checks N's capacity, then solves to N once
-and builds the phi prefix and the per-hook factor table once; a function of
-one size calls it with that size alone.  A per-node sum reads the size's
-census of tree counts per (hook-length multiplicities, sorted out-degrees),
-and a bucket sum the label count's census of integer labelling counts per
-sorted out-degrees.  Each is decoded from the packed codes that ``trees``
-grafts, one per tree (and bucket function), and cached per process.
+``generic_hook_weight_sums``): it rejects an empty run or a size below 1,
+checks N's capacity, then solves to N once and builds its row of hook
+factors and its scaled phi once; a function of one size calls it with that
+size alone.  A per-node sum reads the size's census of tree counts per
+(hook-length multiplicities, sorted out-degrees), and a bucket sum the
+label count's census of integer labelling counts per sorted out-degrees.
+Each is decoded from the packed codes that ``trees`` grafts, one per tree
+(and bucket function), and cached per process.
 
-A per-node sum splits into a hook side and a degree side.  The hook factor
-(1/(kh)_k, h^-k or rho(h)) depends on the scheme and k, never on phi, so
-:func:`_hook_vector` folds the census over one row of factors into one int
-per out-degree multiset, over one common denominator, and is cached per
-process per (size, factor row), at most ``HOOK_VECTOR_CACHE`` rows.  phi
-then enters as one dot product per size (:func:`_fold`), which also sums
-the bucket censuses: phi is scaled by the lcm of its denominators and one
-``Fraction`` is built per sum.  A second phi at the same size and factor
-row costs only its degree products and the solver.  Every tree's term is
-still summed, and ``trees_visited`` is the number of trees behind a sum.
+The command runs on ints from the census to the verdict.  The hook factors
+are normalised (num, den) int pairs: (1, (kh)_k), (1, h^k), or rho(h) by
+integer Horner on the coefficients scaled by their lcm, every denominator
+checked before any sum.  A per-node sum splits into a hook side and a
+degree side.  The hook side depends on the scheme and k, never on phi, so
+:func:`_hook_vector` folds the census over the size's row of factors into
+one int per out-degree multiset, over one common denominator, and is cached
+per process per (size, factor row), at most ``HOOK_VECTOR_CACHE`` rows.
+phi is scaled once per command by the lcm L of its denominators, with one
+list of powers of L (:func:`_integer_phi`), and enters each size as one dot
+product (:func:`_fold`), which also sums the bucket censuses and builds the
+size's one left-hand ``Fraction``.  Each right-hand side is one normalised
+``Fraction`` of T_n's numerator over its denominator times the size's
+factorial, and a report reads its verdict once, from the two sides'
+numerator/denominator pairs.  A second phi at the same size and factor row
+costs only its degree products and the solver.  Every tree's term is still
+summed, and ``trees_visited`` is the number of trees behind a sum.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import getitem
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -119,34 +127,59 @@ def _hook_vector(n: int, factors: Tuple[Tuple[int, int], ...]):
     return pairs, prod(row[0] for row in powers), visited
 
 
-def _fold(phi: Sequence[Fraction], pairs, size: int, denominator: int) -> Fraction:
+def _over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """The values as ints v L over the lcm L of their denominators, and L."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _integer_phi(weights: DegreeWeights, top: int):
+    """phi_0..phi_{top-1} scaled to ints w_d = L phi_d by the lcm L of their
+    denominators, and the powers L^0..L^top: once per command, for every
+    size's :func:`_fold`."""
+    w, scale = _over_lcm([weights.coefficient(d) for d in range(top)])
+    return w, [scale**i for i in range(top + 1)]
+
+
+def _fold(w: List[int], powers: List[int], pairs, size: int, denominator: int) -> Fraction:
     """Sum over the (sorted out-degrees, int c) pairs of c * prod phi_odeg,
-    over denominator.  In ints: phi is scaled by the lcm L of its
-    denominators and a tree of s nodes by L^(size - s), so every term has
-    the denominator L^size; the one Fraction is built at the end."""
-    scale = lcm(*(p.denominator for p in phi))
-    w = [p.numerator * (scale // p.denominator) for p in phi]
-    lift = [scale ** (size - s) for s in range(size + 1)]
-    total = sum(
-        c * (prod(map(w.__getitem__, degrees)) * lift[len(degrees)]) for degrees, c in pairs
-    )
-    return Fraction(total, scale**size * denominator)
+    over denominator, with phi as :func:`_integer_phi`'s ints w over L: a tree
+    of s nodes is lifted by L^(size - s), so every term has the denominator
+    L^size; the one Fraction is built at the end."""
+    item, total = w.__getitem__, 0
+    for degrees, c in pairs:
+        total += c * prod(map(item, degrees)) * powers[size - len(degrees)]
+    return Fraction(total, powers[size] * denominator)
 
 
-def _tree_sum(weights: DegreeWeights, sizes, factor) -> Iterator[Tuple[Fraction, int]]:
+def _tree_sum(w: List[int], powers: List[int], sizes, row) -> Iterator[Tuple[Fraction, int]]:
     """Per size n in sizes: the sum over the size-n plane trees of prod
-    phi_odeg * factor[hook] over the nodes, and the trees visited; ``factor``
-    maps hook-lengths 1..max(sizes) to Fractions.  The hook side is
+    phi_odeg * num/den over the nodes, (num, den) = row[hook - 1] a
+    normalised int pair, and the trees visited.  The hook side is
     :func:`_hook_vector`'s for the size's row of factors, phi one fold."""
-    # The size-n star has out-degree n-1, so every phi_0..phi_{n-1} is used.
-    phi = [weights.coefficient(d) for d in range(max(sizes))]
-    row = tuple((factor[h].numerator, factor[h].denominator) for h in range(1, max(sizes) + 1))
     # sizes below the largest are kept as they are built, so that their own
     # censuses read them and each size is grafted once in the run
     _code_table(max(sizes) - 1, max(sizes))
     for n in sizes:
         pairs, common, visited = _hook_vector(n, row[:n])
-        yield _fold(phi[:n], pairs, n, common), visited
+        yield _fold(w, powers, pairs, n, common), visited
+
+
+def _largest(sizes, what: str, bound: int) -> int:
+    """The largest of sizes, once every size is at least 1 and the largest
+    within its capacity."""
+    if not sizes:
+        raise ValueError(f"no {what} given")
+    if min(sizes) < 1:
+        raise ValueError(f"{what} = {min(sizes)} must be at least 1")
+    top = max(sizes)
+    check_capacity(top, bound, what)
+    return top
+
+
+def _rhs(count: Fraction, scale: int) -> Fraction:
+    """count / scale, normalised once."""
+    return Fraction(count.numerator, count.denominator * scale)
 
 
 @dataclass(frozen=True)
@@ -158,10 +191,13 @@ class HookIdentityReport:
     lhs: Fraction
     rhs: Fraction
     trees_visited: int
+    # both sides are normalised: read once from their numerator/denominator pairs
+    equal: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
+    def __post_init__(self):
+        lhs, rhs = self.lhs, self.rhs
+        verdict = lhs.numerator == rhs.numerator and lhs.denominator == rhs.denominator
+        object.__setattr__(self, "equal", verdict)
 
     def to_text(self) -> str:
         verdict = "equal" if self.equal else "UNEQUAL"
@@ -184,13 +220,13 @@ class HookIdentityReport:
 def hook_sums_k_labelled(weights: DegreeWeights, k: int, sizes) -> List[HookIdentityReport]:
     """Per size n in sizes: the sum over size-n plane trees of prod phi_odeg /
     (kh)(kh-1)...(kh-k+1), against T_n / (kn)! from one solve to max(sizes)."""
-    top = max(sizes)
-    check_capacity(top, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
-    factor = {h: Fraction(1, falling_factorial(k * h, k)) for h in range(1, top + 1)}
+    top = _largest(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
+    row = tuple((1, falling_factorial(k * h, k)) for h in range(1, top + 1))
     counts = solve_k_labelled(weights, k, top)
+    w, powers = _integer_phi(weights, top)
     return [
-        HookIdentityReport(f"k-labelled(k={k})", n, lhs, counts[n] / factorial(k * n), visited)
-        for n, (lhs, visited) in zip(sizes, _tree_sum(weights, sizes, factor))
+        HookIdentityReport(f"k-labelled(k={k})", n, lhs, _rhs(counts[n], factorial(k * n)), visited)
+        for n, (lhs, visited) in zip(sizes, _tree_sum(w, powers, sizes, row))
     ]
 
 
@@ -198,33 +234,32 @@ def hook_sums_bucket(weights: DegreeWeights, sizes, max_bucket=None) -> List[Hoo
     """Per label count m in sizes: the sum over trees and bucket-size functions
     with m labels of prod phi_odeg / (bucket hook-length falling bucket size),
     against the free (max_bucket None) or uni-bi (2) count from one solve."""
-    top = max(sizes)
-    check_capacity(top, MAX_HOOK_BUCKET_TOTAL, "hook-sum label count m")
+    top = _largest(sizes, "hook-sum label count m", MAX_HOOK_BUCKET_TOTAL)
     if max_bucket not in (None, 2):
         raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
     free = max_bucket is None
     scheme = "bucket-free" if free else "bucket-uni-bi"
     counts = (solve_free_multilabelled if free else solve_unilabelled_bilabelled)(weights, top)
-    phi = [weights.coefficient(d) for d in range(top)]
+    w, powers = _integer_phi(weights, top)
     reports = []
     for m in sizes:
         labellings, visited = _bucket_census(m, max_bucket)
-        lhs = _fold(phi[:m], labellings, m, factorial(m))
-        reports.append(HookIdentityReport(scheme, m, lhs, counts[m] / factorial(m), visited))
+        lhs = _fold(w, powers, labellings, m, factorial(m))
+        reports.append(HookIdentityReport(scheme, m, lhs, _rhs(counts[m], factorial(m)), visited))
     return reports
 
 
 def hook_sums_k_tuple(weights: DegreeWeights, k: int, sizes) -> List[HookIdentityReport]:
     """Per size n in sizes: the sum over size-n plane trees of prod phi_odeg /
     h^k, against T_n / (n!)^k from one solve to max(sizes)."""
-    top = max(sizes)
-    check_capacity(top, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
+    top = _largest(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
     check_capacity(k, MAX_KTUPLE_EXPONENT, "k-tuple exponent k")
-    factor = {h: Fraction(h) ** -k for h in range(1, top + 1)}
+    row = tuple((1, h**k) for h in range(1, top + 1))
     counts = solve_k_tuple(weights, k, top)
+    w, powers = _integer_phi(weights, top)
     return [
-        HookIdentityReport(f"k-tuple(k={k})", n, lhs, counts[n] / factorial(n) ** k, visited)
-        for n, (lhs, visited) in zip(sizes, _tree_sum(weights, sizes, factor))
+        HookIdentityReport(f"k-tuple(k={k})", n, lhs, _rhs(counts[n], factorial(n) ** k), visited)
+        for n, (lhs, visited) in zip(sizes, _tree_sum(w, powers, sizes, row))
     ]
 
 
@@ -246,9 +281,9 @@ def hook_sum_k_tuple(weights: DegreeWeights, k: int, n: int) -> HookIdentityRepo
 _GENERIC_FAMILIES = {name: SHAPES[name] for name in ("ordered", "binary", "strict-binary")}
 
 
-def _eval_poly(coeffs: Sequence, x: int) -> Fraction:
-    total = Fraction(0)
-    for c in reversed([Fraction(c) for c in coeffs]):
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    total = 0
+    for c in reversed(coeffs):
         total = total * x + c
     return total
 
@@ -268,15 +303,20 @@ def generic_hook_weight_sums(
         raise ValueError(
             f"unknown tree family {tree_family!r}; choose from {sorted(_GENERIC_FAMILIES)}"
         )
-    top = max(sizes)
-    check_capacity(top, MAX_HOOK_TREE_SIZE, "hook-sum tree size n")
-    rho = {}
+    top = _largest(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
+    # rho(h) = (N(h) / L_N) / (D(h) / L_D) in ints, reduced to lowest terms
+    num, num_scale = _over_lcm([Fraction(c) for c in rho_numerator])
+    den, den_scale = _over_lcm([Fraction(c) for c in rho_denominator])
+    row = []
     for h in range(1, top + 1):
-        denominator = _eval_poly(rho_denominator, h)
-        if denominator == 0:
+        below = _horner(den, h) * num_scale
+        if below == 0:
             raise ValueError(f"hook-weight denominator vanishes at h = {h}")
-        rho[h] = _eval_poly(rho_numerator, h) / denominator
-    return [lhs for lhs, _ in _tree_sum(weights, sizes, rho)]
+        above = _horner(num, h) * den_scale
+        g = gcd(above, below) if below > 0 else -gcd(above, below)
+        row.append((above // g, below // g))
+    w, powers = _integer_phi(weights, top)
+    return [lhs for lhs, _ in _tree_sum(w, powers, sizes, tuple(row))]
 
 
 def generic_hook_weight_sum(tree_family: str, rho_numerator, rho_denominator, n: int) -> Fraction:

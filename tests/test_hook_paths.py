@@ -3,13 +3,13 @@
 The word generator yields each word with its hook-lengths, and
 ``hooks._tree_sum`` and ``hook_sum_bucket`` fold a census cached per size
 (per label count) in ints: the tree censuses into hook vectors cached per
-(size, factor row), hook products over one denominator per size, then phi,
-scaled by the lcm of its denominators, in one fold with one ``Fraction``
-per sum.  The hook-vector cache is cleared wherever a test swaps a census,
-and pinned to one build per size and factor row.  The
-censuses are decoded from packed codes that ``trees`` grafts subtree by
-subtree.  ``_label_blocks`` is a flat backtracking generator of sorted label
-blocks.  These tests pin each to the route it replaced: ``word_hook_lengths``
+(size, factor row) of normalised int pairs, hook products over one
+denominator per size, then phi, scaled once per command by the lcm of its
+denominators, in one fold with one ``Fraction`` per sum.  The hook-vector
+cache is cleared wherever a test swaps a census, and pinned to one build
+per size and factor row.  The censuses are decoded from packed codes that
+``trees`` grafts subtree by subtree.  ``_label_blocks`` is a flat
+backtracking generator of sorted label blocks.  These tests pin each to the route it replaced: ``word_hook_lengths``
 per word, the censuses built by walking degree words, one ``Fraction``
 product per ``OrderedTree``, bucket hook-lengths from the subtree objects,
 and the frozenset labelling generator, with the sibling-sorted labellings
@@ -18,6 +18,7 @@ that take sizes 1..N, with one solve and one factor table, are pinned to a
 solve and a per-tree loop at each size.  The code fields are pinned at
 multiplicity n - 1.  Hypothesis runs with a fixed seed.
 """
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from math import factorial
@@ -237,32 +238,53 @@ def test_field_bytes_hold_any_size():
 
 FRACTION_OPERATIONS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-    "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+    "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__eq__",
 )
 
 
 def test_folds_make_no_fraction_arithmetic(monkeypatch, fresh_censuses):
-    # The hook vector and the one fold run in ints and the fold builds its
-    # one Fraction at the end, so no Fraction arithmetic runs per census
-    # group or per out-degree multiset, whatever their count.
+    # From the census to the verdict a hook command runs on ints: no Fraction
+    # arithmetic or comparison runs in hooks.py, per census group, out-degree
+    # multiset, size or verdict, and a size builds at most two Fractions, its
+    # left and right sides (a rho sum one, after one per coefficient).
     weights = DegreeWeights.polynomial([F(1, 2), F(2, 3), 0, F(5, 7), 3])
-    phi = [weights.coefficient(d) for d in range(10)]
-    factor = {h: F(h + 1, 2 * h + 3) for h in range(1, 11)}
-    want_tree = oracle.tree_hook_sum(weights, 10, factor)
+    row = tuple((h + 1, 2 * h + 3) for h in range(1, 11))
+    want_tree = oracle.tree_hook_sum(weights, 10, {h: F(*row[h - 1]) for h in range(1, 11)})
     want_bucket = oracle.bucket_hook_sum(weights, 8)[0]
     counts = hooks._bucket_census(8, None)[0]
     assert len(hooks._census(10)[0]) > 20 and len(counts) > 20
-    calls = []
+    sizes, labels, rho = range(1, 11), range(1, 9), ([F(1, 2), 3], [2, F(1, 3)])
+
+    def commands():
+        return [
+            hook_sums_k_labelled(weights, 2, sizes), hook_sums_k_tuple(weights, 3, sizes),
+            hook_sums_bucket(weights, labels), hook_sums_bucket(weights, labels, 2),
+        ], generic_hook_weight_sums("strict-binary", *rho, sizes)
+
+    want_commands = commands()
+    hooks._hook_vector.cache_clear()
+    arithmetic, built = [], []
     for name in FRACTION_OPERATIONS:
         def counted(*args, _name=name, _operation=getattr(F, name)):
-            calls.append(_name)
+            if sys._getframe(1).f_globals["__name__"] == hooks.__name__:
+                arithmetic.append(_name)
             return _operation(*args)
 
         monkeypatch.setattr(F, name, counted)
-    assert list(hooks._tree_sum(weights, [10], factor)) == [want_tree]
+    monkeypatch.setattr(hooks, "Fraction", lambda *args: built.append(args) or F(*args))
+    w, powers = hooks._integer_phi(weights, 10)
+    tree_sum = list(hooks._tree_sum(w, powers, [10], row))
     assert hooks._hook_vector.cache_info().misses == 1  # built here, under the patch
-    assert hooks._fold(phi[:8], counts, 8, factorial(8)) == want_bucket
-    assert calls == []
+    bucket_sum = hooks._fold(w, powers, counts, 8, factorial(8))
+    assert len(built) == 2
+    built.clear()
+    reports, rho_sums = commands()
+    report_fractions = len(built) - len(sizes) - sum(map(len, rho))
+    monkeypatch.undo()  # the comparisons below run outside the count
+    assert (tree_sum, bucket_sum) == ([want_tree], want_bucket)
+    assert (reports, rho_sums) == want_commands
+    assert report_fractions == 2 * (2 * len(sizes) + 2 * len(labels))
+    assert arithmetic == []
 
 
 @given(poly_weights, st.integers(min_value=1, max_value=3),
@@ -322,6 +344,9 @@ def test_bucket_sum_equals_per_tree_loop(weights, m, max_bucket):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @example(DegreeWeights.polynomial([F(1, 2), 0, 3, F(2, 7)]), 3, 8, None)
 @example(DegreeWeights.polynomial([2, 0, F(5, 3), 1]), 2, 8, 2)
+# denominators only at higher degrees: phi's lcm grows with the size
+@example(DegreeWeights.parse("poly:1,1/2,0,1/3,0,1/5"), 2, 8, None)
+@example(DegreeWeights.parse("poly:1,1/2,0,1/3,0,1/5"), 3, 8, 2)
 def test_one_pass_reports_equal_per_size_route(weights, k, top, max_bucket):
     # one solve and one factor table for sizes 1..top, against a solve to
     # each size n and the per-tree loops
@@ -399,6 +424,17 @@ def test_hook_vectors_are_keyed_by_the_factor_row(fresh_censuses):
     hook_sums_k_tuple(weights, 1, range(1, 8))
     assert hooks._hook_vector.cache_info()[:2] == (7, 21)
     assert hooks._hook_vector.cache_info().maxsize == hooks.HOOK_VECTOR_CACHE >= 72
+
+
+@pytest.mark.parametrize("num, den", [([1], [0, 1]), ([2], [0, 2]), ([F(-1, 3)], [0, F(-1, 3)])])
+def test_rho_one_over_h_reads_the_k_tuple_k1_rows(num, den, fresh_censuses):
+    # rho(h) = 1/h is reduced to the pairs (1, h), whatever the coefficients'
+    # scale or sign, so its rows are k-tuple k = 1's
+    sizes = range(1, 9)
+    want = [r.lhs for r in hook_sums_k_tuple(DegreeWeights.bundled(1), 1, sizes)]
+    assert hooks._hook_vector.cache_info()[:2] == (0, 8)
+    assert generic_hook_weight_sums("ordered", num, den, sizes) == want
+    assert hooks._hook_vector.cache_info()[:2] == (8, 8)
 
 
 @pytest.mark.parametrize("max_bucket", [None, 2])

@@ -6,11 +6,15 @@ import pytest
 from inctrees import hooks, trees
 from inctrees.hooks import (
     generic_hook_weight_sum,
+    generic_hook_weight_sums,
     hook_sum_bucket,
     hook_sum_k_labelled,
     hook_sum_k_tuple,
+    hook_sums_bucket,
+    hook_sums_k_labelled,
+    hook_sums_k_tuple,
 )
-from inctrees.trees import catalan
+from inctrees.trees import CapacityError, catalan
 from inctrees.weights import DegreeWeights
 
 EXP = DegreeWeights.exponential()
@@ -65,8 +69,47 @@ def test_bucket_single_label():
 
 def test_bucket_rejects_zero_labels():
     for cap in (None, 2):
-        with pytest.raises(ValueError, match="terms must be positive"):
+        with pytest.raises(ValueError, match="hook-sum label count m = 0 must be at least 1"):
             hook_sum_bucket(EXP, 0, max_bucket=cap)
+
+
+def no_solve(*args):
+    raise AssertionError("solved before the sizes were checked")
+
+
+TREE_SIZE, LABEL_COUNT = "hook-sum tree size n", "hook-sum label count m"
+# each core and its one-size wrapper: (call on sizes, call on one size, the
+# solver it must not reach, the name of its sizes)
+CORES = {
+    "k-labelled": (lambda sizes: hook_sums_k_labelled(EXP, 2, sizes),
+                   lambda n: hook_sum_k_labelled(EXP, 2, n), "solve_k_labelled", TREE_SIZE),
+    "k-tuple": (lambda sizes: hook_sums_k_tuple(EXP, 2, sizes),
+                lambda n: hook_sum_k_tuple(EXP, 2, n), "solve_k_tuple", TREE_SIZE),
+    "bucket": (lambda sizes: hook_sums_bucket(EXP, sizes, 2),
+               lambda m: hook_sum_bucket(EXP, m, 2), "solve_unilabelled_bilabelled", LABEL_COUNT),
+    "rho": (lambda sizes: generic_hook_weight_sums("binary", [1], [1], sizes),
+            lambda n: generic_hook_weight_sum("binary", [1], [1], n), None, TREE_SIZE),
+}
+
+
+@pytest.mark.parametrize("core", sorted(CORES))
+def test_cores_reject_an_empty_run_or_a_size_below_1(core, monkeypatch):
+    # before the capacity check (13 is above the tree bound, 9 above the
+    # bucket bound) and before the solve; the message names the size
+    many, one, solver, name = CORES[core]
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    if solver:
+        monkeypatch.setattr(hooks, solver, no_solve)
+    for sizes, size in (([0, 3], 0), ([13, -2], -2), (range(0, 14), 0)):
+        with pytest.raises(ValueError, match=f"^{name} = {size} must be at least 1$"):
+            many(sizes)
+    with pytest.raises(ValueError, match=f"^{name} = -1 must be at least 1$"):
+        one(-1)
+    for empty in ([], (), range(1, 1)):
+        with pytest.raises(ValueError, match=f"^no {name} given$"):
+            many(empty)
+    with pytest.raises(CapacityError):
+        many([1, 13])
 
 
 def test_bucket_rejects_other_bucket_caps(monkeypatch):
