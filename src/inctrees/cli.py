@@ -265,7 +265,7 @@ _BOUNDS = {
 def _run_seq(args, out) -> int:
     seq = families.get_family(args.family).sequence(args.terms)
     if args.format == "plain":
-        print(" ".join(str(v) for v in seq), file=out)
+        print(*seq, file=out)
     elif args.format == "bfile":
         for n, v in enumerate(seq, start=1):
             print(f"{n} {v}", file=out)

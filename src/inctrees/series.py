@@ -68,14 +68,18 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_fractions(text: str, what: str) -> List[Fraction]:
     """Comma-separated exact rationals, each read by :func:`_parse_fraction`.
-    An empty entry, a trailing comma included, is a ValueError that names
-    its position, ``what`` the list holds and the text."""
+    An empty entry, a trailing comma included, or a malformed one is a
+    ValueError that names its position, ``what`` the list holds and the
+    text; a malformed entry's own error follows."""
     out = []
     for position, part in enumerate(text.split(","), start=1):
         part = part.strip()
         if not part:
             raise ValueError(f"empty entry {position} in {what} {_shown(text)!r}")
-        out.append(_parse_fraction(part))
+        try:
+            out.append(_parse_fraction(part))
+        except ValueError as exc:
+            raise ValueError(f"bad entry {position} in {what} {_shown(text)!r}: {exc}") from None
     return out
 
 

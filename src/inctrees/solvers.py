@@ -37,6 +37,19 @@ same code on ``Fraction``.  For N terms U_m costs, in big-integer operations:
   (Comtet, "Advanced Combinatorics", 3.3).  Wrapping a named phi in
   ``DegreeWeights.custom`` runs it on this table, the reference route for
   the relations.  :func:`solve_scheme` and each ``solve_*`` call this engine.
+
+The engines are kept per process, one per (``SCHEMES`` entry, weights
+object, k), at most ``SOLVER_ENGINE_CACHE`` of them, least recently used
+out first; the bound counts engines, not bytes.  T_1 .. T_N is a prefix of
+T_1 .. T_M, so a call for N terms that an engine holds slices its kept
+Fractions (O(N) references), and a longer one resumes it from its length
+L: only the steps L + 1 .. N, plus, for a Bell table, Phi_j re-read for
+j < N from the weights' cache.  Each term is solved and wrapped once per
+process.  A Bell table reads Phi_j only for j below the largest count
+asked so far; a nonzero Phi_j past the trailing zeros whose columns it
+skipped starts it again.  A call that raises keeps no engine.  Keys hold
+the entry and the weights themselves: a ``DegreeWeights`` fixes its
+coefficients, and a replaced ``SCHEMES`` entry gets new engines.
 """
 from __future__ import annotations
 
@@ -93,25 +106,61 @@ SCHEMES = {
 }
 
 
-def _online(scheme: str, weights: DegreeWeights, terms: int, k: int) -> list:
-    """T_0 = 0, T_1 .. T_terms of the scheme: ints when every Phi_j is an
-    integer, else Fractions.  U_m is drawn once T_1 .. T_m are in ``t``."""
-    step, scale = SCHEMES[scheme]
-    t, u = [0], []
-    kind = weights.kind
-    c, d = 0, 1
-    if kind in ("bundled", "ordered-t"):
-        # phi_1 = C(d, 1) = d; ordered-t is bundled(1) minus t
-        c, d = 1, int(weights.coefficient(1)) if kind == "bundled" else 1
-    rows = _convolution_weights(scale, k, c, d)
-    if kind in ("exp", "exp-t", "cosh", "bundled", "ordered-t"):
-        columns = _relation_columns(t, rows, kind.endswith("-t"), kind == "cosh")
-    else:
-        columns = _table_columns(weights, terms, t, rows)
-    for n in range(1, terms + 1):
-        u.append(next(columns))
-        t.append(step(n, t, u))
-    return t
+# Engines kept per process: enough for the 29 (scheme, weights, k) of one
+# ``verify all`` and the 23 of one bench ``seq`` pass.  The bound counts
+# engines, not bytes: an engine holds T_1 .. T_N, U_0 .. U_(N-1) and the
+# Fractions of T (about 2 MB for ``seq bilabelled/unordered 1000``), plus
+# the Bell table of a ``poly`` or ``custom`` phi.
+SOLVER_ENGINE_CACHE = 32
+
+# (SCHEMES entry, weights, k) -> _Engine, least recently used first
+_ENGINES: dict = {}
+
+
+class _Engine:
+    """The online solve of one ``SCHEMES`` entry for one weights object and
+    k, kept to be resumed: ``t`` = [T_0 = 0, T_1, ..], ``u`` = [U_0, ..],
+    the live generator ``columns`` of U and ``values``, T_1, .. as Fractions.
+    T_n and U_m are ints when every Phi_j is an integer, else Fractions."""
+
+    __slots__ = ("entry", "weights", "k", "t", "u", "phi", "columns", "values")
+
+    def __init__(self, entry, weights: DegreeWeights, k: int):
+        self.entry, self.weights, self.k = entry, weights, k
+        self.start()
+
+    def start(self) -> None:
+        """No terms yet; U_m is drawn once T_1 .. T_m are in ``t``."""
+        weights, kind = self.weights, self.weights.kind
+        self.t, self.u, self.values = [0], [], []
+        c, d = 0, 1
+        if kind in ("bundled", "ordered-t"):
+            # phi_1 = C(d, 1) = d; ordered-t is bundled(1) minus t
+            c, d = 1, int(weights.coefficient(1)) if kind == "bundled" else 1
+        rows = _convolution_weights(self.entry[1], self.k, c, d)
+        if kind in ("exp", "exp-t", "cosh", "bundled", "ordered-t"):
+            self.phi = None
+            self.columns = _relation_columns(self.t, rows, kind.endswith("-t"), kind == "cosh")
+        else:
+            self.phi = []
+            self.columns = _table_columns(self.phi, self.t, rows)
+
+    def extend(self, terms: int) -> None:
+        """Solve T_n for len(values) < n <= terms.  A Bell table first reads
+        Phi_j for j < terms; a nonzero one past the columns it skipped as
+        trailing zeros starts the solve again."""
+        done = len(self.values)
+        if self.phi is not None:
+            phi = _trim(_scaled_phi(self.weights, terms))
+            if len(self.phi) < min(len(phi), done):
+                self.start()
+                done = 0
+            self.phi[:] = phi
+        step, t, u = self.entry[0], self.t, self.u
+        for n in range(done + 1, terms + 1):
+            u.append(next(self.columns))
+            t.append(step(n, t, u))
+        self.values += map(Fraction, t[done + 1 :])
 
 
 def _convolution_weights(scale, k: int, c: int, d: int) -> Iterator[List[int]]:
@@ -157,12 +206,12 @@ def _scaled_phi(weights: DegreeWeights, terms: int) -> list:
     return phi
 
 
-def _table_columns(weights: DegreeWeights, terms: int, t: list, rows) -> Iterator:
+def _table_columns(phi: list, t: list, rows) -> Iterator:
     """U_m = sum_j Phi_j B(m, j) over the Bell table B(m, j) = s_m [w^m] T^j / j!:
     B(m, 1) = T_m and B(m, j) = sum_i D(m, i) T_i B(m-i, j-1), D the rows of
-    ``rows``.  Phi_j = j! phi_j is read once for j < terms
-    (:func:`_scaled_phi`); the table holds no power past the degree of phi."""
-    phi = _trim(_scaled_phi(weights, terms))
+    ``rows``.  ``phi`` holds Phi_j = j! phi_j (:func:`_scaled_phi`) without
+    trailing zeros, at least to j = m when U_m is drawn; the engine lengthens
+    it in place.  The table holds no power past len(phi) - 1."""
     columns: list = []  # columns[j-2] = [B(0, j), B(1, j), ...]
     yield phi[0]
     for m in count(1):
@@ -182,7 +231,14 @@ def _solve(scheme: str, weights: DegreeWeights, terms: int, k: int) -> CountingS
     _check_k(k)
     if terms < 1:
         raise ValueError("terms must be positive")
-    return CountingSequence(tuple(Fraction(v) for v in _online(scheme, weights, terms, k)[1:]))
+    key = (SCHEMES[scheme], weights, k)
+    engine = _ENGINES.pop(key, None) or _Engine(*key)
+    if len(engine.values) < terms:
+        engine.extend(terms)  # if this raises, the engine is not kept
+    _ENGINES[key] = engine
+    if len(_ENGINES) > SOLVER_ENGINE_CACHE:
+        del _ENGINES[next(iter(_ENGINES))]
+    return CountingSequence(tuple(engine.values[:terms]))
 
 
 def solve_scheme(

@@ -28,7 +28,7 @@ taken one point and one n at a time, as before its one-pass sums.  The
 Horner composition they all run on is kept here too (:func:`compose`), so
 no function in this module touches the package's power table
 (``Series.compose``, ``Series.reversion``, ``_compose_column``) or the
-engine (``solvers._online``).  They stay here, outside the package, as a
+engine (``solvers._Engine``).  They stay here, outside the package, as a
 second independent route: the tests compare the engine against them
 exactly.  They are polynomial of high degree (k-tuple: exponential), so
 keep N small.

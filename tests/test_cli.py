@@ -773,6 +773,26 @@ def test_reverse_empty_value_exits_2(capsys, values, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message, bad",
+    [
+        (["reverse", "--values", "1,2,x"], "bad entry 3 in values '1,2,x': ", "'x'"),
+        (["hook", "klabelled", "--weights", "poly:1,2/x"],
+         "bad degree-weight spec 'poly:1,2/x': bad entry 2 in coefficients '1,2/x': ", "'2/x'"),
+        (["hook", "rho", "--rho-num", "1,1/0"],
+         "bad --rho-num '1,1/0': bad entry 2 in coefficients '1,1/0': ", "'1/0'"),
+        (["hook", "rho", "--rho-den", "abc,1"],
+         "bad --rho-den 'abc,1': bad entry 1 in coefficients 'abc,1': ", "'abc'"),
+    ],
+    ids=["reverse-values", "poly-weights", "rho-num", "rho-den"],
+)
+def test_malformed_list_entry_is_named_by_position(capsys, argv, message, bad):
+    # as an empty entry is: the entry's own error follows its position
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.endswith(f"{bad}\n")
+
+
 def test_reverse_values_file_error_names_file_and_line(capsys, tmp_path):
     values = tmp_path / "values.txt"
     values.write_text("1\n2\n# T_3\n22x\n")

@@ -1,7 +1,7 @@
 """The integer coefficient engine and the power-table series operations
 against the slow routes in ``oracle.py``.
 
-The engine (``solvers._online``), ``Series.compose``, ``Series.reversion``
+The engine (``solvers._Engine``), ``Series.compose``, ``Series.reversion``
 and ``reverse_engineer`` replaced fixed-point iteration, the composition
 recurrence, Horner composition, one full composition per order and the
 two-derivative reverse engineering.  These properties pin them to those
@@ -12,8 +12,10 @@ phi, whose Phi_j = j! phi_j are not all integers, so the engine runs them on
 Fractions.  The first-order relations of the named weight kinds are pinned
 both to those routes and to the Bell table, which the same phi wrapped as
 ``DegreeWeights.custom`` runs on.  Counts of Fraction operations pin
-integral phi and integral targets to integer arithmetic.  The integer
-first-integral check is pinned to its ``Fraction``-series route on the
+integral phi and integral targets to integer arithmetic.  Interleaved
+calls that resume, slice or evict the engines kept per process are pinned
+to solves made with none kept, and an extension that raises keeps no
+engine.  The integer first-integral check is pinned to its ``Fraction``-series route on the
 counts of two-label solutions, as they are or with one count perturbed,
 for 0-10 counts.
 """
@@ -83,7 +85,7 @@ def test_engine_equals_fixed_point_oracle(weights, k, terms):
         oracle.k_labelled_values(weights, k, terms)
 
 
-# every kind that solvers._online serves by a first-order relation
+# every kind that solvers._Engine serves by a first-order relation
 FAST_KINDS = [
     DegreeWeights.exponential(), DegreeWeights.cosh(), DegreeWeights.exp_minus_t(),
     DegreeWeights.ordered_minus_t(), *(DegreeWeights.bundled(d) for d in range(1, 5)),
@@ -102,7 +104,16 @@ def test_first_order_relations_equal_power_table_and_oracle(weights, terms):
             assert fast == values(weights, k, terms), (scheme, k)
 
 
-def test_named_kinds_never_reach_the_power_table(monkeypatch):
+@pytest.fixture
+def fresh_engines():
+    # the engines are kept per process per (SCHEMES entry, weights, k);
+    # earlier tests fill them
+    solvers._ENGINES.clear()
+    yield
+    solvers._ENGINES.clear()
+
+
+def test_named_kinds_never_reach_the_power_table(monkeypatch, fresh_engines):
     def table_columns(*args):
         raise AssertionError("power table reached")
 
@@ -119,7 +130,7 @@ FAMILY_IDENTIFIERS = families.family_identifiers() + tuple(
 )
 
 
-def test_integral_phi_solve_without_fraction_arithmetic(monkeypatch):
+def test_integral_phi_solve_without_fraction_arithmetic(monkeypatch, fresh_engines):
     # Every registry and k-tuple family has integral Phi_j = j! phi_j, so the
     # engine makes at most the one Fraction operation that forms Phi_j from
     # each phi_j it reads.
@@ -142,6 +153,115 @@ def test_integral_phi_solve_without_fraction_arithmetic(monkeypatch):
         assert len(solve_scheme(spec.scheme, spec.weights, 40, spec.k)) == 40
     assert counts["reads"] > 0
     assert counts["ops"] <= counts["reads"], counts
+
+
+def fresh_solve(scheme, weights, terms, k):
+    """The solve with no engine kept, the kept ones put back after it."""
+    kept = dict(solvers._ENGINES)
+    solvers._ENGINES.clear()
+    try:
+        return solve_scheme(scheme, weights, terms, k)
+    finally:
+        solvers._ENGINES.clear()
+        solvers._ENGINES.update(kept)
+
+
+# named, integral and rational poly (the Fraction path), a poly whose table
+# skips trailing zeros before a nonzero Phi_5, and custom phi
+KEPT_ENGINE_WEIGHTS = [
+    *FAST_KINDS[:5],
+    DegreeWeights.parse("poly:1,2,1"),
+    DegreeWeights.parse("poly:1/2,1/3,1"),
+    DegreeWeights.parse("poly:1,0,0,0,0,1/3"),
+    DegreeWeights.custom(lambda j: F(1, j + 1), name="-log(1-t)/t"),
+    DegreeWeights.custom(DegreeWeights.cosh().coefficient, name="custom cosh"),
+]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(SCHEMES)),
+            st.sampled_from(KEPT_ENGINE_WEIGHTS),
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=1, max_value=12),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@example([("k-labelled", KEPT_ENGINE_WEIGHTS[7], 2, n) for n in (3, 5, 12, 4)], 4)
+@example([("uni-bi", KEPT_ENGINE_WEIGHTS[9], 1, n) for n in (2, 3, 4, 6, 9, 8)], 4)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_kept_engines_equal_fresh_solves(calls, bound):
+    # interleaved calls resume, slice or evict kept engines; a small bound
+    # makes them evict often
+    solvers._ENGINES.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "SOLVER_ENGINE_CACHE", bound)
+        for scheme, weights, k, terms in calls:
+            kept = solve_scheme(scheme, weights, terms, k)
+            assert len(solvers._ENGINES) <= bound
+            assert kept == fresh_solve(scheme, weights, terms, k), (scheme, weights, k, terms)
+    solvers._ENGINES.clear()
+
+
+def test_the_least_recent_engine_is_evicted_at_the_bound(fresh_engines):
+    named = [DegreeWeights.bundled(d) for d in range(1, solvers.SOLVER_ENGINE_CACHE + 3)]
+    for weights in named:
+        solve_k_labelled(weights, 2, 3)
+        solve_k_labelled(named[0], 2, 3)  # keeps the first one recent
+        assert len(solvers._ENGINES) <= solvers.SOLVER_ENGINE_CACHE
+    kept = {weights for _, weights, _ in solvers._ENGINES}
+    assert len(kept) == solvers.SOLVER_ENGINE_CACHE
+    assert named[0] in kept and named[-1] in kept
+    assert named[1] not in kept and named[2] not in kept
+
+
+def test_custom_phi_is_read_only_below_the_largest_count(fresh_engines):
+    read = []
+
+    def phi(j):
+        read.append(j)
+        return F(1, j + 1)
+
+    weights = DegreeWeights.custom(phi)
+    for terms, top in ((4, 3), (2, 3), (7, 6), (5, 6), (9, 8)):
+        solve_k_labelled(weights, 2, terms)
+        assert max(read) == top
+
+
+def test_an_extension_that_raises_is_not_kept(monkeypatch, fresh_engines):
+    def phi(j):
+        if j == 6:
+            raise ValueError("phi_6 is unknown")
+        return F(1, j + 1)
+
+    weights = DegreeWeights.custom(phi)
+    four = solve_k_labelled(weights, 2, 4)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="phi_6 is unknown"):
+            solve_k_labelled(weights, 2, 10)
+    assert solve_k_labelled(weights, 2, 4) == four == fresh_solve("k-labelled", weights, 4, 2)
+
+    # a step that raises once, after U_6 and T_1 .. T_6 are appended
+    step, scale = SCHEMES["k-labelled"]
+    raised = []
+
+    def flaky(n, t, u):
+        if n == 7 and not raised:
+            raised.append(n)
+            raise ArithmeticError("flaky step")
+        return step(n, t, u)
+
+    monkeypatch.setitem(SCHEMES, "k-labelled", (flaky, scale))
+    weights = DegreeWeights.exponential()
+    assert len(solve_k_labelled(weights, 2, 4)) == 4
+    with pytest.raises(ArithmeticError, match="flaky step"):
+        solve_k_labelled(weights, 2, 10)
+    assert solve_k_labelled(weights, 2, 10) == fresh_solve("k-labelled", weights, 10, 2)
+    assert tuple(solve_k_labelled(weights, 2, 10)) == oracle.k_labelled_values(weights, 2, 10)
 
 
 @given(signed_fraction.filter(lambda x: x != 0), st.lists(signed_fraction, max_size=10))

@@ -92,7 +92,9 @@ def test_solver_import_is_found():
 
 # the coefficient engine of solvers.py, which the first-integral check
 # must not run: it checks the engine's counts on a route of its own
-ENGINE_HELPERS = {"_online", "_convolution_weights", "_relation_columns", "_table_columns"}
+ENGINE_HELPERS = {
+    "_Engine", "_ENGINES", "_convolution_weights", "_relation_columns", "_table_columns",
+}
 
 
 def engine_names(source: str, function: str):
@@ -123,11 +125,11 @@ def test_engine_name_is_found():
     source = (
         "def first_order_invariant_check(weights, counts):\n"
         "    rows = _convolution_weights(scale, 2, 0, 1)\n"
-        "    return solvers._online('k-labelled', weights, 3, 2)\n"
+        "    return solvers._Engine(SCHEMES['k-labelled'], weights, 2)\n"
         "def other():\n"
         "    return _table_columns\n"
     )
-    assert engine_names(source, "first_order_invariant_check") == ["_convolution_weights", "_online"]
+    assert engine_names(source, "first_order_invariant_check") == ["_Engine", "_convolution_weights"]
 
 
 # hooks.py's functions of one size; cli.py calls the cores that take the
@@ -198,7 +200,7 @@ def test_word_generator_is_found():
 # hooks.py's census side: the left-hand sides, which must not reach the
 # solvers that give the right-hand sides, so the two routes stay apart
 CENSUS_SIDE = {"_spread", "_census", "_bucket_census", "_hook_vector", "_fold", "_tree_sum"}
-SOLVER_NAMES = {"_solve", "_online", "SCHEMES"}
+SOLVER_NAMES = {"_solve", "_Engine", "_ENGINES", "SCHEMES"}
 
 
 def solver_names_in(source: str, functions):
@@ -226,14 +228,14 @@ def test_census_side_solver_name_is_found():
     source = (
         "def _hook_vector(n, factors):\n"
         "    from .solvers import SCHEMES\n"
-        "    return solvers._online(n), solve_k_tuple\n"
+        "    return solvers._Engine(n), solve_k_tuple\n"
         "def _fold(phi, pairs, size, denominator):\n"
         "    return _solve(phi)\n"
         "def hook_sums_k_tuple(weights, k, sizes):\n"
         "    return solve_k_tuple(weights, k, max(sizes)), _solve_free\n"
     )
     assert solver_names_in(source, CENSUS_SIDE) == [
-        "SCHEMES", "_online", "_solve", "solve_k_tuple",
+        "SCHEMES", "_Engine", "_solve", "solve_k_tuple",
     ]
 
 
