@@ -214,15 +214,16 @@ def parse_values(text: str) -> Tuple[Fraction, ...]:
 
 
 def values_from_file(path: str) -> Tuple[Fraction, ...]:
-    """One exact value per line of UTF-8 text; blank lines and #-comments
-    are skipped.  A bad value or a line that is not UTF-8 is a ValueError
-    that names the file and the line."""
+    """One exact value per line of UTF-8 text, which may open with a
+    byte-order mark; blank lines and #-comments are skipped.  A bad value or
+    a line that is not UTF-8 is a ValueError that names the file and the
+    line."""
     out = []
     with open(path, "rb") as handle:
         lines = handle.read().splitlines()
     for number, raw in enumerate(lines, start=1):
         try:  # a UnicodeDecodeError is a ValueError
-            line = raw.decode("utf-8").strip()
+            line = raw.decode("utf-8-sig" if number == 1 else "utf-8").strip()
             if line and not line.startswith("#"):
                 out.append(_parse_fraction(line))
         except ValueError as exc:

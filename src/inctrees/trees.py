@@ -17,11 +17,10 @@ parsing is capped, at ``MAX_TEXT_DEPTH`` levels, with a ``ValueError``
 naming the position.  Equality and hash of every tree class compare codes,
 and its repr writes its text (:class:`_Node`), so they take any depth too.
 
-One enumerator yields the trees as degree words with their hook-lengths,
-cached up to size ``_MEMO_SIZE_LIMIT`` and streamed beyond it: grafting a
-first subtree onto the root of a rest tree keeps every hook-length but the
-root's.  The hook sums' censuses graft packed codes instead, one int per
-tree with a field per hook-length and out-degree that counts its nodes
+One loop yields each tree once, as its degree word and hook-lengths, with
+no recursion and no cache (:func:`_plane_trees`).  The hook sums' censuses
+walk no words but graft packed codes instead, one int per tree with a
+field per hook-length and out-degree that counts its nodes
 (:func:`_tree_codes`), or per tree and bucket function, with its labelling
 count (:func:`_bucket_codes`).  The tree codes of each size are kept once
 built (:func:`_code_table`), except the largest size a run asks for, which
@@ -70,7 +69,6 @@ MAX_TREE_SIZE = 14
 MAX_LABEL_TOTAL = 12   # brute-force k-labellings: k * n
 MAX_BUCKET_TOTAL = 10  # brute-force bucket labellings: m
 MAX_TEXT_DEPTH = 200   # nesting of parsed tree and labelled-object text
-_MEMO_SIZE_LIMIT = 9   # words and hook-lengths cached up to this size
 
 
 class CapacityError(ValueError):
@@ -246,33 +244,35 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-_word_memo: dict = {}
-
-
-def _words(n: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """(preorder out-degree word, preorder hook-lengths) of the size-n plane
-    trees, in canonical order; cached up to _MEMO_SIZE_LIMIT as one tuple of
-    words and one of hook-lengths, streamed beyond it."""
-    if n > _MEMO_SIZE_LIMIT:
-        return _build_words(n)
-    if n not in _word_memo:
-        _word_memo[n] = tuple(zip(*_build_words(n)))
-    return zip(*_word_memo[n])
-
-
-def _build_words(n: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    # A tree is its root's first child (size s, then rank) grafted as the
-    # new first child onto the root of a size n-s tree, which holds the rest
-    # of the children in canonical order.  The graft keeps every hook-length
-    # but the root's, which becomes n.
-    if n == 1:
-        yield (0,), (1,)
-        return
-    for s in range(1, n):
-        for first, first_hooks in _words(s):
-            hooks = (n,) + first_hooks
-            for rest, rest_hooks in _words(n - s):
-                yield (rest[0] + 1,) + first + rest[1:], hooks + rest_hooks[1:]
+def _plane_trees(n: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(preorder out-degree word, preorder hook-lengths) of each size-n plane
+    tree once, in canonical order.  Each node keeps its parent and the room
+    its parent has left after it (``rooms[m]`` for m sibling leaves).  The
+    next tree grows the last node whose parent has room left by one node, and
+    the nodes after it, one path per room they filled, become leaves."""
+    rooms, zeros, ones = zip(*(([*range(m - 1, -1, -1)], [0] * m, [1] * m) for m in range(n)))
+    word, hooks = [n - 1] + zeros[n - 1], [n] + ones[n - 1]
+    parent, left = [0] * n, [0] + rooms[n - 1]
+    yield tuple(word), tuple(hooks)
+    for _ in range(1, catalan(n - 1)):
+        j = n - 1
+        while not left[j]:
+            j -= 1
+        h, room, p, k = hooks[j], left[j] - 1, parent[j], j + hooks[j] + 1
+        word[j], hooks[j], left[j] = h, h + 1, room
+        word[p] += room - 1
+        parent[j + 1 : k], left[j + 1 : k] = [j] * h, rooms[h]
+        if room:
+            parent[k : k + room], left[k : k + room] = [p] * room, rooms[room]
+            k += room
+        while k < n:
+            a, size = parent[k], hooks[k]
+            if size > 1:
+                word[a] += size - 1
+                parent[k : k + size], left[k : k + size] = [a] * size, rooms[size]
+            k += size
+        word[j + 1 :], hooks[j + 1 :] = zeros[n - j - 1], ones[n - j - 1]
+        yield tuple(word), tuple(hooks)
 
 
 def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
@@ -281,7 +281,7 @@ def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
     if n < 1:
         raise ValueError("tree size must be positive")
     check_capacity(n, MAX_TREE_SIZE, "tree size n")
-    return (word for word, _ in _words(n))
+    return (word for word, _ in _plane_trees(n))
 
 
 def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
@@ -291,8 +291,7 @@ def enumerate_ordered_trees(n: int) -> Iterator[OrderedTree]:
     lexicographically, where a child of smaller size precedes any larger
     child and same-size children compare by their own canonical rank.
     Equivalently, it is the strict lexicographic order of the preorder
-    hook-length sequences, at every size, streamed sizes included.  Each
-    tree is built from its word of :func:`enumerate_degree_words`.
+    hook-length sequences.  Each tree is built from its degree word.
     """
     return (_fold(OrderedTree, word) for word in enumerate_degree_words(n))
 
@@ -473,7 +472,7 @@ def _bucket_words(m: int, cap: int):
     hold m labels, at most cap per node: sizes ceil(m/cap) .. m, each in
     canonical order."""
     for size in range(-(-m // cap) if m > 0 else 1, m + 1):
-        for word, hooks in _words(size):
+        for word, hooks in _plane_trees(size):
             yield word, hooks, _bucket_functions(size, m, cap)
 
 

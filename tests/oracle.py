@@ -10,8 +10,10 @@ the engine solves for the integers T_n with its own convolution weights and
 Bell table.  Here are also the per-tree ``Fraction`` loops over
 ``OrderedTree`` objects that the hook sums used before degree words and the
 census, with the labelling generator that kept its free labels in a
-frozenset; the hook-sum censuses built by walking degree words, as before
-the package grafted packed codes (:func:`word_census`,
+frozenset; the plane trees as degree words grafted by recursion, as before
+the package grew them in one loop (:func:`build_words`); the hook-sum
+censuses built by walking degree words, as before the package grafted
+packed codes (:func:`word_census`,
 :func:`word_bucket_census`); and the bijection objects built per labelling from
 ``OrderedTree`` recursion, with unordered trees filtered after generation
 and colorings as one product over the colorable positions; the same
@@ -59,8 +61,8 @@ from inctrees.trees import (
     _bucket_count,
     _bucket_words,
     _label_blocks,
+    _plane_trees,
     _shape,
-    _words,
     enumerate_bucket_functions,
     enumerate_ordered_trees,
     falling_factorial,
@@ -320,7 +322,25 @@ def bucket_hook_sum(
     return lhs, visited
 
 
-# -- censuses by walking degree words --------------------------------------
+# -- plane trees by grafting, and censuses by walking degree words ---------
+
+
+@cache
+def build_words(n: int) -> tuple:
+    """(word, hook-lengths) of the size-n plane trees in canonical order, by
+    the recursion of the package's ``_build_words`` before its one loop, here
+    kept per size.  A tree is its root's first child (size s, then rank)
+    grafted as the new first child onto the root of a size n-s tree, which
+    holds the rest of the children in canonical order.  The graft keeps
+    every hook-length but the root's, which becomes n."""
+    if n == 1:
+        return (((0,), (1,)),)
+    return tuple(
+        ((rest[0] + 1,) + first + rest[1:], (n,) + first_hooks + rest_hooks[1:])
+        for s in range(1, n)
+        for first, first_hooks in build_words(s)
+        for rest, rest_hooks in build_words(n - s)
+    )
 
 
 @cache
@@ -328,7 +348,7 @@ def word_census(n: int):
     """``hooks._census`` as it was built from degree words: per word, its
     sorted hook-lengths and sorted out-degrees, regrouped by hook multiset."""
     by_degrees = defaultdict(Counter)
-    for word, hooks in _words(n):
+    for word, hooks in _plane_trees(n):
         by_degrees[tuple(sorted(word))][tuple(sorted(hooks))] += 1
     groups = defaultdict(list)
     for degrees, hook_counts in by_degrees.items():

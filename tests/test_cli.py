@@ -312,6 +312,19 @@ def test_verify_bijection_suite(capsys):
     assert "OK" in out
 
 
+def test_bijection_domain_check_reports_first_engine_mismatch(capsys, monkeypatch):
+    # a wrong engine count fails the chain map's check, naming m and both values
+    counts = (1, 2, 7, 31)
+    monkeypatch.setattr(cli.solvers, "solve_free_multilabelled", lambda weights, terms: counts)
+    code, out, _ = run(capsys, "verify", "bijection", "--max-m", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL chain bijection m<=4 counts=(1, 2, 6, 30) [m=3: 6 objects vs engine count 7]",
+        "PASS split bijection m<=4 counts=(1, 2, 4, 14)",
+        "FAILED (2 checks)",
+    ]
+
+
 def test_verify_invariants_suite(capsys):
     code, out, _ = run(
         capsys, "verify", "invariants", "--max-n", "4", "--max-m", "4"

@@ -79,19 +79,9 @@ RHO_FAMILIES = {
 
 
 def test_generator_hooks_equal_word_hook_lengths():
-    # sizes up to the memo limit come from the memo, larger ones stream
     for n in range(1, 13):
-        for word, hook_lengths in trees._words(n):
+        for word, hook_lengths in trees._plane_trees(n):
             assert hook_lengths == word_hook_lengths(word)
-
-
-def test_streamed_words_equal_memoised(monkeypatch):
-    memoised = {n: list(trees._words(n)) for n in range(1, 10)}
-    monkeypatch.setattr(trees, "_MEMO_SIZE_LIMIT", 0)
-    monkeypatch.setattr(trees, "_word_memo", {})
-    for n, pairs in memoised.items():
-        assert list(trees._words(n)) == pairs
-    assert trees._word_memo == {}
 
 
 def clear_census_caches():
@@ -114,7 +104,7 @@ def test_censuses_do_not_rescan_words(monkeypatch, fresh_censuses):
     def rescan(*args):
         raise AssertionError("a census walked degree words")
 
-    for name in ("_words", "_build_words", "_bucket_words", "word_hook_lengths"):
+    for name in ("_plane_trees", "_bucket_words", "word_hook_lengths"):
         monkeypatch.setattr(trees, name, rescan)
     monkeypatch.setattr(hooks, "word_hook_lengths", rescan, raising=False)
     monkeypatch.setattr(trees, "_code_tables", {})

@@ -19,7 +19,8 @@ generator of ``trees.py``, so no census walks degree words again, and its
 census side (the censuses, the hook vectors and the fold) names no solver,
 so the left-hand sides never reach the route of the right-hand sides.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
-itself by name or as an attribute, so every tree converts at any depth.
+itself, directly or through other functions of its module, by name or as
+an attribute, so every tree converts at any depth.
 Every dataclass there with a ``children`` field is declared ``eq=False``
 and ``repr=False``, so no tree class gets a generated ``__eq__`` or
 ``__repr__`` that recurses through its children.
@@ -176,7 +177,7 @@ def test_per_size_hook_sum_is_found():
 
 
 # trees.py's word generators: the hook censuses graft packed codes instead
-WORD_GENERATORS = {"_words", "_bucket_words", "enumerate_degree_words"}
+WORD_GENERATORS = {"_plane_trees", "_bucket_words", "enumerate_degree_words"}
 
 
 def test_hooks_name_no_word_generator():
@@ -188,12 +189,12 @@ def test_hooks_name_no_word_generator():
 def test_word_generator_is_found():
     source = (
         "from .trees import _bucket_words, check_capacity\n"
-        "pairs = trees._words(n)\n"
+        "pairs = trees._plane_trees(n)\n"
         "words = enumerate_degree_words\n"
         "codes = trees._tree_codes(n)\n"
     )
     assert names_of(source, WORD_GENERATORS) == [
-        "_bucket_words", "_words", "enumerate_degree_words",
+        "_bucket_words", "_plane_trees", "enumerate_degree_words",
     ]
 
 
@@ -247,24 +248,38 @@ def test_unused_import_is_found():
 TREE_MODULES = [PACKAGE / "trees.py", PACKAGE / "bijections.py"]
 
 
-def self_calls(source: str):
-    """Names of the functions that call themselves, as ``f(...)`` or
-    ``x.f(...)``, in their own body."""
-    found = set()
+def call_cycles(source: str):
+    """The call cycles among the functions of a source, nested ones and
+    methods included: each set of functions that call one another, through
+    ``f(...)`` or ``x.f(...)`` calls, as a sorted tuple of names.  A function
+    that calls itself is a cycle of one."""
+    calls = {}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            callees = calls.setdefault(node.name, set())
             for call in ast.walk(node):
                 if isinstance(call, ast.Call):
                     func = call.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if name == node.name:
-                        found.add(node.name)
-    return sorted(found)
+                    callees.add(name)
+    reach = {}
+    for name in calls:
+        seen, stack = set(), [name]
+        while stack:
+            for callee in calls.get(stack.pop(), set()) - seen:
+                if callee in calls:
+                    seen.add(callee)
+                    stack.append(callee)
+        reach[name] = seen
+    return sorted({
+        tuple(sorted(other for other in reach[name] if name in reach[other]))
+        for name in calls if name in reach[name]
+    })
 
 
 @pytest.mark.parametrize("path", TREE_MODULES, ids=[p.name for p in TREE_MODULES])
 def test_tree_modules_do_not_recurse(path):
-    assert self_calls(path.read_text(encoding="utf-8")) == []
+    assert call_cycles(path.read_text(encoding="utf-8")) == []
 
 
 def test_self_call_is_found():
@@ -280,7 +295,20 @@ def test_self_call_is_found():
         "def flat(word):\n"
         "    return list(word)\n"
     )
-    assert self_calls(source) == ["to_text", "walk"]
+    assert call_cycles(source) == [("to_text",), ("walk",)]
+
+
+def test_call_cycle_is_found():
+    source = (
+        "def _words(n):\n"
+        "    return _build_words(n) if n > 9 else list(_build_words(n))\n"
+        "def _build_words(n):\n"
+        "    for s in range(1, n):\n"
+        "        yield from trees._words(s)\n"
+        "def enumerate_degree_words(n):\n"
+        "    return (word for word, _ in _words(n))\n"
+    )
+    assert call_cycles(source) == [("_build_words", "_words")]
 
 
 def recursive_dataclasses(source: str, method: str = "eq"):

@@ -155,6 +155,26 @@ def test_values_file_decoding_error_names_file_and_line(tmp_path):
     assert values_from_file(str(path)) == (1, 2, 22)
 
 
+def test_values_file_may_open_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "target.txt"
+    path.write_text("1\n2\n22\n", encoding="utf-8-sig")
+    assert values_from_file(str(path)) == (1, 2, 22)
+    path.write_text("# T_n\n1\n2\n", encoding="utf-8-sig")
+    assert values_from_file(str(path)) == (1, 2)
+
+
+def test_byte_order_mark_past_the_file_start_names_its_line(tmp_path):
+    path = tmp_path / "target.txt"
+    path.write_bytes(b"1\n\xef\xbb\xbf2\n")
+    with pytest.raises(ValueError) as caught:
+        values_from_file(str(path))
+    assert str(caught.value) == f"{path}, line 2: Invalid literal for Fraction: '\\ufeff2'"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf1\n")  # only one mark opens the file
+    with pytest.raises(ValueError) as caught:
+        values_from_file(str(path))
+    assert str(caught.value) == f"{path}, line 1: Invalid literal for Fraction: '\\ufeff1'"
+
+
 def test_discovered_family_satisfies_hook_identity():
     # recovered weights feed straight into the hook-length identity
     from math import factorial

@@ -1,5 +1,6 @@
 from math import factorial
 
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,16 +64,19 @@ def test_degree_words_are_the_trees_in_order():
         ]
 
 
-def test_degree_words_stream_past_the_memo():
-    assert sum(1 for _ in enumerate_degree_words(12)) == catalan(11)
-    assert max(trees._word_memo) <= trees._MEMO_SIZE_LIMIT
+def test_plane_trees_equal_the_grafting_recursion():
+    # the one loop yields the pairs of the recursion it replaced, in order
+    for n in range(1, 13):
+        pairs = list(trees._plane_trees(n))
+        assert pairs == list(oracle.build_words(n))
+        assert len(pairs) == catalan(n - 1)
+    oracle.build_words.cache_clear()
 
 
 def test_enumeration_order_is_strict_hook_length_order():
-    # the order of the docstring of enumerate_ordered_trees, through two
-    # streamed sizes: each preorder hook-length sequence, read off the tree
-    # itself, is lexicographically larger than the one before
-    assert trees._MEMO_SIZE_LIMIT <= 9
+    # the order of the docstring of enumerate_ordered_trees: each preorder
+    # hook-length sequence, read off the tree itself, is lexicographically
+    # larger than the one before
     for n in range(1, 12):
         hooks = [tuple(node.size for node in t.preorder()) for t in enumerate_ordered_trees(n)]
         assert len(hooks) == catalan(n - 1)
