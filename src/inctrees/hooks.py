@@ -7,14 +7,15 @@ by brute-force enumeration; the right-hand side comes from the coefficient
 solvers — two fully independent computation paths, compared exactly.
 
 Each kind has one core over sizes 1..N (``hook_sums_*``,
-``generic_hook_weight_sums``): it rejects an empty run or a size below 1,
-checks N's capacity, then solves to N once and builds its row of hook
-factors and its scaled phi once; a function of one size calls it with that
-size alone.  A per-node sum reads the size's census of tree counts per
-(hook-length multiplicities, sorted out-degrees), and a bucket sum the
-label count's census of integer labelling counts per sorted out-degrees.
-Each is decoded from the packed codes that ``trees`` grafts, one per tree
-(and bucket function), and cached per process.
+``generic_hook_weight_sums``): it reads the sizes once, rejects an empty
+run or a size below 1, checks N's capacity, then solves to N once and
+builds its row of hook factors and its scaled phi once; a function of one
+size calls it with that size alone.  A per-node sum folds the size's
+census of tree counts per (hook-length multiplicities, sorted
+out-degrees), and a bucket sum the label count's census of integer
+labelling counts per sorted out-degrees.  Both censuses come whole from
+``trees``, cached per process; a run reads its largest size first, so
+that census keeps the smaller sizes for the rest of the run.
 
 The command runs on ints from the census to the verdict.  The hook factors
 are normalised (num, den) int pairs: (1, (kh)_k), (1, h^k), or rho(h) by
@@ -39,61 +40,24 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import getitem
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .families import MAX_KTUPLE_EXPONENT
+from .series import as_fraction
 from .solvers import (
     solve_free_multilabelled,
     solve_k_labelled,
     solve_k_tuple,
     solve_unilabelled_bilabelled,
 )
-from .trees import (
-    _bucket_codes,
-    _code_table,
-    _tree_codes,
-    _unpack,
-    catalan,
-    check_capacity,
-    falling_factorial,
-)
+from .trees import _bucket_census, _census, check_capacity, falling_factorial
 from .weights import SHAPES, DegreeWeights
 
 MAX_HOOK_TREE_SIZE = 12   # Catalan(11) = 58786 trees per sum
 MAX_HOOK_BUCKET_TOTAL = 8
-
-
-@cache
-def _spread(multiplicities) -> Tuple[int, ...]:
-    """The sorted out-degrees with these multiplicities of 0, 1, 2, ..."""
-    return tuple(d for d, e in enumerate(multiplicities) for _ in range(e))
-
-
-@cache
-def _census(n: int):
-    """The size-n plane trees as (hook multiplicities, ((sorted out-degrees,
-    tree count), ...)) groups, where the multiplicities count the nodes of
-    hook-length 1..n; the number of trees; and per hook-length the most nodes
-    of that hook-length in one tree."""
-    codes, groups = _tree_codes(n), defaultdict(list)
-    for code, count in codes.items():
-        degrees, hooks = _unpack(code, n)
-        groups[hooks].append((_spread(degrees), count))
-    census = tuple((tuple(hooks), tuple(degree_counts)) for hooks, degree_counts in groups.items())
-    return census, sum(codes.values()), tuple(map(max, zip(*groups)))
-
-
-@cache
-def _bucket_census(m: int, max_bucket: Optional[int]):
-    """The plane trees with m labels in buckets of at most max_bucket (None:
-    unbounded) as (sorted out-degrees, summed integer labelling counts)
-    pairs, and the number of trees behind them, of ceil(m/max_bucket)..m nodes."""
-    counts = _bucket_codes(m, max_bucket).items()
-    census = tuple((_spread(_unpack(code, m)[0]), count) for code, count in counts)
-    return census, sum(map(catalan, range(-(-m // (max_bucket or m)) - 1, m)))
 
 
 # Enough for every (size, factor row) of one ``verify hook --max-n 12
@@ -157,24 +121,26 @@ def _tree_sum(w: List[int], powers: List[int], sizes, row) -> Iterator[Tuple[Fra
     phi_odeg * num/den over the nodes, (num, den) = row[hook - 1] a
     normalised int pair, and the trees visited.  The hook side is
     :func:`_hook_vector`'s for the size's row of factors, phi one fold."""
-    # sizes below the largest are kept as they are built, so that their own
-    # censuses read them and each size is grafted once in the run
-    _code_table(max(sizes) - 1, max(sizes))
+    # the largest size's census keeps the sizes below it for their own
+    # censuses, so each size is grafted once in the run
+    top = max(sizes)
+    largest = _hook_vector(top, row[:top])
     for n in sizes:
-        pairs, common, visited = _hook_vector(n, row[:n])
+        pairs, common, visited = largest if n == top else _hook_vector(n, row[:n])
         yield _fold(w, powers, pairs, n, common), visited
 
 
-def _largest(sizes, what: str, bound: int) -> int:
-    """The largest of sizes, once every size is at least 1 and the largest
-    within its capacity."""
+def _sizes(sizes, what: str, bound: int) -> Tuple[Tuple[int, ...], int]:
+    """The sizes, read once into a tuple, and the largest of them, once every
+    size is at least 1 and the largest within its capacity."""
+    sizes = tuple(sizes)
     if not sizes:
         raise ValueError(f"no {what} given")
     if min(sizes) < 1:
         raise ValueError(f"{what} = {min(sizes)} must be at least 1")
     top = max(sizes)
     check_capacity(top, bound, what)
-    return top
+    return sizes, top
 
 
 def _rhs(count: Fraction, scale: int) -> Fraction:
@@ -220,7 +186,7 @@ class HookIdentityReport:
 def hook_sums_k_labelled(weights: DegreeWeights, k: int, sizes) -> List[HookIdentityReport]:
     """Per size n in sizes: the sum over size-n plane trees of prod phi_odeg /
     (kh)(kh-1)...(kh-k+1), against T_n / (kn)! from one solve to max(sizes)."""
-    top = _largest(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
+    sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
     row = tuple((1, falling_factorial(k * h, k)) for h in range(1, top + 1))
     counts = solve_k_labelled(weights, k, top)
     w, powers = _integer_phi(weights, top)
@@ -234,7 +200,7 @@ def hook_sums_bucket(weights: DegreeWeights, sizes, max_bucket=None) -> List[Hoo
     """Per label count m in sizes: the sum over trees and bucket-size functions
     with m labels of prod phi_odeg / (bucket hook-length falling bucket size),
     against the free (max_bucket None) or uni-bi (2) count from one solve."""
-    top = _largest(sizes, "hook-sum label count m", MAX_HOOK_BUCKET_TOTAL)
+    sizes, top = _sizes(sizes, "hook-sum label count m", MAX_HOOK_BUCKET_TOTAL)
     if max_bucket not in (None, 2):
         raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
     free = max_bucket is None
@@ -252,7 +218,7 @@ def hook_sums_bucket(weights: DegreeWeights, sizes, max_bucket=None) -> List[Hoo
 def hook_sums_k_tuple(weights: DegreeWeights, k: int, sizes) -> List[HookIdentityReport]:
     """Per size n in sizes: the sum over size-n plane trees of prod phi_odeg /
     h^k, against T_n / (n!)^k from one solve to max(sizes)."""
-    top = _largest(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
+    sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
     check_capacity(k, MAX_KTUPLE_EXPONENT, "k-tuple exponent k")
     row = tuple((1, h**k) for h in range(1, top + 1))
     counts = solve_k_tuple(weights, k, top)
@@ -303,10 +269,10 @@ def generic_hook_weight_sums(
         raise ValueError(
             f"unknown tree family {tree_family!r}; choose from {sorted(_GENERIC_FAMILIES)}"
         )
-    top = _largest(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
+    sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
     # rho(h) = (N(h) / L_N) / (D(h) / L_D) in ints, reduced to lowest terms
-    num, num_scale = _over_lcm([Fraction(c) for c in rho_numerator])
-    den, den_scale = _over_lcm([Fraction(c) for c in rho_denominator])
+    num, num_scale = _over_lcm(list(map(as_fraction, rho_numerator)))
+    den, den_scale = _over_lcm(list(map(as_fraction, rho_denominator)))
     row = []
     for h in range(1, top + 1):
         below = _horner(den, h) * num_scale

@@ -18,13 +18,17 @@ naming the position.  Equality and hash of every tree class compare codes,
 and its repr writes its text (:class:`_Node`), so they take any depth too.
 
 One loop yields each tree once, as its degree word and hook-lengths, with
-no recursion and no cache (:func:`_plane_trees`).  The hook sums' censuses
-walk no words but graft packed codes instead, one int per tree with a
-field per hook-length and out-degree that counts its nodes
-(:func:`_tree_codes`), or per tree and bucket function, with its labelling
-count (:func:`_bucket_codes`).  The tree codes of each size are kept once
-built (:func:`_code_table`), except the largest size a run asks for, which
-is only counted as its grafts stream.  Labellings for the brute-force
+no recursion and no cache (:func:`_plane_trees`).  The hook sums read two
+censuses from here: the size-n trees per hook-length and out-degree
+multisets (:func:`_census`), and the labelling counts per out-degree
+multiset of the trees and bucket functions with m labels
+(:func:`_bucket_census`).  Each grafts and decodes packed codes, one int
+per tree with a one-byte field per out-degree and hook-length that counts
+its nodes, a format no other module knows.  The sizes below a census's
+own are kept (:func:`_code_table`); its own is counted as it streams.  A
+field counts up to 255 nodes, so a larger census is a ``CapacityError``
+whatever ``INCTREE_CAPACITY`` says: a limit beside the seven capacity
+bounds below, not one of them.  Labellings for the brute-force
 counts come from one flat backtracking generator that skips every branch
 that cannot be completed.  :func:`_bucket_words` states which trees can
 hold m labels, at most cap per node, and :func:`_bucket_functions` their
@@ -54,10 +58,10 @@ from __future__ import annotations
 
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, combinations, repeat
 from math import comb, factorial, perm
 from operator import sub
@@ -341,22 +345,16 @@ def count_k_labellings_formula(tree: OrderedTree, k: int) -> int:
 
 
 def _label_blocks(
-    parents: Sequence[int], block_sizes: Sequence[int], sibling_sorted: bool = False
+    parents: Sequence[int], block_sizes: Sequence[int]
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Increasing labellings as preorder tuples of sorted label blocks, by
     flat backtracking: node i takes each combination, in lexicographic order,
     of the free labels above its parent's largest label but for the last ones
-    its subtree needs, so no branch dead-ends.  ``sibling_sorted`` instead
-    starts above the previous sibling's smallest label: siblings come sorted.
-    The last node in preorder, a leaf, is placed without a combination: once
-    the others hold their blocks exactly its block size of labels is free,
-    and it takes them when all lie above its anchor (else the branch ends)."""
-    n, total = len(block_sizes), sum(block_sizes)
-    anchors, last_child, need = [], {}, list(block_sizes)
-    for i, p in enumerate(parents):
-        j = last_child.get(p, -1) if sibling_sorted else -1
-        anchors.append((j, 0) if j >= 0 else (p, -1))
-        last_child[p] = i
+    its subtree needs, so no branch dead-ends.  The last node in preorder, a
+    leaf, is placed without a combination: once the others hold their blocks
+    exactly its block size of labels is free, and it takes them when all lie
+    above its parent's largest label (else the branch ends)."""
+    n, total, need = len(block_sizes), sum(block_sizes), list(block_sizes)
     for i in range(n - 1, 0, -1):
         need[parents[i]] += need[i]
     used = [False] * (total + 1)
@@ -377,8 +375,7 @@ def _label_blocks(
         if i + 1 == n:
             yield tuple(blocks)
             continue
-        anchor, end = anchors[i + 1]
-        free = [x for x in range(blocks[anchor][end] + 1, total + 1) if not used[x]]
+        free = [x for x in range(blocks[parents[i + 1]][-1] + 1, total + 1) if not used[x]]
         if i + 2 == n:
             if len(free) == block_sizes[i + 1]:
                 yield (*blocks[:i + 1], tuple(free))
@@ -387,10 +384,18 @@ def _label_blocks(
         choices.append(combinations(free, block_sizes[i + 1]))
 
 
-def _count_labellings(tree: OrderedTree, block_sizes: Sequence[int]) -> int:
-    if len(block_sizes) != tree.size:
-        raise ValueError("one block size per node required")
-    return sum(1 for _ in _label_blocks(tree.parent_indices(), block_sizes))
+def _check_buckets(tree: OrderedTree, buckets: Sequence[int]) -> Tuple[int, ...]:
+    """The bucket sizes as a tuple, checked: one per node, each at least 1."""
+    buckets = tuple(buckets)
+    if len(buckets) != tree.size:
+        raise ValueError("one bucket size per node required")
+    if any(b < 1 for b in buckets):
+        raise ValueError("bucket sizes must be positive")
+    return buckets
+
+
+def _count_labellings(tree: OrderedTree, buckets: Sequence[int]) -> int:
+    return sum(1 for _ in _label_blocks(tree.parent_indices(), _check_buckets(tree, buckets)))
 
 
 def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
@@ -424,11 +429,7 @@ def _bucket_count(word: Sequence[int], hooks: Sequence[int], buckets: Sequence[i
 def count_bucket_labellings_formula(tree: OrderedTree, buckets: Sequence[int]) -> int:
     """Number of increasing multilabellings for a fixed bucket-size function:
     m! / prod over nodes of (bucket hook-length) falling (bucket size)."""
-    if len(buckets) != tree.size:
-        raise ValueError("one bucket size per node required")
-    if any(b < 1 for b in buckets):
-        raise ValueError("bucket sizes must be positive")
-    return _bucket_count(tree.out_degrees(), tree.hook_lengths(), buckets)
+    return _bucket_count(tree.out_degrees(), tree.hook_lengths(), _check_buckets(tree, buckets))
 
 
 def count_bucket_labellings_bruteforce(tree: OrderedTree, buckets: Sequence[int]) -> int:
@@ -476,37 +477,22 @@ def _bucket_words(m: int, cap: int):
             yield word, hooks, _bucket_functions(size, m, cap)
 
 
-# -- packed multiset codes -------------------------------------------------
+# -- hook-sum censuses from packed multiset codes ---------------------------
 
-_code_tables: dict = {}  # unit: tree codes per size; (unit, cap): bucket items per total
-
-
-def _field_bytes(n: int) -> int:
-    """Bytes per field of a code of trees with at most n nodes.  A code adds
-    unit**(2d) per node of out-degree d and unit**(2h - 1) per node of
-    hook-length h, unit = 256**bytes, so a field holds a multiplicity up to n."""
-    return (n.bit_length() + 7) // 8
+_UNIT = 256  # one byte per code field
+_MOST_NODES = 255  # the most nodes a one-byte field counts, whatever INCTREE_CAPACITY says
+_code_tables: dict = {}  # "trees": codes per size and root degree; cap: bucket items per total
 
 
-def _unpack(code: int, n: int):
-    """The multiplicities of out-degrees 0..n-1 and of hook-lengths 1..n in
-    a code of trees with at most n nodes, as bytes or tuples."""
-    b = _field_bytes(n)
-    fields = code.to_bytes(2 * n * b, "little")
-    if b > 1:
-        fields = tuple(int.from_bytes(fields[i : i + b], "little") for i in range(0, 2 * n * b, b))
-    return fields[0::2], fields[1::2]
-
-
-def _grafts(table, n: int, unit: int):
+def _grafts(table, n: int):
     """(root degree, codes) runs with each size-n plane tree once: a first
     subtree of size k on the root of a rest tree of root degree r - 1 adds
     the codes and moves the root's hook-length to n and its out-degree to r.
     Each run is an iterator, so a size that is only counted is never held."""
     for k, firsts in enumerate(table[1:n], 1):
-        hook = unit ** (2 * n - 1) - unit ** (2 * n - 2 * k - 1)
+        hook = _UNIT ** (2 * n - 1) - _UNIT ** (2 * n - 2 * k - 1)
         for r, rest in enumerate(table[n - k], 1):
-            move = hook + unit ** (2 * r) - unit ** (2 * r - 2)
+            move = hook + _UNIT ** (2 * r) - _UNIT ** (2 * r - 2)
             yield r, _sums(firsts, rest, move)
 
 
@@ -518,42 +504,60 @@ def _sums(firsts, rest, move: int):
     return chain.from_iterable(map((move + c).__add__, chain(*firsts)) for c in rest)
 
 
-def _code_table(n: int, top: int) -> list:
-    """The codes of the plane trees of sizes 1..n per root degree, in the
-    field width of size top, built bottom-up and kept for the process."""
-    unit = 256 ** _field_bytes(top)
-    table = _code_tables.setdefault(unit, [None, [[1 + unit]]])
+def _code_table(n: int) -> list:
+    """The codes of the plane trees of sizes 1..n per root degree, built
+    bottom-up and kept for the process."""
+    table = _code_tables.setdefault("trees", [None, [[1 + _UNIT]]])
     for size in range(len(table), n + 1):
         table.append([[] for _ in range(size)])
-        for r, run in _grafts(table, size, unit):
+        for r, run in _grafts(table, size):
             table[size][r] += run
     return table
 
 
-def _tree_codes(n: int) -> Counter:
-    """How many size-n plane trees have each code, one code per tree.  Sizes
-    below n are built and kept (:func:`_code_table`); size n is read from
-    its table if a run over larger sizes kept it, else counted as its
-    grafts stream."""
-    table = _code_table(n - 1, n)
-    runs = table[n] if n < len(table) else (
-        run for _, run in _grafts(table, n, 256 ** _field_bytes(n))
-    )
-    return Counter(chain.from_iterable(runs))
+@cache
+def _spread(multiplicities) -> Tuple[int, ...]:
+    """The sorted out-degrees with these multiplicities of 0, 1, 2, ..."""
+    return tuple(d for d, e in enumerate(multiplicities) for _ in range(e))
 
 
-def _bucket_codes(m: int, cap: Optional[int]) -> Counter:
-    """Increasing labelling counts per out-degree code, summed over the plane
-    trees and their bucket-size functions of total m, buckets at most cap
-    (None: unbounded).  Items carry D, the product over non-root nodes of
-    (bucket hook-length) falling (bucket size): a first item of total t and
-    root bucket b on a rest item makes D = D_first (t)_b D_rest, so each
+@cache
+def _census(n: int):
+    """The size-n plane trees as (hook multiplicities, ((sorted out-degrees,
+    tree count), ...)) groups, where the multiplicities count the nodes of
+    hook-length 1..n; the number of trees; and per hook-length the most nodes
+    of that hook-length in one tree.  The sizes below n are built and kept
+    (:func:`_code_table`); size n is read from its table if a larger census
+    kept it, else counted as its grafts stream.  Byte 2d of a code counts
+    the nodes of out-degree d, byte 2h - 1 those of hook-length h."""
+    if n > _MOST_NODES:
+        raise CapacityError(f"census tree size n = {n} exceeds the field limit {_MOST_NODES}")
+    table = _code_table(n - 1)
+    runs = table[n] if n < len(table) else (run for _, run in _grafts(table, n))
+    codes, groups = Counter(chain.from_iterable(runs)), defaultdict(list)
+    for code, count in codes.items():
+        fields = code.to_bytes(2 * n, "little")
+        groups[fields[1::2]].append((_spread(fields[::2]), count))
+    census = tuple((tuple(hooks), tuple(degree_counts)) for hooks, degree_counts in groups.items())
+    return census, sum(codes.values()), tuple(map(max, zip(*groups)))
+
+
+@cache
+def _bucket_census(m: int, max_bucket: Optional[int]):
+    """The plane trees with m labels in buckets of at most max_bucket (None:
+    unbounded) as (sorted out-degrees, summed integer labelling counts)
+    pairs, and the number of trees behind them, of ceil(m/max_bucket)..m
+    nodes.  The (tree, bucket function) items of each total are kept per
+    cap with their out-degree code and D, the product over non-root nodes
+    of (bucket hook-length) falling (bucket size): a first item of total t
+    and root bucket b on a rest item makes D = D_first (t)_b D_rest, so each
     count m! / (D (m)_b) is :func:`_bucket_count`'s, checked integral."""
-    unit = 256 ** _field_bytes(m)
-    table = _code_tables.setdefault((unit, cap), [None])
+    if m > _MOST_NODES:
+        raise CapacityError(f"census label count m = {m} exceeds the field limit {_MOST_NODES}")
+    table = _code_tables.setdefault(max_bucket, [None])
     for total in range(len(table), m + 1):
-        items = [(1, 1, 0, total)] if cap is None or total <= cap else []
-        lift = [unit ** (2 * r + 2) - unit ** (2 * r) for r in range(total)]
+        items = [(1, 1, 0, total)] if max_bucket is None or total <= max_bucket else []
+        lift = [_UNIT ** (2 * r + 2) - _UNIT ** (2 * r) for r in range(total)]
         for t in range(1, total):
             firsts = [(code, d * perm(t, b)) for code, d, _, b in table[t]]
             items += [(c + f + lift[r], d * e, r + 1, b)
@@ -563,9 +567,11 @@ def _bucket_codes(m: int, cap: Optional[int]) -> Counter:
     for code, d, _, b in table[m]:
         count, rem = divmod(labels, d * perm(m, b))
         if rem:  # the words name the tree
-            for word, hooks, functions in _bucket_words(m, cap or m):
+            for word, hooks, functions in _bucket_words(m, max_bucket or m):
                 for buckets in functions:
                     _bucket_count(word, hooks, buckets)
             raise ArithmeticError(f"a bucket labelling count with {m} labels is not integral")
         counts[code] += count
-    return counts
+    census = tuple((_spread(code.to_bytes(2 * m, "little")[::2]), count)
+                   for code, count in counts.items())
+    return census, sum(map(catalan, range(-(-m // (max_bucket or m)) - 1, m)))

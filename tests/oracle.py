@@ -60,6 +60,7 @@ from inctrees.trees import (
     OrderedTree,
     _bucket_count,
     _bucket_words,
+    _fold,
     _label_blocks,
     _plane_trees,
     _shape,
@@ -345,7 +346,7 @@ def build_words(n: int) -> tuple:
 
 @cache
 def word_census(n: int):
-    """``hooks._census`` as it was built from degree words: per word, its
+    """``trees._census`` as it was built from degree words: per word, its
     sorted hook-lengths and sorted out-degrees, regrouped by hook multiset."""
     by_degrees = defaultdict(Counter)
     for word, hooks in _plane_trees(n):
@@ -365,7 +366,7 @@ def word_census(n: int):
 
 @cache
 def word_bucket_census(m: int, max_bucket: Optional[int]):
-    """``hooks._bucket_census`` as it was built from degree words: each
+    """``trees._bucket_census`` as it was built from degree words: each
     word's bucket functions counted one by one with ``_bucket_count``."""
     counts, visited = Counter(), 0
     for word, hooks, bucket_functions in _bucket_words(m, max_bucket or m):
@@ -407,11 +408,19 @@ def labelled_codes(m: int, cap: int, sibling_sorted: bool = False):
     """(word, blocks) of every increasing labelling with m labels, at most
     cap per node, of every plane tree that can hold them: per plane tree
     and bucket function, each labelling of ``trees._label_blocks``, as the
-    package made its objects before growing them by their largest label."""
+    package made its objects before growing them by their largest label.
+    ``sibling_sorted`` keeps those of :func:`sibling_sorted_labellings`,
+    whose blocks come in the same order."""
     for word, _, bucket_functions in _bucket_words(m, cap):
         parents = _shape(word)[0]
         for buckets in bucket_functions:
-            yield from ((word, b) for b in _label_blocks(parents, buckets, sibling_sorted))
+            if sibling_sorted:
+                tree = _fold(OrderedTree, word)
+                labellings = (tuple(map(tuple, map(sorted, b)))
+                              for b in sibling_sorted_labellings(tree, buckets))
+            else:
+                labellings = _label_blocks(parents, buckets)
+            yield from ((word, b) for b in labellings)
 
 
 def colored_codes(m: int, branching: bool):

@@ -7,16 +7,17 @@ The word generator yields each word with its hook-lengths, and
 denominator per size, then phi, scaled once per command by the lcm of its
 denominators, in one fold with one ``Fraction`` per sum.  The hook-vector
 cache is cleared wherever a test swaps a census, and pinned to one build
-per size and factor row.  The censuses are decoded from packed codes that
-``trees`` grafts subtree by subtree.  ``_label_blocks`` is a flat
+per size and factor row.  The censuses are built and decoded in ``trees``
+from packed codes grafted subtree by subtree.  ``_label_blocks`` is a flat
 backtracking generator of sorted label blocks.  These tests pin each to the route it replaced: ``word_hook_lengths``
 per word, the censuses built by walking degree words, one ``Fraction``
 product per ``OrderedTree``, bucket hook-lengths from the subtree objects,
-and the frozenset labelling generator, with the sibling-sorted labellings
-pinned to that generator's output filtered after generation.  The cores
+and the frozenset labelling generator.  The cores
 that take sizes 1..N, with one solve and one factor table, are pinned to a
-solve and a per-tree loop at each size.  The code fields are pinned at
-multiplicity n - 1.  Hypothesis runs with a fixed seed.
+solve and a per-tree loop at each size, and read a one-shot iterable of
+sizes as they read a tuple.  The one-byte code fields are pinned at
+multiplicity n - 1 up to n = 255, and a larger census fails before any
+graft.  Hypothesis runs with a fixed seed.
 """
 import sys
 from collections import Counter
@@ -86,8 +87,8 @@ def test_generator_hooks_equal_word_hook_lengths():
 
 def clear_census_caches():
     hooks._hook_vector.cache_clear()
-    hooks._census.cache_clear()
-    hooks._bucket_census.cache_clear()
+    trees._census.cache_clear()
+    trees._bucket_census.cache_clear()
 
 
 @pytest.fixture
@@ -108,19 +109,19 @@ def test_censuses_do_not_rescan_words(monkeypatch, fresh_censuses):
         monkeypatch.setattr(trees, name, rescan)
     monkeypatch.setattr(hooks, "word_hook_lengths", rescan, raising=False)
     monkeypatch.setattr(trees, "_code_tables", {})
-    assert hooks._census(9)[1] == 1430
-    assert hooks._bucket_census(7, None)[1] == sum(trees.catalan(s - 1) for s in range(1, 8))
-    assert hooks._bucket_census(7, 2)[1] == sum(trees.catalan(s - 1) for s in range(4, 8))
+    assert trees._census(9)[1] == 1430
+    assert trees._bucket_census(7, None)[1] == sum(trees.catalan(s - 1) for s in range(1, 8))
+    assert trees._bucket_census(7, 2)[1] == sum(trees.catalan(s - 1) for s in range(4, 8))
 
 
 def test_a_run_of_sizes_grafts_each_size_once(monkeypatch, fresh_censuses):
-    # sizes below the run's largest are kept as they are built and read back
-    # by their own censuses; the largest is counted as its grafts stream
+    # the run's largest census comes first: it keeps the sizes below it, read
+    # back by their own censuses, and is counted as its grafts stream
     grafted = []
 
-    def counted(table, n, unit):
+    def counted(table, n):
         grafted.append(n)
-        return graft(table, n, unit)
+        return graft(table, n)
 
     graft = trees._grafts
     monkeypatch.setattr(trees, "_grafts", counted)
@@ -128,7 +129,7 @@ def test_a_run_of_sizes_grafts_each_size_once(monkeypatch, fresh_censuses):
     reports = hook_sums_k_labelled(DegreeWeights.exponential(), 2, range(1, 10))
     assert [r.trees_visited for r in reports] == [trees.catalan(n - 1) for n in range(1, 10)]
     assert sorted(grafted) == list(range(2, 10))
-    assert len(trees._code_tables[256]) == 9  # sizes up to 8 kept, size 9 counted only
+    assert len(trees._code_tables["trees"]) == 9  # sizes up to 8 kept, size 9 counted only
 
 
 def census_groups(census):
@@ -140,7 +141,7 @@ def census_groups(census):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_graft_census_equals_word_census(n):
-    groups, visited, most = hooks._census(n)
+    groups, visited, most = trees._census(n)
     want_groups, want_visited, want_most = oracle.word_census(n)
     assert census_groups(groups) == census_groups(want_groups)
     assert len(groups) == len(want_groups)  # one group per hook multiset
@@ -151,7 +152,7 @@ def test_graft_census_equals_word_census(n):
 @pytest.mark.parametrize("max_bucket", [None, 2])
 @pytest.mark.parametrize("m", range(1, 9))
 def test_graft_bucket_census_equals_word_census(m, max_bucket):
-    counts, visited = hooks._bucket_census(m, max_bucket)
+    counts, visited = trees._bucket_census(m, max_bucket)
     want_counts, want_visited = oracle.word_bucket_census(m, max_bucket)
     assert Counter(counts) == Counter(want_counts)
     assert len(counts) == len(want_counts)  # one pair per out-degree multiset
@@ -189,41 +190,56 @@ def test_reports_equal_word_census_reports(weights, k, top, max_bucket):
         hooks._hook_vector.cache_clear()
 
 
-def grown(n: int, root_degree, unit: int) -> int:
+def grown(n: int, root_degree) -> int:
     """The code of the size-n star (root_degree n - 1) or path (1), grafted
     size by size through ``trees._grafts`` on tables that hold only the leaf
     and the last size of that shape: a leaf on the root of the star, or the
     path as the only child of a leaf."""
-    table = [None, [[1 + unit]]]
+    table = [None, [[1 + 256]]]
     for size in range(2, n + 1):
         want = root_degree(size)
-        (code,) = [c for r, run in trees._grafts(table, size, unit) if r == want for c in run]
+        (code,) = [c for r, run in trees._grafts(table, size) if r == want for c in run]
         table.append([[code] if r == want else [] for r in range(size)])
         if size > 2:
             table[size - 1] = []
     return table[n][root_degree(n)][0]
 
 
-@pytest.mark.parametrize("n", [*range(2, 41), 257])  # 257: a second byte per field
+def fields(code: int, n: int):
+    """The out-degree 0..n-1 and hook-length 1..n counts of a size-n code:
+    byte 2d counts out-degree d, byte 2h - 1 hook-length h."""
+    data = code.to_bytes(2 * n, "little")
+    return list(data[::2]), list(data[1::2])
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 255])  # 255: the largest census size
 def test_codes_hold_multiplicity_n_minus_1(n):
     # a star has n - 1 leaves of hook-length 1; a path n - 1 nodes of out-degree 1
-    unit = 256 ** trees._field_bytes(n)
-    degrees, hook_counts = trees._unpack(grown(n, lambda size: size - 1, unit), n)
-    assert list(degrees) == [n - 1] + [0] * (n - 2) + [1]
-    assert list(hook_counts) == [n - 1] + [0] * (n - 2) + [1]
-    degrees, hook_counts = trees._unpack(grown(n, lambda size: 1, unit), n)
-    assert list(degrees) == [1, n - 1] + [0] * (n - 2)
-    assert list(hook_counts) == [1] * n
+    degrees, hook_counts = fields(grown(n, lambda size: size - 1), n)
+    assert degrees == [n - 1] + [0] * (n - 2) + [1]
+    assert hook_counts == [n - 1] + [0] * (n - 2) + [1]
+    degrees, hook_counts = fields(grown(n, lambda size: 1), n)
+    assert degrees == [1, n - 1] + [0] * (n - 2)
+    assert hook_counts == [1] * n
 
 
-def test_field_bytes_hold_any_size():
-    assert [trees._field_bytes(n) for n in (1, 255, 256, 65535, 65536)] == [1, 1, 2, 2, 3]
-    n = 70000  # three bytes per field: the star's counts, set by hand, read back
-    unit = 256**3
-    code = (n - 1) + unit ** (2 * (n - 1)) + (n - 1) * unit + unit ** (2 * n - 1)
-    degrees, hook_counts = trees._unpack(code, n)
-    assert (degrees[0], degrees[-1], sum(degrees)) == (n - 1, 1, n)
-    assert (hook_counts[0], hook_counts[-1], sum(hook_counts)) == (n - 1, 1, n)
+def test_census_above_255_nodes_fails_before_any_graft(monkeypatch, fresh_censuses):
+    # a one-byte field counts up to 255 nodes, whatever INCTREE_CAPACITY says
+    def no_graft(*args):
+        raise AssertionError("a census grafted past its field limit")
+
+    monkeypatch.setenv("INCTREE_CAPACITY", "300")
+    monkeypatch.setattr(trees, "_grafts", no_graft)
+    monkeypatch.setattr(trees, "_code_tables", {})
+    too_many = "^census {} = 256 exceeds the field limit 255$"
+    with pytest.raises(trees.CapacityError, match=too_many.format("tree size n")):
+        trees._census(256)
+    for cap in (None, 2):
+        with pytest.raises(trees.CapacityError, match=too_many.format("label count m")):
+            trees._bucket_census(256, cap)
+    with pytest.raises(trees.CapacityError, match=too_many.format("tree size n")):
+        generic_hook_weight_sums("ordered", [1], [1], [3, 256])
+    assert trees._code_tables == {}
 
 
 FRACTION_OPERATIONS = (
@@ -236,13 +252,13 @@ def test_folds_make_no_fraction_arithmetic(monkeypatch, fresh_censuses):
     # From the census to the verdict a hook command runs on ints: no Fraction
     # arithmetic or comparison runs in hooks.py, per census group, out-degree
     # multiset, size or verdict, and a size builds at most two Fractions, its
-    # left and right sides (a rho sum one, after one per coefficient).
+    # left and right sides (a rho sum one).
     weights = DegreeWeights.polynomial([F(1, 2), F(2, 3), 0, F(5, 7), 3])
     row = tuple((h + 1, 2 * h + 3) for h in range(1, 11))
     want_tree = oracle.tree_hook_sum(weights, 10, {h: F(*row[h - 1]) for h in range(1, 11)})
     want_bucket = oracle.bucket_hook_sum(weights, 8)[0]
-    counts = hooks._bucket_census(8, None)[0]
-    assert len(hooks._census(10)[0]) > 20 and len(counts) > 20
+    counts = trees._bucket_census(8, None)[0]
+    assert len(trees._census(10)[0]) > 20 and len(counts) > 20
     sizes, labels, rho = range(1, 11), range(1, 9), ([F(1, 2), 3], [2, F(1, 3)])
 
     def commands():
@@ -269,7 +285,7 @@ def test_folds_make_no_fraction_arithmetic(monkeypatch, fresh_censuses):
     assert len(built) == 2
     built.clear()
     reports, rho_sums = commands()
-    report_fractions = len(built) - len(sizes) - sum(map(len, rho))
+    report_fractions = len(built) - len(sizes)
     monkeypatch.undo()  # the comparisons below run outside the count
     assert (tree_sum, bucket_sum) == ([want_tree], want_bucket)
     assert (reports, rho_sums) == want_commands
@@ -381,8 +397,8 @@ def test_one_pass_rho_sums_equal_per_size_route(family, num, den, top):
 
 def test_one_size_builds_only_its_census(fresh_censuses):
     hook_sum_k_labelled(DegreeWeights.parse("exp"), 2, 12)
-    hooks._census(12)
-    assert hooks._census.cache_info()[:4] == (1, 1, None, 1)  # hits, misses, maxsize, currsize
+    trees._census(12)
+    assert trees._census.cache_info()[:4] == (1, 1, None, 1)  # hits, misses, maxsize, currsize
 
 
 K2_WEIGHTS = ("exp", "poly:1,0,1", "poly:2,0,0,1/3", "bundled:1", "poly:1/2,1,0,3/5")
@@ -447,13 +463,3 @@ def test_labellings_equal_frozenset_generator():
                     got = [tuple(map(frozenset, b)) for b in _label_blocks(parents, buckets)]
                     assert got == list(oracle.increasing_labellings(tree, buckets))
 
-
-def test_sibling_sorted_labellings_equal_filtered_generator():
-    # pruning at each node skips exactly what the filter after generation drops
-    for n in range(1, 7):
-        for tree in enumerate_ordered_trees(n):
-            parents = tree.parent_indices()
-            for m in range(n, 8):
-                for buckets in enumerate_bucket_functions(tree, m):
-                    got = [tuple(map(frozenset, b)) for b in _label_blocks(parents, buckets, True)]
-                    assert got == list(oracle.sibling_sorted_labellings(tree, buckets))

@@ -114,20 +114,26 @@ def test_cores_reject_an_empty_run_or_a_size_below_1(core, monkeypatch):
 
 def test_bucket_rejects_other_bucket_caps(monkeypatch):
     def no_tables(*args):
-        raise AssertionError("bucket codes grafted before max_bucket was checked")
+        raise AssertionError("bucket census built before max_bucket was checked")
 
-    monkeypatch.setattr(hooks, "_bucket_codes", no_tables)
+    monkeypatch.setattr(hooks, "_bucket_census", no_tables)
     for cap in (0, 1, 3):
         with pytest.raises(ValueError, match="max_bucket"):
             hook_sum_bucket(EXP, 8, max_bucket=cap)
 
 
+@pytest.mark.parametrize("core", sorted(CORES))
+def test_cores_read_a_one_shot_iterable_of_sizes(core):
+    many = CORES[core][0]
+    assert many(n for n in (1, 2, 3)) == many((1, 2, 3))
+
+
 @pytest.fixture
 def fresh_bucket_census():
     # hook_sum_bucket reads a census cached per process; earlier tests fill it
-    hooks._bucket_census.cache_clear()
+    trees._bucket_census.cache_clear()
     yield
-    hooks._bucket_census.cache_clear()
+    trees._bucket_census.cache_clear()
 
 
 def test_non_integral_bucket_count_names_tree_and_buckets(monkeypatch, fresh_bucket_census):
@@ -193,6 +199,14 @@ def test_rho_strict_binary_matches_two_label_left_side():
 def test_rho_denominator_zero_is_named():
     with pytest.raises(ValueError, match="h = 2"):
         generic_hook_weight_sum("ordered", [1], [-2, 1], 4)
+
+
+@pytest.mark.parametrize("num, den, kind", [
+    ([0.1], [1], "float"), ([1], [1, 0.5], "float"), (["1/2"], [1], "str"), ([1], ["2"], "str"),
+])
+def test_rho_coefficients_must_be_exact(num, den, kind):
+    with pytest.raises(TypeError, match=f"^exact rational required, got {kind}$"):
+        generic_hook_weight_sums("binary", num, den, [1, 2])
 
 
 def test_unknown_family_rejected():

@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses, the reversal
 takes nothing from the engine but its entry point, the first-integral check
-names no engine helper, the hook sums name no word generator, and the tree
-modules do not recurse.
+names no engine helper, the hook sums name no word generator, only the
+tree module knows the census codes, and the tree modules do not recurse.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with the standard library: every name bound by an import must occur
@@ -15,9 +15,13 @@ them on a binomial power table of its own.  ``solvers.py`` imports no
 ``Series``, since both the engine and the check run on the counts.
 ``cli.py`` names no hook sum of one size, so each ``hook`` command and
 hook check solves once for all its sizes.  ``hooks.py`` names no word
-generator of ``trees.py``, so no census walks degree words again, and its
-census side (the censuses, the hook vectors and the fold) names no solver,
-so the left-hand sides never reach the route of the right-hand sides.  In
+generator of ``trees.py``, so no census walks degree words again, and the
+census side (the censuses in ``trees.py``, the hook vectors and the fold in
+``hooks.py``) names no solver, and ``trees.py`` imports nothing from
+``solvers`` or ``hooks``, so the left-hand sides never reach the route of
+the right-hand sides.  Only ``trees.py`` knows the censuses' packed code
+format: ``hooks.py`` takes from it the two censuses and public names, and
+no other module names its code tables or grafts.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
 itself, directly or through other functions of its module, by name or as
 an attribute, so every tree converts at any depth.
@@ -26,6 +30,7 @@ and ``repr=False``, so no tree class gets a generated ``__eq__`` or
 ``__repr__`` that recurses through its children.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -58,19 +63,19 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def solver_imports(source: str):
-    """Names a module takes from ``solvers``, as ``from .solvers import x``
-    or ``from inctrees.solvers import x``; the module itself, taken whole by
-    ``from . import solvers`` or ``import inctrees.solvers``, is "solvers"."""
+def module_imports(source: str, module: str = "solvers"):
+    """Names a source takes from a package module, as ``from .solvers import
+    x`` or ``from inctrees.solvers import x``; the module itself, taken whole
+    by ``from . import solvers`` or ``import inctrees.solvers``, is "solvers"."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            if node.module in ("solvers", "inctrees.solvers"):
+            if node.module in (module, f"inctrees.{module}"):
                 found += [alias.name for alias in node.names]
             elif node.module in (None, "inctrees"):
-                found += [alias.name for alias in node.names if alias.name == "solvers"]
+                found += [alias.name for alias in node.names if alias.name == module]
         elif isinstance(node, ast.Import):
-            found += ["solvers" for alias in node.names if alias.name == "inctrees.solvers"]
+            found += [module for alias in node.names if alias.name == f"inctrees.{module}"]
     return sorted(found)
 
 
@@ -78,7 +83,7 @@ def test_reverse_takes_only_the_solver_entry_point():
     # The round trip re-solves through the engine's own Bell table; a shared
     # table helper would make it re-run the reversal's arithmetic.
     source = (PACKAGE / "reverse.py").read_text(encoding="utf-8")
-    assert solver_imports(source) == ["solve_k_labelled"]
+    assert module_imports(source) == ["solve_k_labelled"]
 
 
 def test_solver_import_is_found():
@@ -88,7 +93,8 @@ def test_solver_import_is_found():
         "import inctrees.solvers\n"
         "from .series import _trim\n"
     )
-    assert solver_imports(source) == ["_table_columns", "solve_k_labelled", "solvers", "solvers"]
+    assert module_imports(source) == ["_table_columns", "solve_k_labelled", "solvers", "solvers"]
+    assert module_imports(source, "series") == ["_trim", "series"]
 
 
 # the coefficient engine of solvers.py, which the first-integral check
@@ -182,7 +188,7 @@ WORD_GENERATORS = {"_plane_trees", "_bucket_words", "enumerate_degree_words"}
 
 def test_hooks_name_no_word_generator():
     source = (PACKAGE / "hooks.py").read_text(encoding="utf-8")
-    assert "_tree_codes" in source
+    assert "_census" in source
     assert names_of(source, WORD_GENERATORS) == []
 
 
@@ -191,16 +197,20 @@ def test_word_generator_is_found():
         "from .trees import _bucket_words, check_capacity\n"
         "pairs = trees._plane_trees(n)\n"
         "words = enumerate_degree_words\n"
-        "codes = trees._tree_codes(n)\n"
+        "census = trees._census(n)\n"
     )
     assert names_of(source, WORD_GENERATORS) == [
         "_bucket_words", "_plane_trees", "enumerate_degree_words",
     ]
 
 
-# hooks.py's census side: the left-hand sides, which must not reach the
-# solvers that give the right-hand sides, so the two routes stay apart
-CENSUS_SIDE = {"_spread", "_census", "_bucket_census", "_hook_vector", "_fold", "_tree_sum"}
+# the census side, the left-hand sides: the censuses in trees.py and the
+# hook vectors and folds in hooks.py, which must not reach the solvers that
+# give the right-hand sides, so the two routes stay apart
+CENSUS_SIDE = {
+    "trees.py": {"_spread", "_census", "_bucket_census"},
+    "hooks.py": {"_hook_vector", "_fold", "_tree_sum"},
+}
 SOLVER_NAMES = {"_solve", "_Engine", "_ENGINES", "SCHEMES"}
 
 
@@ -218,11 +228,16 @@ def solver_names_in(source: str, functions):
 
 
 def test_hook_census_side_names_no_solver():
-    source = (PACKAGE / "hooks.py").read_text(encoding="utf-8")
-    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
-    assert CENSUS_SIDE <= defined
-    assert "solve_k_labelled" in source  # the right-hand sides still solve
-    assert solver_names_in(source, CENSUS_SIDE) == []
+    for name, functions in CENSUS_SIDE.items():
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert functions <= defined
+        assert solver_names_in(source, functions) == []
+    hooks_source = (PACKAGE / "hooks.py").read_text(encoding="utf-8")
+    assert "solve_k_labelled" in hooks_source  # the right-hand sides still solve
+    trees_source = (PACKAGE / "trees.py").read_text(encoding="utf-8")
+    assert module_imports(trees_source, "solvers") == module_imports(trees_source, "hooks") == []
 
 
 def test_census_side_solver_name_is_found():
@@ -235,9 +250,56 @@ def test_census_side_solver_name_is_found():
         "def hook_sums_k_tuple(weights, k, sizes):\n"
         "    return solve_k_tuple(weights, k, max(sizes)), _solve_free\n"
     )
-    assert solver_names_in(source, CENSUS_SIDE) == [
+    assert solver_names_in(source, set().union(*CENSUS_SIDE.values())) == [
         "SCHEMES", "_Engine", "_solve", "solve_k_tuple",
     ]
+
+
+# the packed code format of the hook censuses: trees.py alone grafts and
+# decodes it, and hooks.py takes the two censuses whole
+CODE_FORMAT = {"_code_table", "_code_tables", "_grafts", "_sums"}
+RETIRED_CODE_NAMES = ("_field_bytes", "_unpack", "_tree_codes", "_bucket_codes")
+HOOKS_FROM_TREES = {"_census", "_bucket_census"}
+
+
+def code_format_leaks(sources):
+    """Per module name, the code format names it uses outside trees.py, the
+    retired code helpers it still mentions anywhere, and the private names
+    hooks.py takes from trees.py beyond the two censuses."""
+    leaks = {}
+    for name, source in sources.items():
+        found = [] if name == "trees.py" else names_of(source, CODE_FORMAT)
+        found += [word for word in RETIRED_CODE_NAMES if re.search(rf"\b{word}\b", source)]
+        if name == "hooks.py":
+            found += [
+                taken for taken in module_imports(source, "trees")
+                if taken.startswith("_") and taken not in HOOKS_FROM_TREES
+            ]
+        if found:
+            leaks[name] = found
+    return leaks
+
+
+def test_only_trees_knows_the_packed_code_format():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert "_grafts" in sources["trees.py"]
+    assert module_imports(sources["hooks.py"], "trees") == sorted(
+        HOOKS_FROM_TREES | {"check_capacity", "falling_factorial"}
+    )
+    assert code_format_leaks(sources) == {}
+
+
+def test_code_format_leak_is_found():
+    sources = {
+        "hooks.py": "from .trees import _census, _code_table, _unpack, catalan\n",
+        "cli.py": "runs = trees._grafts(table, n)  # see _tree_codes\n",
+        "trees.py": "def _grafts(table, n):\n    return _sums(table, n, _field_bytes(n))\n",
+    }
+    assert code_format_leaks(sources) == {
+        "hooks.py": ["_code_table", "_unpack", "_code_table", "_unpack"],
+        "cli.py": ["_grafts", "_tree_codes"],
+        "trees.py": ["_field_bytes"],
+    }
 
 
 def test_unused_import_is_found():

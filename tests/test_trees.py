@@ -293,6 +293,21 @@ def test_bucket_bruteforce_examples():
     assert count_bucket_labellings_bruteforce(CHERRY, (1, 1, 1)) == 2
 
 
+@pytest.mark.parametrize("count", [count_bucket_labellings_formula,
+                                   count_bucket_labellings_bruteforce])
+@pytest.mark.parametrize("buckets, message", [
+    ((1, 0), "bucket sizes must be positive"),
+    ((0, 1), "bucket sizes must be positive"),
+    ((2, -1), "bucket sizes must be positive"),
+    ((1,), "one bucket size per node required"),
+    ((1, 1, 1), "one bucket size per node required"),
+])
+def test_bucket_counts_check_the_buckets_alike(count, buckets, message):
+    # one shared check of the bucket tuple for the formula and brute force
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        count(PATH2, buckets)
+
+
 def test_bucket_formula_matches_bruteforce():
     for n in range(1, 5):
         for tree in enumerate_ordered_trees(n):
