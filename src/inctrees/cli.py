@@ -92,27 +92,27 @@ def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
         w = families.get_family(identifier).weights
         checks.append(_first_failure(
             f"hook k=2 {identifier} n<={max_n}", "n",
-            _hook_notes(hooks.hook_sums_k_labelled(w, 2, ns), full=True),
+            _hook_notes(hooks.hook_sums("k-labelled", w, ns, 2), full=True),
         ))
     tri = families.get_family("trilabelled/unordered").weights
     checks.append(_first_failure(
         f"hook k=3 trilabelled/unordered n<={max_n}", "n",
-        _hook_notes(hooks.hook_sums_k_labelled(tri, 3, ns)),
+        _hook_notes(hooks.hook_sums("k-labelled", tri, ns, 3)),
     ))
     for k in (1, 2, 3):
         for variant in ("ordered", "unordered"):
             checks.append(_first_failure(
                 f"hook k-tuple(k={k}) {variant}", "n",
-                _hook_notes(hooks.hook_sums_k_tuple(SHAPES[variant], k, ns)),
+                _hook_notes(hooks.hook_sums("k-tuple", SHAPES[variant], ns, k)),
             ))
     for name in ("ordered", "unordered", "strict-binary"):
         checks.append(_first_failure(
             f"hook bucket-free {name} m<={max_m}", "m",
-            _hook_notes(hooks.hook_sums_bucket(SHAPES[name], ms)),
+            _hook_notes(hooks.hook_sums("free-multilabelled", SHAPES[name], ms)),
         ))
     checks.append(_first_failure(
         f"hook bucket-uni-bi unordered m<={max_m}", "m",
-        _hook_notes(hooks.hook_sums_bucket(SHAPES["unordered"], ms, max_bucket=2)),
+        _hook_notes(hooks.hook_sums("uni-bi", SHAPES["unordered"], ms)),
     ))
     checks.append(_first_failure(
         f"hook rho=1+1/h binary vs 2^n(n+1)^(n-1)/n! n<={max_n}", "n", _rho_binary_notes(max_n),
@@ -238,7 +238,7 @@ def _suite_invariants(max_n: int, max_m: int, cutoff: int) -> List[Check]:
     # sum over trees of w(T) n!/prod h = T_n, the k = 1 hook identity; its left
     # side is `verify hook`'s k-tuple(k=1), so only the k-labelled solver is new
     checks.append(_first_failure("tree-sum oracle vs single-label solver", "n", _hook_notes(
-        hooks.hook_sums_k_labelled(SHAPES["unordered"], 1, range(1, min(max_n, 6) + 1))
+        hooks.hook_sums("k-labelled", SHAPES["unordered"], range(1, min(max_n, 6) + 1), 1)
     )))
     return checks
 
@@ -392,11 +392,11 @@ def _run_hook(args, out) -> int:
     else:
         weights = DegreeWeights.parse(args.weights)
     if args.kind == "bucket":
-        reports = hooks.hook_sums_bucket(weights, range(1, args.max_m + 1), args.max_bucket)
-    elif args.kind == "klabelled":
-        reports = hooks.hook_sums_k_labelled(weights, args.k, range(1, args.max_n + 1))
+        scheme = "free-multilabelled" if args.max_bucket is None else "uni-bi"
+        reports = hooks.hook_sums(scheme, weights, range(1, args.max_m + 1))
     else:
-        reports = hooks.hook_sums_k_tuple(weights, args.k, range(1, args.max_n + 1))
+        scheme = "k-labelled" if args.kind == "klabelled" else "k-tuple"
+        reports = hooks.hook_sums(scheme, weights, range(1, args.max_n + 1), args.k)
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
     else:

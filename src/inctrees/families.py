@@ -19,6 +19,7 @@ from math import comb, factorial, inf, isfinite
 from operator import mul, truediv
 from typing import Callable, List, Optional, Tuple
 
+from .series import as_fraction
 from .solvers import CountingSequence, solve_scheme
 from .trees import check_capacity
 from .weights import SHAPES, DegreeWeights
@@ -264,7 +265,7 @@ def weierstrass_invariants(phi0, phi1, phi2) -> Tuple[Fraction, Fraction, Fracti
     """Invariants (g2, g3) and the Weierstrass-p value at the shift constant
     for a quadratic degree-weight generating function phi(t) =
     phi0 + phi1 t + phi2 t^2."""
-    p0, p1, p2 = Fraction(phi0), Fraction(phi1), Fraction(phi2)
+    p0, p1, p2 = map(as_fraction, (phi0, phi1, phi2), ("phi0", "phi1", "phi2"))
     if p0 <= 0 or p2 <= 0 or p1 < 0:
         raise ValueError("need phi0, phi2 > 0 and phi1 >= 0")
     g2 = -p0 * p2 / 3 + p1 * p1 / 12

@@ -6,17 +6,18 @@ sequence value divided by a factorial.  The left-hand side is computed here
 by brute-force enumeration; the right-hand side comes from the coefficient
 solvers — two fully independent computation paths, compared exactly.
 
-Each kind has one core over sizes 1..N (``hook_sums_*``,
-``generic_hook_weight_sums``): it reads the sizes once, rejects an empty
-run or a size below 1, checks N's capacity, builds its row of hook
-factors and its scaled phi once, then N's census side, so the census field
-limit is checked before the one solve to N; a function of one size calls
-it with that size alone.  A per-node sum folds the size's
-census of tree counts per (hook-length multiplicities, sorted
-out-degrees), and a bucket sum the label count's census of integer
-labelling counts per sorted out-degrees.  Both censuses come whole from
-``trees``, cached per process; a run reads its largest size first, so
-that census keeps the smaller sizes for the rest of the run.
+One core over sizes 1..N, :func:`hook_sums`, serves every scheme of
+``solvers.SCHEMES``: it takes the scale s_n and the one solve to N from
+there, and the rest from one table, ``_HOOK_SIDES``, of what differs
+(report name, bound on k, hook factor or census cap).  It, like
+``generic_hook_weight_sums``, reads the sizes once, rejects an empty run or
+a size below 1, checks N's capacity, then k, builds its factor row and
+scaled phi once, then N's census side, so the census field limit is checked
+before the solve.  A per-node sum folds the size's census of tree counts
+per (hook-length multiplicities, sorted out-degrees), and a bucket sum the
+label count's census of integer labelling counts per sorted out-degrees.
+Both come whole from ``trees``, cached per process; a run reads its largest
+size first, which keeps the smaller sizes' censuses.
 
 The command runs on ints from the census to the verdict.  The hook factors
 are normalised (num, den) int pairs: (1, (kh)_k), (1, h^k), or rho(h) by
@@ -30,11 +31,11 @@ phi is scaled once per command by the lcm L of its denominators, with one
 list of powers of L (:func:`_integer_phi`), and enters each size as one dot
 product (:func:`_fold`), which also sums the bucket censuses and builds the
 size's one left-hand ``Fraction``.  Each right-hand side is one normalised
-``Fraction`` of T_n's numerator over its denominator times the size's
-factorial, and a report reads its verdict once, from the two sides'
-numerator/denominator pairs.  A second phi at the same size and factor row
-costs only its degree products and the solver.  Every tree's term is still
-summed, and ``trees_visited`` is the number of trees behind a sum.
+``Fraction`` of T_n's numerator over its denominator times s_n, and a
+report reads its verdict once, from the two sides' numerator/denominator
+pairs.  A second phi at the same size and factor row costs only its degree
+products and the solver.  Every tree's term is still summed, and
+``trees_visited`` is the number of trees behind a sum.
 """
 from __future__ import annotations
 
@@ -43,19 +44,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import factorial, gcd, prod
+from math import gcd, prod
 from operator import getitem, mul
 from typing import Iterator, List, Sequence, Tuple
 
 from .families import MAX_KTUPLE_EXPONENT
 from .series import _over_lcm, as_fraction
-from .solvers import (
-    solve_free_multilabelled,
-    solve_k_labelled,
-    solve_k_tuple,
-    solve_unilabelled_bilabelled,
-)
-from .trees import _bucket_census, _census, check_capacity, falling_factorial
+from .solvers import SCHEMES, solve_scheme
+from .trees import _bucket_census, _census, _check_k, check_capacity, falling_factorial
 from .weights import SHAPES, DegreeWeights
 
 MAX_HOOK_TREE_SIZE = 12   # Catalan(11) = 58786 trees per sum
@@ -179,68 +175,62 @@ class HookIdentityReport:
         }
 
 
-def hook_sums_k_labelled(weights: DegreeWeights, k: int, sizes) -> List[HookIdentityReport]:
-    """Per size n in sizes: the sum over size-n plane trees of prod phi_odeg /
-    (kh)(kh-1)...(kh-k+1), against T_n / (kn)! from one solve to max(sizes)."""
-    sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
-    row = tuple((1, falling_factorial(k * h, k)) for h in range(1, top + 1))
-    w, powers = _integer_phi(weights, top)
-    sums = list(_tree_sum(w, powers, sizes, row))  # the census field limit before the solve
-    counts = solve_k_labelled(weights, k, top)
+# scheme of ``SCHEMES`` -> (report name, bound on k, hook side): a per-node
+# scheme's side is its hook factor (num, den) of a hook-length h and k, a
+# bucket scheme's the cap of its census's buckets (None: no cap)
+_HOOK_SIDES = {
+    "k-labelled": ("k-labelled(k={})", None, lambda h, k: (1, falling_factorial(k * h, k))),
+    "k-tuple": ("k-tuple(k={})", MAX_KTUPLE_EXPONENT, lambda h, k: (1, h**k)),
+    "free-multilabelled": ("bucket-free", None, None),
+    "uni-bi": ("bucket-uni-bi", None, 2),
+}
+
+
+def hook_sums(scheme: str, weights: DegreeWeights, sizes, k=None) -> List[HookIdentityReport]:
+    """Per size n in sizes: the scheme's sum of prod phi_odeg / f over the
+    size-n plane trees (f = (kh)_k or h^k per node, k None read as 1), or
+    over the trees and bucket functions with n labels (f = bucket hook-length
+    falling bucket size), against T_n / s_n from one solve to max(sizes)."""
+    if scheme not in _HOOK_SIDES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_HOOK_SIDES)}")
+    name, k_bound, side = _HOOK_SIDES[scheme]
+    scale = SCHEMES[scheme][1]
+    if callable(side):
+        sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
+        k = _check_k(1 if k is None else k)
+        if k_bound is not None:
+            check_capacity(k, k_bound, "k-tuple exponent k")
+        row = tuple(side(h, k) for h in range(1, top + 1))
+        w, powers = _integer_phi(weights, top)
+        sums = list(_tree_sum(w, powers, sizes, row))  # the census field limit before the solve
+    else:
+        sizes, top = _sizes(sizes, "hook-sum label count m", MAX_HOOK_BUCKET_TOTAL)
+        _bucket_census(top, side)  # the largest first: its field limit before the solve
+        w, powers = _integer_phi(weights, top)
+        censuses = zip(sizes, map(_bucket_census, sizes, repeat(side)))
+        sums = [(_fold(w, powers, c, m, scale(m, k)), seen) for m, (c, seen) in censuses]
+    counts = solve_scheme(scheme, weights, top, k)
     return [
-        HookIdentityReport(f"k-labelled(k={k})", n, lhs, _rhs(counts[n], factorial(k * n)), visited)
-        for n, (lhs, visited) in zip(sizes, sums)
-    ]
-
-
-def hook_sums_bucket(weights: DegreeWeights, sizes, max_bucket=None) -> List[HookIdentityReport]:
-    """Per label count m in sizes: the sum over trees and bucket-size functions
-    with m labels of prod phi_odeg / (bucket hook-length falling bucket size),
-    against the free (max_bucket None) or uni-bi (2) count from one solve."""
-    sizes, top = _sizes(sizes, "hook-sum label count m", MAX_HOOK_BUCKET_TOTAL)
-    if max_bucket not in (None, 2):
-        raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
-    free = max_bucket is None
-    scheme = "bucket-free" if free else "bucket-uni-bi"
-    _bucket_census(top, max_bucket)  # the largest first: its field limit before the solve
-    w, powers = _integer_phi(weights, top)
-    counts = (solve_free_multilabelled if free else solve_unilabelled_bilabelled)(weights, top)
-    reports = []
-    for m in sizes:
-        labellings, visited = _bucket_census(m, max_bucket)
-        lhs = _fold(w, powers, labellings, m, factorial(m))
-        reports.append(HookIdentityReport(scheme, m, lhs, _rhs(counts[m], factorial(m)), visited))
-    return reports
-
-
-def hook_sums_k_tuple(weights: DegreeWeights, k: int, sizes) -> List[HookIdentityReport]:
-    """Per size n in sizes: the sum over size-n plane trees of prod phi_odeg /
-    h^k, against T_n / (n!)^k from one solve to max(sizes)."""
-    sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
-    check_capacity(k, MAX_KTUPLE_EXPONENT, "k-tuple exponent k")
-    row = tuple((1, h**k) for h in range(1, top + 1))
-    w, powers = _integer_phi(weights, top)
-    sums = list(_tree_sum(w, powers, sizes, row))  # the census field limit before the solve
-    counts = solve_k_tuple(weights, k, top)
-    return [
-        HookIdentityReport(f"k-tuple(k={k})", n, lhs, _rhs(counts[n], factorial(n) ** k), visited)
+        HookIdentityReport(name.format(k), n, lhs, _rhs(counts[n], scale(n, k)), visited)
         for n, (lhs, visited) in zip(sizes, sums)
     ]
 
 
 def hook_sum_k_labelled(weights: DegreeWeights, k: int, n: int) -> HookIdentityReport:
-    """:func:`hook_sums_k_labelled` at the size n alone."""
-    return hook_sums_k_labelled(weights, k, (n,))[0]
+    """:func:`hook_sums` of ``k-labelled`` at the size n alone."""
+    return hook_sums("k-labelled", weights, (n,), k)[0]
 
 
 def hook_sum_bucket(weights: DegreeWeights, m: int, max_bucket=None) -> HookIdentityReport:
-    """:func:`hook_sums_bucket` at the label count m alone."""
-    return hook_sums_bucket(weights, (m,), max_bucket)[0]
+    """:func:`hook_sums` of the free (max_bucket None) or uni-bi (2) scheme at m alone."""
+    if max_bucket not in (None, 2):
+        raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
+    return hook_sums("free-multilabelled" if max_bucket is None else "uni-bi", weights, (m,))[0]
 
 
 def hook_sum_k_tuple(weights: DegreeWeights, k: int, n: int) -> HookIdentityReport:
-    """:func:`hook_sums_k_tuple` at the size n alone."""
-    return hook_sums_k_tuple(weights, k, (n,))[0]
+    """:func:`hook_sums` of ``k-tuple`` at the size n alone."""
+    return hook_sums("k-tuple", weights, (n,), k)[0]
 
 
 _GENERIC_FAMILIES = {name: SHAPES[name] for name in ("ordered", "binary", "strict-binary")}

@@ -29,13 +29,14 @@ from typing import Iterable, List, Sequence, Tuple, Union
 Scalar = Union[int, Fraction]
 
 
-def as_fraction(value: Scalar) -> Fraction:
-    """Coerce an exact scalar to Fraction, rejecting inexact types."""
+def as_fraction(value: Scalar, name: str = "") -> Fraction:
+    """Coerce an exact scalar to Fraction, rejecting inexact types and bool."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"exact rational required, got {type(value).__name__}")
+    named = f" for {name}" if name else ""
+    raise TypeError(f"exact rational required{named}, got {type(value).__name__}")
 
 
 def _over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:

@@ -311,9 +311,9 @@ def word_hook_lengths(word: Sequence[int]) -> Tuple[int, ...]:
 
 
 def falling_factorial(x: int, s: int) -> int:
-    """x (x-1) ... (x-s+1); the empty product 1 for s = 0."""
-    out = 1
-    for i in range(s):
+    """x (x-1) ... (x-s+1) for ints x and s; the empty product 1 for s = 0."""
+    out, x = 1, _check_int(x, "x")
+    for i in range(_check_int(s, "s")):
         out *= x - i
     return out
 
@@ -331,12 +331,16 @@ def tree_weight(tree: OrderedTree, weights: DegreeWeights) -> Fraction:
 # -- increasing k-labellings ------------------------------------------
 
 
+def _check_int(value, name: str) -> int:
+    """value, unless it is not an int (a bool, float or str): TypeError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    return value
+
+
 def _check_k(k: int) -> int:
-    """k, the labels per node or the tuple length, checked positive; a bool
-    is refused, not read as 0 or 1."""
-    if isinstance(k, bool):
-        raise TypeError("k must be an int, not bool")
-    if k < 1:
+    """k, the labels per node or the tuple length, checked an int and positive."""
+    if _check_int(k, "k") < 1:
         raise ValueError("k must be positive")
     return k
 

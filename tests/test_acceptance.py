@@ -120,11 +120,11 @@ def test_criterion_05_hook_identities():
     checks, _ = _registry("hook", max_n=8, max_m=7)
     checks.append(cli._first_failure(
         "hook k=3 ordered n<=7", "n",
-        cli._hook_notes(hooks.hook_sums_k_labelled(ORDERED, 3, range(1, 8))),
+        cli._hook_notes(hooks.hook_sums("k-labelled", ORDERED, range(1, 8), 3)),
     ))
     checks.append(cli._first_failure(
         "hook bucket-uni-bi ordered m<=7", "m",
-        cli._hook_notes(hooks.hook_sums_bucket(ORDERED, range(1, 8), max_bucket=2)),
+        cli._hook_notes(hooks.hook_sums("uni-bi", ORDERED, range(1, 8))),
     ))
     checks.append(cli._first_failure(
         "hook rho=1+1/h binary n<=10", "n", cli._rho_binary_notes(10)

@@ -266,26 +266,24 @@ def test_size_capacity_fails_before_any_check(capsys, monkeypatch, argv, message
     assert message in err
 
 
-@pytest.mark.parametrize("argv, solver, top", [
-    (["klabelled", "--weights", "exp", "--max-n", "7"], "solve_k_labelled", 7),
-    (["ktuple", "--weights", "poly:1,1", "-k", "3", "--max-n", "6"], "solve_k_tuple", 6),
-    (["bucket", "--weights", "exp", "--max-m", "6"], "solve_free_multilabelled", 6),
-    (["bucket", "--weights", "exp", "--max-m", "5", "--max-bucket", "2"],
-     "solve_unilabelled_bilabelled", 5),
+@pytest.mark.parametrize("argv, scheme, top, k", [
+    (["klabelled", "--weights", "exp", "--max-n", "7"], "k-labelled", 7, 2),
+    (["ktuple", "--weights", "poly:1,1", "-k", "3", "--max-n", "6"], "k-tuple", 6, 3),
+    (["bucket", "--weights", "exp", "--max-m", "6"], "free-multilabelled", 6, None),
+    (["bucket", "--weights", "exp", "--max-m", "5", "--max-bucket", "2"], "uni-bi", 5, None),
 ], ids=["klabelled", "ktuple", "bucket-free", "bucket-uni-bi"])
-def test_hook_command_solves_once(capsys, monkeypatch, argv, solver, top):
+def test_hook_command_solves_once(capsys, monkeypatch, argv, scheme, top, k):
     # every size's right-hand side comes from one solve to the largest size
     calls = []
+    solve = hooks.solve_scheme
 
-    def counted(name):
-        original = getattr(hooks, name)
-        return lambda *args: calls.append((name, args[-1])) or original(*args)
+    def counted(scheme, weights, terms, k=None):
+        calls.append((scheme, terms, k))
+        return solve(scheme, weights, terms, k)
 
-    for name in ("solve_k_labelled", "solve_k_tuple", "solve_free_multilabelled",
-                 "solve_unilabelled_bilabelled"):
-        monkeypatch.setattr(hooks, name, counted(name))
+    monkeypatch.setattr(hooks, "solve_scheme", counted)
     code, out, _ = run(capsys, "hook", *argv)
-    assert (code, calls) == (0, [(solver, top)])
+    assert (code, calls) == (0, [(scheme, top, k)])
     assert out.count(" equal\n") == top
 
 
@@ -453,15 +451,15 @@ def test_verify_hook_runs_k3_and_k_tuple_to_max_n(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "hook", "--max-n", "7", "--max-m", "3")
     assert code == 0
     assert "PASS hook k=3 trilabelled/unordered n<=7\n" in out
-    solve = hooks.solve_k_tuple
+    solve = hooks.solve_scheme
 
-    def off_at_seven(weights, k, terms):
-        values = dict(enumerate(solve(weights, k, terms), start=1))
-        if terms == 7:
+    def off_at_seven(scheme, weights, terms, k=None):
+        values = dict(enumerate(solve(scheme, weights, terms, k), start=1))
+        if scheme == "k-tuple" and terms == 7:
             values[7] += 1
         return values
 
-    monkeypatch.setattr(hooks, "solve_k_tuple", off_at_seven)
+    monkeypatch.setattr(hooks, "solve_scheme", off_at_seven)
     code, out, _ = run(capsys, "verify", "hook", "--max-n", "7", "--max-m", "3")
     assert code == 1
     for k in (1, 2, 3):

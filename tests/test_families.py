@@ -30,6 +30,7 @@ from inctrees.families import (
     weierstrass_invariants,
 )
 from inctrees.solvers import solve_k_labelled
+from inctrees.trees import falling_factorial
 from inctrees.weights import DegreeWeights
 
 
@@ -187,6 +188,27 @@ def test_weierstrass_invariants_validate_signs():
         weierstrass_invariants(0, 1, 1)
     with pytest.raises(ValueError):
         weierstrass_invariants(1, -1, 1)
+
+
+# each argument of falling_factorial and weierstrass_invariants refuses an
+# inexact or bool value by name, not read as the number it may equal
+RATIONAL = "^exact rational required for {}, got {}$"
+INEXACT_INPUTS = [
+    (falling_factorial, (5.0, 2), "^x must be an int, not float$"),
+    (falling_factorial, (True, 1), "^x must be an int, not bool$"),
+    (falling_factorial, (5, "2"), "^s must be an int, not str$"),
+    (falling_factorial, (5, True), "^s must be an int, not bool$"),
+    (weierstrass_invariants, (1.0, F(1, 2), 1), RATIONAL.format("phi0", "float")),
+    (weierstrass_invariants, ("1", "1/2", 1), RATIONAL.format("phi0", "str")),
+    (weierstrass_invariants, (1, 0.5, 1), RATIONAL.format("phi1", "float")),
+    (weierstrass_invariants, (1, 0, True), RATIONAL.format("phi2", "bool")),
+]
+
+
+@pytest.mark.parametrize("function, args, message", INEXACT_INPUTS)
+def test_inexact_inputs_are_refused_by_name(function, args, message):
+    with pytest.raises(TypeError, match=message):
+        function(*args)
 
 
 def test_lattice_sum_matches_exact_values():

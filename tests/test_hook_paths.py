@@ -37,9 +37,7 @@ from inctrees.hooks import (
     hook_sum_bucket,
     hook_sum_k_labelled,
     hook_sum_k_tuple,
-    hook_sums_bucket,
-    hook_sums_k_labelled,
-    hook_sums_k_tuple,
+    hook_sums,
 )
 from inctrees.solvers import (
     solve_free_multilabelled,
@@ -71,6 +69,9 @@ def value(coeffs, h):
     """The polynomial with coefficients ``coeffs`` (constant first) at h."""
     return sum(c * h**i for i, c in enumerate(coeffs))
 
+
+# the bucket scheme of a cap: free (None) or uni-bi (2)
+BUCKET_SCHEMES = {None: "free-multilabelled", 2: "uni-bi"}
 
 RHO_FAMILIES = {
     "ordered": DegreeWeights.bundled(1),
@@ -126,7 +127,7 @@ def test_a_run_of_sizes_grafts_each_size_once(monkeypatch, fresh_censuses):
     graft = trees._grafts
     monkeypatch.setattr(trees, "_grafts", counted)
     monkeypatch.setattr(trees, "_code_tables", {})
-    reports = hook_sums_k_labelled(DegreeWeights.exponential(), 2, range(1, 10))
+    reports = hook_sums("k-labelled", DegreeWeights.exponential(), range(1, 10), 2)
     assert [r.trees_visited for r in reports] == [trees.catalan(n - 1) for n in range(1, 10)]
     assert sorted(grafted) == list(range(2, 10))
     assert len(trees._code_tables["trees"]) == 9  # sizes up to 8 kept, size 9 counted only
@@ -173,9 +174,9 @@ def test_reports_equal_word_census_reports(weights, k, top, max_bucket):
     def run():
         return [
             [(r.lhs, r.trees_visited) for r in reports] for reports in (
-                hook_sums_k_labelled(weights, k, sizes),
-                hook_sums_k_tuple(weights, k, sizes),
-                hook_sums_bucket(weights, labels, max_bucket),
+                hook_sums("k-labelled", weights, sizes, k),
+                hook_sums("k-tuple", weights, sizes, k),
+                hook_sums(BUCKET_SCHEMES[max_bucket], weights, labels),
             )
         ]
 
@@ -242,15 +243,14 @@ def test_census_above_255_nodes_fails_before_any_graft(monkeypatch, fresh_census
     assert trees._code_tables == {}
 
 
-@pytest.mark.parametrize("core, solver, args, what", [
-    (hook_sums_k_labelled, "solve_k_labelled", (2,), "tree size n"),
-    (hook_sums_k_tuple, "solve_k_tuple", (2,), "tree size n"),
-    (hook_sums_bucket, "solve_free_multilabelled", (), "label count m"),
-    (lambda w, sizes: hook_sums_bucket(w, sizes, 2), "solve_unilabelled_bilabelled", (),
-     "label count m"),
+@pytest.mark.parametrize("scheme, k, what", [
+    ("k-labelled", 2, "tree size n"),
+    ("k-tuple", 2, "tree size n"),
+    ("free-multilabelled", None, "label count m"),
+    ("uni-bi", None, "label count m"),
 ], ids=["k-labelled", "k-tuple", "bucket-free", "bucket-uni-bi"])
 def test_hook_core_meets_the_field_limit_before_it_solves(
-    monkeypatch, fresh_censuses, core, solver, args, what
+    monkeypatch, fresh_censuses, scheme, k, what
 ):
     # the largest size's census side is built first, so the one-byte field
     # limit stops the run before the solve and before any census is grafted
@@ -258,10 +258,10 @@ def test_hook_core_meets_the_field_limit_before_it_solves(
         raise AssertionError("solved past the census field limit")
 
     monkeypatch.setenv("INCTREE_CAPACITY", "300")
-    monkeypatch.setattr(hooks, solver, no_solve)
+    monkeypatch.setattr(hooks, "solve_scheme", no_solve)
     monkeypatch.setattr(trees, "_code_tables", {})
     with pytest.raises(trees.CapacityError, match=f"^census {what} = 256 exceeds"):
-        core(DegreeWeights.exponential(), *args, [3, 256])
+        hook_sums(scheme, DegreeWeights.exponential(), [3, 256], k)
     assert trees._code_tables == {}
 
 
@@ -286,8 +286,8 @@ def test_folds_make_no_fraction_arithmetic(monkeypatch, fresh_censuses):
 
     def commands():
         return [
-            hook_sums_k_labelled(weights, 2, sizes), hook_sums_k_tuple(weights, 3, sizes),
-            hook_sums_bucket(weights, labels), hook_sums_bucket(weights, labels, 2),
+            hook_sums("k-labelled", weights, sizes, 2), hook_sums("k-tuple", weights, sizes, 3),
+            hook_sums("free-multilabelled", weights, labels), hook_sums("uni-bi", weights, labels),
         ], generic_hook_weight_sums("strict-binary", *rho, sizes)
 
     want_commands = commands()
@@ -396,9 +396,9 @@ def test_one_pass_reports_equal_per_size_route(weights, k, top, max_bucket):
         else:
             scheme, rhs = "bucket-uni-bi", solve_unilabelled_bilabelled(weights, n)[n]
         want_bucket.append(HookIdentityReport(scheme, n, lhs, rhs / factorial(n), seen))
-    assert hook_sums_k_labelled(weights, k, sizes) == want_labelled
-    assert hook_sums_k_tuple(weights, k, sizes) == want_ktuple
-    assert hook_sums_bucket(weights, sizes, max_bucket) == want_bucket
+    assert hook_sums("k-labelled", weights, sizes, k) == want_labelled
+    assert hook_sums("k-tuple", weights, sizes, k) == want_ktuple
+    assert hook_sums(BUCKET_SCHEMES[max_bucket], weights, sizes) == want_bucket
 
 
 @given(st.sampled_from(sorted(RHO_FAMILIES)),
@@ -433,7 +433,7 @@ def test_hook_vectors_are_folded_once_per_size_and_factor_row(fresh_censuses):
     # over every tree
     for spec in K2_WEIGHTS:
         weights = DegreeWeights.parse(spec)
-        for n, report in enumerate(hook_sums_k_labelled(weights, 2, range(1, 10)), 1):
+        for n, report in enumerate(hook_sums("k-labelled", weights, range(1, 10), 2), 1):
             want = oracle.tree_hook_sum(
                 weights, n, {h: F(1, falling_factorial(2 * h, 2)) for h in range(1, n + 1)}
             )
@@ -446,11 +446,11 @@ def test_hook_vectors_are_keyed_by_the_factor_row(fresh_censuses):
     # k = 2 and k = 3 at the same sizes share no key; k-labelled k = 1 and
     # k-tuple k = 1 have the same factors 1/h and share every key
     weights = DegreeWeights.parse("exp")
-    hook_sums_k_labelled(weights, 2, range(1, 8))
-    hook_sums_k_labelled(weights, 3, range(1, 8))
+    hook_sums("k-labelled", weights, range(1, 8), 2)
+    hook_sums("k-labelled", weights, range(1, 8), 3)
     assert hooks._hook_vector.cache_info()[:2] == (0, 14)
-    hook_sums_k_labelled(weights, 1, range(1, 8))
-    hook_sums_k_tuple(weights, 1, range(1, 8))
+    hook_sums("k-labelled", weights, range(1, 8), 1)
+    hook_sums("k-tuple", weights, range(1, 8), 1)
     assert hooks._hook_vector.cache_info()[:2] == (7, 21)
     assert hooks._hook_vector.cache_info().maxsize == hooks.HOOK_VECTOR_CACHE >= 72
 
@@ -460,7 +460,7 @@ def test_rho_one_over_h_reads_the_k_tuple_k1_rows(num, den, fresh_censuses):
     # rho(h) = 1/h is reduced to the pairs (1, h), whatever the coefficients'
     # scale or sign, so its rows are k-tuple k = 1's
     sizes = range(1, 9)
-    want = [r.lhs for r in hook_sums_k_tuple(DegreeWeights.bundled(1), 1, sizes)]
+    want = [r.lhs for r in hook_sums("k-tuple", DegreeWeights.bundled(1), sizes, 1)]
     assert hooks._hook_vector.cache_info()[:2] == (0, 8)
     assert generic_hook_weight_sums("ordered", num, den, sizes) == want
     assert hooks._hook_vector.cache_info()[:2] == (8, 8)

@@ -3,16 +3,14 @@ from math import factorial
 
 import pytest
 
-from inctrees import hooks, trees
+from inctrees import hooks, solvers, trees
 from inctrees.hooks import (
     generic_hook_weight_sum,
     generic_hook_weight_sums,
     hook_sum_bucket,
     hook_sum_k_labelled,
     hook_sum_k_tuple,
-    hook_sums_bucket,
-    hook_sums_k_labelled,
-    hook_sums_k_tuple,
+    hook_sums,
 )
 from inctrees.trees import CapacityError, catalan
 from inctrees.weights import DegreeWeights
@@ -78,17 +76,17 @@ def no_solve(*args):
 
 
 TREE_SIZE, LABEL_COUNT = "hook-sum tree size n", "hook-sum label count m"
-# each core and its one-size wrapper: (call on sizes, call on one size, the
-# solver it must not reach, the name of its sizes)
+# each core and its one-size wrapper: (call on sizes, call on one size,
+# whether it solves, the name of its sizes)
 CORES = {
-    "k-labelled": (lambda sizes: hook_sums_k_labelled(EXP, 2, sizes),
-                   lambda n: hook_sum_k_labelled(EXP, 2, n), "solve_k_labelled", TREE_SIZE),
-    "k-tuple": (lambda sizes: hook_sums_k_tuple(EXP, 2, sizes),
-                lambda n: hook_sum_k_tuple(EXP, 2, n), "solve_k_tuple", TREE_SIZE),
-    "bucket": (lambda sizes: hook_sums_bucket(EXP, sizes, 2),
-               lambda m: hook_sum_bucket(EXP, m, 2), "solve_unilabelled_bilabelled", LABEL_COUNT),
+    "k-labelled": (lambda sizes: hook_sums("k-labelled", EXP, sizes, 2),
+                   lambda n: hook_sum_k_labelled(EXP, 2, n), True, TREE_SIZE),
+    "k-tuple": (lambda sizes: hook_sums("k-tuple", EXP, sizes, 2),
+                lambda n: hook_sum_k_tuple(EXP, 2, n), True, TREE_SIZE),
+    "bucket": (lambda sizes: hook_sums("uni-bi", EXP, sizes),
+               lambda m: hook_sum_bucket(EXP, m, 2), True, LABEL_COUNT),
     "rho": (lambda sizes: generic_hook_weight_sums("binary", [1], [1], sizes),
-            lambda n: generic_hook_weight_sum("binary", [1], [1], n), None, TREE_SIZE),
+            lambda n: generic_hook_weight_sum("binary", [1], [1], n), False, TREE_SIZE),
 }
 
 
@@ -96,10 +94,10 @@ CORES = {
 def test_cores_reject_an_empty_run_or_a_size_below_1(core, monkeypatch):
     # before the capacity check (13 is above the tree bound, 9 above the
     # bucket bound) and before the solve; the message names the size
-    many, one, solver, name = CORES[core]
+    many, one, solves, name = CORES[core]
     monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
-    if solver:
-        monkeypatch.setattr(hooks, solver, no_solve)
+    if solves:
+        monkeypatch.setattr(hooks, "solve_scheme", no_solve)
     for sizes, size in (([0, 3], 0), ([13, -2], -2), (range(0, 14), 0)):
         with pytest.raises(ValueError, match=f"^{name} = {size} must be at least 1$"):
             many(sizes)
@@ -242,3 +240,40 @@ def test_lhs_is_exhaustive_hook_product():
     cherry = F(1, 2) / (6 * 5) / (2 * 1) / (2 * 1)
     report = hook_sum_k_labelled(EXP, 2, 3)
     assert report.lhs == path + cherry
+
+
+def test_hook_sides_state_every_solver_scheme():
+    # a new scheme of the solvers must state its hook side before it is summed
+    assert hooks._HOOK_SIDES.keys() == solvers.SCHEMES.keys()
+
+
+def test_unknown_scheme_rejected(monkeypatch):
+    monkeypatch.setattr(hooks, "solve_scheme", no_solve)
+    with pytest.raises(ValueError, match="^unknown scheme 'k-bucket'; choose from "):
+        hook_sums("k-bucket", EXP, [1, 2])
+
+
+@pytest.mark.parametrize("scheme", ["k-labelled", "k-tuple"])
+def test_bad_k_is_refused_before_any_row_or_census(scheme, monkeypatch):
+    # a bad k fails before its row is built: k-tuple's row (1, 1.0) at k = -1
+    # would be cached under the key of (1, 1) and break every later size-1
+    # sum at k = 1
+    hooks._hook_vector.cache_clear()
+    want = hook_sums(scheme, EXP, [1], 1)
+    hooks._hook_vector.cache_clear()
+    for bad, error in ((-1, ValueError), (0, ValueError), (2.0, TypeError), (True, TypeError)):
+        with pytest.raises(error, match="^k must be"):
+            hook_sums(scheme, EXP, [1], bad)
+    assert hooks._hook_vector.cache_info().currsize == 0
+    assert hook_sums(scheme, EXP, [1], 1) == want
+    assert hook_sum_k_tuple(EXP, 1, 1).equal
+    assert generic_hook_weight_sum("ordered", [1], [0, 1], 1) == 1  # rho = 1/h, the k = 1 row
+
+    def no_census(*args):
+        raise AssertionError("a census was built for a bad k")
+
+    monkeypatch.setattr(hooks, "solve_scheme", no_solve)
+    monkeypatch.setattr(hooks, "_census", no_census)
+    monkeypatch.setattr(hooks, "_hook_vector", no_census)
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        hook_sums(scheme, EXP, range(1, 13), 0)

@@ -23,9 +23,11 @@ generator of ``trees.py``, so no census walks degree words again, and the
 census side (the censuses in ``trees.py``, the hook vectors and the fold in
 ``hooks.py``) names no solver, and ``trees.py`` imports nothing from
 ``solvers`` or ``hooks``, so the left-hand sides never reach the route of
-the right-hand sides.  Only ``trees.py`` knows the censuses' packed code
-format: ``hooks.py`` takes from it the two censuses and public names, and
-no other module names its code tables or grafts.  In
+the right-hand sides.  ``hooks.py`` takes from ``solvers`` only
+``SCHEMES`` and ``solve_scheme``, so no hook sum restates a scheme's scale
+or solver.  Only ``trees.py`` knows the censuses' packed code format:
+``hooks.py`` takes from it the two censuses, the k check and public names,
+and no other module names its code tables or grafts.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
 itself, directly or through other functions of its module, by name or as
 an attribute, so every tree converts at any depth.
@@ -232,7 +234,7 @@ def names_of(source: str, wanted):
 
 def test_cli_names_no_per_size_hook_sum():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
-    assert "hook_sums_k_labelled" in source
+    assert "hooks.hook_sums(" in source
     assert names_of(source, PER_SIZE_HOOK_SUMS) == []
 
 
@@ -241,7 +243,7 @@ def test_per_size_hook_sum_is_found():
         "from .hooks import hook_sum_bucket\n"
         "report = hooks.hook_sum_k_tuple(w, 2, n)\n"
         "run = generic_hook_weight_sum\n"
-        "reports = hooks.hook_sums_k_labelled(w, 2, sizes)\n"
+        "reports = hooks.hook_sums(\"k-labelled\", w, sizes, 2)\n"
     )
     assert names_of(source, PER_SIZE_HOOK_SUMS) == [
         "generic_hook_weight_sum", "hook_sum_bucket", "hook_sum_k_tuple",
@@ -301,7 +303,7 @@ def test_hook_census_side_names_no_solver():
         assert functions <= defined
         assert solver_names_in(source, functions) == []
     hooks_source = (PACKAGE / "hooks.py").read_text(encoding="utf-8")
-    assert "solve_k_labelled" in hooks_source  # the right-hand sides still solve
+    assert "solve_scheme" in hooks_source  # the right-hand sides still solve
     trees_source = (PACKAGE / "trees.py").read_text(encoding="utf-8")
     assert module_imports(trees_source, "solvers") == module_imports(trees_source, "hooks") == []
 
@@ -313,25 +315,45 @@ def test_census_side_solver_name_is_found():
         "    return solvers._Engine(n), solve_k_tuple\n"
         "def _fold(phi, pairs, size, denominator):\n"
         "    return _solve(phi)\n"
-        "def hook_sums_k_tuple(weights, k, sizes):\n"
-        "    return solve_k_tuple(weights, k, max(sizes)), _solve_free\n"
+        "def hook_sums(scheme, weights, sizes, k):\n"
+        "    return solve_scheme(scheme, weights, max(sizes), k), _solve_free\n"
     )
     assert solver_names_in(source, set().union(*CENSUS_SIDE.values())) == [
         "SCHEMES", "_Engine", "_solve", "solve_k_tuple",
     ]
 
 
+# hooks.py takes from solvers.py the scheme table, for each scheme's scale,
+# and the one entry point; a solve_* of one scheme would restate its scheme
+HOOKS_FROM_SOLVERS = ["SCHEMES", "solve_scheme"]
+
+
+def test_hooks_take_only_the_scheme_table_and_entry_point():
+    source = (PACKAGE / "hooks.py").read_text(encoding="utf-8")
+    assert module_imports(source) == HOOKS_FROM_SOLVERS
+
+
+def test_hooks_taking_a_scheme_solver_is_found():
+    source = (PACKAGE / "hooks.py").read_text(encoding="utf-8")
+    planted = source.replace(
+        "from .solvers import", "from .solvers import solve_k_tuple\nfrom .solvers import", 1
+    )
+    assert planted != source
+    assert module_imports(planted) != HOOKS_FROM_SOLVERS
+
+
 # the packed code format of the hook censuses: trees.py alone grafts and
-# decodes it, and hooks.py takes the two censuses whole
+# decodes it, and hooks.py takes the two censuses whole, and the k check it
+# shares with the solvers
 CODE_FORMAT = {"_code_table", "_code_tables", "_grafts", "_sums"}
 RETIRED_CODE_NAMES = ("_field_bytes", "_unpack", "_tree_codes", "_bucket_codes")
-HOOKS_FROM_TREES = {"_census", "_bucket_census"}
+HOOKS_FROM_TREES = {"_census", "_bucket_census", "_check_k"}
 
 
 def code_format_leaks(sources):
     """Per module name, the code format names it uses outside trees.py, the
     retired code helpers it still mentions anywhere, and the private names
-    hooks.py takes from trees.py beyond the two censuses."""
+    hooks.py takes from trees.py beyond the two censuses and the k check."""
     leaks = {}
     for name, source in sources.items():
         found = [] if name == "trees.py" else names_of(source, CODE_FORMAT)
