@@ -43,7 +43,10 @@ the objects :func:`_levels` grew, and its inverse inputs are codomain
 members it has looked up, in one set of colored codes per label count.  A
 grown object that is not valid either maps outside the codomain or fails
 the round trip, so it is reported as a failure rather than checked up
-front.  The round trips prove the map injective.
+front.  The round trips prove the map injective.  Each label count's
+verdict (domain size, image size, failure lines) is kept per process, keyed
+by the walks and schemes that made it; no level is kept, and a call within
+the kept label counts grows none.
 
 Text encodings (each class's ``to_text`` and ``parse``)::
 
@@ -60,7 +63,9 @@ from functools import lru_cache
 from itertools import chain, count, islice, product
 from typing import Iterator, Tuple
 
-from .trees import _code, _fold, _Node, _scan, _shape, _write, check_capacity, word_hook_lengths
+from .trees import (
+    _check_int, _code, _fold, _Node, _scan, _shape, _write, check_capacity, word_hook_lengths,
+)
 
 MAX_OBJECT_LABELS = 7
 
@@ -381,19 +386,15 @@ def _canonical_order(code):
     return len(word), _hooks(word), tuple(map(len, labels)), labels
 
 
-def _sorted_level(levels, m: int):
-    check_capacity(m, MAX_OBJECT_LABELS, "object label count m")
-    if m > 0:
-        yield from sorted(next(islice(levels(), m - 1, None)), key=_canonical_order)
-
-
 def enumerate_objects(scheme: str, m: int) -> Iterator:
     """Complete, duplicate-free enumeration for one of the object schemes:
-    free-multi, unibi, colored-unary, colored-branching."""
+    free-multi, unibi, colored-unary, colored-branching (none for m < 1)."""
     if scheme not in _OBJECT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_OBJECT_SCHEMES)}")
+    check_capacity(_check_int(m, "m"), MAX_OBJECT_LABELS, "object label count m")
     make, levels = _OBJECT_SCHEMES[scheme]
-    return (_fold(make, *code) for code in _sorted_level(levels, m))
+    level = next(islice(levels(), m - 1, None)) if m > 0 else ()
+    return (_fold(make, *code) for code in sorted(level, key=_canonical_order))
 
 
 def enumerate_free_multilabelled(m: int) -> Iterator[MultiTree]:
@@ -436,39 +437,70 @@ class BijectionReport:
         return not self.failures
 
 
-def _verify(name, noun, max_m, schemes, forward, inverse, shifts) -> BijectionReport:
+# Verdicts kept per process: one key per map, with room for the keys that
+# patched walks or levels make.  An entry holds three small fields per label
+# count; no level outlives its call.
+BIJECTION_VERDICT_CACHE = 8
+
+# (walks, domain and target entries of ``_OBJECT_SCHEMES``) -> one (domain
+# size, image size, failure lines) per label count 1, 2, ...; least recently
+# used first
+_VERDICTS: dict = {}
+
+
+def _verify(name, noun, max_m, schemes, walks, forward, inverse, shifts) -> BijectionReport:
     """Round trip, codomain membership and count equality of a map whose
     image (code, shifted) of an object with m labels lies among the targets
     with m - shifted labels, for each shift in ``shifts``: one set of colored
-    codes per label count.  max_m meets the capacity before any object is
-    made.  The round trips make the map injective, so the images are counted
-    against the objects only at a label count that recorded a failure."""
+    codes per label count.  max_m, at least 1, meets the capacity before any
+    object is made.  The round trips make the map injective, so the images
+    are counted against the objects only at a label count that recorded a
+    failure.
+
+    Each label count's verdict is kept per process, keyed by the code that
+    made it: the two ``walks`` and the two schemes' entries, as read at the
+    call, so a replaced walk or scheme is verified afresh.  A call within
+    the kept label counts grows no level; a longer one regrows the levels
+    from m = 1 and walks only the label counts not yet kept."""
+    if _check_int(max_m, "max_m") < 1:
+        raise ValueError(f"max_m = {max_m} must be at least 1")
     check_capacity(max_m, MAX_OBJECT_LABELS, "object label count m")
-    objects, targets = (_OBJECT_SCHEMES[scheme][1]() for scheme in schemes)
-    failures, domain, image, codomains = [], [], [], [set()]
-    for m, objs, cols in zip(range(1, max_m + 1), objects, targets):
-        codomains.append(set(cols))
-        before = len(failures)
-        for obj in objs:
-            col, shifted = forward(obj)
-            # the inverse walk only sees codomain members, which are valid
-            if col not in codomains[m - shifted]:
+    key = (walks, *(_OBJECT_SCHEMES[scheme] for scheme in schemes))
+    rows = _VERDICTS.get(key, ())
+    if len(rows) < max_m:
+        objects, targets = (_OBJECT_SCHEMES[scheme][1]() for scheme in schemes)
+        codomains = [set()]
+        for m, objs, cols in zip(range(1, max_m + 1), objects, targets):
+            codomains.append(set(cols))
+            if m <= len(rows):
+                continue
+            failures = []
+            for obj in objs:
+                col, shifted = forward(obj)
+                # the inverse walk only sees codomain members, which are valid
+                if col not in codomains[m - shifted]:
+                    failures.append(
+                        f"m={m}: image not a valid colored tree: {_colored_text(*col)}"
+                    )
+                elif inverse(col, shifted) != obj:
+                    failures.append(
+                        f"m={m}: round trip failed for {_multi_text(*obj)}"
+                    )
+            if failures and len(set(map(forward, objs))) != len(objs):
+                failures.append(f"m={m}: {name} map not injective")
+            sizes = [len(codomains[m - shift]) for shift in shifts]
+            if sum(sizes) != len(objs):
                 failures.append(
-                    f"m={m}: image not a valid colored tree: {_colored_text(*col)}"
+                    f"m={m}: {len(objs)} {noun} vs {' + '.join(map(str, sizes))} colored"
                 )
-            elif inverse(col, shifted) != obj:
-                failures.append(
-                    f"m={m}: round trip failed for {_multi_text(*obj)}"
-                )
-        if len(failures) > before and len(set(map(forward, objs))) != len(objs):
-            failures.append(f"m={m}: {name} map not injective")
-        sizes = [len(codomains[m - shift]) for shift in shifts]
-        if sum(sizes) != len(objs):
-            failures.append(f"m={m}: {len(objs)} {noun} vs {' + '.join(map(str, sizes))} colored")
-        domain.append(len(objs))
-        image.append(sum(sizes))
+            rows += ((len(objs), sum(sizes), tuple(failures)),)
+    _VERDICTS.pop(key, None)
+    _VERDICTS[key] = rows
+    if len(_VERDICTS) > BIJECTION_VERDICT_CACHE:
+        del _VERDICTS[next(iter(_VERDICTS))]
+    domain, image, failures = zip(*rows[:max_m])
     return BijectionReport(
-        name, tuple(range(1, max_m + 1)), tuple(domain), tuple(image), tuple(failures)
+        name, tuple(range(1, max_m + 1)), domain, image, tuple(chain.from_iterable(failures))
     )
 
 
@@ -476,7 +508,7 @@ def verify_chain_bijection(max_m: int) -> BijectionReport:
     """Round trip, injectivity, codomain membership and count equality of
     the chain map."""
     return _verify(
-        "chain", "multilabelled", max_m, ("free-multi", "colored-unary"),
+        "chain", "multilabelled", max_m, ("free-multi", "colored-unary"), (_chain, _unchain),
         lambda obj: (_chain(obj), False), lambda col, shifted: _unchain(col), (0,),
     )
 
@@ -484,7 +516,8 @@ def verify_chain_bijection(max_m: int) -> BijectionReport:
 def verify_split_bijection(max_m: int) -> BijectionReport:
     """Round trip, injectivity and count equality of the split map."""
     return _verify(
-        "split", "unibi", max_m, ("unibi", "colored-branching"), _split, _merge, (0, 1),
+        "split", "unibi", max_m, ("unibi", "colored-branching"), (_split, _merge), _split, _merge,
+        (0, 1),
     )
 
 
@@ -492,7 +525,7 @@ def mapped_texts(scheme: str, max_m: int) -> Iterator[Tuple[str, str, bool]]:
     """(object text, image text, shifted) of every object with 1..max_m
     labels under the chain map (scheme "free") or the split map ("unibi"),
     in the enumeration order, written from the codes of one run of levels."""
-    check_capacity(max_m, MAX_OBJECT_LABELS, "object label count m")
+    check_capacity(_check_int(max_m, "max_m"), MAX_OBJECT_LABELS, "object label count m")
     domain, walk = {
         "free": ("free-multi", lambda code: (_chain(code), False)),
         "unibi": ("unibi", _split),

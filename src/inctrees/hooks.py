@@ -8,14 +8,15 @@ solvers — two fully independent computation paths, compared exactly.
 
 One core over sizes 1..N, :func:`hook_sums`, serves every scheme of
 ``solvers.SCHEMES``: it takes the scale s_n and the one solve to N from
-there, and the rest from one table, ``_HOOK_SIDES``, of what differs
-(report name, bound on k, hook factor or census cap).  It, like
-``generic_hook_weight_sums``, reads the sizes once, rejects an empty run or
-a size below 1, checks N's capacity, then k, builds its factor row and
-scaled phi once, then N's census side, so the census field limit is checked
-before the solve.  A per-node sum folds the size's census of tree counts
-per (hook-length multiplicities, sorted out-degrees), and a bucket sum the
-label count's census of integer labelling counts per sorted out-degrees.
+there, with its rule of which schemes take a k, and the rest from one
+table, ``_HOOK_SIDES``, of what differs (report name, bound on k, hook
+factor or census cap).  It, like ``generic_hook_weight_sums``, reads the
+sizes once, rejects an empty run or a size below 1, checks N's capacity,
+then k, before any census, builds its factor row and scaled phi once, then
+N's census side, so the census field limit is checked before the solve.  A
+per-node sum folds the size's census of tree counts per (hook-length
+multiplicities, sorted out-degrees), and a bucket sum the label count's
+census of integer labelling counts per sorted out-degrees.
 Both come whole from ``trees``, cached per process; a run reads its largest
 size first, which keeps the smaller sizes' censuses.
 
@@ -50,7 +51,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 from .families import MAX_KTUPLE_EXPONENT
 from .series import _over_lcm, as_fraction
-from .solvers import SCHEMES, solve_scheme
+from .solvers import SCHEMES, _scheme_k, solve_scheme
 from .trees import _bucket_census, _census, _check_k, check_capacity, falling_factorial
 from .weights import SHAPES, DegreeWeights
 
@@ -197,7 +198,7 @@ def hook_sums(scheme: str, weights: DegreeWeights, sizes, k=None) -> List[HookId
     scale = SCHEMES[scheme][1]
     if callable(side):
         sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
-        k = _check_k(1 if k is None else k)
+        k = _check_k(_scheme_k(scheme, k))
         if k_bound is not None:
             check_capacity(k, k_bound, "k-tuple exponent k")
         row = tuple(side(h, k) for h in range(1, top + 1))
@@ -205,6 +206,7 @@ def hook_sums(scheme: str, weights: DegreeWeights, sizes, k=None) -> List[HookId
         sums = list(_tree_sum(w, powers, sizes, row))  # the census field limit before the solve
     else:
         sizes, top = _sizes(sizes, "hook-sum label count m", MAX_HOOK_BUCKET_TOTAL)
+        _scheme_k(scheme, k)  # a refused k before any census
         _bucket_census(top, side)  # the largest first: its field limit before the solve
         w, powers = _integer_phi(weights, top)
         censuses = zip(sizes, map(_bucket_census, sizes, repeat(side)))

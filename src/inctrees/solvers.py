@@ -251,9 +251,15 @@ def solve_scheme(
     only the k-labelled and k-tuple scales read it."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(SCHEMES)}")
+    return _solve(scheme, weights, terms, _scheme_k(scheme, k))
+
+
+def _scheme_k(scheme: str, k: Optional[int]):
+    """k as the scheme's scale reads it, None read as 1: only the k-labelled
+    and k-tuple schemes take another."""
     if k not in (None, 1) and scheme not in ("k-labelled", "k-tuple"):
         raise ValueError(f"scheme {scheme!r} takes no k, got k = {k!r}")
-    return _solve(scheme, weights, terms, 1 if k is None else k)
+    return 1 if k is None else k
 
 
 def solve_k_labelled(weights: DegreeWeights, k: int, terms: int) -> CountingSequence:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from inctrees import bijections
 from inctrees.bijections import (
     BLACK,
+    BijectionReport,
     WHITE,
     ColoredTree,
     MultiTree,
@@ -189,18 +190,32 @@ def test_verifier_reports_a_collision_inside_the_codomain(monkeypatch):
     )
 
 
-def test_verifier_walks_each_object_once_when_all_pass(monkeypatch):
+@pytest.fixture
+def fresh_verdicts():
+    # the verifiers keep each label count's verdict per process; earlier
+    # tests fill the record
+    bijections._VERDICTS.clear()
+    yield
+    bijections._VERDICTS.clear()
+
+
+def counted(walk, calls):
+    """The walk, counting its calls in calls under its name."""
+    def run(*args):
+        calls[walk.__name__] += 1
+        return walk(*args)
+    return run
+
+
+def no_levels(*args):
+    raise AssertionError("a level was grown")
+
+
+def test_verifier_walks_each_object_once_when_all_pass(monkeypatch, fresh_verdicts):
     # the round trips prove the map injective, so no image set is built
     calls = Counter()
-
-    def counted(walk):
-        def run(*args):
-            calls[walk.__name__] += 1
-            return walk(*args)
-        return run
-
     for name in ("_chain", "_unchain", "_split", "_merge"):
-        monkeypatch.setattr(bijections, name, counted(getattr(bijections, name)))
+        monkeypatch.setattr(bijections, name, counted(getattr(bijections, name), calls))
     chain, split = verify_chain_bijection(5), verify_split_bijection(5)
     assert chain.ok and split.ok
     n, k = sum(chain.domain_sizes), sum(split.domain_sizes)
@@ -260,6 +275,112 @@ def test_verifier_fails_on_images_the_inverse_rejects(monkeypatch):
     # every image with two or more labels, and nothing else
     assert [f.split(":")[0] for f in report.failures] == ["m=2"] * 2 + ["m=3"] * 6
     assert all(": image not a valid colored tree: " in f for f in report.failures)
+
+
+VERIFIERS = {
+    "chain": (verify_chain_bijection, ("_chain", "_unchain")),
+    "split": (verify_split_bijection, ("_split", "_merge")),
+}
+
+
+@pytest.mark.parametrize("order", [(6, 3, 5), (3, 5, 6), (5, 5)])
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_kept_verdicts_equal_fresh_reports(fresh_verdicts, name, order):
+    verify = VERIFIERS[name][0]
+    fresh = {}
+    for m in set(order):
+        bijections._VERDICTS.clear()
+        fresh[m] = verify(m)
+    bijections._VERDICTS.clear()
+    assert [verify(m) for m in order] == [fresh[m] for m in order]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_a_kept_label_count_is_not_walked_again(monkeypatch, fresh_verdicts, name):
+    verify, walks = VERIFIERS[name]
+    calls = Counter()
+    for walk in walks:
+        monkeypatch.setattr(bijections, walk, counted(getattr(bijections, walk), calls))
+    assert verify(5).ok
+    calls.clear()
+    six = verify(6)
+    # only the objects with 6 labels, each once forward and once back
+    assert six.ok and calls == {walk: six.domain_sizes[5] for walk in walks}
+    calls.clear()
+    monkeypatch.setattr(bijections, "_levels", no_levels)
+    four = verify(4)
+    assert not calls
+    assert four == BijectionReport(
+        name, (1, 2, 3, 4), six.domain_sizes[:4], six.image_sizes[:4], ()
+    )
+
+
+def test_a_patched_walk_or_scheme_is_verified_afresh(monkeypatch, fresh_verdicts):
+    # the record is keyed by the walks and schemes read at the call, not by
+    # the map's name, so a clean kept run hides no broken part
+    assert verify_chain_bijection(5).ok
+    monkeypatch.setattr(bijections, "_unchain", lambda code: ((0,), ((9,),)))
+    assert verify_chain_bijection(2).failures == (
+        "m=1: round trip failed for ({1})",
+        "m=2: round trip failed for ({1,2})",
+        "m=2: round trip failed for ({1} ({2}))",
+    )
+    monkeypatch.undo()
+    assert verify_split_bijection(5).ok
+    make, levels = bijections._OBJECT_SCHEMES["colored-branching"]
+    monkeypatch.setitem(
+        bijections._OBJECT_SCHEMES, "colored-branching",
+        (make, lambda: (level[1:] for level in levels())),
+    )
+    assert verify_split_bijection(1).failures == (
+        "m=1: image not a valid colored tree: ({1}w)",
+        "m=1: 1 unibi vs 0 + 0 colored",
+    )
+
+
+def test_a_failing_level_is_kept_whole(monkeypatch, fresh_verdicts):
+    monkeypatch.setattr(bijections, "_chain", swap_first_two_labels(bijections._chain))
+    first = verify_chain_bijection(3)
+    assert len(first.failures) == 8
+    monkeypatch.setattr(bijections, "_levels", no_levels)
+    assert verify_chain_bijection(3) == first
+    assert verify_chain_bijection(2).failures == first.failures[:2]
+
+
+def test_the_record_keeps_a_bounded_number_of_keys(monkeypatch, fresh_verdicts):
+    chain = bijections._chain
+    for _ in range(bijections.BIJECTION_VERDICT_CACHE + 3):
+        monkeypatch.setattr(bijections, "_chain", lambda code: chain(code))
+        assert verify_chain_bijection(2).ok
+    assert len(bijections._VERDICTS) == bijections.BIJECTION_VERDICT_CACHE
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_verifiers_refuse_a_bad_label_count_before_any_level(monkeypatch, fresh_verdicts, name):
+    verify = VERIFIERS[name][0]
+    monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
+    assert verify(3).ok
+    kept = dict(bijections._VERDICTS)
+    monkeypatch.setattr(bijections, "_levels", no_levels)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^max_m = {bad} must be at least 1$"):
+            verify(bad)
+    for bad, kind in ((True, "bool"), (5.0, "float"), ("5", "str")):
+        with pytest.raises(TypeError, match=f"^max_m must be an int, not {kind}$"):
+            verify(bad)
+    with pytest.raises(CapacityError):
+        verify(8)
+    assert bijections._VERDICTS == kept
+
+
+def test_enumerators_read_an_int_label_count():
+    for bad, kind in ((True, "bool"), (5.0, "float")):
+        with pytest.raises(TypeError, match=f"^m must be an int, not {kind}$"):
+            enumerate_objects("free-multi", bad)
+        with pytest.raises(TypeError, match=f"^max_m must be an int, not {kind}$"):
+            list(bijections.mapped_texts("free", bad))
+    assert list(enumerate_objects("unibi", -1)) == []
+    assert list(bijections.mapped_texts("unibi", 0)) == []
 
 
 def test_enumerate_objects_dispatch():
@@ -358,7 +479,7 @@ def test_maps_equal_the_recursive_tree_maps(m):
             assert q_to_unibi(col, shifted) == oracle.q_to_unibi(col, shifted)
 
 
-def test_verification_builds_no_tree_nodes(monkeypatch):
+def test_verification_builds_no_tree_nodes(monkeypatch, fresh_verdicts):
     def build(*args, **kwargs):
         raise AssertionError("tree node built")
 
@@ -470,7 +591,7 @@ def test_walks_equal_the_validating_walks(scheme, pairs):
                 assert got == want
 
 
-def test_verify_at_the_capacity(monkeypatch):
+def test_verify_at_the_capacity(monkeypatch, fresh_verdicts):
     monkeypatch.delenv("INCTREE_CAPACITY", raising=False)
     chain, split = verify_chain_bijection(7), verify_split_bijection(7)
     assert chain.ok and chain.domain_sizes == chain.image_sizes == (1, 2, 6, 30, 228, 2316, 29148)

@@ -277,3 +277,17 @@ def test_bad_k_is_refused_before_any_row_or_census(scheme, monkeypatch):
     monkeypatch.setattr(hooks, "_hook_vector", no_census)
     with pytest.raises(ValueError, match="^k must be positive$"):
         hook_sums(scheme, EXP, range(1, 13), 0)
+
+
+@pytest.mark.parametrize("scheme", ["free-multilabelled", "uni-bi"])
+def test_bucket_scheme_refuses_k_before_any_census(scheme, monkeypatch):
+    # the solvers' one rule of which schemes take a k is read before the
+    # largest census is built
+    def no_census(*args):
+        raise AssertionError("a bucket census was built for a refused k")
+
+    for module in (trees, hooks):
+        monkeypatch.setattr(module, "_bucket_census", no_census)
+    monkeypatch.setattr(hooks, "solve_scheme", no_solve)
+    with pytest.raises(ValueError, match=f"^scheme '{scheme}' takes no k, got k = 2$"):
+        hook_sums(scheme, EXP, range(1, 9), 2)

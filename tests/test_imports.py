@@ -24,8 +24,8 @@ census side (the censuses in ``trees.py``, the hook vectors and the fold in
 ``hooks.py``) names no solver, and ``trees.py`` imports nothing from
 ``solvers`` or ``hooks``, so the left-hand sides never reach the route of
 the right-hand sides.  ``hooks.py`` takes from ``solvers`` only
-``SCHEMES`` and ``solve_scheme``, so no hook sum restates a scheme's scale
-or solver.  Only ``trees.py`` knows the censuses' packed code format:
+``SCHEMES``, ``_scheme_k`` and ``solve_scheme``, so no hook sum restates a
+scheme's scale, its k rule or its solver.  Only ``trees.py`` knows the censuses' packed code format:
 ``hooks.py`` takes from it the two censuses, the k check and public names,
 and no other module names its code tables or grafts.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
@@ -324,8 +324,9 @@ def test_census_side_solver_name_is_found():
 
 
 # hooks.py takes from solvers.py the scheme table, for each scheme's scale,
-# and the one entry point; a solve_* of one scheme would restate its scheme
-HOOKS_FROM_SOLVERS = ["SCHEMES", "solve_scheme"]
+# the rule of which schemes take a k, and the one entry point; a solve_* of
+# one scheme would restate its scheme
+HOOKS_FROM_SOLVERS = ["SCHEMES", "_scheme_k", "solve_scheme"]
 
 
 def test_hooks_take_only_the_scheme_table_and_entry_point():
