@@ -24,11 +24,10 @@ format prints ``n a(n)`` lines with offset 1 for every family.
 INCTREE_CAPACITY raises the capacity bounds of the enumerations and of the
 k-tuple length k (at the cost of potentially very long runtimes).
 
-``_SUITES`` is the one check registry: each suite maps the sizes
-``(max_n, max_m, cutoff)`` to ``(name, ok, detail)`` checks, each comparing
-two independent routes, so ``verify`` takes all three for every suite.
-``_BOUNDS`` holds each suite's size bounds, all checked before any suite runs.
-``tests/test_acceptance.py`` runs the same suites at its own sizes.
+``verify`` reads its suites from the check registry ``checks.SUITES``: it
+checks the size bounds of every selected suite before any suite runs, then
+prints each suite's ``(name, ok, detail)`` checks at the sizes
+``(max_n, max_m, cutoff)``, which every suite takes.
 """
 from __future__ import annotations
 
@@ -37,242 +36,12 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import factorial
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from . import bijections, families, hooks, reverse, solvers
+from . import bijections, checks, families, hooks, reverse
 from .series import _parse_fractions
-from .trees import (
-    MAX_BUCKET_TOTAL,
-    check_capacity,
-    count_bucket_labellings_bruteforce,
-    count_bucket_labellings_formula,
-    count_k_labellings_bruteforce,
-    count_k_labellings_formula,
-    enumerate_bucket_functions,
-    enumerate_ordered_trees,
-)
-from .weights import SHAPES, DegreeWeights
-
-_BILABELLED_IDS = tuple(i for i in families.REGISTRY if i.startswith("bilabelled/"))
-
-
-# -- verification suites -------------------------------------------------
-
-Check = Tuple[str, bool, str]
-
-
-def _first_failure(name: str, var: str, notes) -> Check:
-    """One check over a size range.  ``notes`` pairs each size, in order,
-    with None when the identity holds and a note (possibly empty) when it
-    fails; the check reports the first failing size."""
-    for size, note in notes:
-        if note is not None:
-            detail = f"first failure at {var}={size}" + (f": {note}" if note else "")
-            return (name, False, detail)
-    return (name, True, "")
-
-
-def _hook_notes(reports, full: bool = False):
-    return [(r.parameter, None if r.equal else (r.to_text() if full else "")) for r in reports]
-
-
-def _rho_binary_notes(max_n: int):
-    ns = range(1, max_n + 1)
-    for n, lhs in zip(ns, hooks.generic_hook_weight_sums("binary", [1, 1], [0, 1], ns)):
-        rhs = Fraction(2**n * (n + 1) ** (n - 1), factorial(n))
-        yield n, None if lhs == rhs else f"{lhs} != {rhs}"
-
-
-def _suite_hook(max_n: int, max_m: int, cutoff: int) -> List[Check]:
-    checks: List[Check] = []
-    ns = range(1, max_n + 1)
-    ms = range(1, max_m + 1)
-    for identifier in _BILABELLED_IDS:
-        w = families.get_family(identifier).weights
-        checks.append(_first_failure(
-            f"hook k=2 {identifier} n<={max_n}", "n",
-            _hook_notes(hooks.hook_sums("k-labelled", w, ns, 2), full=True),
-        ))
-    tri = families.get_family("trilabelled/unordered").weights
-    checks.append(_first_failure(
-        f"hook k=3 trilabelled/unordered n<={max_n}", "n",
-        _hook_notes(hooks.hook_sums("k-labelled", tri, ns, 3)),
-    ))
-    for k in (1, 2, 3):
-        for variant in ("ordered", "unordered"):
-            checks.append(_first_failure(
-                f"hook k-tuple(k={k}) {variant}", "n",
-                _hook_notes(hooks.hook_sums("k-tuple", SHAPES[variant], ns, k)),
-            ))
-    for name in ("ordered", "unordered", "strict-binary"):
-        checks.append(_first_failure(
-            f"hook bucket-free {name} m<={max_m}", "m",
-            _hook_notes(hooks.hook_sums("free-multilabelled", SHAPES[name], ms)),
-        ))
-    checks.append(_first_failure(
-        f"hook bucket-uni-bi unordered m<={max_m}", "m",
-        _hook_notes(hooks.hook_sums("uni-bi", SHAPES["unordered"], ms)),
-    ))
-    checks.append(_first_failure(
-        f"hook rho=1+1/h binary vs 2^n(n+1)^(n-1)/n! n<={max_n}", "n", _rho_binary_notes(max_n),
-    ))
-    return checks
-
-
-def _suite_bijection(max_n: int, max_m: int, cutoff: int) -> List[Check]:
-    # the engine counts each domain: free multilabelled ordered trees for the
-    # chain map, uni-bi unordered trees for the split map
-    reports = bijections.verify_chain_bijection(max_m), bijections.verify_split_bijection(max_m)
-    engine = (
-        solvers.solve_free_multilabelled(SHAPES["ordered"], max_m),
-        solvers.solve_unilabelled_bilabelled(SHAPES["unordered"], max_m),
-    )
-    checks: List[Check] = []
-    for r, counts in zip(reports, engine):
-        failures = [
-            f"m={m}: {size} objects vs engine count {count}"
-            for m, size, count in zip(r.label_counts, r.domain_sizes, counts) if size != count
-        ][:1] + list(r.failures[:3])
-        checks.append((
-            f"{r.name} bijection m<={max_m} counts={r.domain_sizes}", not failures,
-            "; ".join(failures),
-        ))
-    return checks
-
-
-def _compare_prefix(solved, expected) -> str:
-    for i, (a, b) in enumerate(zip(solved, expected), start=1):
-        if a != b:
-            return f"index {i}: solver {a} != reference {b}"
-    return ""
-
-
-def _lemniscate_failures(max_n: int) -> Tuple[int, ...]:
-    """The n <= max_n where the even-degree recurrence's T_n breaks
-    T_n = (-1)^((n-1)/2) S_{2n-1} / 2^(n-1) (odd n) or T_n = S_{2n-1} = 0
-    (even n), S being the lemniscate sine coefficients."""
-    ts = families.even_degree_recurrence(max_n)
-    ss = families.lemniscate_sine_coefficients(2 * max_n - 1)
-    return tuple(
-        n for n, t, s in zip(range(1, max_n + 1), ts, ss[::2])
-        if (t != Fraction((-1) ** (n // 2) * s, 2 ** (n - 1)) if n % 2 else t != 0 or s != 0)
-    )
-
-
-def _suite_closed_forms(max_n: int, max_m: int, cutoff: int) -> List[Check]:
-    checks: List[Check] = []
-    solved = {}
-    for identifier, spec in sorted(families.REGISTRY.items()):
-        terms = max(len(spec.reference_prefix), max_n)
-        seq = solved[identifier] = spec.sequence(terms)
-        if spec.reference_prefix:
-            bad = _compare_prefix(seq, spec.reference_prefix)
-            checks.append((f"reference prefix {identifier}", not bad, bad))
-        if spec.closed_form is not None:
-            closed = tuple(spec.closed_form(n) for n in range(1, terms + 1))
-            bad = _compare_prefix(seq, closed)
-            checks.append((f"closed form {identifier} n<={terms}", not bad, bad))
-        if spec.special_recurrence is not None:
-            rec = spec.special_recurrence(terms)
-            bad = _compare_prefix(seq, rec)
-            checks.append((f"recurrence {identifier} n<={terms}", not bad, bad))
-    unordered = solved["bilabelled/unordered"]
-    tangent = families.reduced_tangent_numbers(max_n)
-    bad = tuple(n for n in range(1, max_n + 1) if unordered[n] != tangent[n - 1])
-    checks.append(("reduced tangent numbers vs solver", not bad, str(bad)))
-    bad = _lemniscate_failures(max_n)
-    checks.append(("even-degree vs lemniscate sine", not bad, str(bad)))
-    ns = (2, 3, 5, 7)
-    exacts = families.strict_binary_recurrence(ns[-1])
-    for n, approx in zip(ns, families.strict_binary_lattice_sums(ns, cutoff)):
-        exact = exacts[n - 1]
-        # within 1e-6 of exact, relative (absolute for T_n = 0), in both parts
-        scale = abs(exact) or 1
-        ok = abs(approx.value - exact) / scale < 1e-6
-        detail = f"value={approx.value!r} exact={exact}"
-        if approx.imaginary_residual / scale >= 1e-6:
-            ok = False
-            detail += f" imaginary={approx.imaginary_residual!r}"
-        checks.append((f"lattice sum n={n} cutoff={cutoff}", ok, detail))
-    for m in range(1, 7):
-        exact = solved["free/binary"][m]
-        approx = families.binary_free_multi_numeric(m, cutoff)
-        ok = abs(approx - exact) / int(exact) < 1e-6
-        checks.append((f"binary free series m={m}", ok, f"value={approx!r}"))
-    return checks
-
-
-def _suite_invariants(max_n: int, max_m: int, cutoff: int) -> List[Check]:
-    checks: List[Check] = []
-    for identifier in _BILABELLED_IDS:
-        spec = families.get_family(identifier)
-        counts = solvers.solve_k_labelled(spec.weights, 2, 9)
-        rep = reverse.first_order_invariant_check(spec.weights, counts)
-        checks.append(
-            (
-                f"(T')^2 = 2 Phi(T) to order {rep.checked_order} {identifier}",
-                rep.ok,
-                f"mismatches at {rep.mismatches}" if not rep.ok else "",
-            )
-        )
-    for identifier in (
-        "free/strict-binary",
-        "free/binary",
-        "free/unary-binary",
-        "free/ordered-no-unary",
-        "free/unordered-no-unary",
-    ):
-        spec = families.get_family(identifier)
-        base = spec.weights
-        shifted = DegreeWeights.custom(
-            lambda j, _b=base: _b.coefficient(j) + (1 if j == 1 else 0),
-            name=f"{base.name}+t",
-        )
-        free_seq = tuple(spec.sequence(max_m))
-        uni_seq = tuple(solvers.solve_k_labelled(shifted, 1, max_m))
-        bad = _compare_prefix(free_seq, uni_seq)
-        checks.append((f"free = single-label with phi+t {identifier}", not bad, bad))
-    bad = _label_count_mismatch(min(max_n, 4), max_m)
-    checks.append(("label-count formulas vs brute force n<=4", not bad, bad))
-    # sum over trees of w(T) n!/prod h = T_n, the k = 1 hook identity; its left
-    # side is `verify hook`'s k-tuple(k=1), so only the k-labelled solver is new
-    checks.append(_first_failure("tree-sum oracle vs single-label solver", "n", _hook_notes(
-        hooks.hook_sums("k-labelled", SHAPES["unordered"], range(1, min(max_n, 6) + 1), 1)
-    )))
-    return checks
-
-
-def _label_count_mismatch(max_n: int, max_m: int) -> str:
-    """The first tree (sizes 1..max_n) whose closed-form labelling count
-    differs from brute force, or "" when all agree."""
-    for n in range(1, max_n + 1):
-        for tree in enumerate_ordered_trees(n):
-            for k in (1, 2, 3):
-                if count_k_labellings_formula(tree, k) != count_k_labellings_bruteforce(tree, k):
-                    return f"mismatch at tree {tree.to_text()} k={k}"
-            for m in range(n, max_m + 1):
-                for buckets in enumerate_bucket_functions(tree, m):
-                    if count_bucket_labellings_formula(
-                        tree, buckets
-                    ) != count_bucket_labellings_bruteforce(tree, buckets):
-                        return f"mismatch at tree {tree.to_text()} buckets={buckets}"
-    return ""
-
-
-_SUITES = {
-    "hook": _suite_hook,
-    "bijection": _suite_bijection,
-    "closed-forms": _suite_closed_forms,
-    "invariants": _suite_invariants,
-}
-
-_BOUNDS = {
-    "hook": (("max_n", hooks.MAX_HOOK_TREE_SIZE, "hook-sum tree size n"),
-             ("max_m", hooks.MAX_HOOK_BUCKET_TOTAL, "hook-sum label count m")),
-    "bijection": (("max_m", bijections.MAX_OBJECT_LABELS, "object label count m"),),
-    "invariants": (("max_m", MAX_BUCKET_TOTAL, "brute-force bucket total m"),),
-}
+from .trees import check_capacity
+from .weights import DegreeWeights
 
 
 def _run_seq(args, out) -> int:
@@ -289,24 +58,22 @@ def _run_seq(args, out) -> int:
 
 
 def _run_verify(args, out) -> int:
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    suites = checks.SUITES.values() if args.suite == "all" else [checks.SUITES[args.suite]]
     for suite in suites:
-        for arg, capacity, what in _BOUNDS.get(suite, ()):
+        for arg, capacity, what in suite.bounds:
             check_capacity(getattr(args, arg), capacity, what)
-    checks: List[Check] = []
-    for suite in suites:
-        checks.extend(_SUITES[suite](args.max_n, args.max_m, args.cutoff))
-    ok = all(c[1] for c in checks)
+    results = [c for suite in suites for c in suite.checks(args.max_n, args.max_m, args.cutoff)]
+    ok = all(c[1] for c in results)
     if args.format == "json":
-        rows = [{"name": name, "ok": good, "detail": detail} for name, good, detail in checks]
+        rows = [{"name": name, "ok": good, "detail": detail} for name, good, detail in results]
         print(json.dumps({"ok": ok, "checks": rows}), file=out)
     else:
-        for name, good, detail in checks:
+        for name, good, detail in results:
             line = f"{'PASS' if good else 'FAIL'} {name}"
             if detail and not good:
                 line += f" [{detail}]"
             print(line, file=out)
-        print(f"{'OK' if ok else 'FAILED'} ({len(checks)} checks)", file=out)
+        print(f"{'OK' if ok else 'FAILED'} ({len(results)} checks)", file=out)
     return 0 if ok else 1
 
 
@@ -453,7 +220,7 @@ _COMMANDS = {
         (("--format",), {"choices": ("plain", "bfile", "json"), "default": "plain"}),
     )),
     ("verify",): _Command(_run_verify, (
-        (("suite",), {"choices": (*_SUITES, "all")}),
+        (("suite",), {"choices": (*checks.SUITES, "all")}),
         (("--max-n",), {"type": _positive_int, "default": 6}),
         _MAX_M,
         (("--cutoff",), {"type": _positive_int, "default": 50}),

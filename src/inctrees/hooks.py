@@ -52,7 +52,7 @@ from typing import Iterator, List, Sequence, Tuple
 from .families import MAX_KTUPLE_EXPONENT
 from .series import _over_lcm, as_fraction
 from .solvers import SCHEMES, _scheme_k, solve_scheme
-from .trees import _bucket_census, _census, _check_k, check_capacity, falling_factorial
+from .trees import _bucket_census, _census, _check_int, _check_k, check_capacity, falling_factorial
 from .weights import SHAPES, DegreeWeights
 
 MAX_HOOK_TREE_SIZE = 12   # Catalan(11) = 58786 trees per sum
@@ -126,7 +126,7 @@ def _tree_sum(w: List[int], powers: List[int], sizes, row) -> Iterator[Tuple[Fra
 def _sizes(sizes, what: str, bound: int) -> Tuple[Tuple[int, ...], int]:
     """The sizes, read once into a tuple, and the largest of them, once every
     size is at least 1 and the largest within its capacity."""
-    sizes = tuple(sizes)
+    sizes = tuple(_check_int(size, what) for size in sizes)
     if not sizes:
         raise ValueError(f"no {what} given")
     if min(sizes) < 1:

@@ -63,7 +63,7 @@ from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
 from .series import _trim
-from .trees import _check_k
+from .trees import _check_int, _check_k
 from .weights import DegreeWeights
 
 
@@ -231,7 +231,7 @@ def _table_columns(phi: list, t: list, rows) -> Iterator:
 
 def _solve(scheme: str, weights: DegreeWeights, terms: int, k: int) -> CountingSequence:
     _check_k(k)
-    if terms < 1:
+    if _check_int(terms, "terms") < 1:
         raise ValueError("terms must be positive")
     key = (SCHEMES[scheme], weights, k)
     engine = _ENGINES.pop(key, None) or _Engine(*key)

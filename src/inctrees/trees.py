@@ -282,7 +282,7 @@ def _plane_trees(n: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
 def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
     """The preorder out-degree words of all Catalan(n-1) plane trees with n
     nodes, in canonical order (see :func:`enumerate_ordered_trees`)."""
-    if n < 1:
+    if _check_int(n, "n") < 1:
         raise ValueError("tree size must be positive")
     check_capacity(n, MAX_TREE_SIZE, "tree size n")
     return (word for word, _ in _plane_trees(n))

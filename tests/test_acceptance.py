@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The cross-checks come from the ``verify`` check registry
-(``cli._SUITES``), run here at each criterion's own sizes; this file adds
+(``checks.SUITES``), run here at each criterion's own sizes; this file adds
 the hard-coded reference prefixes, the reverse-engineering targets and the
 checks at sizes the registry does not reach.  All comparisons are exact
 except the two numeric series checks, which carry a 1e-6 tolerance.
@@ -11,7 +11,7 @@ import time
 from fractions import Fraction as F
 from math import comb, factorial
 
-from inctrees import cli, families, hooks, reverse, solvers
+from inctrees import checks, families, hooks, reverse, solvers
 from inctrees.weights import DegreeWeights
 
 EXP = DegreeWeights.exponential()
@@ -27,12 +27,12 @@ def _report(num: int, ok: bool, detail: str):
 def _registry(suite: str, max_n: int = 1, max_m: int = 1, cutoff: int = 50):
     """The checks of one registry suite and the seconds they took."""
     start = time.monotonic()
-    checks = cli._SUITES[suite](max_n, max_m, cutoff)
-    return checks, time.monotonic() - start
+    found = checks.SUITES[suite].checks(max_n, max_m, cutoff)
+    return found, time.monotonic() - start
 
 
-def _failures(checks):
-    return [f"{name}: {detail}" for name, ok, detail in checks if not ok]
+def _failures(found):
+    return [f"{name}: {detail}" for name, ok, detail in found if not ok]
 
 
 def test_criterion_01_sequence_regression():
@@ -103,8 +103,8 @@ CLOSED_FORM_CHECKS = (
 
 
 def test_criterion_04_closed_form_cross_validation():
-    checks, _ = _registry("closed-forms", max_n=10)
-    exact = [c for c in checks if not c[0].startswith(NUMERIC)]
+    found, _ = _registry("closed-forms", max_n=10)
+    exact = [c for c in found if not c[0].startswith(NUMERIC)]
     names = {name for name, _, _ in exact}
     failures = _failures(exact) + [
         f"{name}: not run" for name in CLOSED_FORM_CHECKS if name not in names
@@ -117,26 +117,26 @@ def test_criterion_05_hook_identities():
     # verify hook at n<=8, m<=7, which covers k=3 unordered and the k-tuple
     # sums; then k=3 ordered and ordered bucket-uni-bi, which the registry
     # does not run, and rho to n=10
-    checks, _ = _registry("hook", max_n=8, max_m=7)
-    checks.append(cli._first_failure(
+    found, _ = _registry("hook", max_n=8, max_m=7)
+    found.append(checks.first_failure(
         "hook k=3 ordered n<=7", "n",
-        cli._hook_notes(hooks.hook_sums("k-labelled", ORDERED, range(1, 8), 3)),
+        checks.hook_notes(hooks.hook_sums("k-labelled", ORDERED, range(1, 8), 3)),
     ))
-    checks.append(cli._first_failure(
+    found.append(checks.first_failure(
         "hook bucket-uni-bi ordered m<=7", "m",
-        cli._hook_notes(hooks.hook_sums("uni-bi", ORDERED, range(1, 8))),
+        checks.hook_notes(hooks.hook_sums("uni-bi", ORDERED, range(1, 8))),
     ))
-    checks.append(cli._first_failure(
-        "hook rho=1+1/h binary n<=10", "n", cli._rho_binary_notes(10)
+    found.append(checks.first_failure(
+        "hook rho=1+1/h binary n<=10", "n", checks.rho_binary_notes(10)
     ))
-    failures = _failures(checks)
-    _report(5, not failures, f"hook-length identities ({len(checks)} checks)")
+    failures = _failures(found)
+    _report(5, not failures, f"hook-length identities ({len(found)} checks)")
     assert not failures, failures
 
 
 def test_criterion_06_labelling_count_oracles():
-    checks, elapsed = _registry("invariants", max_n=4, max_m=8)
-    failures = _failures(checks)
+    found, elapsed = _registry("invariants", max_n=4, max_m=8)
+    failures = _failures(found)
     if elapsed > 10.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 10s")
     _report(6, not failures, f"invariants n<=4 m<=8 with label counts ({elapsed:.1f}s)")
@@ -144,11 +144,11 @@ def test_criterion_06_labelling_count_oracles():
 
 
 def test_criterion_07_bijection_verification():
-    checks, elapsed = _registry("bijection", max_m=6)
-    failures = _failures(checks)
+    found, elapsed = _registry("bijection", max_m=6)
+    failures = _failures(found)
     if elapsed > 5.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 5s")
-    _report(7, not failures, f"{'; '.join(c[0] for c in checks)} ({elapsed:.1f}s)")
+    _report(7, not failures, f"{'; '.join(c[0] for c in found)} ({elapsed:.1f}s)")
     assert not failures, failures
 
 
@@ -180,8 +180,8 @@ def test_criterion_08_reverse_engineering_round_trips():
 
 
 def test_criterion_09_numeric_elliptic_checks():
-    checks, elapsed = _registry("closed-forms", cutoff=50)
-    numeric = [c for c in checks if c[0].startswith(NUMERIC)]
+    found, elapsed = _registry("closed-forms", cutoff=50)
+    numeric = [c for c in found if c[0].startswith(NUMERIC)]
     failures = _failures(numeric)
     if len(numeric) != 10:
         failures.append(f"{len(numeric)} numeric checks, expected 10")

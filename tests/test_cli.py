@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inctrees import bijections, cli, families, hooks, reverse, solvers
+from inctrees import bijections, checks, cli, families, hooks, reverse, solvers, trees
 from inctrees.cli import main
+from inctrees.weights import DegreeWeights
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_VERIFY_ALL = ROOT / "tests" / "data" / "verify_all_max_n4_max_m4.txt"
@@ -313,7 +314,7 @@ def test_verify_bijection_suite(capsys):
 def test_bijection_domain_check_reports_first_engine_mismatch(capsys, monkeypatch):
     # a wrong engine count fails the chain map's check, naming m and both values
     counts = (1, 2, 7, 31)
-    monkeypatch.setattr(cli.solvers, "solve_free_multilabelled", lambda weights, terms: counts)
+    monkeypatch.setattr(solvers, "solve_free_multilabelled", lambda weights, terms: counts)
     code, out, _ = run(capsys, "verify", "bijection", "--max-m", "4")
     assert code == 1
     assert out.splitlines() == [
@@ -402,19 +403,46 @@ def test_verify_invariants_output_is_pinned(capsys):
     assert out == GOLDEN_VERIFY_INVARIANTS_JSON.read_text()
 
 
+def test_a_two_label_family_added_to_the_registry_gains_its_checks(capsys, monkeypatch):
+    # the suites read the k-labelled families from the registry at each run,
+    # by scheme and k, so a new k = 2 family gets a hook check, after the
+    # other k = 2 families, and a first-integral check
+    spec = families.FamilySpec("extra/two-label-poly", "k-labelled",
+                               DegreeWeights.polynomial([1, 1, 3]), k=2)
+    monkeypatch.setitem(families.REGISTRY, spec.identifier, spec)
+    code, out, _ = run(capsys, "verify", "hook", "--max-n", "5", "--max-m", "3")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[6:9] == [
+        "PASS hook k=2 bilabelled/binary n<=5",
+        "PASS hook k=2 extra/two-label-poly n<=5",
+        "PASS hook k=3 trilabelled/unordered n<=5",
+    ]
+    assert lines[-1] == "OK (20 checks)"
+    code, out, _ = run(capsys, "verify", "invariants", "--max-n", "4", "--max-m", "4")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[6:8] == [
+        "PASS (T')^2 = 2 Phi(T) to order 19 bilabelled/binary",
+        "PASS (T')^2 = 2 Phi(T) to order 19 extra/two-label-poly",
+    ]
+    assert lines[-1] == "OK (15 checks)"
+
+
 def test_tree_sum_check_catches_a_wrong_k_labelled_step(monkeypatch):
     step, scale = solvers.SCHEMES["k-labelled"]
     monkeypatch.setitem(
         solvers.SCHEMES, "k-labelled", (lambda n, t, u: 2 * step(n, t, u), scale)
     )
-    checks = {name: (ok, detail) for name, ok, detail in cli._SUITES["invariants"](6, 3, 50)}
-    assert checks["tree-sum oracle vs single-label solver"] == (False, "first failure at n=1")
+    found = checks.SUITES["invariants"].checks(6, 3, 50)
+    verdicts = {name: (ok, detail) for name, ok, detail in found}
+    assert verdicts["tree-sum oracle vs single-label solver"] == (False, "first failure at n=1")
 
 
 def test_verify_cutoff_reaches_the_binary_free_series():
     def details(cutoff):
-        checks = cli._SUITES["closed-forms"](1, 1, cutoff)
-        return [detail for name, _, detail in checks if name.startswith("binary free series ")]
+        found = checks.SUITES["closed-forms"].checks(1, 1, cutoff)
+        return [detail for name, _, detail in found if name.startswith("binary free series ")]
 
     assert len(details(3)) == 6
     assert details(3) != details(50)
@@ -667,7 +695,7 @@ def test_larger_bijection_outputs_are_pinned(capsys, monkeypatch):
 
 
 def test_label_count_check_reports_first_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count_bucket_labellings_formula", lambda tree, buckets: -1)
+    monkeypatch.setattr(trees, "count_bucket_labellings_bruteforce", lambda tree, buckets: -1)
     code, out, _ = run(
         capsys, "verify", "invariants", "--max-n", "4", "--max-m", "4", "--format", "json"
     )
@@ -679,7 +707,7 @@ def test_label_count_check_reports_first_mismatch(capsys, monkeypatch):
 
 
 def test_k_label_count_check_reports_first_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count_k_labellings_formula", lambda tree, k: -1)
+    monkeypatch.setattr(trees, "count_k_labellings_formula", lambda tree, k: -1)
     code, out, _ = run(
         capsys, "verify", "invariants", "--max-n", "4", "--max-m", "4", "--format", "json"
     )

@@ -4,7 +4,7 @@ from math import comb
 import oracle
 import pytest
 
-from inctrees import cli, families
+from inctrees import checks, families, hooks
 from inctrees.families import (
     REGISTRY,
     binary_bilabelled_recurrence,
@@ -30,7 +30,7 @@ from inctrees.families import (
     weierstrass_invariants,
 )
 from inctrees.solvers import solve_k_labelled
-from inctrees.trees import falling_factorial
+from inctrees.trees import enumerate_degree_words, enumerate_ordered_trees, falling_factorial
 from inctrees.weights import DegreeWeights
 
 
@@ -134,7 +134,7 @@ def test_lemniscate_sine_coefficients():
 
 
 def test_even_degree_lemniscate_relation():
-    assert cli._lemniscate_failures(9) == ()
+    assert checks.lemniscate_failures(9) == ()
     # spot check the n=3 step: T_3 = -S_5 / 4
     assert even_degree_recurrence(3)[2] == 3
     assert lemniscate_sine_coefficients(5)[4] == -12
@@ -190,9 +190,11 @@ def test_weierstrass_invariants_validate_signs():
         weierstrass_invariants(1, -1, 1)
 
 
-# each argument of falling_factorial and weierstrass_invariants refuses an
+# each argument of falling_factorial and weierstrass_invariants, and each
+# count of the hook sums, the solvers and the tree generators, refuses an
 # inexact or bool value by name, not read as the number it may equal
 RATIONAL = "^exact rational required for {}, got {}$"
+EXP = DegreeWeights.exponential()
 INEXACT_INPUTS = [
     (falling_factorial, (5.0, 2), "^x must be an int, not float$"),
     (falling_factorial, (True, 1), "^x must be an int, not bool$"),
@@ -202,6 +204,17 @@ INEXACT_INPUTS = [
     (weierstrass_invariants, ("1", "1/2", 1), RATIONAL.format("phi0", "str")),
     (weierstrass_invariants, (1, 0.5, 1), RATIONAL.format("phi1", "float")),
     (weierstrass_invariants, (1, 0, True), RATIONAL.format("phi2", "bool")),
+    (hooks.hook_sums, ("k-labelled", EXP, [True], 2),
+     "^hook-sum tree size n must be an int, not bool$"),
+    (hooks.hook_sums, ("uni-bi", EXP, [2, 3.0]),
+     "^hook-sum label count m must be an int, not float$"),
+    (hooks.hook_sum_bucket, (EXP, 2.0), "^hook-sum label count m must be an int, not float$"),
+    (hooks.generic_hook_weight_sums, ("binary", [1], [1], ["2"]),
+     "^hook-sum tree size n must be an int, not str$"),
+    (solve_k_labelled, (EXP, 2, True), "^terms must be an int, not bool$"),
+    (solve_k_labelled, (EXP, 2, 3.0), "^terms must be an int, not float$"),
+    (enumerate_ordered_trees, (2.0,), "^n must be an int, not float$"),
+    (enumerate_degree_words, (True,), "^n must be an int, not bool$"),
 ]
 
 

@@ -17,8 +17,10 @@ shares with the reversal.  Only ``_power_rows`` builds that table's
 C(2m, 2i) row, and ``solvers.py`` names neither the first integral nor the
 ``comb`` and ``lcm`` it used: it holds the engine alone, and imports no
 ``Series``, since the engine runs on the counts.
-``cli.py`` names no hook sum of one size, so each ``hook`` command and
-hook check solves once for all its sizes.  ``hooks.py`` names no word
+``cli.py`` and ``checks.py`` name no hook sum of one size, so each ``hook``
+command and hook check solves once for all its sizes.  ``cli.py`` defines
+no suite, suite table or bound table and names no route of a suite: the
+check registry ``checks.SUITES`` holds them.  ``hooks.py`` names no word
 generator of ``trees.py``, so no census walks degree words again, and the
 census side (the censuses in ``trees.py``, the hook vectors and the fold in
 ``hooks.py``) names no solver, and ``trees.py`` imports nothing from
@@ -26,7 +28,7 @@ census side (the censuses in ``trees.py``, the hook vectors and the fold in
 the right-hand sides.  ``hooks.py`` takes from ``solvers`` only
 ``SCHEMES``, ``_scheme_k`` and ``solve_scheme``, so no hook sum restates a
 scheme's scale, its k rule or its solver.  Only ``trees.py`` knows the censuses' packed code format:
-``hooks.py`` takes from it the two censuses, the k check and public names,
+``hooks.py`` takes from it the two censuses, the int and k checks and public names,
 and no other module names its code tables or grafts.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
 itself, directly or through other functions of its module, by name or as
@@ -207,8 +209,9 @@ def test_engine_name_is_found():
     assert engine_names(source, "first_order_invariant_check") == ["_Engine", "_convolution_weights"]
 
 
-# hooks.py's functions of one size; cli.py calls the cores that take the
-# sizes 1..N, so one command solves once and builds one factor table
+# hooks.py's functions of one size; cli.py and checks.py call the cores that
+# take the sizes 1..N, so one command or check solves once and builds one
+# factor table
 PER_SIZE_HOOK_SUMS = {
     "hook_sum_k_labelled", "hook_sum_k_tuple", "hook_sum_bucket", "generic_hook_weight_sum",
 }
@@ -233,9 +236,10 @@ def names_of(source: str, wanted):
 
 
 def test_cli_names_no_per_size_hook_sum():
-    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
-    assert "hooks.hook_sums(" in source
-    assert names_of(source, PER_SIZE_HOOK_SUMS) == []
+    for name in ("cli.py", "checks.py"):
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        assert "hooks.hook_sums(" in source
+        assert names_of(source, PER_SIZE_HOOK_SUMS) == []
 
 
 def test_per_size_hook_sum_is_found():
@@ -247,6 +251,53 @@ def test_per_size_hook_sum_is_found():
     )
     assert names_of(source, PER_SIZE_HOOK_SUMS) == [
         "generic_hook_weight_sum", "hook_sum_bucket", "hook_sum_k_tuple",
+    ]
+
+
+# routes that only the verify suites call: checks.py holds the suites, and
+# cli.py, which runs them through checks.SUITES, names none of these
+SUITE_ROUTES = {
+    "enumerate_ordered_trees", "enumerate_bucket_functions",
+    "count_k_labellings_formula", "count_k_labellings_bruteforce",
+    "count_bucket_labellings_formula", "count_bucket_labellings_bruteforce",
+    "solve_k_labelled", "solve_free_multilabelled", "solve_unilabelled_bilabelled",
+    "first_order_invariant_check", "strict_binary_lattice_sums", "binary_free_multi_numeric",
+    "reduced_tangent_numbers", "even_degree_recurrence", "lemniscate_sine_coefficients",
+}
+
+
+def suite_leaks(source: str):
+    """The suites (``_suite_*`` functions) and suite or bound tables a source
+    defines, then the SUITE_ROUTES it names."""
+    tree = ast.parse(source)
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    tables = [n for n in defined if n.startswith("_suite_") or n.strip("_") in ("SUITES", "BOUNDS")]
+    return sorted(tables) + names_of(source, SUITE_ROUTES)
+
+
+def test_cli_holds_no_suite():
+    sources = {name: (PACKAGE / name).read_text(encoding="utf-8")
+               for name in ("cli.py", "checks.py")}
+    assert "checks.SUITES" in sources["cli.py"]
+    assert suite_leaks(sources["cli.py"]) == []
+    assert names_of(sources["checks.py"], SUITE_ROUTES) == sorted(SUITE_ROUTES)
+
+
+def test_suite_in_cli_is_found():
+    source = (
+        "from .trees import enumerate_ordered_trees\n"
+        "_BOUNDS = {'hook': ()}\n"
+        "def _suite_invariants(max_n, max_m, cutoff):\n"
+        "    return reverse.first_order_invariant_check(w, counts)\n"
+        "_SUITES: dict = {'invariants': _suite_invariants}\n"
+        "suites = checks.SUITES\n"
+    )
+    assert suite_leaks(source) == [
+        "_BOUNDS", "_SUITES", "_suite_invariants",
+        "enumerate_ordered_trees", "first_order_invariant_check",
     ]
 
 
@@ -344,11 +395,11 @@ def test_hooks_taking_a_scheme_solver_is_found():
 
 
 # the packed code format of the hook censuses: trees.py alone grafts and
-# decodes it, and hooks.py takes the two censuses whole, and the k check it
-# shares with the solvers
+# decodes it, and hooks.py takes the two censuses whole, and the int and k
+# checks it shares with the solvers
 CODE_FORMAT = {"_code_table", "_code_tables", "_grafts", "_sums"}
 RETIRED_CODE_NAMES = ("_field_bytes", "_unpack", "_tree_codes", "_bucket_codes")
-HOOKS_FROM_TREES = {"_census", "_bucket_census", "_check_k"}
+HOOKS_FROM_TREES = {"_census", "_bucket_census", "_check_int", "_check_k"}
 
 
 def code_format_leaks(sources):
