@@ -63,9 +63,8 @@ from functools import lru_cache
 from itertools import chain, count, islice, product
 from typing import Iterator, Tuple
 
-from .trees import (
-    _check_int, _code, _fold, _Node, _scan, _shape, _write, check_capacity, word_hook_lengths,
-)
+from .series import _check_count, _check_int, check_capacity
+from .trees import _code, _fold, _Node, _scan, _shape, _write, word_hook_lengths
 
 MAX_OBJECT_LABELS = 7
 
@@ -140,7 +139,7 @@ def validate_multilabelled(t: MultiTree, max_block: int = 0) -> int:
 
     max_block > 0 additionally bounds the number of labels per node.
     """
-    return _check_multi(_code(t), max_block)
+    return _check_multi(_code(t), _check_int(max_block, "max_block"))
 
 
 def _canonical(code) -> bool:
@@ -462,9 +461,7 @@ def _verify(name, noun, max_m, schemes, walks, forward, inverse, shifts) -> Bije
     call, so a replaced walk or scheme is verified afresh.  A call within
     the kept label counts grows no level; a longer one regrows the levels
     from m = 1 and walks only the label counts not yet kept."""
-    if _check_int(max_m, "max_m") < 1:
-        raise ValueError(f"max_m = {max_m} must be at least 1")
-    check_capacity(max_m, MAX_OBJECT_LABELS, "object label count m")
+    check_capacity(_check_count(max_m, "max_m"), MAX_OBJECT_LABELS, "object label count m")
     key = (walks, *(_OBJECT_SCHEMES[scheme] for scheme in schemes))
     rows = _VERDICTS.get(key, ())
     if len(rows) < max_m:

@@ -17,6 +17,7 @@ from math import factorial
 from typing import Callable, List, NamedTuple, Tuple
 
 from . import bijections, families, hooks, reverse, solvers, trees
+from .series import _check_count
 from .weights import SHAPES, DegreeWeights
 
 Check = Tuple[str, bool, str]
@@ -49,7 +50,7 @@ def _labelled(k: int):
 
 
 def rho_binary_notes(max_n: int):
-    ns = range(1, max_n + 1)
+    ns = range(1, _check_count(max_n, "max_n") + 1)
     for n, lhs in zip(ns, hooks.generic_hook_weight_sums("binary", [1, 1], [0, 1], ns)):
         rhs = Fraction(2**n * (n + 1) ** (n - 1), factorial(n))
         yield n, None if lhs == rhs else f"{lhs} != {rhs}"
@@ -111,7 +112,7 @@ def lemniscate_failures(max_n: int) -> Tuple[int, ...]:
     """The n <= max_n where the even-degree recurrence's T_n breaks
     T_n = (-1)^((n-1)/2) S_{2n-1} / 2^(n-1) (odd n) or T_n = S_{2n-1} = 0
     (even n), S being the lemniscate sine coefficients."""
-    ts = families.even_degree_recurrence(max_n)
+    ts = families.even_degree_recurrence(_check_count(max_n, "max_n"))
     ss = families.lemniscate_sine_coefficients(2 * max_n - 1)
     return tuple(
         n for n, t, s in zip(range(1, max_n + 1), ts, ss[::2])

@@ -39,8 +39,7 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import bijections, checks, families, hooks, reverse
-from .series import _parse_fractions
-from .trees import check_capacity
+from .series import _parse_fractions, check_capacity
 from .weights import DegreeWeights
 
 

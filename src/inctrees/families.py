@@ -7,10 +7,12 @@ exactly.  The OEIS identifiers are documentation only; nothing is fetched.
 
 Registry identifiers look like ``bilabelled/unordered`` or
 ``free/strict-binary``; k-tuple families are parametrized as
-``ktuple/<variant>:k=K`` with K at most ``MAX_KTUPLE_EXPONENT``.
+``ktuple/<variant>:k=K`` with K at most ``MAX_KTUPLE_EXPONENT``, written in
+ASCII digits without a leading zero, or ``ktuple/<variant>`` for K = 1.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -19,9 +21,8 @@ from math import comb, factorial, inf, isfinite
 from operator import mul, truediv
 from typing import Callable, List, Optional, Tuple
 
-from .series import as_fraction
+from .series import MAX_LITERAL_DIGITS, _check_count, _check_int, as_fraction, check_capacity
 from .solvers import CountingSequence, solve_scheme
-from .trees import check_capacity
 from .weights import SHAPES, DegreeWeights
 
 # tuple length k of a k-tuple family (ktuple/<variant>:k=K, hook ktuple -k).
@@ -44,9 +45,7 @@ def _integer(value: Fraction) -> int:
 def inverse_erf_coefficients(count: int) -> Tuple[Fraction, ...]:
     """c_0 .. c_{count-1} of the inverse error function's odd Taylor
     expansion: c_0 = 1, c_k = sum c_m c_{k-1-m} / ((m+1)(2m+1))."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    return tuple(_inverse_erf_coefficient(k) for k in range(count))
+    return tuple(_inverse_erf_coefficient(k) for k in range(_check_count(count, "count")))
 
 
 @cache
@@ -62,8 +61,7 @@ def _inverse_erf_coefficient(k: int) -> Fraction:
 def ordered_bilabelled_closed_form(n: int) -> int:
     """T_n = (2n-2)!/2^(n-1) * c_{n-1} with c from the inverse error
     function expansion."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_count(n, "n")
     value = Fraction(factorial(2 * n - 2), 2 ** (n - 1)) * inverse_erf_coefficients(n)[n - 1]
     return _integer(value)
 
@@ -71,7 +69,7 @@ def ordered_bilabelled_closed_form(n: int) -> int:
 def ordered_bilabelled_recurrence(terms: int) -> Tuple[int, ...]:
     """T_n = sum_{k=1}^{n-1} C(2n-2, 2k) T_k T_{n-k}, T_1 = 1."""
     ts = [1]
-    for n in range(2, terms + 1):
+    for n in range(2, _check_count(terms, "terms") + 1):
         ts.append(
             sum(comb(2 * n - 2, 2 * k) * ts[k - 1] * ts[n - k - 1] for k in range(1, n))
         )
@@ -84,16 +82,14 @@ def ordered_bilabelled_recurrence(terms: int) -> Tuple[int, ...]:
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! = prod_{i=1..n} (2i-1); empty product 1 for n <= 0."""
     out = 1
-    for i in range(1, n + 1):
+    for i in range(1, _check_int(n, "n") + 1):
         out *= 2 * i - 1
     return out
 
 
 def three_bundled_closed_form(n: int) -> int:
     """T_n = (2n-3)!! (2n-1)!!."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return double_factorial_odd(n - 1) * double_factorial_odd(n)
+    return double_factorial_odd(_check_count(n, "n") - 1) * double_factorial_odd(n)
 
 
 # -- Bell polynomials / 2-bundled family -----------------------------------
@@ -101,9 +97,9 @@ def three_bundled_closed_form(n: int) -> int:
 
 def partial_bell(k: int, m: int, xs) -> Fraction:
     """Partial exponential Bell polynomial B_{k,m}(x_1, ..., x_{k-m+1})."""
-    if not 1 <= m <= k:
+    if _check_count(m, "m") > _check_count(k, "k"):
         raise ValueError("partial Bell polynomial needs 1 <= m <= k")
-    xs = list(xs)
+    xs = [as_fraction(x, "xs") for x in xs]
     if len(xs) < k - m + 1:
         raise ValueError(f"need x_1..x_{k - m + 1}, got {len(xs)} values")
     # B_{k,m} never reads the x_i past x_{k-m+1} that the zeros stand in for
@@ -113,7 +109,6 @@ def partial_bell(k: int, m: int, xs) -> Fraction:
 def _bell_table(k: int, xs) -> list:
     """B[kk][mm] = B_{kk,mm}(x_1, ..., x_{kk-mm+1}) for 0 <= mm <= kk <= k;
     xs = x_1 .. x_k."""
-    xs = [Fraction(x) for x in xs]
     table: list = []
     for kk in range(k + 1):
         table.append(_bell_row(kk, xs, table))
@@ -155,9 +150,7 @@ def _two_bundled_bell_row(kk: int) -> tuple:
 def two_bundled_closed_form(n: int) -> int:
     """T_n for the 2-bundled family via Lagrange inversion of the implicit
     arcsine equation, expressed with partial Bell polynomials."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
+    if _check_count(n, "n") == 1:
         return 1
     k = n - 1
     bell = [_two_bundled_bell_row(kk) for kk in range(n)]
@@ -177,7 +170,7 @@ def two_bundled_recurrence(terms: int) -> Tuple[int, ...]:
            - sum_{j+k+l=n-1} C(2n-2; 2j, 2k, 2l) T_j T_k T_{l+1},
     with T_1 = 1 and T_0 = 0."""
     ts = {0: 0, 1: 1}
-    for n in range(2, terms + 1):
+    for n in range(2, _check_count(terms, "terms") + 1):
         double = sum(
             comb(2 * n - 2, 2 * k) * ts[k] * ts[n - k] for k in range(1, n)
         )
@@ -201,7 +194,7 @@ def two_bundled_recurrence(terms: int) -> Tuple[int, ...]:
 def strict_binary_recurrence(terms: int) -> Tuple[int, ...]:
     """T_n = sum_{k=1}^{n-2} C(2n-2, 2k) T_k T_{n-1-k}, T_1 = 1."""
     ts = [1]
-    for n in range(2, terms + 1):
+    for n in range(2, _check_count(terms, "terms") + 1):
         ts.append(
             sum(
                 comb(2 * n - 2, 2 * k) * ts[k - 1] * ts[n - 1 - k - 1]
@@ -214,7 +207,7 @@ def strict_binary_recurrence(terms: int) -> Tuple[int, ...]:
 def binary_bilabelled_recurrence(terms: int) -> Tuple[int, ...]:
     """T_n = 2 T_{n-1} + sum_{k=1}^{n-2} C(2n-2, 2k) T_k T_{n-1-k}, T_1 = 1."""
     ts = [1]
-    for n in range(2, terms + 1):
+    for n in range(2, _check_count(terms, "terms") + 1):
         ts.append(
             2 * ts[n - 2]
             + sum(
@@ -229,7 +222,7 @@ def even_degree_recurrence(terms: int) -> Tuple[int, ...]:
     """T_{n+2} = 1/2 sum_{j+k+l=n-1} C(2n+1; 2j+1, 2k+1, 2l+1)
     T_{j+1} T_{k+1} T_{l+1}, with T_1 = 1 (and T_2 = 0 from the empty sum)."""
     ts = {1: 1}
-    for n in range(0, terms - 1):
+    for n in range(0, _check_count(terms, "terms") - 1):
         total = 0
         for j in range(n):
             for k in range(n - j):
@@ -248,8 +241,7 @@ def even_degree_recurrence(terms: int) -> Tuple[int, ...]:
 def lemniscate_sine_coefficients(count: int) -> Tuple[int, ...]:
     """S_1..S_count with sl(z) = sum S_n z^n / n! (OEIS A104203), computed
     from the series solution of sl'' = -2 sl^3, sl(0) = 0, sl'(0) = 1."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    _check_count(count, "count")
     # s_{i+2} = -2 [z^i] s^3 / ((i+1)(i+2)); s^2 and s^3 grow one
     # coefficient per step, each needing only s_0..s_i.
     s = [Fraction(0), Fraction(1)]
@@ -356,8 +348,7 @@ def strict_binary_lattice_sums(ns: Tuple[int, ...], cutoff: int) -> Tuple[Lattic
     prefactor (2n+1)! 2^(3n+4) pi^(n+1) / ... overflows, and the call raises
     a ValueError naming n instead of returning an infinite value.
     """
-    if cutoff < 1 or any(n < 1 for n in ns):
-        raise ValueError("need n >= 1 and cutoff >= 1")
+    ns, cutoff = tuple(_check_count(n, "n") for n in ns), _check_count(cutoff, "cutoff")
     prefactors = [_lattice_prefactor(n) for n in ns]
     exponents = [n + 1 for n in ns]
     steps = _power_steps(exponents)
@@ -407,10 +398,8 @@ def strict_binary_free_multi_explicit(m: int) -> int:
     """Closed form for free multilabelled strict-binary trees with m labels,
     evaluated exactly in the ring of numbers a + b sqrt(3) (a, b rational);
     the sqrt(3) part must cancel and the result must be an integer."""
-    if m < 1:
-        raise ValueError("m must be positive")
     rat, irr = Fraction(0), Fraction(0)
-    for k in range(1, m + 1):
+    for k in range(1, _check_count(m, "m") + 1):
         e = m - k
         if e % 2 == 0:
             p_rat, p_irr = Fraction(3) ** (e // 2), Fraction(0)
@@ -439,8 +428,8 @@ def binary_free_multi_numeric(m: int, cutoff: int) -> float:
     partial sum is within 1e-9 of T_m only for a cutoff large against m: up
     to m = 57 at cutoff 60 (at m = 100 it gives 3.27e164, T_100 = 3.50e164).
     """
-    if m < 1 or cutoff < 1:
-        raise ValueError("need m >= 1 and cutoff >= 1")
+    _check_count(m, "m")
+    _check_count(cutoff, "cutoff")
     sqrt5 = 5.0**0.5
     q = (7.0 - 3.0 * sqrt5) / 2.0
     try:
@@ -459,7 +448,7 @@ def reduced_tangent_numbers(terms: int) -> Tuple[int, ...]:
     from the series solution of h' = 1 + h^2/2, h(0) = 0."""
     # h_1 = 1 and h_{i+1} = [z^i] h^2 / (2 (i+1)) for i >= 1.
     h = [Fraction(0), Fraction(1)]
-    for i in range(1, 2 * terms - 1):
+    for i in range(1, 2 * _check_count(terms, "terms") - 1):
         h.append(sum(h[j] * h[i - j] for j in range(i + 1)) / (2 * (i + 1)))
     return tuple(_integer(h[2 * n - 1] * factorial(2 * n - 1)) for n in range(1, terms + 1))
 
@@ -471,7 +460,7 @@ def blasius_numbers(terms: int) -> Tuple[int, ...]:
     function; the equation F''' = F'' F for F = T' yields the convolution.
     """
     ts = [1]
-    for n in range(1, terms):
+    for n in range(1, _check_count(terms, "terms")):
         ts.append(
             sum(
                 comb(3 * n - 1, 3 * k - 3) * ts[k - 1] * ts[n + 1 - k - 1]
@@ -488,7 +477,7 @@ def unibi_q_sequence(terms: int) -> Tuple[int, ...]:
     """Q_1..Q_terms with Q_{m+2} = sum_{k=0}^m C(m,k)(Q_k + Q_{k+1}) Q_{m-k+1},
     Q_0 = 0, Q_1 = 1."""
     qs = {0: 0, 1: 1}
-    for m in range(0, terms - 1):
+    for m in range(0, _check_count(terms, "terms") - 1):
         qs[m + 2] = sum(
             comb(m, k) * (qs[k] + qs[k + 1]) * qs[m - k + 1] for k in range(m + 1)
         )
@@ -497,9 +486,7 @@ def unibi_q_sequence(terms: int) -> Tuple[int, ...]:
 
 def unibi_unordered_closed_form(m: int) -> int:
     """T_m = Q_m + Q_{m-1} for the unordered one-or-two-labels family."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    qs = unibi_q_sequence(m)
+    qs = unibi_q_sequence(_check_count(m, "m"))
     return qs[m - 1] + (qs[m - 2] if m >= 2 else 0)
 
 
@@ -700,12 +687,10 @@ def get_family(identifier: str) -> FamilySpec:
         rest = identifier.split("/", 1)[1]
         if ":" in rest:
             variant, _, kpart = rest.partition(":")
-            try:
-                k = int(kpart[2:]) if kpart.startswith("k=") else 0
-            except ValueError:
-                k = 0
-            if k < 1:
+            # ASCII digits, no sign or leading zero, so each k has one spelling
+            if not re.fullmatch(f"k=[1-9][0-9]{{0,{MAX_LITERAL_DIGITS - 1}}}", kpart):
                 raise ValueError(f"bad k-tuple parameter in {identifier!r}: need k=K, K >= 1")
+            k = int(kpart[2:])
             check_capacity(k, MAX_KTUPLE_EXPONENT, "k-tuple exponent k")
         else:
             variant, k = rest, 1

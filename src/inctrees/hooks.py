@@ -50,9 +50,9 @@ from operator import getitem, mul
 from typing import Iterator, List, Sequence, Tuple
 
 from .families import MAX_KTUPLE_EXPONENT
-from .series import _over_lcm, as_fraction
+from .series import _check_count, _check_int, _over_lcm, as_fraction, check_capacity
 from .solvers import SCHEMES, _scheme_k, solve_scheme
-from .trees import _bucket_census, _census, _check_int, _check_k, check_capacity, falling_factorial
+from .trees import _bucket_census, _census, falling_factorial
 from .weights import SHAPES, DegreeWeights
 
 MAX_HOOK_TREE_SIZE = 12   # Catalan(11) = 58786 trees per sum
@@ -126,11 +126,9 @@ def _tree_sum(w: List[int], powers: List[int], sizes, row) -> Iterator[Tuple[Fra
 def _sizes(sizes, what: str, bound: int) -> Tuple[Tuple[int, ...], int]:
     """The sizes, read once into a tuple, and the largest of them, once every
     size is at least 1 and the largest within its capacity."""
-    sizes = tuple(_check_int(size, what) for size in sizes)
+    sizes = tuple(_check_count(size, what) for size in sizes)
     if not sizes:
         raise ValueError(f"no {what} given")
-    if min(sizes) < 1:
-        raise ValueError(f"{what} = {min(sizes)} must be at least 1")
     top = max(sizes)
     check_capacity(top, bound, what)
     return sizes, top
@@ -198,7 +196,7 @@ def hook_sums(scheme: str, weights: DegreeWeights, sizes, k=None) -> List[HookId
     scale = SCHEMES[scheme][1]
     if callable(side):
         sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
-        k = _check_k(_scheme_k(scheme, k))
+        k = _check_count(_scheme_k(scheme, k), "k")
         if k_bound is not None:
             check_capacity(k, k_bound, "k-tuple exponent k")
         row = tuple(side(h, k) for h in range(1, top + 1))
@@ -225,7 +223,7 @@ def hook_sum_k_labelled(weights: DegreeWeights, k: int, n: int) -> HookIdentityR
 
 def hook_sum_bucket(weights: DegreeWeights, m: int, max_bucket=None) -> HookIdentityReport:
     """:func:`hook_sums` of the free (max_bucket None) or uni-bi (2) scheme at m alone."""
-    if max_bucket not in (None, 2):
+    if max_bucket is not None and _check_int(max_bucket, "max_bucket") != 2:
         raise ValueError("max_bucket must be None (free) or 2 (uni-bi)")
     return hook_sums("free-multilabelled" if max_bucket is None else "uni-bi", weights, (m,))[0]
 
@@ -262,8 +260,8 @@ def generic_hook_weight_sums(
         )
     sizes, top = _sizes(sizes, "hook-sum tree size n", MAX_HOOK_TREE_SIZE)
     # rho(h) = (N(h) / L_N) / (D(h) / L_D) in ints, reduced to lowest terms
-    num, num_scale = _over_lcm(list(map(as_fraction, rho_numerator)))
-    den, den_scale = _over_lcm(list(map(as_fraction, rho_denominator)))
+    num, num_scale = _over_lcm([as_fraction(c, "rho_numerator") for c in rho_numerator])
+    den, den_scale = _over_lcm([as_fraction(c, "rho_denominator") for c in rho_denominator])
     row = []
     for h in range(1, top + 1):
         below = _horner(den, h) * num_scale

@@ -32,7 +32,9 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
-from .series import _over_lcm, _parse_fraction, _parse_fractions, as_fraction
+from .series import (
+    _check_count, _check_int, _over_lcm, _parse_fraction, _parse_fractions, as_fraction,
+)
 from .solvers import solve_k_labelled
 from .weights import DegreeWeights
 
@@ -59,7 +61,7 @@ def reverse_engineer(
     target, source: str = "values"
 ) -> ReverseReport:
     """Compute phi_0 .. phi_{N-1} from target values T_1 .. T_N."""
-    values = tuple(as_fraction(v) for v in target)
+    values = tuple(as_fraction(v, "target") for v in target)
     n_terms = len(values)
     if n_terms < 2:
         raise ValueError("need at least two target values")
@@ -156,7 +158,7 @@ def first_order_invariant_check(weights: DegreeWeights, counts) -> InvariantRepo
     at N = 9 (the suite's size), 15 ms at N = 30 and 55 ms at N = 50, solve
     included.
     """
-    lifted, lift = _over_lcm([as_fraction(v) for v in counts])
+    lifted, lift = _over_lcm([as_fraction(v, "counts") for v in counts])
     t, n = [0] + lifted, len(lifted)
     phis, phi_lift = _over_lcm([weights.coefficient(j - 1) / j for j in range(1, n + 1)])
     scaled = [2 * p * lift ** (n - j) for j, p in enumerate(phis, start=1)]  # 2 M Phi_j L^(N-j)
@@ -174,8 +176,8 @@ def first_order_invariant_check(weights: DegreeWeights, counts) -> InvariantRepo
 
 def generalized_binomial(alpha: Fraction, j: int) -> Fraction:
     """C(alpha, j) for rational alpha."""
-    alpha, out = as_fraction(alpha), Fraction(1)
-    for i in range(j):
+    alpha, out = as_fraction(alpha, "alpha"), Fraction(1)
+    for i in range(_check_int(j, "j")):
         out *= alpha - i
     return out / factorial(j)
 
@@ -197,21 +199,21 @@ class ParametricFamilyReport:
 
 def parametric_target(a: Fraction, b: Fraction, c: Fraction, terms: int) -> Tuple[Fraction, ...]:
     """T_n = (2n)! (-C) (-A)^n C(B, n)."""
-    a, b, c = map(as_fraction, (a, b, c))
+    a, b, c = map(as_fraction, (a, b, c), "abc")
     return tuple(
         factorial(2 * n) * (-c) * (-a) ** n * generalized_binomial(b, n)
-        for n in range(1, terms + 1)
+        for n in range(1, _check_count(terms, "terms") + 1)
     )
 
 
 def parametric_phi(a: Fraction, b: Fraction, c: Fraction, count: int) -> Tuple[Fraction, ...]:
     """Taylor coefficients of
     4ABC(1-B)(1 - T/C)^(1-2/B) + 2ABC(2B-1)(1 - T/C)^(1-1/B)."""
-    a, b, c = map(as_fraction, (a, b, c))
+    a, b, c = map(as_fraction, (a, b, c), "abc")
     alpha1 = 1 - 2 / b
     alpha2 = 1 - 1 / b
     out = []
-    for j in range(count):
+    for j in range(_check_count(count, "count")):
         bracket = 2 * (1 - b) * generalized_binomial(alpha1, j) - (
             1 - 2 * b
         ) * generalized_binomial(alpha2, j)
@@ -222,9 +224,9 @@ def parametric_phi(a: Fraction, b: Fraction, c: Fraction, count: int) -> Tuple[F
 def family_from_parameters(a, b, c, terms: int) -> ParametricFamilyReport:
     """Validate the parameter case, build the closed-form sequence and
     weights, and cross-check them against :func:`reverse_engineer`."""
-    a, b, c = map(as_fraction, (a, b, c))
-    if terms < 2:
-        raise ValueError("need terms >= 2")
+    a, b, c = map(as_fraction, (a, b, c), "abc")
+    if _check_int(terms, "terms") < 2:
+        raise ValueError(f"terms = {terms} must be at least 2")
     if a > 0 and b < 0 and c < 0:
         inv = -1 / b
         if inv.denominator != 1:

@@ -1,4 +1,20 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Exact scalars and truncated formal power series with rational coefficients.
+
+Every exact input of the package is read here.  A rational goes through
+:func:`as_fraction`, which refuses a float, a str and a bool, and a rational
+literal of the command line through :func:`_parse_fraction`.  A count (a
+size, a number of terms, a k, a label count) goes through
+:func:`_check_count`, one rule for the whole package: anything but an int,
+a bool included, is a ``TypeError`` "{name} must be an int, not {type}",
+and an int below 1 a ``ValueError`` "{name} = {value} must be at least 1".
+
+The package's seven capacity bounds (``MAX_TREE_SIZE``, ``MAX_LABEL_TOTAL``
+and ``MAX_BUCKET_TOTAL`` in ``trees``, two in ``hooks``, one in
+``bijections``, one in ``families``) are all enforced by
+:func:`check_capacity`.  The environment variable ``INCTREE_CAPACITY``, when
+set to a positive integer, replaces all of them; any other value is a
+``ValueError``.  Raising it can make enumerations take minutes and
+gigabytes; that risk is the caller's.
 
 A :class:`Series` stores the coefficients ``c[0] .. c[N]`` of a power series
 truncated at order ``N`` and keeps track of the order each result is
@@ -21,6 +37,7 @@ threads.
 """
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt, lcm
@@ -37,6 +54,42 @@ def as_fraction(value: Scalar, name: str = "") -> Fraction:
         return Fraction(value)
     named = f" for {name}" if name else ""
     raise TypeError(f"exact rational required{named}, got {type(value).__name__}")
+
+
+def _check_int(value, name: str) -> int:
+    """value, unless it is not an int (a bool, float or str): TypeError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    return value
+
+
+def _check_count(value, name: str) -> int:
+    """value, a count: an int (:func:`_check_int`) of at least 1, else a
+    ValueError naming it."""
+    if _check_int(value, name) < 1:
+        raise ValueError(f"{name} = {value} must be at least 1")
+    return value
+
+
+class CapacityError(ValueError):
+    """An enumeration was asked to exceed its documented capacity."""
+
+
+def check_capacity(value: int, default: int, what: str) -> None:
+    """CapacityError naming the quantity when value exceeds its bound:
+    INCTREE_CAPACITY when set, else the default."""
+    override = os.environ.get("INCTREE_CAPACITY")
+    try:
+        limit = int(override) if override else default
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"INCTREE_CAPACITY must be a positive integer, got {override!r}")
+    if value > limit:
+        raise CapacityError(
+            f"{what} = {value} exceeds the capacity {limit}; "
+            "set INCTREE_CAPACITY to override"
+        )
 
 
 def _over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -96,7 +149,7 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Scalar]):
-        coeffs = tuple(as_fraction(c) for c in coefficients)
+        coeffs = tuple(as_fraction(c, "coefficients") for c in coefficients)
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = coeffs
@@ -117,10 +170,8 @@ class Series:
 
     @classmethod
     def identity(cls, order: int) -> "Series":
-        """The series ``z`` at the given truncation order."""
-        if order < 1:
-            raise ValueError("identity series needs order >= 1")
-        coeffs = [Fraction(0)] * (order + 1)
+        """The series ``z`` at the given truncation order, a count."""
+        coeffs = [Fraction(0)] * (_check_count(order, "order") + 1)
         coeffs[1] = Fraction(1)
         return cls(coeffs)
 

@@ -62,8 +62,7 @@ from math import factorial
 from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
-from .series import _trim
-from .trees import _check_int, _check_k
+from .series import _check_count, _trim
 from .weights import DegreeWeights
 
 
@@ -230,9 +229,8 @@ def _table_columns(phi: list, t: list, rows) -> Iterator:
 
 
 def _solve(scheme: str, weights: DegreeWeights, terms: int, k: int) -> CountingSequence:
-    _check_k(k)
-    if _check_int(terms, "terms") < 1:
-        raise ValueError("terms must be positive")
+    _check_count(k, "k")
+    _check_count(terms, "terms")
     key = (SCHEMES[scheme], weights, k)
     engine = _ENGINES.pop(key, None) or _Engine(*key)
     if len(engine.values) < terms:

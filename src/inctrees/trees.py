@@ -46,17 +46,13 @@ is always aligned with the preorder traversal of the tree.
 Trees have a text form of balanced parentheses: ``()`` is a single node and
 ``(()())`` is a root with two leaf children.
 
-The package's seven capacity bounds (``MAX_TREE_SIZE``, ``MAX_LABEL_TOTAL``
-and ``MAX_BUCKET_TOTAL`` here, two in ``hooks``, one in ``bijections``, one
-in ``families``) are all enforced by :func:`check_capacity`.
-The environment variable ``INCTREE_CAPACITY``, when set to a positive
-integer, replaces all of them; any other value is a ``ValueError``.
-Raising it can make enumerations take minutes and gigabytes; that risk is
-the caller's.
+``MAX_TREE_SIZE``, ``MAX_LABEL_TOTAL`` and ``MAX_BUCKET_TOTAL`` are three of
+the package's capacity bounds, enforced by ``series.check_capacity``.  A
+count here is read by ``series._check_count``, any other int argument by
+``series._check_int``.
 """
 from __future__ import annotations
 
-import os
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -67,33 +63,13 @@ from math import comb, factorial, perm
 from operator import sub
 from typing import Iterator, Optional, Sequence, Tuple
 
+from .series import CapacityError, _check_count, _check_int, check_capacity
 from .weights import DegreeWeights
 
 MAX_TREE_SIZE = 14
 MAX_LABEL_TOTAL = 12   # brute-force k-labellings: k * n
 MAX_BUCKET_TOTAL = 10  # brute-force bucket labellings: m
 MAX_TEXT_DEPTH = 200   # nesting of parsed tree and labelled-object text
-
-
-class CapacityError(ValueError):
-    """An enumeration was asked to exceed its documented capacity."""
-
-
-def check_capacity(value: int, default: int, what: str) -> None:
-    """CapacityError naming the quantity when value exceeds its bound:
-    INCTREE_CAPACITY when set, else the default."""
-    override = os.environ.get("INCTREE_CAPACITY")
-    try:
-        limit = int(override) if override else default
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(f"INCTREE_CAPACITY must be a positive integer, got {override!r}")
-    if value > limit:
-        raise CapacityError(
-            f"{what} = {value} exceeds the capacity {limit}; "
-            "set INCTREE_CAPACITY to override"
-        )
 
 
 class _Node:
@@ -245,7 +221,7 @@ def _write(word, heads, sep: str) -> str:
 
 
 def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
+    return comb(2 * _check_int(n, "n"), n) // (n + 1)
 
 
 def _plane_trees(n: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -282,9 +258,7 @@ def _plane_trees(n: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
 def enumerate_degree_words(n: int) -> Iterator[Tuple[int, ...]]:
     """The preorder out-degree words of all Catalan(n-1) plane trees with n
     nodes, in canonical order (see :func:`enumerate_ordered_trees`)."""
-    if _check_int(n, "n") < 1:
-        raise ValueError("tree size must be positive")
-    check_capacity(n, MAX_TREE_SIZE, "tree size n")
+    check_capacity(_check_count(n, "n"), MAX_TREE_SIZE, "tree size n")
     return (word for word, _ in _plane_trees(n))
 
 
@@ -331,24 +305,10 @@ def tree_weight(tree: OrderedTree, weights: DegreeWeights) -> Fraction:
 # -- increasing k-labellings ------------------------------------------
 
 
-def _check_int(value, name: str) -> int:
-    """value, unless it is not an int (a bool, float or str): TypeError naming it."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-    return value
-
-
-def _check_k(k: int) -> int:
-    """k, the labels per node or the tuple length, checked an int and positive."""
-    if _check_int(k, "k") < 1:
-        raise ValueError("k must be positive")
-    return k
-
-
 def count_k_labellings_formula(tree: OrderedTree, k: int) -> int:
     """Number of increasing k-labellings: the bucket count with k labels at
     every node, (kn)! / prod of k-step falling factorials of k * hook-length."""
-    return count_bucket_labellings_formula(tree, (_check_k(k),) * tree.size)
+    return count_bucket_labellings_formula(tree, (_check_count(k, "k"),) * tree.size)
 
 
 def _label_blocks(
@@ -392,8 +352,8 @@ def _label_blocks(
 
 
 def _check_buckets(tree: OrderedTree, buckets: Sequence[int]) -> Tuple[int, ...]:
-    """The bucket sizes as a tuple, checked: one per node, each at least 1."""
-    buckets = tuple(buckets)
+    """The bucket sizes as a tuple, checked: one int per node, each at least 1."""
+    buckets = tuple(_check_int(b, "bucket size") for b in buckets)
     if len(buckets) != tree.size:
         raise ValueError("one bucket size per node required")
     if any(b < 1 for b in buckets):
@@ -401,15 +361,18 @@ def _check_buckets(tree: OrderedTree, buckets: Sequence[int]) -> Tuple[int, ...]
     return buckets
 
 
-def _count_labellings(tree: OrderedTree, buckets: Sequence[int]) -> int:
-    return sum(1 for _ in _label_blocks(tree.parent_indices(), _check_buckets(tree, buckets)))
+def _count_labellings(tree: OrderedTree, buckets: Sequence[int], bound: int, what: str) -> int:
+    """The labellings of the checked buckets, counted one by one once their
+    total is within the bound."""
+    buckets = _check_buckets(tree, buckets)
+    check_capacity(sum(buckets), bound, what)
+    return sum(1 for _ in _label_blocks(tree.parent_indices(), buckets))
 
 
 def count_k_labellings_bruteforce(tree: OrderedTree, k: int) -> int:
     """Count increasing k-labellings by explicit construction."""
-    buckets = (_check_k(k),) * tree.size
-    check_capacity(sum(buckets), MAX_LABEL_TOTAL, "brute-force label total k*n")
-    return _count_labellings(tree, buckets)
+    buckets = (_check_count(k, "k"),) * tree.size
+    return _count_labellings(tree, buckets, MAX_LABEL_TOTAL, "brute-force label total k*n")
 
 
 # -- bucket labellings -------------------------------------------------
@@ -440,14 +403,13 @@ def count_bucket_labellings_formula(tree: OrderedTree, buckets: Sequence[int]) -
 
 
 def count_bucket_labellings_bruteforce(tree: OrderedTree, buckets: Sequence[int]) -> int:
-    check_capacity(sum(buckets), MAX_BUCKET_TOTAL, "brute-force bucket total m")
-    return _count_labellings(tree, buckets)
+    return _count_labellings(tree, buckets, MAX_BUCKET_TOTAL, "brute-force bucket total m")
 
 
 def count_k_tuple_labellings(tree: OrderedTree, k: int) -> int:
     """Number of increasing k-tuple labellings: the k-th power of the
     single-labelling count n! / prod of hook-lengths."""
-    return count_k_labellings_formula(tree, 1) ** _check_k(k)
+    return count_k_labellings_formula(tree, 1) ** _check_count(k, "k")
 
 
 def enumerate_bucket_functions(
@@ -459,7 +421,8 @@ def enumerate_bucket_functions(
     one-or-two-labels scheme); None leaves it unbounded.  m below the tree
     size yields nothing.
     """
-    return _bucket_functions(tree.size, m, m if max_bucket is None else max_bucket)
+    cap = m if max_bucket is None else _check_count(max_bucket, "max_bucket")
+    return _bucket_functions(tree.size, _check_int(m, "m"), cap)
 
 
 def _bucket_functions(n: int, total: int, cap: int) -> Iterator[tuple]:

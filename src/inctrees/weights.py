@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Optional
 
-from .series import Series, _parse_fractions, as_fraction
+from .series import Series, _check_count, _parse_fractions, as_fraction
 
 
 class DegreeWeights:
@@ -51,7 +51,7 @@ class DegreeWeights:
 
     @classmethod
     def polynomial(cls, coefficients, name: Optional[str] = None) -> "DegreeWeights":
-        coeffs = tuple(as_fraction(c) for c in coefficients)
+        coeffs = tuple(as_fraction(c, "coefficients") for c in coefficients)
         for j, c in enumerate(coeffs):
             if c.numerator < 0:
                 raise ValueError(f"negative degree weight phi_{j} = {c}")
@@ -60,8 +60,7 @@ class DegreeWeights:
 
     @classmethod
     def bundled(cls, d: int) -> "DegreeWeights":
-        if d < 1:
-            raise ValueError("bundled weights need d >= 1")
+        _check_count(d, "d")
         return cls("bundled", f"bundled:{d}", lambda j: comb(j + d - 1, j))
 
     @classmethod
@@ -110,7 +109,7 @@ class DegreeWeights:
     def coefficient(self, j: int) -> Fraction:
         """The weight phi_j, exactly."""
         if j < 0:
-            raise ValueError("degree index must be non-negative")
+            raise ValueError(f"degree index j = {j} must be at least 0")
         if j not in self._cache:
             value = as_fraction(self._fn(j))
             if value.numerator < 0:

@@ -62,6 +62,18 @@ def test_seq_json(capsys):
     assert payload["values"] == [1, 1, 11, 375]
 
 
+def test_seq_bare_ktuple_identifier_is_k_1(capsys):
+    code, out, _ = run(capsys, "seq", "ktuple/ordered", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"family": "ktuple/ordered", "values": [1, 1, 3, 15]}
+
+
+def test_seq_ktuple_k_has_one_spelling(capsys):
+    code, out, err = run(capsys, "seq", "ktuple/ordered:k=+2", "4", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "error: bad k-tuple parameter in 'ktuple/ordered:k=+2': need k=K, K >= 1\n"
+
+
 def test_seq_ktuple_identifier(capsys):
     code, out, _ = run(capsys, "seq", "ktuple/ordered:k=2", "4")
     assert code == 0

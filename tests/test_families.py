@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from math import comb
 
@@ -271,8 +272,8 @@ def test_one_pass_lattice_sums_name_the_n_out_of_domain():
         bad = next(n for n in ns if n >= 64)
         with pytest.raises(ValueError, match=f"n = {bad} leaves the float range"):
             strict_binary_lattice_sums(ns, 2)
-    for ns, cutoff in (((0,), 2), ((2, -1), 2), ((2,), 0)):
-        with pytest.raises(ValueError, match="need n >= 1 and cutoff >= 1"):
+    for ns, cutoff, bad in (((0,), 2, "n = 0"), ((2, -1), 2, "n = -1"), ((2,), 0, "cutoff = 0")):
+        with pytest.raises(ValueError, match=f"^{bad} must be at least 1$"):
             strict_binary_lattice_sums(ns, cutoff)
 
 
@@ -329,6 +330,26 @@ def test_get_family_parses_k_tuple_ids():
     spec = get_family("ktuple/ordered:k=2")
     assert spec.scheme == "k-tuple" and spec.k == 2
     assert spec.sequence(4).as_integers() == (1, 1, 5, 59)
+
+
+def test_bare_k_tuple_id_means_k_1():
+    bare = get_family("ktuple/unordered")
+    assert (bare.identifier, bare.scheme, bare.k) == ("ktuple/unordered", "k-tuple", 1)
+    assert bare.sequence(6) == get_family("ktuple/unordered:k=1").sequence(6)
+    assert bare.sequence(6).as_integers() == (1, 1, 2, 6, 24, 120)
+
+
+@pytest.mark.parametrize("k", [
+    "+2", " 2", "2 ", "2_0", "\u0662", "02", "0", "", "2.0", "-1",
+    pytest.param("7" * 4301, id="4301-digits"),
+])
+def test_k_tuple_id_has_one_spelling_per_k(k):
+    # ASCII digits without a leading zero, so the id echoed by seq --format
+    # json is the one way to write its k; past the literal limit of 4300
+    # digits no int is made
+    identifier = f"ktuple/ordered:k={k}"
+    with pytest.raises(ValueError, match=f"^bad k-tuple parameter in {re.escape(repr(identifier))}"):
+        get_family(identifier)
 
 
 def test_get_family_rejects_unknown():

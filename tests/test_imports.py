@@ -28,8 +28,11 @@ census side (the censuses in ``trees.py``, the hook vectors and the fold in
 the right-hand sides.  ``hooks.py`` takes from ``solvers`` only
 ``SCHEMES``, ``_scheme_k`` and ``solve_scheme``, so no hook sum restates a
 scheme's scale, its k rule or its solver.  Only ``trees.py`` knows the censuses' packed code format:
-``hooks.py`` takes from it the two censuses, the int and k checks and public names,
-and no other module names its code tables or grafts.  In
+``hooks.py`` takes from it the two censuses and public names,
+and no other module names its code tables or grafts.  ``solvers.py`` and
+``families.py`` take nothing from ``trees.py``, the brute-force layer, and
+the readers of exact input (``_check_int``, ``_check_count``,
+``check_capacity``, ``CapacityError``) are defined once, in ``series.py``.  In
 ``trees.py`` and ``bijections.py`` no function, nested ones included, calls
 itself, directly or through other functions of its module, by name or as
 an attribute, so every tree converts at any depth.
@@ -395,17 +398,17 @@ def test_hooks_taking_a_scheme_solver_is_found():
 
 
 # the packed code format of the hook censuses: trees.py alone grafts and
-# decodes it, and hooks.py takes the two censuses whole, and the int and k
-# checks it shares with the solvers
+# decodes it, and hooks.py takes the two censuses whole (its count checks
+# come from series.py)
 CODE_FORMAT = {"_code_table", "_code_tables", "_grafts", "_sums"}
 RETIRED_CODE_NAMES = ("_field_bytes", "_unpack", "_tree_codes", "_bucket_codes")
-HOOKS_FROM_TREES = {"_census", "_bucket_census", "_check_int", "_check_k"}
+HOOKS_FROM_TREES = {"_census", "_bucket_census"}
 
 
 def code_format_leaks(sources):
     """Per module name, the code format names it uses outside trees.py, the
     retired code helpers it still mentions anywhere, and the private names
-    hooks.py takes from trees.py beyond the two censuses and the k check."""
+    hooks.py takes from trees.py beyond the two censuses."""
     leaks = {}
     for name, source in sources.items():
         found = [] if name == "trees.py" else names_of(source, CODE_FORMAT)
@@ -424,7 +427,7 @@ def test_only_trees_knows_the_packed_code_format():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert "_grafts" in sources["trees.py"]
     assert module_imports(sources["hooks.py"], "trees") == sorted(
-        HOOKS_FROM_TREES | {"check_capacity", "falling_factorial"}
+        HOOKS_FROM_TREES | {"falling_factorial"}
     )
     assert code_format_leaks(sources) == {}
 
@@ -440,6 +443,54 @@ def test_code_format_leak_is_found():
         "cli.py": ["_grafts", "_tree_codes"],
         "trees.py": ["_field_bytes"],
     }
+
+
+# the engine and the family registry give one route of every cross-check,
+# trees.py the brute-force route: they share no code
+ENGINE_SIDE = ("solvers.py", "families.py")
+
+
+def test_engine_side_takes_nothing_from_trees():
+    for name in ENGINE_SIDE:
+        assert module_imports((PACKAGE / name).read_text(encoding="utf-8"), "trees") == [], name
+
+
+def test_import_from_trees_is_found():
+    source = "from .trees import check_capacity\nfrom . import series, trees\nimport inctrees.trees\n"
+    assert module_imports(source, "trees") == ["check_capacity", "trees", "trees"]
+
+
+# every count, rational and capacity of the package is read through these
+EXACT_READERS = {"_check_int", "_check_count", "check_capacity", "CapacityError"}
+
+
+def top_level_definitions(sources, wanted):
+    """(module name, name) of each function or class among ``wanted``, or
+    the retired ``_check_k``, defined at the top level of a source."""
+    return sorted(
+        (module, node.name)
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in wanted | {"_check_k"}
+    )
+
+
+def test_exact_readers_are_defined_once_in_series():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert top_level_definitions(sources, EXACT_READERS) == sorted(
+        ("series.py", name) for name in EXACT_READERS
+    )
+
+
+def test_second_exact_reader_is_found():
+    sources = {
+        "series.py": "def _check_int(value, name):\n    return value\n",
+        "trees.py": "class CapacityError(ValueError):\n    pass\ndef _check_k(k):\n    return k\n",
+    }
+    assert top_level_definitions(sources, EXACT_READERS) == [
+        ("series.py", "_check_int"), ("trees.py", "CapacityError"), ("trees.py", "_check_k"),
+    ]
 
 
 def test_unused_import_is_found():
